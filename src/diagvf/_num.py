@@ -7,7 +7,6 @@ so rational configurations survive the whole pipeline without rounding.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 Number = int | float | Fraction
@@ -66,9 +65,18 @@ def near_integer(r, tol: float = 1e-9):
     return n if abs(float(r) - n) <= tol else None
 
 
-def as_float(x) -> float:
-    return float(x)
-
-
-def hypot2(x, y) -> float:
-    return math.hypot(float(x), float(y))
+def compositions(total: int, parts: int):
+    """Tuples of `parts` nonnegative ints summing to `total`, ascending
+    lexicographically: the order in which filtering
+    itertools.product(range(total + 1), repeat=parts) by sum would yield them.
+    """
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest

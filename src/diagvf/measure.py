@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from ._num import all_exact
+from ._num import all_exact, compositions
 from .errors import Degenerate, DomainViolation, NotAdmissible, OutOfMeanDomain
 from .model import AdmissibilityVerdict, CandidateModel
 from .roots import DiagonalVFParams
@@ -115,12 +115,9 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     N = verdict.N
     alphas = [abs(w) for w in m.weights]
     exact = m.is_exact
-    k = len(alphas)
     acc: dict = {}
     reps: dict = {}
-    for ns in itertools.product(range(N + 1), repeat=k):
-        if sum(ns) != N:
-            continue
+    for ns in compositions(N, len(alphas)):
         coef = math.factorial(N)
         for n in ns:
             coef //= math.factorial(n)
@@ -242,6 +239,64 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
                            n_points=len(theta_grid), worst_theta=worst)
 
 
+def _common_denominator(values) -> int:
+    """Least common denominator of exact values."""
+    return math.lcm(*(Fraction(v).denominator for v in values))
+
+
+def _exact_regression(mu: FiniteMeasure, p: DiagonalVFParams):
+    """Exact maximum deviation and group count, on integer numerators.
+
+    With coordinates X/D and masses W/M for integers X, W, each sum point
+    s collects five integer sums over the ordered pairs x + y = s:
+    sum w_x w_y, sum w_x x_k^2 w_y and sum (w_x x_k)(w_y y_k) for k = 1, 2.
+    Since g_k = x_k^2 + y_k^2 - 2(1+A) x_k y_k, the numerator of the
+    conditional expectation is
+        sum w_x w_y g_k = 2 sum w_x x_k^2 w_y - 2(1+A) sum (w_x x_k)(w_y y_k).
+    One pass visits each unordered pair i <= j once, with multiplicity 2
+    off the diagonal.
+    """
+    D = _common_denominator(c for x in mu.support for c in x)
+    M = _common_denominator(mu.masses)
+    pts = []
+    for (x1, x2), w in zip(mu.support, mu.masses):
+        X1, X2, W = int(x1 * D), int(x2 * D), int(w * M)
+        pts.append((X1, X2, W, W * X1, W * X1 * X1, W * X2, W * X2 * X2))
+    groups: dict = {}
+    for i, (X1, X2, W, WX1, WXX1, WX2, WXX2) in enumerate(pts):
+        for j in range(i, len(pts)):
+            Y1, Y2, V, VY1, VYY1, VY2, VYY2 = pts[j]
+            k = 1 if i == j else 2
+            key = (X1 + Y1, X2 + Y2)
+            sums = groups.get(key)
+            if sums is None:
+                sums = groups[key] = [0, 0, 0, 0, 0]
+            sums[0] += k * W * V
+            # twice sum w_x x_k^2 w_y: both orders of the pair, with k
+            sums[1] += k * (WXX1 * V + W * VYY1)
+            sums[2] += k * WX1 * VY1
+            sums[3] += k * (WXX2 * V + W * VYY2)
+            sums[4] += k * WX2 * VY2
+
+    A = Fraction(p.A)
+    An, Ad = A.numerator, A.denominator
+    # right-hand sides a s1 + b s2 + 2e and c s1 + d s2 + 2f over one
+    # denominator Q each
+    rhs = []
+    for u, v, z in ((p.a, p.b, 2 * p.e), (p.c, p.d, 2 * p.f)):
+        Q = _common_denominator((u, v, z))
+        rhs.append((int(u * Q), int(v * Q), int(z * Q), Q))
+    max_dev = Fraction(0)
+    for (S1, S2), (T, U1, V1, U2, V2) in groups.items():
+        for U, V, (u, v, z, Q) in ((U1, V1, rhs[0]), (U2, V2, rhs[1])):
+            # lhs = (U - 2(1+A) V) / (D^2 T), rhs = (u S1 + v S2 + z D) / (Q D)
+            num = ((Ad * U - 2 * (Ad + An) * V) * Q
+                   - (u * S1 + v * S2 + z * D) * Ad * D * T)
+            if num:
+                max_dev = max(max_dev, Fraction(abs(num), Ad * D * D * T * Q))
+    return max_dev, len(groups)
+
+
 def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
                      tol: float = 1e-10) -> RegressionReport:
     """Conditional-expectation identities for an i.i.d. pair, by enumeration.
@@ -249,33 +304,28 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
     Exact rational arithmetic whenever the measure and parameters are exact,
     in which case a passing check has deviation exactly zero.
     """
-    exact = mu.is_exact and p.is_exact
-    A, a, b, c, d, e, f = p.as_tuple()
-    if not exact:
-        A, a, b, c, d, e, f = (float(x) for x in (A, a, b, c, d, e, f))
+    if mu.is_exact and p.is_exact:
+        max_dev, n_groups = _exact_regression(mu, p)
+        return RegressionReport(max_dev=float(max_dev), tol=tol, exact=True,
+                                n_groups=n_groups)
+    A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
+    pts = [((float(x[0]), float(x[1])), float(w))
+           for x, w in zip(mu.support, mu.masses)]
     groups: dict = {}
-    for (x, wx), (y, wy) in itertools.product(
-            zip(mu.support, mu.masses), repeat=2):
-        if not exact:
-            x = (float(x[0]), float(x[1]))
-            y = (float(y[0]), float(y[1]))
-            wx, wy = float(wx), float(wy)
+    for (x, wx), (y, wy) in itertools.product(pts, repeat=2):
         s = (x[0] + y[0], x[1] + y[1])
-        key = _merge_key(s, exact)
+        key = _merge_key(s, False)
         w = wx * wy
         g1 = (x[0] - y[0]) ** 2 - 2 * A * x[0] * y[0]
         g2 = (x[1] - y[1]) ** 2 - 2 * A * x[1] * y[1]
-        den, n1, n2, srep = groups.get(
-            key, (Fraction(0) if exact else 0.0,) * 3 + (s,))
+        den, n1, n2, srep = groups.get(key, (0.0, 0.0, 0.0, s))
         groups[key] = (den + w, n1 + w * g1, n2 + w * g2, srep)
-    max_dev = Fraction(0) if exact else 0.0
+    max_dev = 0.0
     for den, n1, n2, s in groups.values():
-        lhs1 = n1 / den
-        lhs2 = n2 / den
-        dev1 = abs(lhs1 - (a * s[0] + b * s[1] + 2 * e))
-        dev2 = abs(lhs2 - (c * s[0] + d * s[1] + 2 * f))
+        dev1 = abs(n1 / den - (a * s[0] + b * s[1] + 2 * e))
+        dev2 = abs(n2 / den - (c * s[0] + d * s[1] + 2 * f))
         max_dev = max(max_dev, dev1, dev2)
-    return RegressionReport(max_dev=float(max_dev), tol=tol, exact=exact,
+    return RegressionReport(max_dev=max_dev, tol=tol, exact=False,
                             n_groups=len(groups))
 
 

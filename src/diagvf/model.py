@@ -20,7 +20,8 @@ import numpy as np
 
 from ._num import all_exact, is_exact, near_integer
 from .errors import NRootDeficit, UnsupportedArity, WeightCountMismatch
-from .roots import DiagonalVFParams, build_characteristic_quartic, dual_ordinate, solve_quartic
+from .roots import (DiagonalVFParams, RootSet, build_characteristic_quartic,
+                    dual_ordinate, solve_quartic)
 
 __all__ = [
     "CandidateModel",
@@ -106,10 +107,16 @@ class AdmissibilityVerdict:
         return self.outcome in ("CaseA", "CaseB")
 
 
-def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8) -> CandidateModel:
-    """Atoms over the distinct real roots of the characteristic quartic."""
-    rs = solve_quartic(build_characteristic_quartic(p), tol)
-    lams = rs.real_roots
+def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
+                    roots: Optional[RootSet] = None) -> CandidateModel:
+    """Atoms over the distinct real roots of the characteristic quartic.
+
+    `roots`, when given, is that quartic's RootSet already solved at `tol`;
+    callers building several models for one p pass it to solve only once.
+    """
+    if roots is None:
+        roots = solve_quartic(build_characteristic_quartic(p), tol)
+    lams = roots.real_roots
     if len(lams) < 2:
         raise NRootDeficit(
             f"characteristic quartic has {len(lams)} distinct real root(s); need >= 2")

@@ -10,10 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
-from ._num import format_number, parse_number
+from ._num import compositions, format_number, parse_number
 from .errors import ConfigError, NRootDeficit, WeightCountMismatch
 from .model import admissibility_verdict, candidate_model
 from .measure import (diag_variance_check, realize_measure, regression_check)
@@ -98,14 +97,18 @@ def _roots_json(rs):
     return out
 
 
-def _search_weights(p, n_r, denominator, tol):
-    """Grid search over the weight simplex with resolution 1/denominator."""
+def _search_weights(p, n_r, denominator, tol, roots):
+    """Grid search over the weight simplex with resolution 1/denominator.
+
+    `roots`, p's solved characteristic quartic, is shared by every
+    candidate; None makes each candidate solve it.
+    """
     D = int(denominator)
-    for ns in product(range(D + 1), repeat=n_r):
-        if sum(ns) != D or 0 in ns:
+    for ns in compositions(D, n_r):
+        if 0 in ns:
             continue
         weights = tuple(Fraction(n, D) for n in ns)
-        m = candidate_model(p, weights, tol)
+        m = candidate_model(p, weights, tol, roots=roots)
         v = admissibility_verdict(m, tol=1e-9)
         if v.accepted:
             return weights
@@ -124,6 +127,9 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
             raise ConfigError("config needs 'params' (or a diagnostic 'quartic')")
         q = build_characteristic_quartic(p)
     rs = solve_quartic(q, tol)
+    # the models are built on p's own quartic; a diagnostic quartic given
+    # alongside p is not it
+    model_roots = rs if "quartic" not in cfg else None
     pattern = classify_root_pattern(rs)
     report = PipelineReport(
         params={k: format_number(v) for k, v in
@@ -149,7 +155,7 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
     weights = cfg.get("weights")
     if weights is None and "weight_search" in cfg:
         den = cfg["weight_search"].get("denominator", 4)
-        weights = _search_weights(p, rs.n_r, den, tol)
+        weights = _search_weights(p, rs.n_r, den, tol, model_roots)
         if weights is None:
             report.verdict = {"case": "Rejected", "N": None,
                               "reason": f"no admissible weights on the 1/{den} grid"}
@@ -159,7 +165,7 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
         raise ConfigError("config needs 'weights' or 'weight_search'")
 
     try:
-        m = candidate_model(p, weights, tol)
+        m = candidate_model(p, weights, tol, roots=model_roots)
     except (NRootDeficit, WeightCountMismatch) as exc:
         report.verdict = {"case": "Rejected", "N": None,
                           "reason": f"{type(exc).__name__}: {exc}"}

@@ -7,13 +7,12 @@ unboundedness of inadmissible transform shapes.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._num import falling_factorial, is_exact, near_integer
+from ._num import compositions, falling_factorial, is_exact, near_integer
 from .errors import NoDominantAtom, NotNormalized
 from .model import CandidateModel
 
@@ -31,6 +30,7 @@ _PROBE_DIRECTIONS = (
     (-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0),
     (-1.0, -1e-3), (1.0, 1e-3),
 )
+_LOG_DOMINANCE = math.log(0.999)
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,42 @@ class EliminationForm:
         return val
 
 
+def _widest_gap_bisector(diffs):
+    """Unit direction bisecting the widest angular gap between the vectors,
+    when that gap exceeds pi (all vectors then lie in an open half-plane and
+    have negative inner product with it); else None."""
+    angles = sorted(math.atan2(d[1], d[0]) for d in diffs)
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(angles[0] + 2 * math.pi - angles[-1])
+    i = max(range(len(gaps)), key=gaps.__getitem__)
+    if not gaps[i] > math.pi:
+        return None
+    mid = angles[i] + gaps[i] / 2
+    return (math.cos(mid), math.sin(mid))
+
+
 def _find_probe(atoms, weights, pivot):
-    """Probe theta* with sum_{i != pivot} |alpha_i/alpha_p| e^<w_i,theta*> < 1."""
+    """Probe theta* with sum_{i != pivot} |alpha_i/alpha_p| e^<w_i,theta*> < 1.
+
+    The sum is compared in log space, so no direction overflows.  When the
+    fixed directions all fail, the bisector of the widest angular gap of
+    the pivot differences is tried: it exists whenever the pivot is a
+    vertex of the atoms' convex hull.
+    """
     wp = abs(float(weights[pivot]))
-    diffs = [(float(a[0]) - float(atoms[pivot][0]),
-              float(a[1]) - float(atoms[pivot][1]))
-             for i, a in enumerate(atoms) if i != pivot]
-    betas = [abs(float(w)) / wp for i, w in enumerate(weights) if i != pivot]
-    for u in _PROBE_DIRECTIONS:
+    px, py = float(atoms[pivot][0]), float(atoms[pivot][1])
+    # (log |alpha_i/alpha_p|, w_i) for the atoms the pivot must dominate
+    others = [(math.log(abs(float(w)) / wp), (float(a[0]) - px, float(a[1]) - py))
+              for i, (a, w) in enumerate(zip(atoms, weights)) if i != pivot and w]
+    if not others:
+        return (0.0, 0.0)
+    gap = _widest_gap_bisector([d for _, d in others])
+    for u in _PROBE_DIRECTIONS + ((gap,) if gap else ()):
         for t in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0):
             theta = (u[0] * t, u[1] * t)
-            total = sum(b * math.exp(d[0] * theta[0] + d[1] * theta[1])
-                        for b, d in zip(betas, diffs))
-            if total < 0.999:
+            logs = [lb + d[0] * theta[0] + d[1] * theta[1] for lb, d in others]
+            top = max(logs)
+            if top + math.log(sum(math.exp(v - top) for v in logs)) < _LOG_DOMINANCE:
                 return theta
             if u == (0.0, 0.0):
                 break
@@ -139,9 +162,7 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
         if ff == 0:
             continue
         cj = lead * ff / (math.factorial(j) if exact else float(math.factorial(j)))
-        for ns in itertools.product(range(j + 1), repeat=len(others)):
-            if sum(ns) != j:
-                continue
+        for ns in compositions(j, len(others)):
             mult = math.factorial(j)
             for n in ns:
                 mult //= math.factorial(n)

@@ -11,6 +11,7 @@ import json
 import math
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +35,9 @@ E1_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "1",
 P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
                         "e": "1", "f": "0"},
              "weights": ["1/4", "1/2", "1/4"]}
+
+# characterize --json output for E1 and P2, committed as produced by the CLI
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def reported(label):
@@ -362,9 +366,8 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
         first = capsys.readouterr().out
         assert main(["characterize", str(path), "--json"]) == 0
         assert capsys.readouterr().out == first
-        golden = tmp_path / f"{name}.golden"
-        golden.write_text(first)
-        assert golden.read_text() == first
+        golden = GOLDEN_DIR / f"{name}.characterize.json"
+        assert first == golden.read_text()
 
     rejected = tmp_path / "rejected.json"
     rejected.write_text(json.dumps(dict(E1_CONFIG,

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from diagvf import ConfigError, parse_config, report_from_dict, report_to_dict, \
-    run_characterize, emit_report
+    run_characterize, emit_report, solve_quartic
+from diagvf import model, pipeline
 from diagvf.cli import main
 
 E1_CONFIG = {
@@ -87,6 +88,34 @@ class TestRunCharacterize:
         rep = run_characterize(cfg)
         assert rep.status == "Admissible"
         assert len(rep.weights) == 3 and rep.verdict["case"] == "CaseA"
+
+    def test_series_probe_does_not_overflow(self):
+        # the heaviest atom is the rightmost one, far from the others
+        cfg = {"params": {"A": "-1", "a": "3/2", "b": "3", "c": "-13/8",
+                          "d": "89/12", "e": "0", "f": "-64/9"},
+               "weights": ["2/9", "1/3", "4/9"]}
+        rep = run_characterize(cfg)
+        assert rep.status == "Admissible"
+        assert rep.regression == {"max_dev": 0.0, "pass": True, "exact": True}
+        assert rep.series == {"depth": 8, "first_negative": None}
+
+    @pytest.mark.parametrize("A, extra, status", [
+        ("-1", {"weights": ["1/4", "1/2", "1/4"]}, "Admissible"),
+        ("-1", {"weight_search": {"denominator": 4}}, "Admissible"),
+        # r = 3/2: all six grid candidates are built and rejected
+        ("-2/3", {"weight_search": {"denominator": 5}}, "Rejected"),
+    ])
+    def test_quartic_solved_once(self, monkeypatch, A, extra, status):
+        calls = []
+
+        def counting(q, tol=1e-8):
+            calls.append(q)
+            return solve_quartic(q, tol)
+
+        monkeypatch.setattr(pipeline, "solve_quartic", counting)
+        monkeypatch.setattr(model, "solve_quartic", counting)
+        rep = run_characterize(dict(params=dict(E1_CONFIG["params"], A=A), **extra))
+        assert rep.status == status and len(calls) == 1
 
     def test_missing_weights(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagvf import (Degenerate, DiagonalVFParams, FiniteMeasure, NotAdmissible,
                     OutOfMeanDomain, admissibility_verdict, candidate_model,
@@ -177,6 +179,75 @@ class TestDiagVarianceCheck:
         bad = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(1, 10), F(0))
         rep = diag_variance_check(m, bad)
         assert not rep.passed and rep.max_dev >= 0.05
+
+
+def regression_oracle(mu, p):
+    """Independent oracle: every ordered pair, grouped by exact sum point.
+
+    Returns the exact maximum deviation of the two conditional-expectation
+    identities and the number of sum points.
+    """
+    A, a, b, c, d, e, f = (F(x) for x in p.as_tuple())
+    groups = {}
+    for (x, wx), (y, wy) in itertools.product(zip(mu.support, mu.masses), repeat=2):
+        s = (F(x[0]) + y[0], F(x[1]) + y[1])
+        w = F(wx) * wy
+        g1 = (x[0] - y[0]) ** 2 - 2 * A * x[0] * y[0]
+        g2 = (x[1] - y[1]) ** 2 - 2 * A * x[1] * y[1]
+        den, n1, n2 = groups.get(s, (F(0), F(0), F(0)))
+        groups[s] = (den + w, n1 + w * g1, n2 + w * g2)
+    dev = F(0)
+    for s, (den, n1, n2) in groups.items():
+        dev = max(dev, abs(n1 / den - (a * s[0] + b * s[1] + 2 * e)),
+                  abs(n2 / den - (c * s[0] + d * s[1] + 2 * f)))
+    return dev, len(groups)
+
+
+small_fraction = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def exact_measures(draw):
+    """Small exact measures; coordinates on a coarse grid so sums collide."""
+    pts = draw(st.lists(st.tuples(small_fraction, small_fraction),
+                        min_size=1, max_size=6, unique=True))
+    ns = draw(st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)))
+    return FiniteMeasure(tuple(pts), tuple(F(n, sum(ns)) for n in ns))
+
+
+@st.composite
+def exact_params(draw):
+    A = -draw(st.builds(F, st.integers(1, 5), st.integers(1, 4)))
+    b = draw(small_fraction.filter(bool))
+    return DiagonalVFParams(A, draw(small_fraction), b,
+                            *(draw(small_fraction) for _ in range(4)))
+
+
+class TestRegressionDifferential:
+    def assert_matches_oracle(self, mu, p):
+        rep = regression_check(mu, p)
+        dev, n_groups = regression_oracle(mu, p)
+        assert rep.exact
+        assert rep.max_dev == float(dev)
+        assert rep.n_groups == n_groups
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_measures(), exact_params())
+    def test_random_measures(self, mu, p):
+        self.assert_matches_oracle(mu, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.lists(st.integers(1, 5), min_size=3, max_size=3),
+           st.sampled_from(("e", "f", "a", "d")), small_fraction)
+    def test_realized_models_perturbed(self, N, ns, field, delta):
+        # E1 at A = -1/N: zero deviation unperturbed, nonzero otherwise
+        base = dict(A=F(-1, N), a=F(0), b=F(1), c=F(0), d=F(1), e=F(0), f=F(0))
+        _, mu = model_and_measure(DiagonalVFParams(**base),
+                                  tuple(F(n, sum(ns)) for n in ns))
+        base[field] += delta
+        p = DiagonalVFParams(**base)
+        self.assert_matches_oracle(mu, p)
+        assert (regression_check(mu, p).max_dev == 0) == (delta == 0)
 
 
 class TestRegressionCheck:

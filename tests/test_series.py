@@ -72,6 +72,26 @@ class TestExpandSeries:
         t1, t2 = rep.probe
         assert (1 / 3) * math.exp(t1 + t2) < 1.0
 
+    @pytest.mark.parametrize("atoms, weights, r", [
+        # no fixed probe direction dominates the middle atom; the
+        # bisector of the widest gap of the pivot differences does
+        ([(F(-5, 4), F(25, 16)), (F(-1), F(1)), (F(-1, 4), F(1, 16))],
+         (F(5, 16), F(3, 8), F(5, 16)), F(13, 4)),
+        # summing the exponentials directly overflows along (-1, -1)
+        ([(F(-1), F(1)), (F(5, 4), F(25, 16)), (F(3, 2), F(9, 4))],
+         (F(3, 17), F(8, 17), F(6, 17)), F(5, 4)),
+    ])
+    def test_middle_pivot_on_parabola(self, atoms, weights, r):
+        m = make_model(atoms, weights, r)
+        rep = expand_series(m, 12)
+        assert rep.pivot == 1 and rep.first_negative is not None
+        t1, t2 = rep.probe
+        (x0, y0), w0 = m.atoms[1], float(m.weights[1])
+        total = sum(float(w) / w0 * math.exp(float(x - x0) * t1 + float(y - y0) * t2)
+                    for i, ((x, y), w) in enumerate(zip(m.atoms, m.weights))
+                    if i != 1)
+        assert total < 1.0
+
 
 class TestFirstNegativeCoefficient:
     def test_half(self):
