@@ -7,6 +7,7 @@ so rational configurations survive the whole pipeline without rounding.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Number = int | float | Fraction
@@ -21,19 +22,26 @@ def all_exact(*xs) -> bool:
 
 
 def parse_number(v) -> Number:
-    """Accept ints, floats, and 'p/q' or integer strings."""
+    """Accept ints, finite floats, and 'p/q' or integer strings.
+
+    Anything else, a zero denominator or a non-finite value raises ValueError.
+    """
     if isinstance(v, bool):
         raise ValueError(f"not a number: {v!r}")
     if isinstance(v, (int, Fraction)):
-        return v
-    if isinstance(v, float):
         return v
     if isinstance(v, str):
         s = v.strip()
         try:
             return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {v!r}") from None
         except ValueError:
-            return float(s)
+            v = float(s)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"not a finite number: {v!r}")
+        return v
     raise ValueError(f"not a number: {v!r}")
 
 

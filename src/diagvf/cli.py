@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -21,13 +22,21 @@ from .errors import ConfigError, DiagVFError
 from .model import (LatticeMatrix, admissibility_verdict, candidate_model,
                     make_model, star_condition)
 from .measure import cumulant_eval, realize_measure, tilt_member
-from .pipeline import emit_report, parse_config, run_characterize
+from .pipeline import _roots_json, emit_report, parse_config, run_characterize
 from .roots import classify_root_pattern, solve_quartic, build_characteristic_quartic
 from .series import EliminationForm, expand_series, magnitude_scan
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT = 2
+
+
+def _number(v):
+    """parse_number, with a malformed value reported as an input error."""
+    try:
+        return parse_number(v)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _read_config(path: str):
@@ -46,9 +55,9 @@ def _emit(obj, as_json: bool, human_lines):
 def _model_from_config(cfg, tol):
     """Accept either explicit atoms/weights/r or params+weights."""
     if "atoms" in cfg:
-        atoms = [(parse_number(a[0]), parse_number(a[1])) for a in cfg["atoms"]]
-        weights = [parse_number(w) for w in cfg["weights"]]
-        r = parse_number(cfg["r"])
+        atoms = [(_number(a[0]), _number(a[1])) for a in cfg["atoms"]]
+        weights = [_number(w) for w in cfg["weights"]]
+        r = _number(cfg["r"])
         return make_model(atoms, weights, r)
     if "params" in cfg and "weights" in cfg:
         return candidate_model(cfg["params"], cfg["weights"], tol)
@@ -97,9 +106,7 @@ def cmd_roots(args) -> int:
         q = build_characteristic_quartic(cfg["params"])
     rs = solve_quartic(q, args.tol)
     pattern = classify_root_pattern(rs)
-    entries = [{"re": format_number(v) if not isinstance(v, complex) else float(v.real),
-                "im": 0 if not isinstance(v, complex) else float(v.imag),
-                "mult": mlt} for v, mlt in rs.entries]
+    entries = _roots_json(rs)
     _emit({"quartic": [format_number(c) for c in q.coeffs],
            "roots": entries, "pattern": pattern.value, "n_r": rs.n_r},
           args.json,
@@ -114,7 +121,7 @@ def cmd_lattice(args) -> int:
     cfg = _read_config(args.config)
     if "matrix" not in cfg:
         raise ConfigError("lattice needs 'matrix': 3x3 rational rows")
-    rows = tuple(tuple(Fraction(parse_number(x)) for x in row)
+    rows = tuple(tuple(Fraction(_number(x)) for x in row)
                  for row in cfg["matrix"])
     rep = star_condition(LatticeMatrix(rows), bound=args.bound)
     _emit({"holds": rep.holds,
@@ -147,15 +154,15 @@ def cmd_expand(args) -> int:
 def cmd_scan(args) -> int:
     cfg = _read_config(args.config)
     form = EliminationForm(
-        poly=tuple(parse_number(x) for x in cfg.get("poly", [])),
-        exp_terms=tuple(tuple(parse_number(x) for x in t)
+        poly=tuple(_number(x) for x in cfg.get("poly", [])),
+        exp_terms=tuple(tuple(_number(x) for x in t)
                         for t in cfg.get("exp_terms", [])),
-        linexp=tuple(parse_number(x) for x in cfg["linexp"])
+        linexp=tuple(_number(x) for x in cfg["linexp"])
         if cfg.get("linexp") else None,
-        osc_blocks=tuple(tuple(parse_number(x) for x in b)
+        osc_blocks=tuple(tuple(_number(x) for x in b)
                          for b in cfg.get("osc_blocks", [])),
     )
-    r = parse_number(cfg.get("r", 1))
+    r = _number(cfg.get("r", 1))
     t_max = float(cfg.get("t_max", 50.0))
     n = int(cfg.get("n_grid", 2001))
     grid = np.linspace(-t_max, t_max, n)
@@ -171,7 +178,7 @@ def cmd_scan(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _read_config(args.config)
     m = _model_from_config(cfg, args.tol)
-    theta = tuple(parse_number(x) for x in cfg.get("theta", (0, 0)))
+    theta = tuple(_number(x) for x in cfg.get("theta", (0, 0)))
     k, mean, cov = cumulant_eval(m, theta)
     _emit({"theta": [float(t) for t in theta], "k": k,
            "mean": [float(x) for x in mean],
@@ -191,7 +198,7 @@ def cmd_tilt(args) -> int:
         print(f"model not admissible: {verdict.reason}", file=sys.stderr)
         return EXIT_REJECTED
     mu = realize_measure(m, verdict)
-    theta = tuple(parse_number(x) for x in cfg.get("theta", (0, 0)))
+    theta = tuple(_number(x) for x in cfg.get("theta", (0, 0)))
     tilted = tilt_member(mu, theta)
     entries = [{"point": [format_number(x) for x in pt],
                 "mass": format_number(ms)}
@@ -234,6 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not 0 < args.tol < math.inf:
+        print(f"input error: --tol must be positive and finite, got {args.tol}",
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, KeyError) as exc:

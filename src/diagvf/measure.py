@@ -219,22 +219,47 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
     """Compare both covariance diagonal entries to their quadratic forms.
 
     Evaluated along the theta-parametrized mean curve, so no mean-map
-    inversion is needed and collinear supports are checkable too.
+    inversion is needed and collinear supports are checkable too.  All
+    theta points go through one batched numpy pass whose per-theta products
+    have the shapes `cumulant_eval` uses, so every value is bitwise the one
+    `cumulant_eval` gives; the worst theta is the first of the largest
+    deviations, and a nonpositive transform raises at the first bad theta.
     """
     if theta_grid is None:
         axis = np.linspace(-1.0, 1.0, 11)
         theta_grid = [(t1, t2) for t1 in axis for t2 in axis]
     A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
-    max_dev = -1.0
-    worst = (0.0, 0.0)
-    for theta in theta_grid:
-        _, mean, cov = cumulant_eval(m, theta)
-        m1, m2 = mean
-        d1 = abs(cov[0, 0] - (A * m1 * m1 + a * m1 + b * m2 + e))
-        d2 = abs(cov[1, 1] - (A * m2 * m2 + c * m1 + d * m2 + f))
-        dev = float(max(d1, d2))
-        if dev > max_dev:
-            max_dev, worst = dev, (float(theta[0]), float(theta[1]))
+    T = np.array(theta_grid, dtype=float).reshape(len(theta_grid), 2)
+    V = np.array([[float(x[0]), float(x[1])] for x in m.atoms])
+    w = np.array([float(x) for x in m.weights])
+    if np.all(w >= 0) or np.all(w <= 0):
+        w = np.abs(w)
+    N = float(m.r)
+    # the steps of _mixture_stats and cumulant_eval, one row per theta
+    Z = (V @ T[:, :, None])[:, :, 0]
+    ew = w * np.exp(Z - Z.max(axis=1, keepdims=True))
+    total = ew.sum(axis=1)
+    bad = ~(total > 0)
+    if bad.any():
+        theta = theta_grid[int(np.argmax(bad))]
+        raise DomainViolation(f"mixture transform nonpositive at theta={theta}")
+    P = ew / total[:, None]
+    PV = P[:, None, :] @ V
+    mean = N * PV[:, 0, :]
+    C = V - PV
+    cov = N * (np.swapaxes(C, 1, 2) * P[:, None, :]) @ C
+    cov = (cov + np.swapaxes(cov, 1, 2)) / 2
+    m1, m2 = mean[:, 0], mean[:, 1]
+    d1 = np.abs(cov[:, 0, 0] - (A * m1 * m1 + a * m1 + b * m2 + e))
+    d2 = np.abs(cov[:, 1, 1] - (A * m2 * m2 + c * m1 + d * m2 + f))
+    dev = np.where(d2 > d1, d2, d1)  # builtin max(d1, d2), NaNs included
+    # a strict-> scan from -1: the first largest deviation, NaNs never win
+    counted = dev > -1.0
+    if not counted.any():
+        max_dev, worst = -1.0, (0.0, 0.0)
+    else:
+        i = int(np.argmax(np.where(counted, dev, -np.inf)))
+        max_dev, worst = float(dev[i]), (float(T[i, 0]), float(T[i, 1]))
     return DiagCheckReport(max_dev=max_dev, tol=tol,
                            n_points=len(theta_grid), worst_theta=worst)
 

@@ -49,6 +49,8 @@ class PipelineReport:
 def parse_params(obj) -> DiagonalVFParams:
     if isinstance(obj, DiagonalVFParams):
         return obj
+    if not isinstance(obj, dict):
+        raise ConfigError(f"params must be an object, got {type(obj).__name__}")
     try:
         vals = {k: parse_number(obj[k]) for k in PARAM_KEYS}
     except KeyError as exc:

@@ -152,38 +152,124 @@ def build_dual_quartic(p: DiagonalVFParams) -> Quartic:
     ))
 
 
-def _rational_roots(q: Quartic):
-    """Extract exact rational roots with multiplicities by trial division.
+# a float root of the square-free part counts as real when its imaginary
+# part is below this share of its modulus (or of 1)
+_IMAG_TOL = 1e-6
+# each Newton step about doubles the correct bits of a float start; the cap
+# bounds the work where it does not converge
+_NEWTON_STEPS = 12
 
-    Returns (list of (Fraction, mult), remaining coefficient list ascending).
+
+def _primitive(poly):
+    """Integer polynomial over its content, leading coefficient positive.
+
+    Polynomials here are lists of integer coefficients, ascending.
+    """
+    g = math.gcd(*poly)
+    return [c // g for c in poly] if poly[-1] > 0 else [-c // g for c in poly]
+
+
+def _pseudo_remainder(a, b):
+    """Remainder of lead(b)^k * a divided by b, without leaving the integers."""
+    a = list(a)
+    while len(a) >= len(b) and any(a):
+        top, shift = a[-1], len(a) - len(b)
+        a = [b[-1] * c for c in a]
+        for i, c in enumerate(b):
+            a[i + shift] -= top * c
+        while len(a) > 1 and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _square_free(poly):
+    """poly / gcd(poly, poly') for a primitive poly, by the primitive
+    remainder sequence and one exact division."""
+    a, b = poly, _primitive([i * c for i, c in enumerate(poly)][1:])
+    while any(b):
+        a, b = b, _pseudo_remainder(a, b)
+        if any(b):
+            b = _primitive(b)
+    if len(a) == 1:
+        return poly
+    # Gauss: both are primitive, so the quotient has integer coefficients
+    rest, quot = list(poly), [0] * (len(poly) - len(a) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rest[k + len(a) - 1] // a[-1]
+        for i, c in enumerate(a):
+            rest[i + k] -= quot[k] * c
+    return quot
+
+
+def _scaled_value(poly, X, bits):
+    """2**(bits*deg) * poly(X / 2**bits), an integer."""
+    deg = len(poly) - 1
+    acc = poly[-1]
+    for i in range(deg - 1, -1, -1):
+        acc = acc * X + (poly[i] << (bits * (deg - i)))
+    return acc
+
+
+def _refine(poly, x: float, bits: int) -> int:
+    """Newton's method in fixed point: an integer X such that X / 2**bits
+    approximates the simple root of poly near x to about 2**-bits."""
+    num, den = x.as_integer_ratio()
+    X = (num << bits) // den
+    deriv = [i * c for i, c in enumerate(poly)][1:]
+    for _ in range(_NEWTON_STEPS):
+        slope = _scaled_value(deriv, X, bits)
+        if slope == 0:
+            break
+        step = _scaled_value(poly, X, bits) // slope
+        X -= step
+        if abs(step) <= 1:
+            break
+    return X
+
+
+def _convergents(num: int, den: int, limit: int):
+    """Continued-fraction convergents h/k of num/den with k <= limit."""
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while den:
+        a, rem = divmod(num, den)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        if k1 > limit:
+            return
+        yield h1, k1
+        num, den = den, rem
+
+
+def _deflate(poly, num: int, den: int):
+    """Quotient of poly by (den x - num), or None if it does not divide."""
+    out, carry = [], 0
+    for c in reversed(poly[1:]):
+        carry, rem = divmod(c + num * carry, den)
+        if rem:
+            return None
+        out.append(carry)
+    if poly[0] + num * carry:
+        return None
+    return out[::-1]
+
+
+def _rational_roots(q: Quartic):
+    """Extract exact rational roots with multiplicities: rationalize and verify.
+
+    The float roots of the square-free part are refined by fixed-point Newton
+    steps to twice the bits of its leading coefficient L, and the
+    continued-fraction convergents h/k (k <= L) of each are kept when h
+    divides the constant term and k divides L, as every rational root's
+    lowest terms must.  Exact deflation confirms each kept candidate and
+    counts its multiplicity.  There is no size guard: the work grows with
+    the bit length of the coefficients, not with their divisors.  A rational
+    root is missed only if np.roots cannot tell it from a neighbouring root;
+    it is then solved in floats with the irrational ones.
+
+    Returns (list of (Fraction, mult), remaining monic coefficient list
+    ascending), roots in ascending (|numerator|, denominator, sign) order.
     Only called when all coefficients are exact.
     """
-    coeffs = [Fraction(c) for c in q.coeffs]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]  # integer polynomial, ascending
-
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.add(i)
-                out.add(n // i)
-            i += 1
-        return out
-
-    def deflate(poly, r):
-        # synthetic division of ascending-coefficient poly by (x - r)
-        desc = poly[::-1]
-        out = [desc[0]]
-        for c in desc[1:]:
-            out.append(c + r * out[-1])
-        if out[-1] != 0:
-            return None
-        return [Fraction(c) for c in out[:-1][::-1]]
-
-    poly = [Fraction(c) for c in coeffs]
+    poly = [Fraction(c) for c in q.coeffs]
     found = []
     # zero roots first
     mult0 = 0
@@ -192,27 +278,30 @@ def _rational_roots(q: Quartic):
         mult0 += 1
     if mult0:
         found.append((Fraction(0), mult0))
-    if len(poly) > 1 and abs(ints[0]) <= 10**12 and abs(ints[-1]) <= 10**12:
-        cden = math.lcm(*(c.denominator for c in poly))
-        ip = [int(c * cden) for c in poly]
-        for pnum in sorted(divisors(ip[0]) or {1}):
-            for qden in sorted(divisors(ip[-1]) or {1}):
-                for sign in (1, -1):
-                    r = Fraction(sign * pnum, qden)
-                    mult = 0
-                    while len(poly) > 1:
-                        deflated = deflate(poly, r)
-                        if deflated is None:
-                            break
-                        poly = deflated
-                        mult += 1
-                    if mult:
-                        found.append((r, mult))
-                if len(poly) == 1:
-                    break
-            if len(poly) == 1:
-                break
-    return found, poly
+    if len(poly) == 1:
+        return found, poly
+    cden = math.lcm(*(c.denominator for c in poly))
+    ints = _primitive([c.numerator * (cden // c.denominator) for c in poly])
+    sf = _square_free(ints)
+    lead, const = sf[-1], sf[0]
+    bits = 2 * lead.bit_length() + 4
+    top = max(abs(c) for c in sf)
+    candidates = set()
+    for z in np.roots([c / top for c in reversed(sf)]):
+        if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z)):
+            continue
+        X = _refine(sf, float(z.real), bits)
+        for h, k in _convergents(X, 1 << bits, lead):
+            if h and const % h == 0 and lead % k == 0:
+                candidates.add((h, k))
+    for h, k in sorted(candidates, key=lambda c: (abs(c[0]), c[1], c[0] < 0)):
+        mult = 0
+        while (quotient := _deflate(ints, h, k)) is not None:
+            ints = quotient
+            mult += 1
+        if mult:
+            found.append((Fraction(h, k), mult))
+    return found, [Fraction(c, ints[-1]) for c in ints]
 
 
 def _cluster(values, tol: float):

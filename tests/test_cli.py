@@ -177,6 +177,31 @@ class TestCliCharacterize:
         assert json.loads(capsys.readouterr().out) == out
 
 
+class TestCliMalformedInput:
+    """Malformed input exits 2 with one `input error:` line, no traceback."""
+
+    E1_TEXT = json.dumps(E1_CONFIG)
+
+    @pytest.mark.parametrize("text,flags", [
+        (E1_TEXT, ["--tol", "0"]),
+        (E1_TEXT, ["--tol=-1e-8"]),
+        (E1_TEXT.replace('"1/2"', '"1/0"'), []),
+        (E1_TEXT.replace('"e": "0"', '"e": "inf"'), []),
+        (E1_TEXT.replace('"e": "0"', '"e": NaN'), []),
+        (E1_TEXT.replace('"e": "0"', '"e": 1e999'), []),
+        (json.dumps(dict(E1_CONFIG, params=list(E1_CONFIG["params"].values()))), []),
+    ], ids=["tol-zero", "tol-negative", "zero-denominator", "inf-string",
+            "nan", "overflowing-literal", "params-list"])
+    def test_exit_2_one_line(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["characterize", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
 class TestCliRoots:
     def test_from_quartic(self, tmp_path, capsys):
         path = write_config(tmp_path, {"quartic": ["0", "0", "-1", "0", "1"]})

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagvf import (Degenerate, DiagonalVFParams, FiniteMeasure, NotAdmissible,
+from diagvf import (Degenerate, DiagonalVFParams, DomainViolation,
+                    FiniteMeasure, NotAdmissible,
                     OutOfMeanDomain, admissibility_verdict, candidate_model,
                     cumulant_eval, diag_variance_check, fd_hessian, make_model,
                     mean_to_theta, realize_measure, regression_check,
@@ -221,6 +222,90 @@ def exact_params(draw):
     b = draw(small_fraction.filter(bool))
     return DiagonalVFParams(A, draw(small_fraction), b,
                             *(draw(small_fraction) for _ in range(4)))
+
+
+def diag_oracle(m, p, theta_grid):
+    """Oracle: cumulant_eval at each theta in turn, the deviations scanned
+    with a strict > from -1; DomainViolation comes from the first bad theta."""
+    A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
+    max_dev, worst = -1.0, (0.0, 0.0)
+    for theta in theta_grid:
+        _, mean, cov = cumulant_eval(m, theta)
+        m1, m2 = mean
+        d1 = abs(cov[0, 0] - (A * m1 * m1 + a * m1 + b * m2 + e))
+        d2 = abs(cov[1, 1] - (A * m2 * m2 + c * m1 + d * m2 + f))
+        dev = float(max(d1, d2))
+        if dev > max_dev:
+            max_dev, worst = dev, (float(theta[0]), float(theta[1]))
+    return max_dev, worst
+
+
+def diag_outcome(check, *args):
+    try:
+        return check(*args)
+    except DomainViolation as exc:
+        return str(exc)
+
+
+@st.composite
+def diag_models(draw, signs=("+", "-")):
+    """Two to four atoms, exact or float, with weights of one sign (CaseA
+    or CaseB) or, with signs="mixed", of both."""
+    exact = draw(st.booleans())
+    coord = small_fraction if exact else st.floats(-3, 3)
+    k = draw(st.integers(2, 4))
+    lams = draw(st.lists(coord, min_size=k, max_size=k, unique=True))
+    atoms = [(lam, draw(coord)) for lam in lams]
+    mags = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    sign = draw(st.sampled_from(signs))
+    if sign == "mixed":
+        ws = [F(n, 4) * draw(st.sampled_from((1, -1))) for n in mags]
+    else:
+        ws = [F(n, sum(mags)) * (1 if sign == "+" else -1) for n in mags]
+    if not exact:
+        ws = [float(w) for w in ws]
+    r = draw(st.sampled_from((1, 2, 3, F(1, 2))))
+    return make_model(atoms, ws, r if exact else float(r))
+
+
+theta_grids = st.one_of(
+    st.none(),
+    st.lists(st.tuples(st.floats(-30, 30), st.floats(-30, 30)), max_size=40),
+    st.lists(st.tuples(small_fraction, small_fraction), max_size=10))
+
+
+class TestDiagDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(diag_models(), exact_params(), theta_grids)
+    def test_matches_per_theta_oracle(self, m, p, grid):
+        rep = diag_variance_check(m, p, grid)
+        if grid is None:
+            axis = np.linspace(-1.0, 1.0, 11)
+            grid = [(t1, t2) for t1 in axis for t2 in axis]
+        assert (rep.max_dev, rep.worst_theta) == diag_oracle(m, p, grid)
+        assert rep.n_points == len(grid)
+
+    @settings(max_examples=100, deadline=None)
+    @given(diag_models(signs=("mixed",)), exact_params(), theta_grids)
+    def test_mixed_signs_match_oracle(self, m, p, grid):
+        if grid is None:
+            axis = np.linspace(-1.0, 1.0, 11)
+            grid = [(t1, t2) for t1 in axis for t2 in axis]
+        got = diag_outcome(diag_variance_check, m, p, grid)
+        want = diag_outcome(diag_oracle, m, p, grid)
+        if isinstance(got, str):
+            assert got == want
+        else:
+            assert (got.max_dev, got.worst_theta) == want
+
+    def test_nonpositive_transform_names_first_bad_theta(self):
+        # 2 e^0 - e^(t1 + t2) <= 0 once t1 + t2 >= log 2
+        m = make_model([(0, 0), (1, 1)], (F(2), F(-1)), 1)
+        grid = [(0.0, 0.0), (0.5, 0.1), (0.4, 0.4), (1.0, 1.0)]
+        with pytest.raises(DomainViolation) as exc:
+            diag_variance_check(m, E1, grid)
+        assert str(exc.value) == diag_outcome(diag_oracle, m, E1, grid)
+        assert "theta=(0.4, 0.4)" in str(exc.value)
 
 
 class TestRegressionDifferential:

@@ -1,12 +1,17 @@
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagvf import (DiagonalVFParams, NotARoot, Quartic, RootPattern,
                     build_characteristic_quartic, build_dual_quartic,
-                    classify_root_pattern, dual_ordinate, solve_quartic)
+                    classify_root_pattern, dual_ordinate, run_characterize,
+                    solve_quartic)
+from diagvf.roots import _rational_roots
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -263,3 +268,165 @@ class TestForwardInverse:
         reals = [float(v) for v in rs.real_roots]
         for lam in lams:
             assert any(abs(float(lam) - v) <= 1e-9 for v in reals)
+
+
+def trial_division_roots(q: Quartic):
+    """Oracle: the exact root search by divisor-pair trial division that
+    rationalize-and-verify replaced, unchanged except that the denominator
+    divisors are listed once instead of once per numerator.  It is
+    exhaustive only while the cleared integer quartic's constant and leading
+    terms are within 10**12."""
+    coeffs = [F(c) for c in q.coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+
+    def divisors(n):
+        n = abs(n)
+        out = set()
+        i = 1
+        while i * i <= n:
+            if n % i == 0:
+                out.add(i)
+                out.add(n // i)
+            i += 1
+        return out
+
+    def deflate(poly, r):
+        desc = poly[::-1]
+        out = [desc[0]]
+        for c in desc[1:]:
+            out.append(c + r * out[-1])
+        if out[-1] != 0:
+            return None
+        return [F(c) for c in out[:-1][::-1]]
+
+    poly = [F(c) for c in coeffs]
+    found = []
+    mult0 = 0
+    while poly[0] == 0 and len(poly) > 1:
+        poly = poly[1:]
+        mult0 += 1
+    if mult0:
+        found.append((F(0), mult0))
+    if len(poly) > 1 and abs(ints[0]) <= 10**12 and abs(ints[-1]) <= 10**12:
+        cden = math.lcm(*(c.denominator for c in poly))
+        ip = [int(c * cden) for c in poly]
+        qdens = sorted(divisors(ip[-1]) or {1})
+        for pnum in sorted(divisors(ip[0]) or {1}):
+            for qden in qdens:
+                for sign in (1, -1):
+                    r = F(sign * pnum, qden)
+                    mult = 0
+                    while len(poly) > 1:
+                        deflated = deflate(poly, r)
+                        if deflated is None:
+                            break
+                        poly = deflated
+                        mult += 1
+                    if mult:
+                        found.append((r, mult))
+                if len(poly) == 1:
+                    break
+            if len(poly) == 1:
+                break
+    return found, poly
+
+
+def within_old_guard(q: Quartic) -> bool:
+    den = math.lcm(*(F(c).denominator for c in q.coeffs))
+    return all(abs(int(F(c) * den)) <= 10**12 for c in (q.coeffs[0], q.coeffs[4]))
+
+
+def quartic_from(roots, quadratics=()):
+    """Monic quartic prod (x - r) * prod (x^2 + u x + v), ascending."""
+    poly = [F(1)]
+    for factor in [[-r, F(1)] for r in roots] + [[v, u, F(1)] for u, v in quadratics]:
+        out = [F(0)] * (len(poly) + len(factor) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        poly = out
+    return Quartic(tuple(poly))
+
+
+# roots with denominators of 0-2 digits and small numerators keep the
+# oracle's divisor enumeration fast
+small_root = st.builds(F, st.integers(-24, 24),
+                       st.one_of(st.just(1), st.integers(2, 9), st.integers(10, 99)))
+# b^2 - 4c for an irreducible quadratic x^2 + bx + c: no rational square
+non_square = st.sampled_from([F(-3), F(-1), F(-2, 3), F(2), F(5, 4), F(-7, 9)])
+root_or_zero = st.one_of(st.just(F(0)), small_root)
+MULTIPLICITIES = {4: [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)],
+                  2: [(1, 1), (2,)], 0: [()]}
+
+
+@st.composite
+def prescribed_quartics(draw):
+    """Quartics with every multiplicity pattern over the rationals: simple,
+    double, triple and quadruple roots, zero roots, and up to two
+    irreducible quadratic factors."""
+    n_quad = draw(st.integers(0, 2))
+    mults = draw(st.sampled_from(MULTIPLICITIES[4 - 2 * n_quad]))
+    distinct = draw(st.lists(root_or_zero, min_size=len(mults),
+                             max_size=len(mults), unique=True))
+    quads = []
+    for _ in range(n_quad):
+        u = draw(small_root)
+        quads.append((u, (u * u - draw(non_square)) / 4))
+    return quartic_from([r for r, m in zip(distinct, mults) for _ in range(m)],
+                        quads)
+
+
+class TestRationalRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(prescribed_quartics())
+    def test_matches_trial_division(self, q):
+        assert within_old_guard(q)
+        assert _rational_roots(q) == trial_division_roots(q)
+
+    @pytest.mark.parametrize("roots", [
+        (F(123456789, 1000000007), F(1), F(-2), F(3)),
+        (F(-987654321, 999999937), F(1, 2), F(1, 2), F(0)),
+    ])
+    def test_denominators_past_float_precision(self, roots):
+        # |r - float(r)| is far above 1 / (2 k^2) here, so only the
+        # Newton-sharpened root has r among its convergents
+        q = quartic_from(roots)
+        assert within_old_guard(q)
+        assert _rational_roots(q) == trial_division_roots(q)
+        assert sorted(_rational_roots(q)[0]) == sorted(
+            (r, roots.count(r)) for r in set(roots))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_beyond_old_guard_recovered_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        roots = []
+        while len(roots) < 3:
+            den = int(rng.integers(1000, 100000))
+            r = F(int(rng.integers(-3 * den, 3 * den)), den)
+            if r not in roots:
+                roots.append(r)
+        roots.append(roots[seed % 3])
+        q = quartic_from(roots)
+        assert not within_old_guard(q)
+        found, residual = _rational_roots(q)
+        assert sorted(found) == sorted((r, roots.count(r)) for r in set(roots))
+        assert residual == [1]
+        assert all(isinstance(v, F) for v, _ in solve_quartic(q).entries)
+
+    def test_huge_abscissa_does_not_hang(self):
+        cfg = {"params": dict(A="-1", a="123456789012345678901/7", b="1", c="0",
+                              d="1", e="0", f="0"),
+               "weights": ["1/4", "1/2", "1/4"]}
+        start = time.perf_counter()
+        run_characterize(cfg)
+        assert time.perf_counter() - start < 5.0
+
+    def test_three_atoms_beyond_old_guard_stay_exact(self):
+        lams = [F(-2713, 1009), F(1357, 2417), F(5011, 1999)]
+        # a doubles the first abscissa, so the quartic has three distinct roots
+        p = params_from_abscissas(lams, a=(sum(lams) + lams[0]) / 2)
+        assert not within_old_guard(build_characteristic_quartic(p))
+        rep = run_characterize({"params": p, "weights": [F(1, 3)] * 3})
+        assert rep.status == "Admissible"
+        assert rep.regression["exact"] and rep.regression["max_dev"] == 0
