@@ -136,33 +136,41 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
                          tuple(acc[kk] for kk in keys))
 
 
-def _mixture_stats(m: CandidateModel, theta):
-    """Per-atom probabilities of the exponentially tilted single mixture."""
-    t = np.asarray([float(theta[0]), float(theta[1])])
+def _cumulants(m: CandidateModel, T, thetas):
+    """Cumulant values, mean vectors and covariance matrices at the rows of
+    the float array T, one batched numpy pass over all of them.
+
+    Each row's products have the matmul shapes of a single theta, so a row
+    does not depend on the others.  A nonpositive mixture transform raises
+    at the first bad row, naming that entry of thetas.
+    """
     V = np.array([[float(a[0]), float(a[1])] for a in m.atoms])
     w = np.array([float(x) for x in m.weights])
     if np.all(w >= 0) or np.all(w <= 0):
         w = np.abs(w)
-    z = V @ t
-    ew = w * np.exp(z - z.max())
-    total = ew.sum()
-    if not total > 0:
+    # exponentially tilted single mixture, per-atom probabilities P
+    Z = (V @ T[:, :, None])[:, :, 0]
+    zmax = Z.max(axis=1)
+    ew = w * np.exp(Z - zmax[:, None])
+    total = ew.sum(axis=1)
+    bad = ~(total > 0)
+    if bad.any():
+        theta = thetas[int(np.argmax(bad))]
         raise DomainViolation(f"mixture transform nonpositive at theta={theta}")
-    log_s = z.max() + math.log(total)
-    p = ew / total
-    return log_s, p, V
+    N = float(m.r)
+    k = [N * (z + math.log(s)) for z, s in zip(zmax, total)]
+    P = ew / total[:, None]
+    PV = P[:, None, :] @ V
+    C = V - PV
+    cov = N * (np.swapaxes(C, 1, 2) * P[:, None, :]) @ C
+    return k, N * PV[:, 0, :], (cov + np.swapaxes(cov, 1, 2)) / 2
 
 
 def cumulant_eval(m: CandidateModel, theta):
     """Cumulant value, mean vector, and covariance matrix at theta."""
-    log_s, p, V = _mixture_stats(m, theta)
-    N = float(m.r)
-    k = N * log_s
-    mean = N * (p @ V)
-    centered = V - p @ V
-    cov = N * (centered.T * p) @ centered
-    cov = (cov + cov.T) / 2
-    return k, mean, cov
+    T = np.array([[float(theta[0]), float(theta[1])]])
+    k, mean, cov = _cumulants(m, T, [theta])
+    return k[0], mean[0], cov[0]
 
 
 def _hull_equations(m: CandidateModel):
@@ -220,9 +228,8 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
 
     Evaluated along the theta-parametrized mean curve, so no mean-map
     inversion is needed and collinear supports are checkable too.  All
-    theta points go through one batched numpy pass whose per-theta products
-    have the shapes `cumulant_eval` uses, so every value is bitwise the one
-    `cumulant_eval` gives; the worst theta is the first of the largest
+    theta points go through the one batched pass that `cumulant_eval` runs
+    on a single row; the worst theta is the first of the largest
     deviations, and a nonpositive transform raises at the first bad theta.
     """
     if theta_grid is None:
@@ -230,25 +237,7 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
         theta_grid = [(t1, t2) for t1 in axis for t2 in axis]
     A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
     T = np.array(theta_grid, dtype=float).reshape(len(theta_grid), 2)
-    V = np.array([[float(x[0]), float(x[1])] for x in m.atoms])
-    w = np.array([float(x) for x in m.weights])
-    if np.all(w >= 0) or np.all(w <= 0):
-        w = np.abs(w)
-    N = float(m.r)
-    # the steps of _mixture_stats and cumulant_eval, one row per theta
-    Z = (V @ T[:, :, None])[:, :, 0]
-    ew = w * np.exp(Z - Z.max(axis=1, keepdims=True))
-    total = ew.sum(axis=1)
-    bad = ~(total > 0)
-    if bad.any():
-        theta = theta_grid[int(np.argmax(bad))]
-        raise DomainViolation(f"mixture transform nonpositive at theta={theta}")
-    P = ew / total[:, None]
-    PV = P[:, None, :] @ V
-    mean = N * PV[:, 0, :]
-    C = V - PV
-    cov = N * (np.swapaxes(C, 1, 2) * P[:, None, :]) @ C
-    cov = (cov + np.swapaxes(cov, 1, 2)) / 2
+    _, mean, cov = _cumulants(m, T, theta_grid)
     m1, m2 = mean[:, 0], mean[:, 1]
     d1 = np.abs(cov[:, 0, 0] - (A * m1 * m1 + a * m1 + b * m2 + e))
     d2 = np.abs(cov[:, 1, 1] - (A * m2 * m2 + c * m1 + d * m2 + f))

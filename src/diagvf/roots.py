@@ -155,9 +155,6 @@ def build_dual_quartic(p: DiagonalVFParams) -> Quartic:
 # a float root of the square-free part counts as real when its imaginary
 # part is below this share of its modulus (or of 1)
 _IMAG_TOL = 1e-6
-# each Newton step about doubles the correct bits of a float start; the cap
-# bounds the work where it does not converge
-_NEWTON_STEPS = 12
 
 
 def _primitive(poly):
@@ -212,11 +209,15 @@ def _scaled_value(poly, X, bits):
 
 def _refine(poly, x: float, bits: int) -> int:
     """Newton's method in fixed point: an integer X such that X / 2**bits
-    approximates the simple root of poly near x to about 2**-bits."""
+    approximates a simple root of poly near x to about 2**-bits.
+
+    Next to a cluster of roots each step only halves the error until the
+    cluster resolves, so the step count is capped by the bits asked for,
+    not by quadratic convergence."""
     num, den = x.as_integer_ratio()
     X = (num << bits) // den
     deriv = [i * c for i, c in enumerate(poly)][1:]
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(bits + 64):
         slope = _scaled_value(deriv, X, bits)
         if slope == 0:
             break
@@ -225,18 +226,6 @@ def _refine(poly, x: float, bits: int) -> int:
         if abs(step) <= 1:
             break
     return X
-
-
-def _convergents(num: int, den: int, limit: int):
-    """Continued-fraction convergents h/k of num/den with k <= limit."""
-    h0, h1, k0, k1 = 0, 1, 1, 0
-    while den:
-        a, rem = divmod(num, den)
-        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
-        if k1 > limit:
-            return
-        yield h1, k1
-        num, den = den, rem
 
 
 def _deflate(poly, num: int, den: int):
@@ -252,18 +241,34 @@ def _deflate(poly, num: int, den: int):
     return out[::-1]
 
 
+def _low_degree_roots(poly):
+    """Rational roots of a square-free integer polynomial of degree 1 or 2."""
+    if len(poly) == 2:
+        return [Fraction(-poly[0], poly[1])]
+    c, b, a = poly
+    disc = b * b - 4 * a * c
+    s = math.isqrt(disc) if disc > 0 else 0
+    if s * s != disc:
+        return []
+    return [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+
+
 def _rational_roots(q: Quartic):
     """Extract exact rational roots with multiplicities: rationalize and verify.
 
-    The float roots of the square-free part are refined by fixed-point Newton
-    steps to twice the bits of its leading coefficient L, and the
-    continued-fraction convergents h/k (k <= L) of each are kept when h
-    divides the constant term and k divides L, as every rational root's
-    lowest terms must.  Exact deflation confirms each kept candidate and
-    counts its multiplicity.  There is no size guard: the work grows with
-    the bit length of the coefficients, not with their divisors.  A rational
-    root is missed only if np.roots cannot tell it from a neighbouring root;
-    it is then solved in floats with the irrational ones.
+    Every rational root h/k of the integer square-free part has k | L, its
+    leading coefficient.  Each real float root of that part is refined by
+    fixed-point Newton steps to 2**-(2 bits(L) + 4) < 1 / (2 L^2), so the
+    closest fraction with denominator at most L (`limit_denominator`) is the
+    only candidate it can stand for; exact deflation confirms it and takes
+    it out, so the next float root near it converges to a neighbour.  The
+    float roots of what is left are taken again until a pass finds nothing,
+    and a remainder of degree 1 or 2 is solved exactly.  There is no size
+    guard: the work grows with the bit length of the coefficients, not
+    with their divisors.  A rational root is missed only when np.roots
+    places it off the real axis in every pass; it is then solved in floats
+    with the irrational ones.  The multiplicity of each root is counted by
+    deflating the whole polynomial.
 
     Returns (list of (Fraction, mult), remaining monic coefficient list
     ascending), roots in ascending (|numerator|, denominator, sign) order.
@@ -283,24 +288,32 @@ def _rational_roots(q: Quartic):
     cden = math.lcm(*(c.denominator for c in poly))
     ints = _primitive([c.numerator * (cden // c.denominator) for c in poly])
     sf = _square_free(ints)
-    lead, const = sf[-1], sf[0]
-    bits = 2 * lead.bit_length() + 4
-    top = max(abs(c) for c in sf)
-    candidates = set()
-    for z in np.roots([c / top for c in reversed(sf)]):
-        if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z)):
-            continue
-        X = _refine(sf, float(z.real), bits)
-        for h, k in _convergents(X, 1 << bits, lead):
-            if h and const % h == 0 and lead % k == 0:
-                candidates.add((h, k))
-    for h, k in sorted(candidates, key=lambda c: (abs(c[0]), c[1], c[0] < 0)):
+    roots = []
+    while len(sf) > 3:
+        lead, before = sf[-1], len(roots)
+        bits = 2 * lead.bit_length() + 4
+        top = max(abs(c) for c in sf)
+        for z in np.roots([c / top for c in reversed(sf)]):
+            if len(sf) <= 3:
+                break
+            if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z)):
+                continue
+            X = _refine(sf, float(z.real), bits)
+            r = Fraction(X, 1 << bits).limit_denominator(lead)
+            rest = _deflate(sf, r.numerator, r.denominator)
+            if rest is not None:
+                sf = rest
+                roots.append(r)
+        if len(roots) == before:
+            break
+    if 1 < len(sf) <= 3:
+        roots += _low_degree_roots(sf)
+    for r in sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0)):
         mult = 0
-        while (quotient := _deflate(ints, h, k)) is not None:
+        while (quotient := _deflate(ints, r.numerator, r.denominator)) is not None:
             ints = quotient
             mult += 1
-        if mult:
-            found.append((Fraction(h, k), mult))
+        found.append((r, mult))
     return found, [Fraction(c, ints[-1]) for c in ints]
 
 

@@ -390,12 +390,34 @@ class TestRationalRoots:
     ])
     def test_denominators_past_float_precision(self, roots):
         # |r - float(r)| is far above 1 / (2 k^2) here, so only the
-        # Newton-sharpened root has r among its convergents
+        # Newton-sharpened root rounds to r under limit_denominator
         q = quartic_from(roots)
         assert within_old_guard(q)
         assert _rational_roots(q) == trial_division_roots(q)
         assert sorted(_rational_roots(q)[0]) == sorted(
             (r, roots.count(r)) for r in set(roots))
+
+    @pytest.mark.parametrize("roots", [
+        (F(1, 999999), F(1, 1000000), F(1), F(2)),
+        (F(1, 10000), F(1, 10001), F(1), F(2)),
+    ])
+    def test_close_roots_match_trial_division(self, roots):
+        # the pair is closer than np.roots can resolve; Newton steps from
+        # outside the pair only halve the error until it resolves
+        q = quartic_from(roots)
+        assert within_old_guard(q)
+        assert _rational_roots(q) == trial_division_roots(q)
+        assert sorted(_rational_roots(q)[0]) == sorted((r, 1) for r in roots)
+
+    @pytest.mark.parametrize("roots, quadratics", [
+        # np.roots puts two of the three close roots off the real axis
+        ((F(1, 999999), F(1, 1000000), F(1, 1000001), F(3)), ()),
+        ((F(1, 999999), F(1, 1000000)), [(F(0), F(1))]),
+        ((F(7, 1000000), F(7, 1000001)), [(F(-2), F(-1))]),
+    ])
+    def test_close_roots_recovered_exactly(self, roots, quadratics):
+        found, _ = _rational_roots(quartic_from(roots, quadratics))
+        assert sorted(found) == sorted((r, 1) for r in roots)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_beyond_old_guard_recovered_exactly(self, seed):
@@ -419,8 +441,11 @@ class TestRationalRoots:
                               d="1", e="0", f="0"),
                "weights": ["1/4", "1/2", "1/4"]}
         start = time.perf_counter()
-        run_characterize(cfg)
+        rep = run_characterize(cfg)
         assert time.perf_counter() - start < 5.0
+        # x (x - a) (x^2 - a x - 1): the rational roots 0 and a come out exact
+        assert {"re": "0", "im": 0, "mult": 1} in rep.roots
+        assert {"re": "123456789012345678901/7", "im": 0, "mult": 1} in rep.roots
 
     def test_three_atoms_beyond_old_guard_stay_exact(self):
         lams = [F(-2713, 1009), F(1357, 2417), F(5011, 1999)]
