@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from ._num import all_exact, is_exact, near_integer
 from .errors import NRootDeficit, UnsupportedArity, WeightCountMismatch
 from .roots import (DiagonalVFParams, RootSet, build_characteristic_quartic,
@@ -205,21 +203,6 @@ def _mixed_signs(a) -> bool:
     return any(ai * aj < 0 for ai, aj in itertools.combinations(a, 2))
 
 
-_TRIPLES_CACHE: dict = {}
-
-
-def _triples(bound: int) -> np.ndarray:
-    cached = _TRIPLES_CACHE.get(bound)
-    if cached is None:
-        side = np.arange(-bound, bound + 1, dtype=np.int64)
-        g = np.meshgrid(side, side, side, indexing="ij")
-        cached = np.stack([x.ravel() for x in g], axis=1)
-        order = np.lexsort((cached[:, 2], cached[:, 1], cached[:, 0],
-                            np.abs(cached).max(axis=1)))
-        _TRIPLES_CACHE[bound] = cached = cached[order]
-    return cached
-
-
 def star_condition(mat: LatticeMatrix, bound: int = 50) -> StarReport:
     """Decide whether the left kernel contains a mixed-sign integer vector.
 
@@ -229,7 +212,9 @@ def star_condition(mat: LatticeMatrix, bound: int = 50) -> StarReport:
     arise from float-to-rational conversion of irrational abscissas, where
     the underlying real matrix admits no integer relation at all); the
     method field discloses when the bound was decisive.  Higher dimension:
-    bounded enumeration over |a_i| <= bound.
+    always fails, with no bound.  The RREF basis vectors of two free columns
+    i != j are e_i and e_j plus entries on pivot columns only, so their
+    difference is +1 at i and -1 at j: mixed-sign and exactly in the kernel.
     """
     basis = _left_kernel_basis(mat.rows)
     if not basis:
@@ -241,25 +226,8 @@ def star_condition(mat: LatticeMatrix, bound: int = 50) -> StarReport:
         if max(abs(x) for x in g) <= bound:
             return StarReport(holds=False, witness=g, method="exact-kernel")
         return StarReport(holds=True, method="bounded-search", bound=bound)
-
-    # clear denominators column-wise; integer solutions are unchanged
-    cols = []
-    for j in range(3):
-        den = math.lcm(*(mat.rows[i][j].denominator for i in range(3)))
-        cols.append([int(mat.rows[i][j] * den) for i in range(3)])
-    M = np.array(cols, dtype=np.int64).T  # 3x3 integer matrix
-
-    triples = _triples(bound)
-    prods = triples @ M
-    in_kernel = np.all(prods == 0, axis=1)
-    mixed = ((triples[:, 0] * triples[:, 1] < 0)
-             | (triples[:, 0] * triples[:, 2] < 0)
-             | (triples[:, 1] * triples[:, 2] < 0))
-    hits = np.flatnonzero(in_kernel & mixed)
-    if hits.size:
-        w = tuple(int(x) for x in triples[hits[0]])
-        return StarReport(holds=False, witness=w, method="bounded-search", bound=bound)
-    return StarReport(holds=True, method="bounded-search", bound=bound)
+    g = _primitive_integer([x - y for x, y in zip(basis[0], basis[1])])
+    return StarReport(holds=False, witness=g, method="exact-kernel")
 
 
 def admissibility_verdict(m: CandidateModel, tol: float = 1e-9,

@@ -8,7 +8,7 @@ bit-exactly in reports so exact-arithmetic paths survive round trips.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -86,6 +86,16 @@ def parse_config(doc):
             out["quartic"] = Quartic(coeffs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad quartic: {exc}") from exc
+    if "weight_search" in doc:
+        ws = doc["weight_search"]
+        if not isinstance(ws, dict):
+            raise ConfigError("weight_search must be an object, "
+                              f"got {type(ws).__name__}")
+        den = ws.get("denominator", 4)
+        if isinstance(den, bool) or not isinstance(den, int) or den < 1:
+            raise ConfigError("weight_search denominator must be an integer "
+                              f">= 1, got {den!r}")
+        out["weight_search"] = dict(ws, denominator=den)
     return out
 
 
@@ -102,17 +112,18 @@ def _roots_json(rs):
 def _search_weights(p, n_r, denominator, tol, roots):
     """Grid search over the weight simplex with resolution 1/denominator.
 
-    `roots`, p's solved characteristic quartic, is shared by every
-    candidate; None makes each candidate solve it.
+    `roots`, p's solved characteristic quartic, is used to build the atoms
+    once; None makes that build solve it.  Later candidates change only the
+    weights of that model.
     """
-    D = int(denominator)
-    for ns in compositions(D, n_r):
+    m = None
+    for ns in compositions(denominator, n_r):
         if 0 in ns:
             continue
-        weights = tuple(Fraction(n, D) for n in ns)
-        m = candidate_model(p, weights, tol, roots=roots)
-        v = admissibility_verdict(m, tol=1e-9)
-        if v.accepted:
+        weights = tuple(Fraction(n, denominator) for n in ns)
+        m = (candidate_model(p, weights, tol, roots=roots) if m is None
+             else replace(m, weights=weights))
+        if admissibility_verdict(m, tol=1e-9).accepted:
             return weights
     return None
 
@@ -156,7 +167,7 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
 
     weights = cfg.get("weights")
     if weights is None and "weight_search" in cfg:
-        den = cfg["weight_search"].get("denominator", 4)
+        den = cfg["weight_search"]["denominator"]
         weights = _search_weights(p, rs.n_r, den, tol, model_roots)
         if weights is None:
             report.verdict = {"case": "Rejected", "N": None,
@@ -226,33 +237,13 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
 
 
 def report_to_dict(rep: PipelineReport) -> dict:
-    return {
-        "params": rep.params,
-        "quartic": rep.quartic,
-        "roots": rep.roots,
-        "pattern": rep.pattern,
-        "n_r": rep.n_r,
-        "atoms": rep.atoms,
-        "weights": rep.weights,
-        "r": rep.r,
-        "verdict": rep.verdict,
-        "star": rep.star,
-        "diag_check": rep.diag_check,
-        "regression": rep.regression,
-        "series": rep.series,
-        "status": rep.status,
-        "degenerate": rep.degenerate,
-    }
+    # shallow: dataclasses.asdict's deep copy costs more than the JSON encoding
+    return {f.name: getattr(rep, f.name) for f in fields(rep)}
 
 
 def report_from_dict(d: dict) -> PipelineReport:
-    return PipelineReport(
-        params=d.get("params"), quartic=d["quartic"], roots=d["roots"],
-        pattern=d["pattern"], n_r=d["n_r"], atoms=d.get("atoms", []),
-        weights=d.get("weights", []), r=d.get("r"), verdict=d.get("verdict"),
-        star=d.get("star"), diag_check=d.get("diag_check"),
-        regression=d.get("regression"), series=d.get("series"),
-        status=d["status"], degenerate=d.get("degenerate", False))
+    return PipelineReport(**{f.name: d[f.name] for f in fields(PipelineReport)
+                             if f.name in d})
 
 
 def emit_report(rep: PipelineReport) -> str:

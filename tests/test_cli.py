@@ -4,7 +4,7 @@ import json
 import pytest
 
 from diagvf import ConfigError, parse_config, report_from_dict, report_to_dict, \
-    run_characterize, emit_report, solve_quartic
+    run_characterize, emit_report, solve_quartic, candidate_model, dual_ordinate
 from diagvf import model, pipeline
 from diagvf.cli import main
 
@@ -106,16 +106,31 @@ class TestRunCharacterize:
         ("-2/3", {"weight_search": {"denominator": 5}}, "Rejected"),
     ])
     def test_quartic_solved_once(self, monkeypatch, A, extra, status):
-        calls = []
+        calls, builds, atoms = [], [], []
 
         def counting(q, tol=1e-8):
             calls.append(q)
             return solve_quartic(q, tol)
 
+        def counting_model(*args, **kwargs):
+            builds.append(args)
+            return candidate_model(*args, **kwargs)
+
+        def counting_atom(lam, p, tol):
+            atoms.append(lam)
+            return dual_ordinate(lam, p, tol)
+
         monkeypatch.setattr(pipeline, "solve_quartic", counting)
         monkeypatch.setattr(model, "solve_quartic", counting)
+        monkeypatch.setattr(pipeline, "candidate_model", counting_model)
+        monkeypatch.setattr(model, "dual_ordinate", counting_atom)
         rep = run_characterize(dict(params=dict(E1_CONFIG["params"], A=A), **extra))
         assert rep.status == status and len(calls) == 1
+        # the atoms are built once per search, however many grid candidates
+        # it tries, and once more for the final model of a successful one
+        searched = "weight_search" in extra
+        assert len(builds) == (2 if searched and status == "Admissible" else 1)
+        assert len(atoms) == rep.n_r * len(builds)
 
     def test_missing_weights(self):
         with pytest.raises(ConfigError):
@@ -177,6 +192,11 @@ class TestCliCharacterize:
         assert json.loads(capsys.readouterr().out) == out
 
 
+def _search_text(weight_search):
+    return json.dumps({"params": E1_CONFIG["params"],
+                       "weight_search": weight_search})
+
+
 class TestCliMalformedInput:
     """Malformed input exits 2 with one `input error:` line, no traceback."""
 
@@ -190,8 +210,15 @@ class TestCliMalformedInput:
         (E1_TEXT.replace('"e": "0"', '"e": NaN'), []),
         (E1_TEXT.replace('"e": "0"', '"e": 1e999'), []),
         (json.dumps(dict(E1_CONFIG, params=list(E1_CONFIG["params"].values()))), []),
+        (_search_text(8), []),
+        (_search_text({"denominator": "x"}), []),
+        (_search_text({"denominator": 0}), []),
+        (_search_text({"denominator": -4}), []),
+        (_search_text({"denominator": 2.5}), []),
     ], ids=["tol-zero", "tol-negative", "zero-denominator", "inf-string",
-            "nan", "overflowing-literal", "params-list"])
+            "nan", "overflowing-literal", "params-list", "weight-search-number",
+            "search-denominator-string", "search-denominator-zero",
+            "search-denominator-negative", "search-denominator-fraction"])
     def test_exit_2_one_line(self, tmp_path, capsys, text, flags):
         path = tmp_path / "cfg.json"
         path.write_text(text)

@@ -109,6 +109,14 @@ def _mat(rows):
     return LatticeMatrix(tuple(tuple(F(x) for x in r) for r in rows))
 
 
+def _assert_mixed_kernel_vector(a, rows):
+    """a is a mixed-sign integer vector with a^T M = 0, checked in Fractions."""
+    assert len(a) == 3 and all(type(x) is int for x in a), a
+    assert any(x > 0 for x in a) and any(x < 0 for x in a), a
+    assert all(sum(ai * F(rows[i][j]) for i, ai in enumerate(a)) == 0
+               for j in range(3)), (a, rows)
+
+
 class TestStarCondition:
     def test_one_dim_kernel_no_mixed(self):
         rep = star_condition(_mat([(1, -1, 0), (2, 0, 0), (0, 0, 0)]))
@@ -116,12 +124,25 @@ class TestStarCondition:
 
     def test_two_dim_kernel_witness(self):
         rep = star_condition(_mat([(1, 1, 0), (2, 2, 0), (0, 0, 0)]))
-        assert not rep.holds and rep.method == "bounded-search"
+        assert not rep.holds and rep.method == "exact-kernel"
         a = rep.witness
         rows = [(1, 1, 0), (2, 2, 0), (0, 0, 0)]
         assert all(sum(ai * rows[i][j] for i, ai in enumerate(a)) == 0
                    for j in range(3))
         assert any(x * y < 0 for x, y in itertools.combinations(a, 2))
+
+    @pytest.mark.parametrize("rows", [
+        # entries past 2**63 once denominators are cleared
+        [(10**19, 1, 0), (2 * 10**19, 2, 0), (0, 0, 0)],
+        # 2**62: an int64 product -4 * 2**62 wraps round to 0
+        [(1, 0, 0), (2**62, 0, 0), (0, 0, 0)],
+        [(0, 0, 0)] * 3,
+    ], ids=["beyond-int64", "int64-wraparound", "zero"])
+    def test_higher_dim_kernel_witness_is_exact(self, rows):
+        rep = star_condition(_mat(rows))
+        assert not rep.holds
+        _assert_mixed_kernel_vector(rep.witness, rows)
+        assert rep.method == "exact-kernel" and rep.bound is None
 
     def test_full_rank(self):
         rep = star_condition(_mat([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
@@ -153,6 +174,8 @@ class TestStarCondition:
             rep = star_condition(_mat(rows))
             oracle = brute_force_star(rows)
             assert rep.holds == (oracle is None), (rows, rep, oracle)
+            if not rep.holds:
+                _assert_mixed_kernel_vector(rep.witness, rows)
 
     def test_three_atom_lambda_matrices_always_hold(self):
         # two independent exponent rows in the plane admit no integer relation
