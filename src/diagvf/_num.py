@@ -1,4 +1,5 @@
-"""Small numeric helpers: exactness checks and rational parsing/formatting.
+"""Small numeric helpers: exactness checks, rational parsing/formatting,
+the terms of a mixture power and the rule that merges them by point.
 
 Exact values are ints and Fractions; everything else is treated as float.
 Operations throughout the package stay exact whenever all inputs are exact,
@@ -8,6 +9,7 @@ so rational configurations survive the whole pipeline without rounding.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 Number = int | float | Fraction
@@ -78,13 +80,72 @@ def compositions(total: int, parts: int):
     lexicographically: the order in which filtering
     itertools.product(range(total + 1), repeat=parts) by sum would yield them.
     """
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
+    if parts <= 1:
+        if parts or not total:
+            yield (total,) * parts
         return
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def point_key(pt, exact: bool, tol: float = 1e-9):
+    """Merge key of a plane point.  Exact points are their own key (equal
+    ints and Fractions hash alike); float ones round to multiples of tol."""
+    if exact:
+        return pt
+    return (round(float(pt[0]) / tol), round(float(pt[1]) / tol))
+
+
+def power_terms(orders, bases, origin, steps):
+    """Terms of sum over (j, c) in orders of c * (sum_i b_i e^<step_i, theta>)^j.
+
+    One (j, coefficient, point) per order and composition n of j into
+    len(bases) parts, in `compositions` order: c * multinomial(j; n) *
+    prod b_i^n_i, and origin + sum n_i step_i.
+    """
+    top = max((j for j, _ in orders), default=0)
+    fact = [math.factorial(i) for i in range(top + 1)]
+    pows = [[b ** n for n in range(top + 1)] for b in bases]
+    xs, ys = [s[0] for s in steps], [s[1] for s in steps]
+    x0, y0 = origin
+    for j, scale in orders:
+        for ns in compositions(j, len(bases)):
+            mult = fact[j]
+            for n in ns:
+                mult //= fact[n]
+            coef = scale * mult
+            for pw, n in zip(pows, ns):
+                coef = coef * pw[n]
+            yield j, coef, (x0 + sum(map(operator.mul, ns, xs)),
+                            y0 + sum(map(operator.mul, ns, ys)))
+
+
+def merge_points(terms, exact: bool) -> list:
+    """Merge (order, coefficient, point) terms whose points share a point_key.
+
+    One [first point seen, sum of coefficients, least order] per key, the
+    sum started from an exact or float zero, in ascending key order.
+    """
+    zero = Fraction(0) if exact else 0.0
+    merged: dict = {}
+    for order, coef, pt in terms:
+        key = point_key(pt, exact)
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [pt, zero + coef, order]
+        else:
+            entry[1] += coef
+            entry[2] = min(entry[2], order)
+    return [merged[k] for k in sorted(merged, key=lambda k: (float(k[0]), float(k[1])))]
+
+
+def widest_gap(vectors):
+    """Width of the widest angular gap between the directions of the
+    vectors, and the unit vector bisecting it."""
+    angles = sorted(math.atan2(v[1], v[0]) for v in vectors)
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(angles[0] + 2 * math.pi - angles[-1])
+    i = max(range(len(gaps)), key=gaps.__getitem__)
+    mid = angles[i] + gaps[i] / 2
+    return gaps[i], (math.cos(mid), math.sin(mid))

@@ -193,7 +193,7 @@ def cmd_eval(args) -> int:
 def cmd_tilt(args) -> int:
     cfg = _read_config(args.config)
     m = _model_from_config(cfg, args.tol)
-    verdict = admissibility_verdict(m)
+    verdict = admissibility_verdict(m, bound=args.bound)
     if not verdict.accepted:
         print(f"model not admissible: {verdict.reason}", file=sys.stderr)
         return EXIT_REJECTED
@@ -241,10 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not 0 < args.tol < math.inf:
-        print(f"input error: --tol must be positive and finite, got {args.tol}",
-              file=sys.stderr)
-        return EXIT_INPUT
+    for flag, value, ok, rule in (
+            ("--tol", args.tol, 0 < args.tol < math.inf, "positive and finite"),
+            ("--bound", args.bound, args.bound >= 1, "at least 1"),
+            ("--grid", args.grid, args.grid >= 1, "at least 1"),
+            ("--depth", args.depth, args.depth >= 0, "at least 0")):
+        if not ok:
+            print(f"input error: {flag} must be {rule}, got {value}", file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, KeyError) as exc:

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
-from ._num import all_exact, compositions
+from ._num import all_exact, merge_points, point_key, power_terms, widest_gap
 from .errors import Degenerate, DomainViolation, NotAdmissible, OutOfMeanDomain
 from .model import AdmissibilityVerdict, CandidateModel
 from .roots import DiagonalVFParams
@@ -32,9 +31,6 @@ __all__ = [
     "tilt_member",
     "fd_hessian",
 ]
-
-_MERGE_TOL = 1e-9
-
 
 def _collinear(points) -> bool:
     if len(points) <= 2:
@@ -102,38 +98,17 @@ class RegressionReport:
         return self.max_dev <= self.tol
 
 
-def _merge_key(pt, exact: bool):
-    if exact:
-        return (Fraction(pt[0]), Fraction(pt[1]))
-    return (round(float(pt[0]) / _MERGE_TOL), round(float(pt[1]) / _MERGE_TOL))
-
-
 def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteMeasure:
     """N-fold convolution of the atomic mixture with weights |alpha_i|."""
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
     N = verdict.N
-    alphas = [abs(w) for w in m.weights]
     exact = m.is_exact
-    acc: dict = {}
-    reps: dict = {}
-    for ns in compositions(N, len(alphas)):
-        coef = math.factorial(N)
-        for n in ns:
-            coef //= math.factorial(n)
-        mass = (Fraction(coef) if exact else float(coef))
-        for a, n in zip(alphas, ns):
-            mass = mass * a ** n
-        if mass == 0:
-            continue
-        pt = (sum(n * v[0] for n, v in zip(ns, m.atoms)),
-              sum(n * v[1] for n, v in zip(ns, m.atoms)))
-        key = _merge_key(pt, exact)
-        acc[key] = acc.get(key, Fraction(0) if exact else 0.0) + mass
-        reps.setdefault(key, pt)
-    keys = sorted(acc, key=lambda kk: (float(kk[0]), float(kk[1])))
-    return FiniteMeasure(tuple(reps[kk] for kk in keys),
-                         tuple(acc[kk] for kk in keys))
+    terms = power_terms([(N, 1 if exact else 1.0)], [abs(w) for w in m.weights],
+                        (0, 0), m.atoms)
+    merged = merge_points((t for t in terms if t[1] != 0), exact)
+    return FiniteMeasure(tuple(pt for pt, _, _ in merged),
+                         tuple(mass for _, mass, _ in merged))
 
 
 def _cumulants(m: CandidateModel, T, thetas):
@@ -173,23 +148,22 @@ def cumulant_eval(m: CandidateModel, theta):
     return k[0], mean[0], cov[0]
 
 
-def _hull_equations(m: CandidateModel):
-    pts = np.array([[float(a[0]), float(a[1])] for a in m.atoms])
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        raise Degenerate("atoms are collinear; mean map is singular")
-    return hull.equations
-
-
 def mean_to_theta(m: CandidateModel, target, tol: float = 1e-10,
                   max_iter: int = 100):
-    """Invert the mean map by damped Newton iteration from the origin."""
+    """Invert the mean map by damped Newton iteration from the origin.
+
+    target/N is interior to the atoms' convex hull exactly when the vectors
+    from it to the atoms leave no angular gap of pi or more; vectors of
+    length at most 1e-9 (an atom at the target) and gaps within 1e-9 of pi
+    (a target on an edge) count as on the boundary.
+    """
+    if _collinear(m.atoms):
+        raise Degenerate("atoms are collinear; mean map is singular")
     N = float(m.r)
-    eqs = _hull_equations(m)
-    t = np.asarray([float(target[0]), float(target[1])]) / N
-    margin = eqs[:, :2] @ t + eqs[:, 2]
-    if margin.max() > -1e-9:
+    t0, t1 = float(target[0]) / N, float(target[1]) / N
+    diffs = [(float(a[0]) - t0, float(a[1]) - t1) for a in m.atoms]
+    gap, _ = widest_gap([d for d in diffs if math.hypot(*d) > 1e-9])
+    if gap >= math.pi - 1e-9:
         raise OutOfMeanDomain(
             f"target {tuple(target)} not interior to the domain of means")
 
@@ -328,7 +302,7 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
     groups: dict = {}
     for (x, wx), (y, wy) in itertools.product(pts, repeat=2):
         s = (x[0] + y[0], x[1] + y[1])
-        key = _merge_key(s, False)
+        key = point_key(s, False)
         w = wx * wy
         g1 = (x[0] - y[0]) ** 2 - 2 * A * x[0] * y[0]
         g2 = (x[1] - y[1]) ** 2 - 2 * A * x[1] * y[1]

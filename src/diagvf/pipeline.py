@@ -8,11 +8,11 @@ bit-exactly in reports so exact-arithmetic paths survive round trips.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
-from ._num import compositions, format_number, parse_number
+from ._num import format_number, parse_number
 from .errors import ConfigError, NRootDeficit, WeightCountMismatch
 from .model import admissibility_verdict, candidate_model
 from .measure import (diag_variance_check, realize_measure, regression_check)
@@ -109,23 +109,22 @@ def _roots_json(rs):
     return out
 
 
-def _search_weights(p, n_r, denominator, tol, roots):
-    """Grid search over the weight simplex with resolution 1/denominator.
+def _search_weights(p, n_r, denominator, tol, roots, bound):
+    """First admissible point of the weight simplex's 1/denominator grid.
 
-    `roots`, p's solved characteristic quartic, is used to build the atoms
-    once; None makes that build solve it.  Later candidates change only the
-    weights of that model.
+    Every grid point has positive weights with exact sum 1, and the verdict
+    sees weights only through their signs and sum (the star condition and
+    the exponent clause depend on atoms and r alone).  So all grid points
+    share one verdict, and the first one, (1, ..., 1, D - n_r + 1) / D,
+    decides the search.  `roots`, p's solved characteristic quartic, builds
+    the atoms; None makes that build solve it.
     """
-    m = None
-    for ns in compositions(denominator, n_r):
-        if 0 in ns:
-            continue
-        weights = tuple(Fraction(n, denominator) for n in ns)
-        m = (candidate_model(p, weights, tol, roots=roots) if m is None
-             else replace(m, weights=weights))
-        if admissibility_verdict(m, tol=1e-9).accepted:
-            return weights
-    return None
+    if denominator < n_r:
+        return None
+    weights = ((Fraction(1, denominator),) * (n_r - 1)
+               + (Fraction(denominator - n_r + 1, denominator),))
+    m = candidate_model(p, weights, tol, roots=roots)
+    return weights if admissibility_verdict(m, tol=1e-9, bound=bound).accepted else None
 
 
 def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
@@ -168,7 +167,7 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
     weights = cfg.get("weights")
     if weights is None and "weight_search" in cfg:
         den = cfg["weight_search"]["denominator"]
-        weights = _search_weights(p, rs.n_r, den, tol, model_roots)
+        weights = _search_weights(p, rs.n_r, den, tol, model_roots, bound)
         if weights is None:
             report.verdict = {"case": "Rejected", "N": None,
                               "reason": f"no admissible weights on the 1/{den} grid"}

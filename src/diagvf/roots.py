@@ -366,9 +366,7 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cluster_tol = tol * q.scale
     entries = []
-    residual_poly = None
     if q.is_exact:
         exact, residual_poly = _rational_roots(q)
         entries.extend(exact)
@@ -377,6 +375,9 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
         numeric_coeffs = [float(c) for c in q.coeffs]
 
     if len(numeric_coeffs) > 1:
+        # at the scale of the polynomial solved here: on exact input, what is
+        # left of q once its rational roots are deflated
+        cluster_tol = tol * (1.0 + max(abs(c) for c in numeric_coeffs))
         raw = np.roots(numeric_coeffs[::-1])
         raw = [_polish(q, complex(r)) for r in raw]
         for v, m in _cluster(raw, cluster_tol):

@@ -9,10 +9,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from ._num import compositions, falling_factorial, is_exact, near_integer
+from ._num import (falling_factorial, is_exact, merge_points, near_integer,
+                   power_terms, widest_gap)
 from .errors import NoDominantAtom, NotNormalized
 from .model import CandidateModel
 
@@ -24,7 +24,6 @@ __all__ = [
     "magnitude_scan",
 ]
 
-_KEY_TOL = 1e-9
 _PROBE_DIRECTIONS = (
     (0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0),
     (-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0),
@@ -78,20 +77,6 @@ class EliminationForm:
         return val
 
 
-def _widest_gap_bisector(diffs):
-    """Unit direction bisecting the widest angular gap between the vectors,
-    when that gap exceeds pi (all vectors then lie in an open half-plane and
-    have negative inner product with it); else None."""
-    angles = sorted(math.atan2(d[1], d[0]) for d in diffs)
-    gaps = [b - a for a, b in zip(angles, angles[1:])]
-    gaps.append(angles[0] + 2 * math.pi - angles[-1])
-    i = max(range(len(gaps)), key=gaps.__getitem__)
-    if not gaps[i] > math.pi:
-        return None
-    mid = angles[i] + gaps[i] / 2
-    return (math.cos(mid), math.sin(mid))
-
-
 def _find_probe(atoms, weights, pivot):
     """Probe theta* with sum_{i != pivot} |alpha_i/alpha_p| e^<w_i,theta*> < 1.
 
@@ -107,8 +92,9 @@ def _find_probe(atoms, weights, pivot):
               for i, (a, w) in enumerate(zip(atoms, weights)) if i != pivot and w]
     if not others:
         return (0.0, 0.0)
-    gap = _widest_gap_bisector([d for _, d in others])
-    for u in _PROBE_DIRECTIONS + ((gap,) if gap else ()):
+    # past pi, every difference has negative inner product with the bisector
+    width, bisector = widest_gap([d for _, d in others])
+    for u in _PROBE_DIRECTIONS + ((bisector,) if width > math.pi else ()):
         for t in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0):
             theta = (u[0] * t, u[1] * t)
             logs = [lb + d[0] * theta[0] + d[1] * theta[1] for lb, d in others]
@@ -147,44 +133,17 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     base = (r * m.atoms[pivot][0], r * m.atoms[pivot][1])
     lead = ap ** n_int if (exact and n_int is not None) else float(ap) ** float(r)
 
-    terms: dict = {}
-    reps: dict = {}
-    order_of: dict = {}
-
-    def key_of(pt):
-        if exact:
-            return (Fraction(pt[0]), Fraction(pt[1]))
-        return (round(float(pt[0]) / _KEY_TOL), round(float(pt[1]) / _KEY_TOL))
-
     max_j = depth if (n_int is None or n_int > depth) else n_int
-    for j in range(max_j + 1):
-        ff = falling_factorial(r, j)
-        if ff == 0:
-            continue
-        cj = lead * ff / (math.factorial(j) if exact else float(math.factorial(j)))
-        for ns in compositions(j, len(others)):
-            mult = math.factorial(j)
-            for n in ns:
-                mult //= math.factorial(n)
-            coef = cj * mult
-            for b, n in zip(betas, ns):
-                coef = coef * b ** n
-            pt = (base[0] + sum(n * d[0] for n, d in zip(ns, wdiffs)),
-                  base[1] + sum(n * d[1] for n, d in zip(ns, wdiffs)))
-            key = key_of(pt)
-            terms[key] = terms.get(key, Fraction(0) if exact else 0.0) + coef
-            reps.setdefault(key, pt)
-            order_of[key] = min(order_of.get(key, j), j)
+    # r(r-1)...(r-j+1) is nonzero for every j <= max_j: an integer r caps max_j
+    orders = [(j, lead * falling_factorial(r, j)
+               / (math.factorial(j) if exact else float(math.factorial(j))))
+              for j in range(max_j + 1)]
+    merged = merge_points(power_terms(orders, betas, base, wdiffs), exact)
 
-    first_negative = None
-    for key in sorted(terms, key=lambda k: (order_of[k], float(k[0]), float(k[1]))):
-        if terms[key] < -1e-12:
-            first_negative = (reps[key], terms[key])
-            break
-    out_terms = {reps[k]: terms[k] for k in sorted(
-        terms, key=lambda k: (float(k[0]), float(k[1])))}
-    return SeriesReport(depth=depth, terms=out_terms,
-                        first_negative=first_negative,
+    # of the least order, the first in point order
+    neg = min((e for e in merged if e[1] < -1e-12), key=lambda e: e[2], default=None)
+    return SeriesReport(depth=depth, terms={pt: coef for pt, coef, _ in merged},
+                        first_negative=None if neg is None else (neg[0], neg[1]),
                         complete=(n_int is not None and n_int <= max_j) or max_j == depth,
                         pivot=pivot, probe=probe)
 

@@ -1,11 +1,16 @@
 import io
 import json
+import time
+from fractions import Fraction as F
 
 import pytest
 
 from diagvf import ConfigError, parse_config, report_from_dict, report_to_dict, \
     run_characterize, emit_report, solve_quartic, candidate_model, dual_ordinate
+from diagvf import admissibility_verdict, build_characteristic_quartic
 from diagvf import model, pipeline
+from diagvf._num import compositions
+from diagvf.pipeline import parse_params
 from diagvf.cli import main
 
 E1_CONFIG = {
@@ -102,7 +107,7 @@ class TestRunCharacterize:
     @pytest.mark.parametrize("A, extra, status", [
         ("-1", {"weights": ["1/4", "1/2", "1/4"]}, "Admissible"),
         ("-1", {"weight_search": {"denominator": 4}}, "Admissible"),
-        # r = 3/2: all six grid candidates are built and rejected
+        # r = 3/2: the one grid point the search builds is rejected
         ("-2/3", {"weight_search": {"denominator": 5}}, "Rejected"),
     ])
     def test_quartic_solved_once(self, monkeypatch, A, extra, status):
@@ -126,8 +131,8 @@ class TestRunCharacterize:
         monkeypatch.setattr(model, "dual_ordinate", counting_atom)
         rep = run_characterize(dict(params=dict(E1_CONFIG["params"], A=A), **extra))
         assert rep.status == status and len(calls) == 1
-        # the atoms are built once per search, however many grid candidates
-        # it tries, and once more for the final model of a successful one
+        # the atoms are built once for the search's one grid point, and once
+        # more for the final model of a successful search
         searched = "weight_search" in extra
         assert len(builds) == (2 if searched and status == "Admissible" else 1)
         assert len(atoms) == rep.n_r * len(builds)
@@ -143,6 +148,55 @@ class TestRunCharacterize:
     def test_emit_deterministic(self):
         assert emit_report(run_characterize(E1_CONFIG)) == \
             emit_report(run_characterize(E1_CONFIG))
+
+
+def grid_search_oracle(p, n_r, denominator, roots):
+    """Every point of the 1/denominator weight grid, in composition order."""
+    for ns in compositions(denominator, n_r):
+        if 0 in ns:
+            continue
+        weights = tuple(F(n, denominator) for n in ns)
+        if admissibility_verdict(candidate_model(p, weights, roots=roots),
+                                 tol=1e-9).accepted:
+            return weights
+    return None
+
+
+def _params(A, c, d, Af):
+    # a = e = 0, b = 1: the characteristic quartic is x^4 - d x^2 - c x + A f
+    return parse_params(dict(A=A, a="0", b="1", c=c, d=d, e="0", f=str(F(Af) / F(A))))
+
+
+class TestWeightSearch:
+    @pytest.mark.parametrize("p", [
+        _params("-1", "0", "1", "0"),       # E1: three atoms, N = 1
+        _params("-1/2", "0", "1", "0"),     # three atoms, N = 2
+        _params("-2/3", "0", "1", "0"),     # r = 3/2: rejected
+        _params("-1", "0", "0", "-1"),      # x^4 - 1: two atoms
+        _params("-1/3", "0", "5", "4"),     # roots -2, -1, 1, 2: mixed kernel
+        _params("-1", "1", "5", "4"),       # four irrational atoms
+    ], ids=["e1", "n2", "r-3/2", "two-atoms", "mixed-kernel", "irrational"])
+    def test_matches_grid_oracle(self, p):
+        rs = solve_quartic(build_characteristic_quartic(p))
+        for den in range(1, 13):
+            assert pipeline._search_weights(p, rs.n_r, den, 1e-8, rs, 50) == \
+                grid_search_oracle(p, rs.n_r, den, rs)
+
+    def test_bound_reaches_the_verdict(self):
+        # roots -2, -1, 1, 2: the lattice generator (2, -2, 1) is mixed,
+        # within the default bound 50 but past bound 1
+        cfg = {"params": _params("-1/3", "0", "5", "4"),
+               "weight_search": {"denominator": 4}}
+        assert run_characterize(cfg).weights == []
+        assert run_characterize(cfg, bound=1).weights == ["1/4"] * 4
+
+    def test_large_denominator_is_fast(self):
+        cfg = {"params": dict(E1_CONFIG["params"], A="-2/3"),
+               "weight_search": {"denominator": 1000}}
+        start = time.perf_counter()
+        rep = run_characterize(cfg)
+        assert time.perf_counter() - start < 1.0
+        assert rep.verdict["reason"] == "no admissible weights on the 1/1000 grid"
 
 
 class TestCliCharacterize:
@@ -215,10 +269,17 @@ class TestCliMalformedInput:
         (_search_text({"denominator": 0}), []),
         (_search_text({"denominator": -4}), []),
         (_search_text({"denominator": 2.5}), []),
+        (E1_TEXT, ["--bound", "0"]),
+        (E1_TEXT, ["--bound=-1"]),
+        (E1_TEXT, ["--seed", "1", "--grid=-1"]),
+        (E1_TEXT, ["--grid", "0"]),
+        (E1_TEXT, ["--depth=-1"]),
     ], ids=["tol-zero", "tol-negative", "zero-denominator", "inf-string",
             "nan", "overflowing-literal", "params-list", "weight-search-number",
             "search-denominator-string", "search-denominator-zero",
-            "search-denominator-negative", "search-denominator-fraction"])
+            "search-denominator-negative", "search-denominator-fraction",
+            "bound-zero", "bound-negative", "grid-negative-seeded", "grid-zero",
+            "depth-negative"])
     def test_exit_2_one_line(self, tmp_path, capsys, text, flags):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -311,3 +372,12 @@ class TestCliTilt:
     def test_not_admissible(self, tmp_path):
         cfg = dict(E1_CONFIG, weights=["1/2", "-1/4", "3/4"])
         assert main(["tilt", write_config(tmp_path, cfg)]) == 1
+
+    def test_bound_reaches_the_verdict(self, tmp_path):
+        # abscissas -2, -1, 1, 2: the lattice generator (2, -2, 1) is mixed,
+        # within the default bound 50 but past bound 1
+        cfg = {"atoms": [[str(x), str(x * x)] for x in (-2, -1, 1, 2)],
+               "weights": ["1/4"] * 4, "r": "1"}
+        path = write_config(tmp_path, cfg)
+        assert main(["tilt", path]) == 1
+        assert main(["tilt", path, "--bound", "1"]) == 0

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,9 +13,9 @@ from hypothesis import strategies as st
 from diagvf import (Degenerate, DiagonalVFParams, DomainViolation,
                     FiniteMeasure, NotAdmissible,
                     OutOfMeanDomain, admissibility_verdict, candidate_model,
-                    cumulant_eval, diag_variance_check, fd_hessian, make_model,
-                    mean_to_theta, realize_measure, regression_check,
-                    tilt_member)
+                    cumulant_eval, diag_variance_check, expand_series,
+                    fd_hessian, make_model, mean_to_theta, realize_measure,
+                    regression_check, tilt_member)
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -79,6 +82,30 @@ class TestRealizeMeasure:
         m = make_model(atoms, (F(1, 3),) * 3, 2)
         mu = realize_measure(m, admissibility_verdict(m))
         assert dict(zip(mu.support, mu.masses))[(2, 0)] == F(1, 9) + F(2, 9)
+
+
+@st.composite
+def integer_power_models(draw):
+    """Exact 2-3 atom models on the parabola with an integer exponent N,
+    CaseA or (all weights negative, N even) CaseB, and a depth >= N."""
+    k = draw(st.integers(2, 3))
+    lams = draw(st.lists(small_fraction, min_size=k, max_size=k, unique=True))
+    ns = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    sign = draw(st.sampled_from((1, -1)))
+    N = draw(st.integers(1, 5)) * (2 if sign < 0 else 1)
+    m = make_model([(x, x * x) for x in lams],
+                   [F(sign * n, sum(ns)) for n in ns], N)
+    return m, N + draw(st.integers(0, 3))
+
+
+class TestRealizeMatchesSeries:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_power_models())
+    def test_masses_are_the_series_terms(self, model_depth):
+        m, depth = model_depth
+        mu = realize_measure(m, admissibility_verdict(m))
+        assert list(zip(mu.support, mu.masses)) == \
+            list(expand_series(m, depth).terms.items())
 
 
 class TestFiniteMeasure:
@@ -155,6 +182,54 @@ class TestMeanToTheta:
         m = make_model([(0, 0), (1, 1), (2, 2)], (F(1, 3),) * 3, 1)
         with pytest.raises(Degenerate):
             mean_to_theta(m, (1.0, 1.0))
+
+    @pytest.mark.parametrize("atoms, N", [
+        ([(-1, 1), (0, 0), (1, 1)], 1),
+        ([(-1, 0), (0, -1), (1, 0)], 3),
+        ([(x, x * x) for x in (-2, F(-1, 2), 1, 3)], 2),
+        ([(0, 0), (4, 1), (1, 4), (2, 2)], 3),    # one atom inside the hull
+        # N * atom / N is not the atom in floats: a vertex target sits an
+        # ulp off its atom
+        ([(F(x, 10), F(x * x, 100)) for x in (1, 7, 13, 29)], 3),
+    ])
+    def test_interior_matches_hull_margin(self, atoms, N):
+        from scipy.spatial import ConvexHull
+
+        m = make_model(atoms, (F(1, len(atoms)),) * len(atoms), N)
+        pts = [np.array(a, dtype=float) for a in atoms]
+        eqs = ConvexHull(pts).equations
+
+        def hull_interior(target):
+            t = np.asarray(target) / N
+            return (eqs[:, :2] @ t + eqs[:, 2]).max() <= -1e-9
+
+        def accepted(target):
+            try:
+                mean_to_theta(m, target)
+            except OutOfMeanDomain as exc:
+                return "not interior" not in str(exc)
+            return True
+
+        targets = [N * p for p in pts]                                   # vertices
+        targets += [N * (p + q) / 2 for p, q in itertools.combinations(pts, 2)]
+        targets += [N * sum(pts) / len(pts)]
+        rng = np.random.default_rng(5)
+        lo, hi = np.min(pts, axis=0) - 1, np.max(pts, axis=0) + 1
+        targets += [N * rng.uniform(lo, hi) for _ in range(200)]
+        for target in targets:
+            target = (float(target[0]), float(target[1]))
+            assert accepted(target) == hull_interior(target), target
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, diagvf; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestDiagVarianceCheck:

@@ -447,6 +447,16 @@ class TestRationalRoots:
         assert {"re": "0", "im": 0, "mult": 1} in rep.roots
         assert {"re": "123456789012345678901/7", "im": 0, "mult": 1} in rep.roots
 
+    def test_huge_abscissa_keeps_four_distinct_roots(self):
+        # x (x - a) (x^2 - a x - 1): the irrational pair (a +- sqrt(a^2+4))/2
+        # is clustered at the scale of x^2 - a x - 1, not of the whole
+        # quartic, whose ~a^2 coefficients would merge it into a fake root a/2
+        p = DiagonalVFParams(F(-1), F(123456789012345678901, 7), F(1), F(0),
+                             F(1), F(0), F(0))
+        rs = solve_quartic(build_characteristic_quartic(p))
+        assert classify_root_pattern(rs) == RootPattern.FOUR_SINGLE_REAL
+        assert len(set(rs.real_roots)) == 4
+
     def test_three_atoms_beyond_old_guard_stay_exact(self):
         lams = [F(-2713, 1009), F(1357, 2417), F(5011, 1999)]
         # a doubles the first abscissa, so the quartic has three distinct roots
