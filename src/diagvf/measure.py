@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from ._num import all_exact, merge_points, point_key, power_terms, widest_gap
-from .errors import Degenerate, DomainViolation, NotAdmissible, OutOfMeanDomain
+from ._num import (all_exact, merge_points, near_integer, point_key,
+                   power_terms, widest_gap)
+from .errors import (ConfigError, Degenerate, DomainViolation, NotAdmissible,
+                     OutOfMeanDomain)
 from .model import AdmissibilityVerdict, CandidateModel
 from .roots import DiagonalVFParams
 
@@ -30,12 +32,30 @@ __all__ = [
     "regression_check",
     "tilt_member",
     "fd_hessian",
+    "MAX_SUPPORT",
 ]
 
+# Most support points a realized measure may have.  The float regression
+# check walks every ordered pair of them, so its time grows with the square
+# of this; at the cap it takes a few seconds.
+MAX_SUPPORT = 1500
+
+
 def _collinear(points) -> bool:
+    """True when the points lie on one line.
+
+    Exact points are decided exactly: collinearity is then transitive, so
+    the first point that differs from points[0] fixes the line.  Float
+    points count as collinear when no cross product from points[0] passes
+    1e-12.
+    """
     if len(points) <= 2:
         return True
     x0, y0 = points[0]
+    if all(all_exact(*pt) for pt in points):
+        d = next(((x - x0, y - y0) for x, y in points if (x, y) != (x0, y0)), None)
+        return d is None or all((x - x0) * d[1] == (y - y0) * d[0]
+                                for x, y in points)
     for (x1, y1), (x2, y2) in itertools.combinations(points[1:], 2):
         cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
         if abs(float(cross)) > 1e-12:
@@ -98,14 +118,30 @@ class RegressionReport:
         return self.max_dev <= self.tol
 
 
+def _kept_atoms(m: CandidateModel) -> list:
+    """(atom, |alpha_i|) for the atoms of nonzero weight, which the verdict
+    keeps."""
+    return [(a, abs(w)) for a, w in zip(m.atoms, m.weights) if w != 0]
+
+
 def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteMeasure:
-    """N-fold convolution of the atomic mixture with weights |alpha_i|."""
+    """N-fold convolution of the atomic mixture with weights |alpha_i|.
+
+    Zero-weight atoms are dropped first, as the verdict drops them.  The
+    support of the N-fold power of n atoms has C(N + n - 1, n - 1) points;
+    past MAX_SUPPORT this raises ConfigError before any term is built.
+    """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
     N = verdict.N
+    kept = _kept_atoms(m)
+    if math.comb(N + len(kept) - 1, len(kept) - 1) > MAX_SUPPORT:
+        raise ConfigError(f"the realized measure would have more than "
+                          f"{MAX_SUPPORT} support points (the N-fold power "
+                          f"of {len(kept)} atoms)")
     exact = m.is_exact
-    terms = power_terms([(N, 1 if exact else 1.0)], [abs(w) for w in m.weights],
-                        (0, 0), m.atoms)
+    terms = power_terms([(N, 1 if exact else 1.0)], [w for _, w in kept],
+                        (0, 0), [a for a, _ in kept])
     merged = merge_points((t for t in terms if t[1] != 0), exact)
     return FiniteMeasure(tuple(pt for pt, _, _ in merged),
                          tuple(mass for _, mass, _ in merged))
@@ -232,6 +268,98 @@ def _common_denominator(values) -> int:
     return math.lcm(*(Fraction(v).denominator for v in values))
 
 
+def _rhs_integers(p: DiagonalVFParams):
+    """The right-hand sides a s1 + b s2 + 2e and c s1 + d s2 + 2f as
+    integers (u, v, z) over one denominator Q each."""
+    rhs = []
+    for u, v, z in ((p.a, p.b, 2 * p.e), (p.c, p.d, 2 * p.f)):
+        Q = _common_denominator((u, v, z))
+        rhs.append((int(u * Q), int(v * Q), int(z * Q), Q))
+    return rhs
+
+
+def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
+                      model: CandidateModel):
+    """Exact maximum deviation and group count when mu is the N-fold power
+    of the model's mixture, from the law of one summand given the sum; else
+    None.
+
+    It applies to an exact model with 2 or 3 atoms of nonzero weight, not
+    collinear, and an integer exponent N = r.  Every support point and mass
+    of mu is first read against the multinomial closed form of that power
+    with weights |alpha_i|; any mismatch gives None.  Then distinct
+    multi-indices give distinct points, so the sum points of an i.i.d. pair
+    are the compositions m of 2N, and given the sum, the multi-index of one
+    summand is multivariate hypergeometric whatever the weights are.  So
+    with the atoms scaled to integers V = D * atoms, S_k = sum m_i V_ik and
+    Q_k = sum m_i V_ik^2,
+        E[g_k | m] = (2+A)((N-1) S_k^2 + N Q_k) / ((2N-1) D^2)
+                     - (1+A) S_k^2 / D^2,
+    and each composition gives one integer numerator of the deviation over
+    a denominator that is the same for all of them.
+    """
+    N = near_integer(model.r)
+    kept = _kept_atoms(model)
+    atoms = [a for a, _ in kept]
+    if (not model.is_exact or N is None or N < 1 or len(kept) not in (2, 3)
+            or (len(kept) == 3 and _collinear(atoms))):
+        return None
+    D = _common_denominator(c for a in atoms for c in a)
+    V = [(int(x * D), int(y * D)) for x, y in atoms]
+    M = _common_denominator(w for _, w in kept)
+    # integer point -> integer mass over M^N
+    power = {pt: coef for _, coef, pt in
+             power_terms([(N, 1)], [int(w * M) for _, w in kept], (0, 0), V)}
+    if len(mu.support) != len(power):
+        return None
+    scale = M ** N
+    for (x, y), w in zip(mu.support, mu.masses):
+        X, rx = divmod(x.numerator * D, x.denominator)
+        Y, ry = divmod(y.numerator * D, y.denominator)
+        coef = power.pop((X, Y), None)
+        if rx or ry or coef is None or w.numerator * scale != coef * w.denominator:
+            return None
+
+    A = Fraction(p.A)
+    An, Ad = A.numerator, A.denominator
+    # num_k = c2 S_k^2 + cq Q_k - (lu S_1 + lv S_2) - c0 over
+    # den_k = Ad (2N-1) D^2 Q
+    forms, dens = [], []
+    for u, v, z, Q in _rhs_integers(p):
+        cl = D * Ad * (2 * N - 1)
+        forms.append((Q * ((2 * Ad + An) * (N - 1) - (Ad + An) * (2 * N - 1)),
+                      Q * (2 * Ad + An) * N, cl * u, cl * v, cl * z * D))
+        dens.append(cl * D * Q)
+    # m = (2N - i - j, i, j) moves S_k and Q_k from atom 0 by i and j steps
+    # of (V_1k - V_0k, V_1k^2 - V_0k^2) and (V_2k - V_0k, V_2k^2 - V_0k^2);
+    # two atoms get a zero second step and j = 0 only
+    x0, y0 = V[0]
+    e1, e2 = ([(x - x0, y - y0, x * x - x0 * x0, y * y - y0 * y0)
+               for x, y in V[1:]] + [(0, 0, 0, 0)])[:2]
+    top = [0, 0]
+    for i in range(2 * N + 1):
+        S = (2 * N * x0 + i * e1[0], 2 * N * y0 + i * e1[1])
+        for k, (c2, cq, lu, lv, c0) in enumerate(forms):
+            Qk = 2 * N * V[0][k] ** 2 + i * e1[2 + k]
+            val = c2 * S[k] * S[k] + cq * Qk - lu * S[0] - lv * S[1] - c0
+            # along j, num_k is quadratic: step by its first and second
+            # differences
+            b = e2[k]
+            d = c2 * (2 * S[k] * b + b * b) + cq * e2[2 + k] - lu * e2[0] - lv * e2[1]
+            dd = 2 * c2 * b * b
+            hi = lo = val
+            for _ in range(2 * N - i if len(V) == 3 else 0):
+                val += d
+                d += dd
+                if val > hi:
+                    hi = val
+                elif val < lo:
+                    lo = val
+            top[k] = max(top[k], hi, -lo)
+    n_groups = math.comb(2 * N + len(V) - 1, len(V) - 1)
+    return max(Fraction(t, den) for t, den in zip(top, dens)), n_groups
+
+
 def _exact_regression(mu: FiniteMeasure, p: DiagonalVFParams):
     """Exact maximum deviation and group count, on integer numerators.
 
@@ -268,12 +396,7 @@ def _exact_regression(mu: FiniteMeasure, p: DiagonalVFParams):
 
     A = Fraction(p.A)
     An, Ad = A.numerator, A.denominator
-    # right-hand sides a s1 + b s2 + 2e and c s1 + d s2 + 2f over one
-    # denominator Q each
-    rhs = []
-    for u, v, z in ((p.a, p.b, 2 * p.e), (p.c, p.d, 2 * p.f)):
-        Q = _common_denominator((u, v, z))
-        rhs.append((int(u * Q), int(v * Q), int(z * Q), Q))
+    rhs = _rhs_integers(p)
     max_dev = Fraction(0)
     for (S1, S2), (T, U1, V1, U2, V2) in groups.items():
         for U, V, (u, v, z, Q) in ((U1, V1, rhs[0]), (U2, V2, rhs[1])):
@@ -286,14 +409,19 @@ def _exact_regression(mu: FiniteMeasure, p: DiagonalVFParams):
 
 
 def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
-                     tol: float = 1e-10) -> RegressionReport:
+                     tol: float = 1e-10,
+                     model: CandidateModel | None = None) -> RegressionReport:
     """Conditional-expectation identities for an i.i.d. pair, by enumeration.
 
     Exact rational arithmetic whenever the measure and parameters are exact,
-    in which case a passing check has deviation exactly zero.
+    in which case a passing check has deviation exactly zero.  Given the
+    model whose N-fold power mu is meant to be, an exact check that reads mu
+    as that power takes the closed form of `_power_regression`; every other
+    measure gets the walk over its pairs.
     """
     if mu.is_exact and p.is_exact:
-        max_dev, n_groups = _exact_regression(mu, p)
+        found = None if model is None else _power_regression(mu, p, model)
+        max_dev, n_groups = found or _exact_regression(mu, p)
         return RegressionReport(max_dev=float(max_dev), tol=tol, exact=True,
                                 n_groups=n_groups)
     A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())

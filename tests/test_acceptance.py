@@ -36,7 +36,12 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
                         "e": "1", "f": "0"},
              "weights": ["1/4", "1/2", "1/4"]}
 
-# characterize --json output for E1 and P2, committed as produced by the CLI
+# E1 at N = 8: 45 support points, 153 sum points in the regression check
+E1_N8_CONFIG = {"params": dict(E1_CONFIG["params"], A="-1/8"),
+                "weights": E1_CONFIG["weights"]}
+
+# characterize --json output for E1, P2 and E1 at N = 8, committed as
+# produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -359,7 +364,8 @@ def test_criterion_09_parabola_support():
 
 @reported("criterion 10: CLI golden-file determinism and exit codes")
 def test_criterion_10_cli_determinism(tmp_path, capsys):
-    for name, cfg in (("e1", E1_CONFIG), ("p2", P2_CONFIG)):
+    for name, cfg in (("e1", E1_CONFIG), ("p2", P2_CONFIG),
+                      ("e1_n8", E1_N8_CONFIG)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         assert main(["characterize", str(path), "--json"]) == 0

@@ -8,7 +8,7 @@ import pytest
 from diagvf import ConfigError, parse_config, report_from_dict, report_to_dict, \
     run_characterize, emit_report, solve_quartic, candidate_model, dual_ordinate
 from diagvf import admissibility_verdict, build_characteristic_quartic
-from diagvf import model, pipeline
+from diagvf import model, pipeline, series
 from diagvf._num import compositions
 from diagvf.pipeline import parse_params
 from diagvf.cli import main
@@ -136,6 +136,30 @@ class TestRunCharacterize:
         searched = "weight_search" in extra
         assert len(builds) == (2 if searched and status == "Admissible" else 1)
         assert len(atoms) == rep.n_r * len(builds)
+
+    def test_series_block_needs_no_expansion(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return series.expand_series(*args, **kwargs)
+
+        monkeypatch.setattr(series, "expand_series", counting)
+        monkeypatch.setattr(pipeline, "expand_series", counting, raising=False)
+        for cfg in (E1_CONFIG, P2_CONFIG,
+                    dict(E1_CONFIG, params=dict(E1_CONFIG["params"], A="-1/8"))):
+            rep = run_characterize(cfg, depth=5)
+            assert rep.status == "Admissible"
+            assert rep.series == {"depth": 5, "first_negative": None}
+        assert calls == []
+
+    def test_exact_atoms_near_a_line_are_not_degenerate(self):
+        # atoms (-1, 1e-13), (0, 0), (1, 1e-13): off one line by 1e-13
+        cfg = {"params": {"A": "-1/2", "a": "0", "b": "10000000000000", "c": "0",
+                          "d": "1/10000000000000", "e": "0", "f": "0"},
+               "weights": ["1/4", "1/2", "1/4"]}
+        rep = run_characterize(cfg)
+        assert rep.status == "Admissible" and rep.degenerate is False
 
     def test_missing_weights(self):
         with pytest.raises(ConfigError):
@@ -284,6 +308,19 @@ class TestCliMalformedInput:
         path = tmp_path / "cfg.json"
         path.write_text(text)
         assert main(["characterize", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+    @pytest.mark.parametrize("A", [-1e-300, "-1/100000"])
+    def test_support_cap_exits_fast(self, tmp_path, capsys, A):
+        # N = 1e300 and N = 100000: C(N + 2, 2) support points
+        path = write_config(tmp_path, dict(E1_CONFIG,
+                                           params=dict(E1_CONFIG["params"], A=A)))
+        start = time.perf_counter()
+        assert main(["characterize", path, "--json"]) == 2
+        assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()

@@ -3,19 +3,21 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diagvf import (Degenerate, DiagonalVFParams, DomainViolation,
+from diagvf import (ConfigError, Degenerate, DiagonalVFParams, DomainViolation,
                     FiniteMeasure, NotAdmissible,
                     OutOfMeanDomain, admissibility_verdict, candidate_model,
                     cumulant_eval, diag_variance_check, expand_series,
                     fd_hessian, make_model, mean_to_theta, realize_measure,
                     regression_check, tilt_member)
+from diagvf import measure
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -109,6 +111,32 @@ class TestRealizeMatchesSeries:
 
 
 class TestFiniteMeasure:
+    def test_zero_weight_atoms_dropped(self):
+        m = make_model([(0, 0), (1, 1), (2, 4)], (F(1, 2), F(0), F(1, 2)), 3)
+        mu = realize_measure(m, admissibility_verdict(m))
+        assert dict(zip(mu.support, mu.masses)) == convolve_oracle(
+            [(0, 0), (2, 4)], (F(1, 2), F(1, 2)), 3)
+
+    @pytest.mark.parametrize("r, n_atoms", [(53, 3), (54, 3), (1499, 2), (1500, 2)])
+    def test_support_cap(self, r, n_atoms):
+        # C(N + n - 1, n - 1) points: 1485 and 1500 fit, 1540 and 1501 do not
+        atoms = [(F(0), F(0)), (F(1), F(1)), (F(2), F(4))][:n_atoms]
+        m = make_model(atoms, (F(1, n_atoms),) * n_atoms, r)
+        v = admissibility_verdict(m)
+        if math.comb(r + n_atoms - 1, n_atoms - 1) <= measure.MAX_SUPPORT:
+            assert len(realize_measure(m, v).support) == math.comb(r + n_atoms - 1,
+                                                                   n_atoms - 1)
+        else:
+            with pytest.raises(ConfigError):
+                realize_measure(m, v)
+
+    def test_exact_collinearity(self):
+        # off the line by 1e-13: exactly not collinear, collinear in floats
+        pts = [(F(-1), F(1, 10 ** 13)), (F(0), F(0)), (F(1), F(1, 10 ** 13))]
+        assert not measure._collinear(pts)
+        assert measure._collinear([(float(x), float(y)) for x, y in pts])
+        assert measure._collinear([(F(k), F(2 * k + 1, 3)) for k in range(5)])
+
     def test_degenerate_collinear(self):
         mu = FiniteMeasure(((0, 0), (1, 1), (2, 2)), (F(1, 3),) * 3)
         assert mu.degenerate
@@ -408,6 +436,120 @@ class TestRegressionDifferential:
         p = DiagonalVFParams(**base)
         self.assert_matches_oracle(mu, p)
         assert (regression_check(mu, p).max_dev == 0) == (delta == 0)
+
+
+def _solve3(rows, rhs):
+    """Cramer's rule for a 3x3 system of Fractions."""
+    def det(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    d = det(rows)
+    return [det([row[:i] + (r,) + row[i + 1:] for row, r in zip(rows, rhs)]) / d
+            for i in range(3)]
+
+
+@st.composite
+def parabola_models(draw):
+    """(params, model, measure): a realized exact 2- or 3-atom model, CaseA
+    or CaseB with N from 1 to 8, whose atoms lie on both parabolas
+    lam^2 = a lam + b nu - e A and nu^2 = c lam + d nu - f A of the params.
+
+    Three points with distinct abscissas, not collinear, fix the params;
+    a 2-atom model keeps the first two of them.
+    """
+    case_b = draw(st.booleans())
+    N = 2 * draw(st.integers(1, 4)) if case_b else draw(st.integers(1, 8))
+    A = F(-1, N)
+    pts = draw(st.lists(st.tuples(small_fraction, small_fraction), min_size=3,
+                        max_size=3, unique_by=lambda pt: pt[0]))
+    assume(not measure._collinear(pts))
+    rows = [(lam, nu, F(1)) for lam, nu in pts]
+    a, b, g = _solve3(rows, [lam * lam for lam, _ in pts])
+    c, d, h = _solve3(rows, [nu * nu for _, nu in pts])
+    p = DiagonalVFParams(A, a, b, c, d, -g / A, -h / A)
+    k = draw(st.sampled_from((2, 3)))
+    ns = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    sign = -1 if case_b else 1
+    m = make_model(pts[:k], tuple(sign * F(n, sum(ns)) for n in ns), -1 / A)
+    v = admissibility_verdict(m)
+    assert v.outcome == ("CaseB" if case_b else "CaseA")
+    return p, m, realize_measure(m, v)
+
+
+def _perturbed(p, field, delta):
+    vals = dict(zip("Aabcdef", p.as_tuple()))
+    vals[field] += delta
+    return DiagonalVFParams(**vals)
+
+
+class TestRegressionClosedForm:
+    """The closed form against the pair-enumeration oracle."""
+
+    def assert_matches_oracle(self, mu, p, m):
+        rep = regression_check(mu, p, model=m)
+        dev, n_groups = regression_oracle(mu, p)
+        assert rep.exact
+        assert (rep.max_dev, rep.n_groups) == (float(dev), n_groups)
+        return dev
+
+    @settings(max_examples=80, deadline=None)
+    @given(parabola_models(), st.sampled_from("acdef"),
+           small_fraction.filter(bool))
+    def test_realized_models(self, model, field, delta):
+        p, m, mu = model
+        assert measure._power_regression(mu, p, m) is not None
+        assert self.assert_matches_oracle(mu, p, m) == 0
+        q = _perturbed(p, field, delta)
+        assert measure._power_regression(mu, q, m) is not None
+        self.assert_matches_oracle(mu, q, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(parabola_models(), st.booleans())
+    def test_other_measures_take_the_walk(self, model, extra_point):
+        # one mass moved, or one extra point: the mass read sends the
+        # measure to the walk, which the oracle agrees with
+        p, m, mu = model
+        pts, ws = list(mu.support), list(mu.masses)
+        if extra_point:
+            pts.append((max(x for x, _ in pts) + 1, F(0)))
+            ws = [w * F(6, 7) for w in ws] + [F(1, 7)]
+        else:
+            ws[0], ws[1] = ws[0] / 2, ws[1] + ws[0] / 2
+        other = FiniteMeasure(tuple(pts), tuple(ws))
+        assert measure._power_regression(other, p, m) is None
+        self.assert_matches_oracle(other, p, m)
+
+    @pytest.mark.parametrize("atoms, weights, r, applies", [
+        (((-1, 1), (0, 0), (1, 1)), W3, 1, True),
+        # a zero-weight atom is dropped, as the verdict drops it
+        (((-1, 1), (0, 0), (1, 1), (2, 4)), W3 + (F(0),), 1, True),
+        (((-1, 1), (0, 0), (1, 1)), W3, F(1, 2), False),
+        (((-1, 1), (0, 0), (1, 1)), tuple(float(w) for w in W3), 1.0, False),
+        (((-1, 1), (0, 0), (1, 1), (2, 4)), (F(1, 4),) * 4, 1, False),
+    ], ids=["e1", "zero-weight", "fractional-r", "float", "four-atoms"])
+    def test_applies_to_exact_two_and_three_atom_powers(self, atoms, weights,
+                                                        r, applies):
+        _, mu = model_and_measure(E1, W3)
+        m = make_model(atoms, weights, r)
+        assert (measure._power_regression(mu, E1, m) is not None) == applies
+        self.assert_matches_oracle(mu, E1, m)
+
+    def test_collinear_atoms_take_the_walk(self):
+        # at N = 1 the measure reads as the power, but at 2N the sums
+        # (-1, 1) + (1, -1) and 2 (0, 0) coincide
+        m = make_model([(-1, 1), (0, 0), (1, -1)], W3, 1)
+        mu = realize_measure(m, admissibility_verdict(m))
+        assert measure._power_regression(mu, E1, m) is None
+        self.assert_matches_oracle(mu, E1, m)
+
+    def test_e1_at_n_40_is_fast(self):
+        p = DiagonalVFParams(F(-1, 40), F(0), F(1), F(0), F(1), F(0), F(0))
+        m, mu = model_and_measure(p, W3)
+        start = time.perf_counter()
+        rep = regression_check(mu, p, model=m)
+        assert time.perf_counter() - start < 0.1
+        assert rep.exact and rep.max_dev == 0 and rep.n_groups == 3321
 
 
 class TestRegressionCheck:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagvf import (DiagonalVFParams, EliminationForm, NoDominantAtom,
@@ -183,7 +183,40 @@ class TestMagnitudeScan:
             EliminationForm()
 
 
+small_fraction = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def accepted_models(draw):
+    """Exact or float models with 2 or 3 atoms on a parabola
+    nu = (lam^2 - a lam + g) / b, CaseA or CaseB, N from 1 to 12."""
+    exact = draw(st.booleans())
+    case_b = draw(st.booleans())
+    N = 2 * draw(st.integers(1, 6)) if case_b else draw(st.integers(1, 12))
+    a, g = draw(small_fraction), draw(small_fraction)
+    b = draw(small_fraction.filter(bool))
+    k = draw(st.sampled_from((2, 3)))
+    lams = draw(st.lists(small_fraction, min_size=k, max_size=k, unique=True))
+    atoms = [(lam, (lam * lam - a * lam + g) / b) for lam in lams]
+    ns = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    weights = [(-1 if case_b else 1) * F(n, sum(ns)) for n in ns]
+    if not exact:
+        atoms = [(float(x), float(y)) for x, y in atoms]
+        weights = [float(w) for w in weights]
+    m = make_model(atoms, weights, N if exact else float(N))
+    assert admissibility_verdict(m).outcome == ("CaseB" if case_b else "CaseA")
+    return m
+
+
 class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(accepted_models(), st.integers(0, 12))
+    def test_accepted_models_have_positive_series(self, m, depth):
+        # the fact behind an accepted characterize report's series block
+        rep = expand_series(m, depth)
+        assert rep.first_negative is None
+        assert all(c > 0 for c in rep.terms.values())
+
     @given(st.integers(min_value=1, max_value=8),
            st.fractions(min_value=F(1, 10), max_value=F(9, 10)))
     def test_integer_exponent_never_negative(self, n, a1):
