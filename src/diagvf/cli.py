@@ -211,43 +211,55 @@ def cmd_tilt(args) -> int:
     return EXIT_OK
 
 
+# flag -> (type, default, the rule its value must meet before any work
+# starts); every subcommand also takes the switch --json
+FLAGS = {
+    "tol": (float, 1e-8, lambda v: 0 < v < math.inf, "positive and finite"),
+    "bound": (int, 50, lambda v: v >= 1, "at least 1"),
+    "grid": (int, 11, lambda v: v >= 1, "at least 1"),
+    "depth": (int, 8, lambda v: v >= 0, "at least 0"),
+    "seed": (int, None, None, None),
+}
+
+# subcommand -> (function, help, the flags it reads)
+COMMANDS = {
+    "characterize": (cmd_characterize, "run the full pipeline",
+                     ("tol", "bound", "grid", "depth", "seed")),
+    "roots": (cmd_roots, "solve and classify the characteristic quartic", ("tol",)),
+    "lattice": (cmd_lattice, "mixed-sign kernel check on an explicit matrix",
+                ("bound",)),
+    "expand": (cmd_expand, "series expansion around the dominant atom",
+               ("tol", "depth")),
+    "scan": (cmd_scan, "characteristic-function magnitude scan", ()),
+    "eval": (cmd_eval, "cumulant, mean, and variance at a point", ("tol",)),
+    "tilt": (cmd_tilt, "exponentially tilted family member", ("tol", "bound")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="diagvf",
         description="Bivariate NEF quadratic-diagonal variance function toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-    commands = {
-        "characterize": (cmd_characterize, "run the full pipeline"),
-        "roots": (cmd_roots, "solve and classify the characteristic quartic"),
-        "lattice": (cmd_lattice, "mixed-sign kernel check on an explicit matrix"),
-        "expand": (cmd_expand, "series expansion around the dominant atom"),
-        "scan": (cmd_scan, "characteristic-function magnitude scan"),
-        "eval": (cmd_eval, "cumulant, mean, and variance at a point"),
-        "tilt": (cmd_tilt, "exponentially tilted family member"),
-    }
-    for name, (fn, help_) in commands.items():
+    for name, (fn, help_, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("config", nargs="?", default="-",
                         help="config file path, or '-' for stdin")
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--grid", type=int, default=11)
-        sp.add_argument("--depth", type=int, default=8)
-        sp.add_argument("--bound", type=int, default=50)
+        for flag in flags:
+            kind, default, _, _ = FLAGS[flag]
+            sp.add_argument(f"--{flag}", type=kind, default=default)
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--seed", type=int, default=None)
         sp.set_defaults(func=fn)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag, value, ok, rule in (
-            ("--tol", args.tol, 0 < args.tol < math.inf, "positive and finite"),
-            ("--bound", args.bound, args.bound >= 1, "at least 1"),
-            ("--grid", args.grid, args.grid >= 1, "at least 1"),
-            ("--depth", args.depth, args.depth >= 0, "at least 0")):
-        if not ok:
-            print(f"input error: {flag} must be {rule}, got {value}", file=sys.stderr)
+    for flag in COMMANDS[args.command][2]:
+        _, _, ok, rule = FLAGS[flag]
+        value = getattr(args, flag)
+        if ok and not ok(value):
+            print(f"input error: --{flag} must be {rule}, got {value}", file=sys.stderr)
             return EXIT_INPUT
     try:
         return args.func(args)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
@@ -35,9 +37,10 @@ __all__ = [
     "MAX_SUPPORT",
 ]
 
-# Most support points a realized measure may have.  The float regression
-# check walks every ordered pair of them, so its time grows with the square
-# of this; at the cap it takes a few seconds.
+# Most support points a realized measure may have.  The regression check's
+# pair walk, exact or float, visits every ordered pair of them, so its time
+# grows with the square of this; at the cap the float walk is still the
+# slowest input, a few seconds.
 MAX_SUPPORT = 1500
 
 
@@ -129,7 +132,11 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
 
     Zero-weight atoms are dropped first, as the verdict drops them.  The
     support of the N-fold power of n atoms has C(N + n - 1, n - 1) points;
-    past MAX_SUPPORT this raises ConfigError before any term is built.
+    past MAX_SUPPORT this raises ConfigError before any term is built.  So
+    it does for a float model when the least pair mass (min w)^(2N) of the
+    regression walk falls below the least normal float.  The weights sum to
+    1, so min w <= 1/n, and every multinomial coefficient of the power is
+    at most n^N <= (min w)^-N: a model that passes cannot overflow them.
     """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
@@ -140,6 +147,10 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
                           f"{MAX_SUPPORT} support points (the N-fold power "
                           f"of {len(kept)} atoms)")
     exact = m.is_exact
+    if not exact and (2 * N * math.log(min(w for _, w in kept))
+                      < math.log(sys.float_info.min)):
+        raise ConfigError(f"the masses of the float N-fold power (N = {N}) "
+                          f"underflow in the regression check")
     terms = power_terms([(N, 1 if exact else 1.0)], [w for _, w in kept],
                         (0, 0), [a for a, _ in kept])
     merged = merge_points((t for t in terms if t[1] != 0), exact)
@@ -360,54 +371,6 @@ def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
     return max(Fraction(t, den) for t, den in zip(top, dens)), n_groups
 
 
-def _exact_regression(mu: FiniteMeasure, p: DiagonalVFParams):
-    """Exact maximum deviation and group count, on integer numerators.
-
-    With coordinates X/D and masses W/M for integers X, W, each sum point
-    s collects five integer sums over the ordered pairs x + y = s:
-    sum w_x w_y, sum w_x x_k^2 w_y and sum (w_x x_k)(w_y y_k) for k = 1, 2.
-    Since g_k = x_k^2 + y_k^2 - 2(1+A) x_k y_k, the numerator of the
-    conditional expectation is
-        sum w_x w_y g_k = 2 sum w_x x_k^2 w_y - 2(1+A) sum (w_x x_k)(w_y y_k).
-    One pass visits each unordered pair i <= j once, with multiplicity 2
-    off the diagonal.
-    """
-    D = _common_denominator(c for x in mu.support for c in x)
-    M = _common_denominator(mu.masses)
-    pts = []
-    for (x1, x2), w in zip(mu.support, mu.masses):
-        X1, X2, W = int(x1 * D), int(x2 * D), int(w * M)
-        pts.append((X1, X2, W, W * X1, W * X1 * X1, W * X2, W * X2 * X2))
-    groups: dict = {}
-    for i, (X1, X2, W, WX1, WXX1, WX2, WXX2) in enumerate(pts):
-        for j in range(i, len(pts)):
-            Y1, Y2, V, VY1, VYY1, VY2, VYY2 = pts[j]
-            k = 1 if i == j else 2
-            key = (X1 + Y1, X2 + Y2)
-            sums = groups.get(key)
-            if sums is None:
-                sums = groups[key] = [0, 0, 0, 0, 0]
-            sums[0] += k * W * V
-            # twice sum w_x x_k^2 w_y: both orders of the pair, with k
-            sums[1] += k * (WXX1 * V + W * VYY1)
-            sums[2] += k * WX1 * VY1
-            sums[3] += k * (WXX2 * V + W * VYY2)
-            sums[4] += k * WX2 * VY2
-
-    A = Fraction(p.A)
-    An, Ad = A.numerator, A.denominator
-    rhs = _rhs_integers(p)
-    max_dev = Fraction(0)
-    for (S1, S2), (T, U1, V1, U2, V2) in groups.items():
-        for U, V, (u, v, z, Q) in ((U1, V1, rhs[0]), (U2, V2, rhs[1])):
-            # lhs = (U - 2(1+A) V) / (D^2 T), rhs = (u S1 + v S2 + z D) / (Q D)
-            num = ((Ad * U - 2 * (Ad + An) * V) * Q
-                   - (u * S1 + v * S2 + z * D) * Ad * D * T)
-            if num:
-                max_dev = max(max_dev, Fraction(abs(num), Ad * D * D * T * Q))
-    return max_dev, len(groups)
-
-
 def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
                      tol: float = 1e-10,
                      model: CandidateModel | None = None) -> RegressionReport:
@@ -417,31 +380,47 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
     in which case a passing check has deviation exactly zero.  Given the
     model whose N-fold power mu is meant to be, an exact check that reads mu
     as that power takes the closed form of `_power_regression`; every other
-    measure gets the walk over its pairs.
+    measure gets the walk over its ordered pairs.  The exact walk runs on
+    integers: coordinates X / D, masses W / M and A = An / Ad make
+    Ad D^2 g_k = Ad (X_k - Y_k)^2 - 2 An X_k Y_k, with
+    g_k = (x_k - y_k)^2 - 2 A x_k y_k, and Fractions are formed once per sum
+    point.  Floats take the same walk with D = M = Ad = 1.
     """
-    if mu.is_exact and p.is_exact:
-        found = None if model is None else _power_regression(mu, p, model)
-        max_dev, n_groups = found or _exact_regression(mu, p)
-        return RegressionReport(max_dev=float(max_dev), tol=tol, exact=True,
-                                n_groups=n_groups)
-    A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
-    pts = [((float(x[0]), float(x[1])), float(w))
+    exact = mu.is_exact and p.is_exact
+    found = exact and model is not None and _power_regression(mu, p, model)
+    if found:
+        return RegressionReport(max_dev=float(found[0]), tol=tol, exact=True,
+                                n_groups=found[1])
+    if exact:
+        A, a, b, c, d, e, f = p.as_tuple()
+        D = _common_denominator(v for x in mu.support for v in x)
+        M = _common_denominator(mu.masses)
+        An, Ad = Fraction(A).numerator, Fraction(A).denominator
+        num, ratio = int, Fraction
+    else:
+        A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
+        D = M = Ad = 1
+        An, num, ratio = A, float, operator.truediv
+    pts = [((num(x[0] * D), num(x[1] * D)), num(w * M))
            for x, w in zip(mu.support, mu.masses)]
     groups: dict = {}
-    for (x, wx), (y, wy) in itertools.product(pts, repeat=2):
-        s = (x[0] + y[0], x[1] + y[1])
-        key = point_key(s, False)
-        w = wx * wy
-        g1 = (x[0] - y[0]) ** 2 - 2 * A * x[0] * y[0]
-        g2 = (x[1] - y[1]) ** 2 - 2 * A * x[1] * y[1]
-        den, n1, n2, srep = groups.get(key, (0.0, 0.0, 0.0, s))
-        groups[key] = (den + w, n1 + w * g1, n2 + w * g2, srep)
-    max_dev = 0.0
+    twice_An = 2 * An
+    for (x1, x2), wx in pts:
+        for (y1, y2), wy in pts:
+            s = (x1 + y1, x2 + y2)
+            key = point_key(s, exact)
+            w = wx * wy
+            g1 = Ad * (x1 - y1) ** 2 - twice_An * x1 * y1
+            g2 = Ad * (x2 - y2) ** 2 - twice_An * x2 * y2
+            den, n1, n2, srep = groups.get(key, (0, 0, 0, s))
+            groups[key] = (den + w, n1 + w * g1, n2 + w * g2, srep)
+    max_dev = 0
     for den, n1, n2, s in groups.values():
-        dev1 = abs(n1 / den - (a * s[0] + b * s[1] + 2 * e))
-        dev2 = abs(n2 / den - (c * s[0] + d * s[1] + 2 * f))
+        s1, s2, den = ratio(s[0], D), ratio(s[1], D), den * Ad * D * D
+        dev1 = abs(ratio(n1, den) - (a * s1 + b * s2 + 2 * e))
+        dev2 = abs(ratio(n2, den) - (c * s1 + d * s2 + 2 * f))
         max_dev = max(max_dev, dev1, dev2)
-    return RegressionReport(max_dev=max_dev, tol=tol, exact=False,
+    return RegressionReport(max_dev=float(max_dev), tol=tol, exact=exact,
                             n_groups=len(groups))
 
 

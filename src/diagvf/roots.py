@@ -166,6 +166,12 @@ def _primitive(poly):
     return [c // g for c in poly] if poly[-1] > 0 else [-c // g for c in poly]
 
 
+def _cleared(poly):
+    """The primitive integer polynomial with the roots of a rational one."""
+    den = math.lcm(*(c.denominator for c in poly))
+    return _primitive([c.numerator * (den // c.denominator) for c in poly])
+
+
 def _pseudo_remainder(a, b):
     """Remainder of lead(b)^k * a divided by b, without leaving the integers."""
     a = list(a)
@@ -266,9 +272,9 @@ def _rational_roots(q: Quartic):
     and a remainder of degree 1 or 2 is solved exactly.  There is no size
     guard: the work grows with the bit length of the coefficients, not
     with their divisors.  A rational root is missed only when np.roots
-    places it off the real axis in every pass; it is then solved in floats
-    with the irrational ones.  The multiplicity of each root is counted by
-    deflating the whole polynomial.
+    places it off the real axis in every pass; it is then left in the
+    residual, which `solve_quartic` solves in floats.  The multiplicity of
+    each root is counted by deflating the whole polynomial.
 
     Returns (list of (Fraction, mult), remaining monic coefficient list
     ascending), roots in ascending (|numerator|, denominator, sign) order.
@@ -285,8 +291,7 @@ def _rational_roots(q: Quartic):
         found.append((Fraction(0), mult0))
     if len(poly) == 1:
         return found, poly
-    cden = math.lcm(*(c.denominator for c in poly))
-    ints = _primitive([c.numerator * (cden // c.denominator) for c in poly])
+    ints = _cleared(poly)
     sf = _square_free(ints)
     roots = []
     while len(sf) > 3:
@@ -361,49 +366,43 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     """All four roots with multiplicities.
 
     Exact rational roots are extracted exactly when the coefficients are
-    exact; the remainder is solved via companion-matrix eigenvalues with
-    Newton polishing, proximity clustering, and real-axis snapping.
+    exact.  What is left is solved via companion-matrix eigenvalues with
+    Newton polishing and proximity clustering.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    entries = []
     if q.is_exact:
-        exact, residual_poly = _rational_roots(q)
-        entries.extend(exact)
-        numeric_coeffs = [float(c) for c in residual_poly]
+        entries, residual = _rational_roots(q)
+        # With every rational root deflated, the residual is a product of
+        # irreducible factors over Q, none linear: a quartic's residual is
+        # square-free or the square of one quadratic.  So each of its roots
+        # has the multiplicity k = deg(residual) / deg(sf) of its square-free
+        # part sf, and only sf is solved in floats; a degree that deg(sf)
+        # does not divide means a rational root was missed.
+        k, sf = 1, residual
+        if len(residual) > 1:
+            sf = _square_free(_cleared(residual))
+            k, rest = divmod(len(residual) - 1, len(sf) - 1)
+            if rest:
+                raise ArithmeticError(f"a rational root of {residual} was missed")
+        numeric_coeffs = [float(Fraction(c, sf[-1])) for c in sf]
     else:
+        entries, k = [], 1
         numeric_coeffs = [float(c) for c in q.coeffs]
 
-    if len(numeric_coeffs) > 1:
-        # at the scale of the polynomial solved here: on exact input, what is
-        # left of q once its rational roots are deflated
-        cluster_tol = tol * (1.0 + max(abs(c) for c in numeric_coeffs))
-        raw = np.roots(numeric_coeffs[::-1])
-        raw = [_polish(q, complex(r)) for r in raw]
-        for v, m in _cluster(raw, cluster_tol):
-            if abs(v.imag) <= cluster_tol:
-                entries.append((v.real, m))
-            else:
-                entries.append((v, m))
-
-    # enforce exact conjugate pairing of complex entries
-    fixed = []
-    pos = [(v, m) for v, m in entries if isinstance(v, complex) and v.imag > 0]
-    neg = [(v, m) for v, m in entries if isinstance(v, complex) and v.imag < 0]
-    fixed.extend((v, m) for v, m in entries if not isinstance(v, complex))
-    neg_left = list(neg)
-    for v, m in pos:
-        j = min(range(len(neg_left)), key=lambda i: abs(neg_left[i][0] - v.conjugate()))
-        w, mw = neg_left.pop(j)
-        z = (v + w.conjugate()) / 2
-        fixed.append((z, min(m, mw) if m != mw else m))
-        fixed.append((z.conjugate(), min(m, mw) if m != mw else mw))
-    fixed.extend(neg_left)
-
-    fixed.sort(key=lambda em: (float(em[0].real) if isinstance(em[0], complex)
-                               else float(em[0]),
-                               em[0].imag if isinstance(em[0], complex) else 0.0))
-    rs = RootSet(tuple(fixed))
+    # at the scale of the polynomial solved here: on exact input, the
+    # square-free part of what is left of q once its rational roots are
+    # deflated
+    cluster_tol = tol * (1.0 + max(abs(c) for c in numeric_coeffs))
+    raw = [_polish(q, complex(r)) for r in np.roots(numeric_coeffs[::-1])]
+    # np.roots gives exact conjugate pairs, and _polish and _cluster keep them
+    # bit for bit (IEEE complex *, / and abs are sign-symmetric).  So a
+    # cluster is real when it holds its own conjugate, that is, when it lies
+    # within cluster_tol / 2 of the axis.
+    for v, m in _cluster(raw, cluster_tol):
+        entries.append((v.real if abs(v.imag) <= cluster_tol / 2 else v, m * k))
+    entries.sort(key=lambda em: (float(em[0].real), float(em[0].imag)))
+    rs = RootSet(tuple(entries))
     for v, _ in rs.entries:
         res = abs(complex(q(v)))
         if res > tol * max(1.0, abs(complex(v)) ** 4) * q.scale:

@@ -2,6 +2,7 @@ import io
 import json
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from diagvf import admissibility_verdict, build_characteristic_quartic
 from diagvf import model, pipeline, series
 from diagvf._num import compositions
 from diagvf.pipeline import parse_params
-from diagvf.cli import main
+from diagvf.cli import build_parser, main
 
 E1_CONFIG = {
     "params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "1",
@@ -23,6 +24,15 @@ P2_CONFIG = {
                "e": "1", "f": "0"},
     "weights": ["1/4", "1/2", "1/4"],
 }
+# the float quartic (x - 3)(x + 2)((x - 1)^2 + 4.9e-15): at the default tol
+# the pair 1 +- 7e-8 i lies between cluster_tol / 2 and cluster_tol = 1.2e-7
+# off the axis
+NEAR_DOUBLE_CONFIG = {
+    "params": {"A": -0.5, "a": 1.5, "b": 1.0, "c": -3.1250000000000027,
+               "d": 5.249999999999995, "e": 0.0, "f": 12.000000000000059},
+    "weights": [0.25, 0.25, 0.25, 0.25],
+}
+SQRT2_DOUBLE_GOLDEN = Path(__file__).parent / "golden" / "sqrt2_double.roots.json"
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -327,7 +337,60 @@ class TestCliMalformedInput:
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
 
+    @pytest.mark.parametrize("A", [-0.001, -0.0009090909090909091])
+    def test_float_power_out_of_range_exits_fast(self, tmp_path, capsys, A):
+        # N = 1000 and 1100 with float weights 1/2: the least pair mass
+        # 2^-2N underflows (at 1100 a multinomial would also overflow)
+        cfg = {"params": {"A": A, "a": 0, "b": 1, "c": 0, "d": 1, "e": 0, "f": 0},
+               "weights": [0.5, 0, 0.5]}
+        start = time.perf_counter()
+        assert main(["characterize", write_config(tmp_path, cfg)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+class TestCliFlags:
+    """Each subcommand takes only the flags it reads."""
+
+    def test_flags_per_subcommand(self):
+        want = {"characterize": {"tol", "grid", "depth", "bound", "json", "seed"},
+                "roots": {"tol", "json"}, "lattice": {"bound", "json"},
+                "expand": {"tol", "depth", "json"}, "scan": {"json"},
+                "eval": {"tol", "json"}, "tilt": {"tol", "bound", "json"}}
+        sub = next(a for a in build_parser()._actions if a.choices)
+        got = {name: {a.dest for a in sp._actions if a.option_strings} - {"help"}
+               for name, sp in sub.choices.items()}
+        assert got == want
+
+    @pytest.mark.parametrize("argv", [["lattice", "--seed", "1"],
+                                      ["scan", "--tol", "1e-3"]])
+    def test_unread_flag_refused(self, tmp_path, argv):
+        path = write_config(tmp_path, {})
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], path, *argv[1:]])
+        assert exc.value.code == 2
+
+
 class TestCliRoots:
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-10", "1e-12", "1e-14"])
+    def test_repeated_irrational_golden(self, tmp_path, capsys, tol):
+        # (x^2 - 2)^2 is TwoDoubleReal whatever the tol
+        path = write_config(tmp_path, {"quartic": ["4", "0", "-4", "0", "1"]})
+        assert main(["roots", path, "--json", "--tol", tol]) == 0
+        assert capsys.readouterr().out == SQRT2_DOUBLE_GOLDEN.read_text()
+
+    def test_float_pair_near_the_axis(self, tmp_path, capsys):
+        path = write_config(tmp_path, NEAR_DOUBLE_CONFIG)
+        assert main(["roots", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pattern"] == "TwoRealTwoComplex"
+        assert main(["characterize", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["status"] == "Rejected"
+        assert captured.err == ""
+
     def test_from_quartic(self, tmp_path, capsys):
         path = write_config(tmp_path, {"quartic": ["0", "0", "-1", "0", "1"]})
         assert main(["roots", path, "--json"]) == 0

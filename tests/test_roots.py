@@ -465,3 +465,41 @@ class TestRationalRoots:
         rep = run_characterize({"params": p, "weights": [F(1, 3)] * 3})
         assert rep.status == "Admissible"
         assert rep.regression["exact"] and rep.regression["max_dev"] == 0
+
+
+class TestRootStructure:
+    """Multiplicity and realness are facts of the quartic, not of --tol."""
+
+    @pytest.mark.parametrize("roots, quadratics, pattern", [
+        ((), [(F(0), F(-2))] * 2, RootPattern.TWO_DOUBLE_REAL),
+        ((), [(F(1), F(-1))] * 2, RootPattern.TWO_DOUBLE_REAL),
+        ((), [(F(0), F(1))] * 2, RootPattern.TWO_DOUBLE_COMPLEX),
+        ((F(0), F(0)), [(F(0), F(-2))], RootPattern.DOUBLE_PLUS_TWO_SINGLE_REAL),
+        ((F(1), F(1)), [(F(0), F(-3))], RootPattern.DOUBLE_PLUS_TWO_SINGLE_REAL),
+    ], ids=["(x2-2)^2", "(x2+x-1)^2", "(x2+1)^2", "x2(x2-2)", "(x-1)2(x2-3)"])
+    def test_exact_pattern_does_not_depend_on_tol(self, roots, quadratics, pattern):
+        q = quartic_from(roots, quadratics)
+        solved = [solve_quartic(q, tol) for tol in (1e-8, 1e-10, 1e-12, 1e-14)]
+        assert all(classify_root_pattern(rs) is pattern for rs in solved)
+        assert all(rs.entries == solved[0].entries for rs in solved)
+
+    def test_missed_rational_root_is_an_error(self, monkeypatch):
+        # a residual (x - 1)^2 (x^2 - 2) has a square-free part of degree 3
+        q = quartic_from((F(1), F(1)), [(F(0), F(-2))])
+        monkeypatch.setattr("diagvf.roots._rational_roots",
+                            lambda q: ([], [F(c) for c in q.coeffs]))
+        with pytest.raises(ArithmeticError):
+            solve_quartic(q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-2.0, 1.0), st.sampled_from([1e-8, 1e-10, 1e-12]))
+    def test_float_pair_near_the_axis(self, v, tol):
+        # (x - 3)(x + 2)((x - 1)^2 + delta^2), cluster_tol = tol * 12: delta =
+        # cluster_tol * 10^v runs from well inside the realness bound
+        # cluster_tol / 2 (v = -log10 2) to past cluster_tol (v = 0)
+        d2 = (12 * tol * 10 ** v) ** 2
+        rs = solve_quartic(Quartic((-6 * (1 + d2), 11 - d2, d2 - 3, -3.0, 1)), tol)
+        reals = [x for x, _ in rs.real_entries]
+        assert len(set(reals)) == len(reals)
+        cpx = rs.complex_entries
+        assert all((z.conjugate(), m) in cpx for z, m in cpx)
