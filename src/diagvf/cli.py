@@ -31,12 +31,25 @@ EXIT_REJECTED = 1
 EXIT_INPUT = 2
 
 
-def _number(v):
-    """parse_number, with a malformed value reported as an input error."""
+def _built(build, *values):
+    """build(*values), with a value it refuses reported as an input error."""
     try:
-        return parse_number(v)
-    except ValueError as exc:
+        return build(*values)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _number(v):
+    return _built(parse_number, v)
+
+
+def _items(v, n=None, item=_number):
+    """The entries of a config list, n of them when n is given, each read by
+    item: by default, as a number."""
+    if not isinstance(v, list) or n is not None and len(v) != n:
+        raise ConfigError(f"expected a list of {n or 'any number of'} entries, "
+                          f"got {json.dumps(v)}")
+    return tuple(item(x) for x in v)
 
 
 def _read_config(path: str):
@@ -55,10 +68,8 @@ def _emit(obj, as_json: bool, human_lines):
 def _model_from_config(cfg, tol):
     """Accept either explicit atoms/weights/r or params+weights."""
     if "atoms" in cfg:
-        atoms = [(_number(a[0]), _number(a[1])) for a in cfg["atoms"]]
-        weights = [_number(w) for w in cfg["weights"]]
-        r = _number(cfg["r"])
-        return make_model(atoms, weights, r)
+        atoms = _items(cfg["atoms"], item=lambda a: _items(a, 2))
+        return _built(make_model, atoms, cfg["weights"], _number(cfg["r"]))
     if "params" in cfg and "weights" in cfg:
         return candidate_model(cfg["params"], cfg["weights"], tol)
     raise ConfigError("config needs 'atoms'/'weights'/'r' or 'params'+'weights'")
@@ -67,8 +78,7 @@ def _model_from_config(cfg, tol):
 def cmd_characterize(args) -> int:
     cfg = _read_config(args.config)
     rep = run_characterize(cfg, tol=args.tol, grid_n=args.grid,
-                           depth=args.depth, bound=args.bound,
-                           extra_thetas=_seed_thetas(args))
+                           bound=args.bound, extra_thetas=_seed_thetas(args))
     if args.json:
         print(emit_report(rep))
     else:
@@ -121,8 +131,7 @@ def cmd_lattice(args) -> int:
     cfg = _read_config(args.config)
     if "matrix" not in cfg:
         raise ConfigError("lattice needs 'matrix': 3x3 rational rows")
-    rows = tuple(tuple(Fraction(_number(x)) for x in row)
-                 for row in cfg["matrix"])
+    rows = _items(cfg["matrix"], 3, lambda row: tuple(map(Fraction, _items(row, 3))))
     rep = star_condition(LatticeMatrix(rows), bound=args.bound)
     _emit({"holds": rep.holds,
            "witness": list(rep.witness) if rep.witness else None,
@@ -153,19 +162,20 @@ def cmd_expand(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _read_config(args.config)
-    form = EliminationForm(
-        poly=tuple(_number(x) for x in cfg.get("poly", [])),
-        exp_terms=tuple(tuple(_number(x) for x in t)
-                        for t in cfg.get("exp_terms", [])),
-        linexp=tuple(_number(x) for x in cfg["linexp"])
-        if cfg.get("linexp") else None,
-        osc_blocks=tuple(tuple(_number(x) for x in b)
-                         for b in cfg.get("osc_blocks", [])),
-    )
+    # a misspelt block would otherwise drop out unseen
+    unread = sorted(set(cfg) - {"poly", "exp_terms", "linexp", "osc_blocks", "r"})
+    if unread:
+        raise ConfigError(f"scan does not read {', '.join(unread)}")
+    form = _built(EliminationForm,
+                  _items(cfg.get("poly", [])),
+                  _items(cfg.get("exp_terms", []), item=lambda t: _items(t, 2)),
+                  _items(cfg["linexp"], 2) if cfg.get("linexp") else None,
+                  _items(cfg.get("osc_blocks", []), item=lambda b: _items(b, 6)))
     r = _number(cfg.get("r", 1))
-    t_max = float(cfg.get("t_max", 50.0))
-    n = int(cfg.get("n_grid", 2001))
-    grid = np.linspace(-t_max, t_max, n)
+    if not r > 0:
+        raise ConfigError(f"r must be positive, got {r}")
+    # 2001 points over [-50, 50], ordered by |t|
+    grid = np.linspace(-50.0, 50.0, 2001)
     grid = grid[np.argsort(np.abs(grid), kind="stable")]
     witness = magnitude_scan(form, r, grid)
     _emit({"witness": witness},
@@ -178,7 +188,7 @@ def cmd_scan(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _read_config(args.config)
     m = _model_from_config(cfg, args.tol)
-    theta = tuple(_number(x) for x in cfg.get("theta", (0, 0)))
+    theta = _items(cfg.get("theta", [0, 0]), 2)
     k, mean, cov = cumulant_eval(m, theta)
     _emit({"theta": [float(t) for t in theta], "k": k,
            "mean": [float(x) for x in mean],
@@ -198,7 +208,7 @@ def cmd_tilt(args) -> int:
         print(f"model not admissible: {verdict.reason}", file=sys.stderr)
         return EXIT_REJECTED
     mu = realize_measure(m, verdict)
-    theta = tuple(_number(x) for x in cfg.get("theta", (0, 0)))
+    theta = _items(cfg.get("theta", [0, 0]), 2)
     tilted = tilt_member(mu, theta)
     entries = [{"point": [format_number(x) for x in pt],
                 "mass": format_number(ms)}
@@ -224,7 +234,7 @@ FLAGS = {
 # subcommand -> (function, help, the flags it reads)
 COMMANDS = {
     "characterize": (cmd_characterize, "run the full pipeline",
-                     ("tol", "bound", "grid", "depth", "seed")),
+                     ("tol", "bound", "grid", "seed")),
     "roots": (cmd_roots, "solve and classify the characteristic quartic", ("tol",)),
     "lattice": (cmd_lattice, "mixed-sign kernel check on an explicit matrix",
                 ("bound",)),

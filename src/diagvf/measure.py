@@ -384,7 +384,8 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
     integers: coordinates X / D, masses W / M and A = An / Ad make
     Ad D^2 g_k = Ad (X_k - Y_k)^2 - 2 An X_k Y_k, with
     g_k = (x_k - y_k)^2 - 2 A x_k y_k, and Fractions are formed once per sum
-    point.  Floats take the same walk with D = M = Ad = 1.
+    point.  Floats take the same walk with D = M = Ad = 1, and pass at tol
+    times the largest right-hand side, when that exceeds 1.
     """
     exact = mu.is_exact and p.is_exact
     found = exact and model is not None and _power_regression(mu, p, model)
@@ -414,14 +415,16 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
             g2 = Ad * (x2 - y2) ** 2 - twice_An * x2 * y2
             den, n1, n2, srep = groups.get(key, (0, 0, 0, s))
             groups[key] = (den + w, n1 + w * g1, n2 + w * g2, srep)
-    max_dev = 0
+    max_dev = top = 0
     for den, n1, n2, s in groups.values():
         s1, s2, den = ratio(s[0], D), ratio(s[1], D), den * Ad * D * D
-        dev1 = abs(ratio(n1, den) - (a * s1 + b * s2 + 2 * e))
-        dev2 = abs(ratio(n2, den) - (c * s1 + d * s2 + 2 * f))
-        max_dev = max(max_dev, dev1, dev2)
-    return RegressionReport(max_dev=float(max_dev), tol=tol, exact=exact,
-                            n_groups=len(groups))
+        rhs1, rhs2 = a * s1 + b * s2 + 2 * e, c * s1 + d * s2 + 2 * f
+        max_dev = max(max_dev, abs(ratio(n1, den) - rhs1), abs(ratio(n2, den) - rhs2))
+        if not exact:
+            top = max(top, abs(rhs1), abs(rhs2))
+    # a float sum carries rounding relative to its size
+    return RegressionReport(max_dev=float(max_dev), tol=tol * max(1, top),
+                            exact=exact, n_groups=len(groups))
 
 
 def tilt_member(mu: FiniteMeasure, theta) -> FiniteMeasure:

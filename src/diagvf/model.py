@@ -45,6 +45,8 @@ class CandidateModel:
 
     def __post_init__(self):
         lams = [a[0] for a in self.atoms]
+        if not lams:
+            raise ValueError("a model needs at least one atom")
         if len(lams) != len(self.weights):
             raise WeightCountMismatch(
                 f"{len(self.weights)} weights for {len(lams)} atoms")
@@ -256,29 +258,21 @@ def admissibility_verdict(m: CandidateModel, tol: float = 1e-9,
                 "atom masses cannot be identified",
                 star=star, inconclusive=True)
 
-    total = sum(weights)
-    nonneg = all(w >= -tol for w in weights)
-    nonpos = all(w <= tol for w in weights)
+    # the weights share a sign s and sum to it; CaseB (s = -1) needs an even N
+    s = all(w >= -tol for w in weights) - all(w <= tol for w in weights)
+    if not s:
+        return AdmissibilityVerdict(
+            "Rejected", reason="weights have mixed signs", star=star)
+    if abs(float(sum(weights)) - s) > tol:
+        sign = "nonnegative" if s > 0 else "nonpositive"
+        return AdmissibilityVerdict(
+            "Rejected", reason=f"{sign} weights do not sum to {s}", star=star)
     n = near_integer(eff.r, tol)
-
-    if nonneg and not nonpos:
-        if abs(float(total) - 1.0) > tol:
-            return AdmissibilityVerdict(
-                "Rejected", reason="nonnegative weights do not sum to 1", star=star)
-        if n is None or n < 1:
-            return AdmissibilityVerdict(
-                "Rejected", reason="exponent not a positive integer", star=star)
-        return AdmissibilityVerdict("CaseA", N=n, theta_domain_full=True, star=star)
-    if nonpos and not nonneg:
-        if abs(float(total) + 1.0) > tol:
-            return AdmissibilityVerdict(
-                "Rejected", reason="nonpositive weights do not sum to -1", star=star)
-        if n is None or n < 1:
-            return AdmissibilityVerdict(
-                "Rejected", reason="exponent not a positive integer", star=star)
-        if n % 2 != 0:
-            return AdmissibilityVerdict(
-                "Rejected", reason="exponent not an even positive integer", star=star)
-        return AdmissibilityVerdict("CaseB", N=n, theta_domain_full=True, star=star)
-    return AdmissibilityVerdict(
-        "Rejected", reason="weights have mixed signs", star=star)
+    if n is None or n < 1:
+        return AdmissibilityVerdict(
+            "Rejected", reason="exponent not a positive integer", star=star)
+    if s < 0 and n % 2:
+        return AdmissibilityVerdict(
+            "Rejected", reason="exponent not an even positive integer", star=star)
+    return AdmissibilityVerdict("CaseA" if s > 0 else "CaseB", N=n,
+                                theta_domain_full=True, star=star)

@@ -78,6 +78,8 @@ def parse_config(doc):
             out["weights"] = tuple(parse_number(w) for w in doc["weights"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad weights: {exc}") from exc
+    if "params" in doc and "quartic" in doc:
+        raise ConfigError("config takes 'params' or a diagnostic 'quartic', not both")
     if "quartic" in doc and not isinstance(doc["quartic"], Quartic):
         try:
             coeffs = tuple(parse_number(c) for c in doc["quartic"])
@@ -108,86 +110,73 @@ def _roots_json(rs):
 
 
 def _search_weights(p, n_r, denominator, tol, roots, bound):
-    """First admissible point of the weight simplex's 1/denominator grid.
+    """Model and verdict of the first point of the weight simplex's
+    1/denominator grid, or None when the grid has no point.
 
     Every grid point has positive weights with exact sum 1, and the verdict
     sees weights only through their signs and sum (the star condition and
     the exponent clause depend on atoms and r alone).  So all grid points
     share one verdict, and the first one, (1, ..., 1, D - n_r + 1) / D,
     decides the search.  `roots`, p's solved characteristic quartic, builds
-    the atoms; None makes that build solve it.
+    the atoms.
     """
     if denominator < n_r:
         return None
     weights = ((Fraction(1, denominator),) * (n_r - 1)
                + (Fraction(denominator - n_r + 1, denominator),))
     m = candidate_model(p, weights, tol, roots=roots)
-    return weights if admissibility_verdict(m, tol=1e-9, bound=bound).accepted else None
+    return m, admissibility_verdict(m, tol=1e-9, bound=bound)
 
 
 def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
-                     depth: int = 8, bound: int = 50,
-                     extra_thetas=None) -> PipelineReport:
+                     bound: int = 50, extra_thetas=None) -> PipelineReport:
     """Run the whole pipeline: quartic -> roots -> model -> verdict -> checks."""
     cfg = parse_config(config)
     p = cfg.get("params")
-    q = cfg.get("quartic")
-    if q is None:
-        if p is None:
-            raise ConfigError("config needs 'params' (or a diagnostic 'quartic')")
-        q = build_characteristic_quartic(p)
+    if p is None and "quartic" not in cfg:
+        raise ConfigError("config needs 'params' (or a diagnostic 'quartic')")
+    q = cfg.get("quartic") or build_characteristic_quartic(p)
     rs = solve_quartic(q, tol)
-    # the models are built on p's own quartic; a diagnostic quartic given
-    # alongside p is not it
-    model_roots = rs if "quartic" not in cfg else None
-    pattern = classify_root_pattern(rs)
     report = PipelineReport(
         params={k: format_number(v) for k, v in
                 zip(PARAM_KEYS, p.as_tuple())} if p else None,
         quartic=[format_number(c) for c in q.coeffs],
         roots=_roots_json(rs),
-        pattern=pattern.value,
+        pattern=classify_root_pattern(rs).value,
         n_r=rs.n_r,
     )
 
+    def rejected(reason, case="Rejected"):
+        report.verdict = {"case": case, "N": None, "reason": reason}
+        report.status = case
+        return report
+
     if rs.n_r < 2:
-        report.verdict = {"case": "Rejected", "N": None,
-                          "reason": "NRootDeficit: fewer than two distinct real roots"}
-        report.status = "Rejected"
-        return report
+        return rejected("NRootDeficit: fewer than two distinct real roots")
     if p is None:
-        report.status = "Inconclusive"
-        report.verdict = {"case": "Inconclusive", "N": None,
-                          "reason": "diagnostic quartic mode: no parameters, "
-                          "no ordinates can be derived"}
-        return report
+        return rejected("diagnostic quartic mode: no parameters, no ordinates "
+                        "can be derived", "Inconclusive")
 
     weights = cfg.get("weights")
-    if weights is None and "weight_search" in cfg:
+    if weights is not None:
+        try:
+            m = candidate_model(p, weights, tol, roots=rs)
+        except (NRootDeficit, WeightCountMismatch) as exc:
+            return rejected(f"{type(exc).__name__}: {exc}")
+        verdict = admissibility_verdict(m, tol=1e-9, bound=bound)
+    elif "weight_search" in cfg:
         den = cfg["weight_search"]["denominator"]
-        weights = _search_weights(p, rs.n_r, den, tol, model_roots, bound)
-        if weights is None:
-            report.verdict = {"case": "Rejected", "N": None,
-                              "reason": f"no admissible weights on the 1/{den} grid"}
-            report.status = "Rejected"
-            return report
-    if weights is None:
+        found = _search_weights(p, rs.n_r, den, tol, rs, bound)
+        if found is None or not found[1].accepted:
+            return rejected(f"no admissible weights on the 1/{den} grid")
+        m, verdict = found
+    else:
         raise ConfigError("config needs 'weights' or 'weight_search'")
-
-    try:
-        m = candidate_model(p, weights, tol, roots=model_roots)
-    except (NRootDeficit, WeightCountMismatch) as exc:
-        report.verdict = {"case": "Rejected", "N": None,
-                          "reason": f"{type(exc).__name__}: {exc}"}
-        report.status = "Rejected"
-        return report
 
     report.atoms = [{"lambda": format_number(a[0]), "nu": format_number(a[1])}
                     for a in m.atoms]
     report.weights = [format_number(w) for w in m.weights]
     report.r = format_number(m.r)
-
-    verdict = admissibility_verdict(m, tol=1e-9, bound=bound)
     report.verdict = {"case": verdict.outcome, "N": verdict.N,
                       "reason": verdict.reason}
     if verdict.star is not None:
@@ -196,7 +185,8 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
                        if verdict.star.witness else None,
                        "method": verdict.star.method}
     if not verdict.accepted:
-        report.status = "Inconclusive" if verdict.inconclusive else "Rejected"
+        if verdict.inconclusive:
+            report.status = "Inconclusive"
         return report
 
     mu = realize_measure(m, verdict)
@@ -217,12 +207,11 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
     # An accepted model's weights share one sign and its exponent is an
     # integer, so every series coefficient is positive; its atoms lie on a
     # parabola, so each is a vertex of their convex hull and has a probe.
-    report.series = {"depth": depth, "first_negative": None}
+    # The depth echoes the default of `diagvf expand`.
+    report.series = {"depth": 8, "first_negative": None}
 
     if diag.passed and reg.passed:
-        report.status = "Degenerate-Admissible" if mu.degenerate else "Admissible"
-    else:
-        report.status = "Rejected"
+        report.status = "Degenerate-Admissible" if report.degenerate else "Admissible"
     return report
 
 

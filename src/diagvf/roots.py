@@ -166,12 +166,6 @@ def _primitive(poly):
     return [c // g for c in poly] if poly[-1] > 0 else [-c // g for c in poly]
 
 
-def _cleared(poly):
-    """The primitive integer polynomial with the roots of a rational one."""
-    den = math.lcm(*(c.denominator for c in poly))
-    return _primitive([c.numerator * (den // c.denominator) for c in poly])
-
-
 def _pseudo_remainder(a, b):
     """Remainder of lead(b)^k * a divided by b, without leaving the integers."""
     a = list(a)
@@ -272,26 +266,20 @@ def _rational_roots(q: Quartic):
     and a remainder of degree 1 or 2 is solved exactly.  There is no size
     guard: the work grows with the bit length of the coefficients, not
     with their divisors.  A rational root is missed only when np.roots
-    places it off the real axis in every pass; it is then left in the
-    residual, which `solve_quartic` solves in floats.  The multiplicity of
-    each root is counted by deflating the whole polynomial.
+    places it off the real axis in every pass; it is then left in sf, which
+    `solve_quartic` solves in floats.  The multiplicity of each root is
+    counted by deflating the whole polynomial.
 
-    Returns (list of (Fraction, mult), remaining monic coefficient list
-    ascending), roots in ascending (|numerator|, denominator, sign) order.
+    Returns (list of (Fraction, mult), rest, sf), roots in ascending
+    (|numerator|, denominator, sign) order.  rest is the cleared integer
+    polynomial with every rational root found deflated; sf, q's square-free
+    part deflated once by each, is rest's square-free part (both are
+    primitive, with a positive leading coefficient and the same roots).
     Only called when all coefficients are exact.
     """
     poly = [Fraction(c) for c in q.coeffs]
-    found = []
-    # zero roots first
-    mult0 = 0
-    while poly[0] == 0 and len(poly) > 1:
-        poly = poly[1:]
-        mult0 += 1
-    if mult0:
-        found.append((Fraction(0), mult0))
-    if len(poly) == 1:
-        return found, poly
-    ints = _cleared(poly)
+    den = math.lcm(*(c.denominator for c in poly))
+    ints = _primitive([c.numerator * (den // c.denominator) for c in poly])
     sf = _square_free(ints)
     roots = []
     while len(sf) > 3:
@@ -305,21 +293,23 @@ def _rational_roots(q: Quartic):
                 continue
             X = _refine(sf, float(z.real), bits)
             r = Fraction(X, 1 << bits).limit_denominator(lead)
-            rest = _deflate(sf, r.numerator, r.denominator)
-            if rest is not None:
-                sf = rest
+            deflated = _deflate(sf, r.numerator, r.denominator)
+            if deflated is not None:
+                sf = deflated
                 roots.append(r)
         if len(roots) == before:
             break
-    if 1 < len(sf) <= 3:
-        roots += _low_degree_roots(sf)
+    if 1 < len(sf) <= 3 and (low := _low_degree_roots(sf)):
+        # sf is primitive and the product of their factors (den x - num)
+        roots, sf = roots + low, [1]
+    found = []
     for r in sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0)):
         mult = 0
         while (quotient := _deflate(ints, r.numerator, r.denominator)) is not None:
             ints = quotient
             mult += 1
         found.append((r, mult))
-    return found, [Fraction(c, ints[-1]) for c in ints]
+    return found, ints, sf
 
 
 def _cluster(values, tol: float):
@@ -372,19 +362,16 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     if tol <= 0:
         raise ValueError("tol must be positive")
     if q.is_exact:
-        entries, residual = _rational_roots(q)
-        # With every rational root deflated, the residual is a product of
-        # irreducible factors over Q, none linear: a quartic's residual is
+        entries, rest, sf = _rational_roots(q)
+        # With every rational root deflated, the rest is a product of
+        # irreducible factors over Q, none linear: a quartic's rest is
         # square-free or the square of one quadratic.  So each of its roots
-        # has the multiplicity k = deg(residual) / deg(sf) of its square-free
+        # has the multiplicity k = deg(rest) / deg(sf) of its square-free
         # part sf, and only sf is solved in floats; a degree that deg(sf)
         # does not divide means a rational root was missed.
-        k, sf = 1, residual
-        if len(residual) > 1:
-            sf = _square_free(_cleared(residual))
-            k, rest = divmod(len(residual) - 1, len(sf) - 1)
-            if rest:
-                raise ArithmeticError(f"a rational root of {residual} was missed")
+        k, missed = divmod(len(rest) - 1, max(len(sf) - 1, 1))
+        if missed:
+            raise ArithmeticError(f"a rational root of {rest} was missed")
         numeric_coeffs = [float(Fraction(c, sf[-1])) for c in sf]
     else:
         entries, k = [], 1

@@ -13,7 +13,8 @@ from typing import Optional
 
 from ._num import (falling_factorial, is_exact, merge_points, near_integer,
                    power_terms, widest_gap)
-from .errors import NoDominantAtom, NotNormalized
+from .errors import ConfigError, NoDominantAtom, NotNormalized
+from .measure import MAX_SUPPORT
 from .model import CandidateModel
 
 __all__ = [
@@ -111,8 +112,22 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
 
     Terms are keyed by the absolute support point r*v_pivot + sum n_i w_i,
     so for an integer exponent they coincide with the convolution masses.
-    Exact rational arithmetic is used when the model is exact.
+    Exact rational arithmetic is used when the model is exact.  Orders up to
+    max_j = min(depth, N) of n atoms make C(max_j + n - 1, n - 1) terms; past
+    MAX_SUPPORT terms or orders, or past order 170 with float coefficients
+    (171! exceeds the largest float), it raises ConfigError before any work.
     """
+    exact = m.is_exact
+    r = m.r
+    n_int = near_integer(r, 1e-12)
+    max_j = depth if (n_int is None or n_int > depth) else n_int
+    floats = not (exact and n_int is not None)
+    if floats and max_j > 170:
+        raise ConfigError(f"float series coefficients overflow past order 170 "
+                          f"(this one reaches {max_j})")
+    n = len(m.weights)
+    if max(math.comb(max_j + n - 1, n - 1), max_j + 1) > MAX_SUPPORT:
+        raise ConfigError(f"more than {MAX_SUPPORT} series terms (order {max_j}, {n} atoms)")
     weights = m.weights
     flip = all(w <= 0 for w in weights) and any(w < 0 for w in weights)
     if flip:
@@ -122,18 +137,14 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
         raise NoDominantAtom("pivot weight is not positive")
     probe = _find_probe(m.atoms, weights, pivot)
 
-    exact = m.is_exact
-    r = m.r
-    n_int = near_integer(r, 1e-12)
     ap = weights[pivot]
     others = [i for i in range(len(weights)) if i != pivot]
     betas = [weights[i] / ap for i in others]
     wdiffs = [(m.atoms[i][0] - m.atoms[pivot][0],
                m.atoms[i][1] - m.atoms[pivot][1]) for i in others]
     base = (r * m.atoms[pivot][0], r * m.atoms[pivot][1])
-    lead = ap ** n_int if (exact and n_int is not None) else float(ap) ** float(r)
+    lead = float(ap) ** float(r) if floats else ap ** n_int
 
-    max_j = depth if (n_int is None or n_int > depth) else n_int
     # r(r-1)...(r-j+1) is nonzero for every j <= max_j: an integer r caps max_j
     orders = [(j, lead * falling_factorial(r, j)
                / (math.factorial(j) if exact else float(math.factorial(j))))

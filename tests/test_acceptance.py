@@ -36,13 +36,12 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
                         "e": "1", "f": "0"},
              "weights": ["1/4", "1/2", "1/4"]}
 
-# E1 at N = 8: 45 support points, 153 sum points in the regression check
-E1_N8_CONFIG = {"params": dict(E1_CONFIG["params"], A="-1/8"),
-                "weights": E1_CONFIG["weights"]}
-
-# characterize --json output for E1, P2 and E1 at N = 8, committed as
+# E1, P2 and E1 at N = 8 (45 support points, 153 sum points in the
+# regression check): <name>.config.json holds each config, and
+# <name>.characterize.json its characterize --json output, committed as
 # produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_NAMES = ("e1", "p2", "e1_n8")
 
 
 def reported(label):
@@ -364,10 +363,8 @@ def test_criterion_09_parabola_support():
 
 @reported("criterion 10: CLI golden-file determinism and exit codes")
 def test_criterion_10_cli_determinism(tmp_path, capsys):
-    for name, cfg in (("e1", E1_CONFIG), ("p2", P2_CONFIG),
-                      ("e1_n8", E1_N8_CONFIG)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(cfg))
+    for name in GOLDEN_NAMES:
+        path = GOLDEN_DIR / f"{name}.config.json"
         assert main(["characterize", str(path), "--json"]) == 0
         first = capsys.readouterr().out
         assert main(["characterize", str(path), "--json"]) == 0

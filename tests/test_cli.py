@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagvf import ConfigError, parse_config, report_from_dict, report_to_dict, \
     run_characterize, emit_report, solve_quartic, candidate_model, dual_ordinate
@@ -141,11 +145,8 @@ class TestRunCharacterize:
         monkeypatch.setattr(model, "dual_ordinate", counting_atom)
         rep = run_characterize(dict(params=dict(E1_CONFIG["params"], A=A), **extra))
         assert rep.status == status and len(calls) == 1
-        # the atoms are built once for the search's one grid point, and once
-        # more for the final model of a successful search
-        searched = "weight_search" in extra
-        assert len(builds) == (2 if searched and status == "Admissible" else 1)
-        assert len(atoms) == rep.n_r * len(builds)
+        # one model, also for a search: the report takes the search's model
+        assert len(builds) == 1 and len(atoms) == rep.n_r
 
     def test_series_block_needs_no_expansion(self, monkeypatch):
         calls = []
@@ -158,9 +159,9 @@ class TestRunCharacterize:
         monkeypatch.setattr(pipeline, "expand_series", counting, raising=False)
         for cfg in (E1_CONFIG, P2_CONFIG,
                     dict(E1_CONFIG, params=dict(E1_CONFIG["params"], A="-1/8"))):
-            rep = run_characterize(cfg, depth=5)
+            rep = run_characterize(cfg)
             assert rep.status == "Admissible"
-            assert rep.series == {"depth": 5, "first_negative": None}
+            assert rep.series == {"depth": 8, "first_negative": None}
         assert calls == []
 
     def test_exact_atoms_near_a_line_are_not_degenerate(self):
@@ -213,8 +214,11 @@ class TestWeightSearch:
     def test_matches_grid_oracle(self, p):
         rs = solve_quartic(build_characteristic_quartic(p))
         for den in range(1, 13):
-            assert pipeline._search_weights(p, rs.n_r, den, 1e-8, rs, 50) == \
-                grid_search_oracle(p, rs.n_r, den, rs)
+            found = pipeline._search_weights(p, rs.n_r, den, 1e-8, rs, 50)
+            weights = found[0].weights if found and found[1].accepted else None
+            assert weights == grid_search_oracle(p, rs.n_r, den, rs)
+            if found:
+                assert found[1] == admissibility_verdict(found[0], tol=1e-9)
 
     def test_bound_reaches_the_verdict(self):
         # roots -2, -1, 1, 2: the lattice generator (2, -2, 1) is mixed,
@@ -289,35 +293,62 @@ class TestCliMalformedInput:
     """Malformed input exits 2 with one `input error:` line, no traceback."""
 
     E1_TEXT = json.dumps(E1_CONFIG)
+    EXPAND_TEXT = json.dumps({"atoms": [[0, 0], [1, 1]], "weights": [0.5, 0.5],
+                              "r": 2})
 
-    @pytest.mark.parametrize("text,flags", [
-        (E1_TEXT, ["--tol", "0"]),
-        (E1_TEXT, ["--tol=-1e-8"]),
-        (E1_TEXT.replace('"1/2"', '"1/0"'), []),
-        (E1_TEXT.replace('"e": "0"', '"e": "inf"'), []),
-        (E1_TEXT.replace('"e": "0"', '"e": NaN'), []),
-        (E1_TEXT.replace('"e": "0"', '"e": 1e999'), []),
-        (json.dumps(dict(E1_CONFIG, params=list(E1_CONFIG["params"].values()))), []),
-        (_search_text(8), []),
-        (_search_text({"denominator": "x"}), []),
-        (_search_text({"denominator": 0}), []),
-        (_search_text({"denominator": -4}), []),
-        (_search_text({"denominator": 2.5}), []),
-        (E1_TEXT, ["--bound", "0"]),
-        (E1_TEXT, ["--bound=-1"]),
-        (E1_TEXT, ["--seed", "1", "--grid=-1"]),
-        (E1_TEXT, ["--grid", "0"]),
-        (E1_TEXT, ["--depth=-1"]),
+    @pytest.mark.parametrize("command,text,flags", [
+        ("characterize", E1_TEXT, ["--tol", "0"]),
+        ("characterize", E1_TEXT, ["--tol=-1e-8"]),
+        ("characterize", E1_TEXT.replace('"1/2"', '"1/0"'), []),
+        ("characterize", E1_TEXT.replace('"e": "0"', '"e": "inf"'), []),
+        ("characterize", E1_TEXT.replace('"e": "0"', '"e": NaN'), []),
+        ("characterize", E1_TEXT.replace('"e": "0"', '"e": 1e999'), []),
+        ("characterize",
+         json.dumps(dict(E1_CONFIG, params=list(E1_CONFIG["params"].values()))), []),
+        ("characterize", _search_text(8), []),
+        ("characterize", _search_text({"denominator": "x"}), []),
+        ("characterize", _search_text({"denominator": 0}), []),
+        ("characterize", _search_text({"denominator": -4}), []),
+        ("characterize", _search_text({"denominator": 2.5}), []),
+        ("characterize", E1_TEXT, ["--bound", "0"]),
+        ("characterize", E1_TEXT, ["--bound=-1"]),
+        ("characterize", E1_TEXT, ["--seed", "1", "--grid=-1"]),
+        ("characterize", E1_TEXT, ["--grid", "0"]),
+        ("expand", EXPAND_TEXT, ["--depth=-1"]),
+        ("characterize", json.dumps(dict(E1_CONFIG, quartic=[0, 0, -1, 0, 1])), []),
+        ("roots", json.dumps(dict(E1_CONFIG, quartic=[0, 0, -1, 0, 1])), []),
+        ("scan", "{}", []),
+        ("scan", '{"exp_terms": [[1]]}', []),
+        ("scan", '{"osc_blocks": [[1, 2]]}', []),
+        ("scan", '{"linexp": [1, 2, 3]}', []),
+        ("scan", '{"poly": [1], "n_grid": -5}', []),
+        ("scan", '{"poly": [1], "n_grid": 100000000000}', []),
+        ("scan", '{"poly": [0], "r": -1}', []),
+        ("expand", EXPAND_TEXT.replace("[1, 1]", "[0, 1]"), []),
+        ("expand", EXPAND_TEXT.replace('"r": 2', '"r": -2'), []),
+        ("expand", '{"atoms": [], "weights": [], "r": 1}', []),
+        ("eval", '{"atoms": 5, "weights": [1], "r": 1}', []),
+        ("eval", '{"atoms": [[0]], "weights": [1], "r": 1}', []),
+        ("tilt", json.dumps(dict(E1_CONFIG, theta=[1])), []),
+        ("lattice", '{"matrix": [[1, 0], [0, 1], [1, 1]]}', []),
+        ("lattice", '{"matrix": 3}', []),
+        ("lattice", '{"matrix": ["123", "456", "789"]}', []),
     ], ids=["tol-zero", "tol-negative", "zero-denominator", "inf-string",
             "nan", "overflowing-literal", "params-list", "weight-search-number",
             "search-denominator-string", "search-denominator-zero",
             "search-denominator-negative", "search-denominator-fraction",
             "bound-zero", "bound-negative", "grid-negative-seeded", "grid-zero",
-            "depth-negative"])
-    def test_exit_2_one_line(self, tmp_path, capsys, text, flags):
+            "depth-negative", "params-and-quartic", "roots-params-and-quartic",
+            "scan-no-block", "scan-short-exp-term", "scan-short-osc-block",
+            "scan-long-linexp", "scan-n-grid-negative", "scan-n-grid-huge",
+            "scan-r-negative", "expand-atoms-not-ascending", "expand-r-negative",
+            "expand-no-atoms", "eval-atoms-number", "eval-short-atom",
+            "tilt-short-theta", "lattice-not-3x3", "lattice-matrix-number",
+            "lattice-rows-strings"])
+    def test_exit_2_one_line(self, tmp_path, capsys, command, text, flags):
         path = tmp_path / "cfg.json"
         path.write_text(text)
-        assert main(["characterize", str(path), *flags]) == 2
+        assert main([command, str(path), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -356,7 +387,7 @@ class TestCliFlags:
     """Each subcommand takes only the flags it reads."""
 
     def test_flags_per_subcommand(self):
-        want = {"characterize": {"tol", "grid", "depth", "bound", "json", "seed"},
+        want = {"characterize": {"tol", "grid", "bound", "json", "seed"},
                 "roots": {"tol", "json"}, "lattice": {"bound", "json"},
                 "expand": {"tol", "depth", "json"}, "scan": {"json"},
                 "eval": {"tol", "json"}, "tilt": {"tol", "bound", "json"}}
@@ -366,7 +397,8 @@ class TestCliFlags:
         assert got == want
 
     @pytest.mark.parametrize("argv", [["lattice", "--seed", "1"],
-                                      ["scan", "--tol", "1e-3"]])
+                                      ["scan", "--tol", "1e-3"],
+                                      ["characterize", "--depth", "5"]])
     def test_unread_flag_refused(self, tmp_path, argv):
         path = write_config(tmp_path, {})
         with pytest.raises(SystemExit) as exc:
@@ -440,6 +472,31 @@ class TestCliExpand:
         assert out["first_negative"]["point"] == ["2", "2"]
 
 
+    @pytest.mark.parametrize("r, depth", [("1/2", 171), (0.5, 171), ("1/2", 10**6),
+                                          ("3/2", 60), ("100000", 10**6)],
+                             ids=["exact-171", "decimal-171", "exact-huge",
+                                  "terms-past-cap", "integer-terms-past-cap"])
+    def test_caps_exit_fast(self, tmp_path, capsys, r, depth):
+        # past order 170 float coefficients overflow; four atoms at order 60
+        # make C(63, 3) = 39711 terms
+        cfg = {"atoms": [[str(x), str(x * x)] for x in range(4)],
+               "weights": ["1/4"] * 4, "r": r}
+        start = time.perf_counter()
+        assert main(["expand", write_config(tmp_path, cfg), f"--depth={depth}"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+    @pytest.mark.parametrize("r", ["1/2", 0.5])
+    def test_order_170_works(self, tmp_path, capsys, r):
+        cfg = {"atoms": [["0", "0"], ["1", "1"]], "weights": ["3/4", "1/4"], "r": r}
+        assert main(["expand", write_config(tmp_path, cfg), "--json",
+                     "--depth=170"]) == 1
+        assert len(json.loads(capsys.readouterr().out)["terms"]) == 171
+
+
 class TestCliScan:
     def test_witness(self, tmp_path, capsys):
         path = write_config(tmp_path, {"poly": [1.0, 1.0], "r": "1"})
@@ -481,3 +538,64 @@ class TestCliTilt:
         path = write_config(tmp_path, cfg)
         assert main(["tilt", path]) == 1
         assert main(["tilt", path, "--bound", "1"]) == 0
+
+
+# Fuzzed configs: values from a small pool, so that no input is expensive.
+# Most are numbers, and most values have the shape their key asks for, so
+# that runs get past the input checks too (one_of would not weight them:
+# it drops repeated strategies).
+FUZZ_LEAF = st.sampled_from([-2, -1, 0, 1, 2, "1/2"] * 4 + ["x", "1/0", None, True])
+FUZZ_VALUE = st.recursive(FUZZ_LEAF, lambda inner: st.lists(inner, max_size=4),
+                          max_leaves=12)
+
+
+def fuzz_lists(item, size=None):
+    return st.lists(item, min_size=size or 0, max_size=size or 4)
+
+
+FUZZ_SHAPES = {
+    "params": st.fixed_dictionaries({k: FUZZ_LEAF for k in pipeline.PARAM_KEYS}),
+    "quartic": st.tuples(*[FUZZ_LEAF] * 4, st.just(1)).map(list),
+    "weights": fuzz_lists(FUZZ_LEAF),
+    "weight_search": st.fixed_dictionaries({"denominator": FUZZ_LEAF}),
+    "atoms": fuzz_lists(fuzz_lists(FUZZ_LEAF, 2)),
+    "r": FUZZ_LEAF,
+    "theta": fuzz_lists(FUZZ_LEAF, 2),
+    "matrix": fuzz_lists(fuzz_lists(FUZZ_LEAF, 3), 3),
+    "poly": fuzz_lists(FUZZ_LEAF),
+    "exp_terms": fuzz_lists(fuzz_lists(FUZZ_LEAF, 2)),
+    "linexp": fuzz_lists(FUZZ_LEAF, 2),
+    "osc_blocks": fuzz_lists(fuzz_lists(FUZZ_LEAF, 6)),
+}
+FUZZ_KEYS = {key: st.sampled_from([shape] * 3 + [FUZZ_VALUE]).flatmap(lambda s: s)
+             for key, shape in FUZZ_SHAPES.items()}
+# per subcommand, the key sets it reads; any other key it reads may join
+MODEL_KEYS = [("atoms", "weights", "r", "theta"), ("params", "weights", "theta")]
+FUZZ_READS = {
+    "characterize": [("params", "weights"), ("params", "weight_search"), ("quartic",)],
+    "roots": [("params",), ("quartic",)],
+    "lattice": [("matrix",)],
+    "expand": MODEL_KEYS, "eval": MODEL_KEYS, "tilt": MODEL_KEYS,
+    "scan": [("r",), ("poly", "exp_terms", "linexp", "osc_blocks")],
+}
+FUZZ_RUNS = st.one_of(*[
+    st.tuples(st.just(command), st.fixed_dictionaries(
+        {k: FUZZ_KEYS[k] for k in keys},
+        optional={k: FUZZ_KEYS[k] for ks in sets for k in ks if k not in keys}))
+    for command, sets in FUZZ_READS.items() for keys in sets])
+
+
+@settings(max_examples=400, deadline=None)
+@given(FUZZ_RUNS)
+def test_fuzzed_configs_exit_cleanly(run):
+    """Any config exits 0, 1 or 2, never with an exception, and 2 comes
+    with exactly one `input error:` line."""
+    command, cfg = run
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(cfg))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "-"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")

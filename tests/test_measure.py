@@ -16,7 +16,7 @@ from diagvf import (ConfigError, Degenerate, DiagonalVFParams, DomainViolation,
                     OutOfMeanDomain, admissibility_verdict, candidate_model,
                     cumulant_eval, diag_variance_check, expand_series,
                     fd_hessian, make_model, mean_to_theta, realize_measure,
-                    regression_check, tilt_member)
+                    regression_check, run_characterize, tilt_member)
 from diagvf import measure
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
@@ -575,6 +575,26 @@ class TestRegressionCheck:
                              tuple(float(w) for w in mu.masses))
         rep = regression_check(mu_f, E1)
         assert not rep.exact and rep.max_dev <= 1e-12
+
+    def test_decimal_twin_passes_at_the_scale_of_its_sums(self):
+        # the right-hand sides reach about 6e7, and the float walk's max_dev
+        # is 3.35e-8: past the absolute tol 1e-8, far within tol * 6e7
+        params = {"A": "-1/12", "a": "33", "b": "1", "c": "24192", "d": "724",
+                  "e": "0", "f": "0"}
+        exact = {"params": params, "weights": ["1/4"] * 4}
+        decimal = {"params": {k: float(F(v)) for k, v in params.items()},
+                   "weights": [0.25] * 4}
+        for cfg in (exact, decimal):
+            assert run_characterize(cfg).status == "Admissible"
+        assert run_characterize(decimal).regression["max_dev"] > 1e-8
+
+    def test_float_deviation_still_fails(self):
+        _, mu = model_and_measure(E1, W3)
+        mu_f = FiniteMeasure(tuple((float(x), float(y)) for x, y in mu.support),
+                             tuple(float(w) for w in mu.masses))
+        bad = DiagonalVFParams(-1.0, 0.0, 1.0, 0.0, 1.0, 0.1, 0.0)
+        rep = regression_check(mu_f, bad)
+        assert not rep.passed and abs(rep.max_dev - 0.2) <= 1e-12
 
 
 class TestTiltMember:

@@ -11,7 +11,7 @@ from diagvf import (DiagonalVFParams, NotARoot, Quartic, RootPattern,
                     build_characteristic_quartic, build_dual_quartic,
                     classify_root_pattern, dual_ordinate, run_characterize,
                     solve_quartic)
-from diagvf.roots import _rational_roots
+from diagvf.roots import _rational_roots, _square_free
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -332,6 +332,14 @@ def trial_division_roots(q: Quartic):
     return found, poly
 
 
+def rational_roots(q: Quartic):
+    """_rational_roots as the oracle gives it: the found roots and the rest
+    made monic.  Its third value must be the rest's square-free part."""
+    found, rest, sf = _rational_roots(q)
+    assert sf == (_square_free(rest) if len(rest) > 1 else [1])
+    return found, [F(c, rest[-1]) for c in rest]
+
+
 def within_old_guard(q: Quartic) -> bool:
     den = math.lcm(*(F(c).denominator for c in q.coeffs))
     return all(abs(int(F(c) * den)) <= 10**12 for c in (q.coeffs[0], q.coeffs[4]))
@@ -382,7 +390,7 @@ class TestRationalRoots:
     @given(prescribed_quartics())
     def test_matches_trial_division(self, q):
         assert within_old_guard(q)
-        assert _rational_roots(q) == trial_division_roots(q)
+        assert rational_roots(q) == trial_division_roots(q)
 
     @pytest.mark.parametrize("roots", [
         (F(123456789, 1000000007), F(1), F(-2), F(3)),
@@ -393,8 +401,8 @@ class TestRationalRoots:
         # Newton-sharpened root rounds to r under limit_denominator
         q = quartic_from(roots)
         assert within_old_guard(q)
-        assert _rational_roots(q) == trial_division_roots(q)
-        assert sorted(_rational_roots(q)[0]) == sorted(
+        assert rational_roots(q) == trial_division_roots(q)
+        assert sorted(rational_roots(q)[0]) == sorted(
             (r, roots.count(r)) for r in set(roots))
 
     @pytest.mark.parametrize("roots", [
@@ -406,8 +414,8 @@ class TestRationalRoots:
         # outside the pair only halve the error until it resolves
         q = quartic_from(roots)
         assert within_old_guard(q)
-        assert _rational_roots(q) == trial_division_roots(q)
-        assert sorted(_rational_roots(q)[0]) == sorted((r, 1) for r in roots)
+        assert rational_roots(q) == trial_division_roots(q)
+        assert sorted(rational_roots(q)[0]) == sorted((r, 1) for r in roots)
 
     @pytest.mark.parametrize("roots, quadratics", [
         # np.roots puts two of the three close roots off the real axis
@@ -416,7 +424,7 @@ class TestRationalRoots:
         ((F(7, 1000000), F(7, 1000001)), [(F(-2), F(-1))]),
     ])
     def test_close_roots_recovered_exactly(self, roots, quadratics):
-        found, _ = _rational_roots(quartic_from(roots, quadratics))
+        found, _ = rational_roots(quartic_from(roots, quadratics))
         assert sorted(found) == sorted((r, 1) for r in roots)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -431,9 +439,9 @@ class TestRationalRoots:
         roots.append(roots[seed % 3])
         q = quartic_from(roots)
         assert not within_old_guard(q)
-        found, residual = _rational_roots(q)
+        found, rest, sf = _rational_roots(q)
         assert sorted(found) == sorted((r, roots.count(r)) for r in set(roots))
-        assert residual == [1]
+        assert rest == sf == [1]
         assert all(isinstance(v, F) for v, _ in solve_quartic(q).entries)
 
     def test_huge_abscissa_does_not_hang(self):
@@ -484,10 +492,11 @@ class TestRootStructure:
         assert all(rs.entries == solved[0].entries for rs in solved)
 
     def test_missed_rational_root_is_an_error(self, monkeypatch):
-        # a residual (x - 1)^2 (x^2 - 2) has a square-free part of degree 3
+        # a rest (x - 1)^2 (x^2 - 2) has a square-free part of degree 3
         q = quartic_from((F(1), F(1)), [(F(0), F(-2))])
+        rest = [int(c) for c in q.coeffs]
         monkeypatch.setattr("diagvf.roots._rational_roots",
-                            lambda q: ([], [F(c) for c in q.coeffs]))
+                            lambda q: ([], rest, _square_free(rest)))
         with pytest.raises(ArithmeticError):
             solve_quartic(q)
 
