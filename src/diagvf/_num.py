@@ -58,14 +58,6 @@ def format_number(x):
     return float(x)
 
 
-def falling_factorial(r, k: int):
-    """r(r-1)...(r-k+1); exact for exact r."""
-    out = 1 if is_exact(r) else 1.0
-    for j in range(k):
-        out = out * (r - j)
-    return out
-
-
 def near_integer(r, tol: float = 1e-9):
     """Return the nearest int if r is within tol of one, else None."""
     if is_exact(r):

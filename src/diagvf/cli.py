@@ -17,12 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._num import format_number, parse_number
+from ._num import format_number
 from .errors import ConfigError, DiagVFError
 from .model import (LatticeMatrix, admissibility_verdict, candidate_model,
                     make_model, star_condition)
 from .measure import cumulant_eval, realize_measure, tilt_member
-from .pipeline import _roots_json, emit_report, parse_config, run_characterize
+from .pipeline import (_built, _items, _number, _roots_json, parse_config,
+                       report_to_dict, run_characterize)
 from .roots import classify_root_pattern, solve_quartic, build_characteristic_quartic
 from .series import EliminationForm, expand_series, magnitude_scan
 
@@ -31,38 +32,19 @@ EXIT_REJECTED = 1
 EXIT_INPUT = 2
 
 
-def _built(build, *values):
-    """build(*values), with a value it refuses reported as an input error."""
-    try:
-        return build(*values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _number(v):
-    return _built(parse_number, v)
-
-
-def _items(v, n=None, item=_number):
-    """The entries of a config list, n of them when n is given, each read by
-    item: by default, as a number."""
-    if not isinstance(v, list) or n is not None and len(v) != n:
-        raise ConfigError(f"expected a list of {n or 'any number of'} entries, "
-                          f"got {json.dumps(v)}")
-    return tuple(item(x) for x in v)
-
-
 def _read_config(path: str):
     text = sys.stdin.read() if path == "-" else open(path).read()
     return parse_config(text)
 
 
-def _emit(obj, as_json: bool, human_lines):
+def _emit(obj, as_json: bool):
+    """The result dict as indented JSON, or one `key: value` line per key in
+    dict order: strings as they are, other values as one-line JSON."""
     if as_json:
         print(json.dumps(obj, sort_keys=True, indent=2))
     else:
-        for line in human_lines:
-            print(line)
+        for key, value in obj.items():
+            print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}")
 
 
 def _model_from_config(cfg, tol):
@@ -79,24 +61,7 @@ def cmd_characterize(args) -> int:
     cfg = _read_config(args.config)
     rep = run_characterize(cfg, tol=args.tol, grid_n=args.grid,
                            bound=args.bound, extra_thetas=_seed_thetas(args))
-    if args.json:
-        print(emit_report(rep))
-    else:
-        print(f"pattern: {rep.pattern}  n_r={rep.n_r}")
-        print(f"quartic: {rep.quartic}")
-        if rep.atoms:
-            print(f"atoms: {[(a['lambda'], a['nu']) for a in rep.atoms]}  r={rep.r}")
-        if rep.verdict:
-            print(f"verdict: {rep.verdict['case']}"
-                  + (f"(N={rep.verdict['N']})" if rep.verdict.get("N") else "")
-                  + (f" reason: {rep.verdict['reason']}" if rep.verdict.get("reason") else ""))
-        if rep.diag_check:
-            print(f"diag check: max dev {rep.diag_check['max_dev']:.3e} "
-                  f"pass={rep.diag_check['pass']}")
-        if rep.regression:
-            print(f"regression: max dev {rep.regression['max_dev']:.3e} "
-                  f"pass={rep.regression['pass']}")
-        print(f"status: {rep.status}")
+    _emit(report_to_dict(rep), args.json)
     return EXIT_REJECTED if rep.status == "Rejected" else EXIT_OK
 
 
@@ -115,15 +80,8 @@ def cmd_roots(args) -> int:
             raise ConfigError("roots needs 'params' or 'quartic'")
         q = build_characteristic_quartic(cfg["params"])
     rs = solve_quartic(q, args.tol)
-    pattern = classify_root_pattern(rs)
-    entries = _roots_json(rs)
-    _emit({"quartic": [format_number(c) for c in q.coeffs],
-           "roots": entries, "pattern": pattern.value, "n_r": rs.n_r},
-          args.json,
-          [f"quartic: {[format_number(c) for c in q.coeffs]}",
-           *(f"root {e['re']}{'+' + str(e['im']) + 'i' if e['im'] else ''} "
-             f"(mult {e['mult']})" for e in entries),
-           f"pattern: {pattern.value}  n_r={rs.n_r}"])
+    _emit({"quartic": [format_number(c) for c in q.coeffs], "roots": _roots_json(rs),
+           "pattern": classify_root_pattern(rs).value, "n_r": rs.n_r}, args.json)
     return EXIT_OK
 
 
@@ -135,10 +93,7 @@ def cmd_lattice(args) -> int:
     rep = star_condition(LatticeMatrix(rows), bound=args.bound)
     _emit({"holds": rep.holds,
            "witness": list(rep.witness) if rep.witness else None,
-           "method": rep.method},
-          args.json,
-          [f"star condition holds: {rep.holds} (method {rep.method})"
-           + (f", witness {rep.witness}" if rep.witness else "")])
+           "method": rep.method}, args.json)
     return EXIT_OK if rep.holds else EXIT_REJECTED
 
 
@@ -152,11 +107,7 @@ def cmd_expand(args) -> int:
         "point": [format_number(x) for x in rep.first_negative[0]],
         "coefficient": format_number(rep.first_negative[1])}
     _emit({"depth": rep.depth, "terms": terms, "first_negative": fneg,
-           "pivot": rep.pivot},
-          args.json,
-          [f"depth {rep.depth}, pivot atom {rep.pivot}",
-           *(f"  {k}: {v}" for k, v in terms.items()),
-           f"first negative: {fneg}"])
+           "pivot": rep.pivot}, args.json)
     return EXIT_OK if fneg is None else EXIT_REJECTED
 
 
@@ -177,11 +128,7 @@ def cmd_scan(args) -> int:
     # 2001 points over [-50, 50], ordered by |t|
     grid = np.linspace(-50.0, 50.0, 2001)
     grid = grid[np.argsort(np.abs(grid), kind="stable")]
-    witness = magnitude_scan(form, r, grid)
-    _emit({"witness": witness},
-          args.json,
-          ["no unboundedness witness found" if witness is None
-           else f"witness t={witness}: |f(it)|^r exceeds 1"])
+    _emit({"witness": magnitude_scan(form, r, grid)}, args.json)
     return EXIT_OK
 
 
@@ -192,11 +139,7 @@ def cmd_eval(args) -> int:
     k, mean, cov = cumulant_eval(m, theta)
     _emit({"theta": [float(t) for t in theta], "k": k,
            "mean": [float(x) for x in mean],
-           "variance": [[float(x) for x in row] for row in cov]},
-          args.json,
-          [f"k({float(theta[0])},{float(theta[1])}) = {k}",
-           f"mean = {tuple(mean)}",
-           f"variance = {cov.tolist()}"])
+           "variance": [[float(x) for x in row] for row in cov]}, args.json)
     return EXIT_OK
 
 
@@ -210,14 +153,11 @@ def cmd_tilt(args) -> int:
     mu = realize_measure(m, verdict)
     theta = _items(cfg.get("theta", [0, 0]), 2)
     tilted = tilt_member(mu, theta)
-    entries = [{"point": [format_number(x) for x in pt],
-                "mass": format_number(ms)}
-               for pt, ms in zip(tilted.support, tilted.masses)]
-    _emit({"theta": [float(t) for t in theta], "measure": entries,
-           "degenerate": tilted.degenerate},
-          args.json,
-          [f"tilted measure at theta={theta}:",
-           *(f"  {e['point']}: {e['mass']}" for e in entries)])
+    _emit({"theta": [float(t) for t in theta],
+           "measure": [{"point": [format_number(x) for x in pt],
+                        "mass": format_number(ms)}
+                       for pt, ms in zip(tilted.support, tilted.masses)],
+           "degenerate": tilted.degenerate}, args.json)
     return EXIT_OK
 
 

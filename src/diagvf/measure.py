@@ -137,6 +137,9 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     regression walk falls below the least normal float.  The weights sum to
     1, so min w <= 1/n, and every multinomial coefficient of the power is
     at most n^N <= (min w)^-N: a model that passes cannot overflow them.
+    Any model, exact too, stops when (2N max |coordinate|)^2 passes the
+    largest float: the diag check, always in floats, and the float
+    regression walk square sums of that size.
     """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
@@ -151,6 +154,14 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
                       < math.log(sys.float_info.min)):
         raise ConfigError(f"the masses of the float N-fold power (N = {N}) "
                           f"underflow in the regression check")
+    try:
+        wide = (2 * N * max(abs(float(c)) for a, _ in kept for c in a)
+                > math.sqrt(sys.float_info.max))
+    except OverflowError:  # float() of a huge exact coordinate
+        wide = True
+    if wide:
+        raise ConfigError(f"the float checks of the N-fold power (N = {N}) "
+                          f"overflow: its coordinates pass the float range")
     terms = power_terms([(N, 1 if exact else 1.0)], [w for _, w in kept],
                         (0, 0), [a for a, _ in kept])
     merged = merge_points((t for t in terms if t[1] != 0), exact)
@@ -262,16 +273,15 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
     m1, m2 = mean[:, 0], mean[:, 1]
     d1 = np.abs(cov[:, 0, 0] - (A * m1 * m1 + a * m1 + b * m2 + e))
     d2 = np.abs(cov[:, 1, 1] - (A * m2 * m2 + c * m1 + d * m2 + f))
-    dev = np.where(d2 > d1, d2, d1)  # builtin max(d1, d2), NaNs included
-    # a strict-> scan from -1: the first largest deviation, NaNs never win
-    counted = dev > -1.0
-    if not counted.any():
-        max_dev, worst = -1.0, (0.0, 0.0)
-    else:
-        i = int(np.argmax(np.where(counted, dev, -np.inf)))
-        max_dev, worst = float(dev[i]), (float(T[i, 0]), float(T[i, 1]))
-    return DiagCheckReport(max_dev=max_dev, tol=tol,
-                           n_points=len(theta_grid), worst_theta=worst)
+    # the first largest deviation; a NaN one is the worst, and no theta
+    # checked fails too
+    dev = np.maximum(d1, d2)
+    if not dev.size:
+        return DiagCheckReport(max_dev=math.inf, tol=tol, n_points=0,
+                               worst_theta=(0.0, 0.0))
+    i = int(np.argmax(dev))
+    return DiagCheckReport(max_dev=float(dev[i]), tol=tol, n_points=len(theta_grid),
+                           worst_theta=(float(T[i, 0]), float(T[i, 1])))
 
 
 def _common_denominator(values) -> int:

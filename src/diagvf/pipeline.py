@@ -44,21 +44,38 @@ class PipelineReport:
     degenerate: bool = False
 
 
+def _built(build, *values):
+    """build(*values), with a value it refuses reported as an input error."""
+    try:
+        return build(*values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _number(v):
+    return _built(parse_number, v)
+
+
+def _items(v, n=None, item=_number):
+    """The entries of a config list (or of a tuple, as a parsed config holds
+    them), n of them when n is given, each read by item: by default, as a
+    number."""
+    if not isinstance(v, (list, tuple)) or n is not None and len(v) != n:
+        raise ConfigError(f"expected a list of {n or 'any number of'} entries, "
+                          f"got {json.dumps(v, default=str)}")
+    return tuple(item(x) for x in v)
+
+
 def parse_params(obj) -> DiagonalVFParams:
     if isinstance(obj, DiagonalVFParams):
         return obj
     if not isinstance(obj, dict):
         raise ConfigError(f"params must be an object, got {type(obj).__name__}")
     try:
-        vals = {k: parse_number(obj[k]) for k in PARAM_KEYS}
+        vals = [obj[k] for k in PARAM_KEYS]
     except KeyError as exc:
         raise ConfigError(f"missing parameter field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        return DiagonalVFParams(**vals)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _built(DiagonalVFParams, *map(_number, vals))
 
 
 def parse_config(doc):
@@ -74,18 +91,11 @@ def parse_config(doc):
     if "params" in doc:
         out["params"] = parse_params(doc["params"])
     if "weights" in doc:
-        try:
-            out["weights"] = tuple(parse_number(w) for w in doc["weights"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad weights: {exc}") from exc
+        out["weights"] = _items(doc["weights"])
     if "params" in doc and "quartic" in doc:
         raise ConfigError("config takes 'params' or a diagnostic 'quartic', not both")
     if "quartic" in doc and not isinstance(doc["quartic"], Quartic):
-        try:
-            coeffs = tuple(parse_number(c) for c in doc["quartic"])
-            out["quartic"] = Quartic(coeffs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad quartic: {exc}") from exc
+        out["quartic"] = _built(Quartic, _items(doc["quartic"], 5))
     if "weight_search" in doc:
         ws = doc["weight_search"]
         if not isinstance(ws, dict):

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._num import Number, all_exact
-from .errors import NotARoot
+from .errors import ConfigError, NotARoot
 
 __all__ = [
     "DiagonalVFParams",
@@ -352,15 +352,30 @@ def _polish(q: Quartic, r: complex, steps: int = 3) -> complex:
     return r
 
 
+def _residual_bound(v, q: Quartic, tol: float) -> float:
+    """tol * max(1, |v|)^4 * q.scale, the largest residual a root v may
+    leave.  Formed by products, which give inf past the float range where
+    ** 4 would raise OverflowError."""
+    s = max(1.0, abs(v))
+    return tol * s * s * s * s * q.scale
+
+
 def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     """All four roots with multiplicities.
 
     Exact rational roots are extracted exactly when the coefficients are
     exact.  What is left is solved via companion-matrix eigenvalues with
-    Newton polishing and proximity clustering.
+    Newton polishing and proximity clustering; a coefficient past the
+    float range, which np.roots cannot take, raises ConfigError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    try:
+        finite = all(map(math.isfinite, map(float, q.coeffs)))
+    except OverflowError:  # float() of a huge int or Fraction
+        finite = False
+    if not finite:
+        raise ConfigError("the quartic has a coefficient past the float range")
     if q.is_exact:
         entries, rest, sf = _rational_roots(q)
         # With every rational root deflated, the rest is a product of
@@ -386,15 +401,15 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     # bit for bit (IEEE complex *, / and abs are sign-symmetric).  So a
     # cluster is real when it holds its own conjugate, that is, when it lies
     # within cluster_tol / 2 of the axis.
+    # exact deflation proves the rational entries: only float roots are checked
     for v, m in _cluster(raw, cluster_tol):
-        entries.append((v.real if abs(v.imag) <= cluster_tol / 2 else v, m * k))
-    entries.sort(key=lambda em: (float(em[0].real), float(em[0].imag)))
-    rs = RootSet(tuple(entries))
-    for v, _ in rs.entries:
+        v = v.real if abs(v.imag) <= cluster_tol / 2 else v
         res = abs(complex(q(v)))
-        if res > tol * max(1.0, abs(complex(v)) ** 4) * q.scale:
+        if res > _residual_bound(v, q, tol):
             raise ArithmeticError(f"root residual too large at {v}: {res}")
-    return rs
+        entries.append((v, m * k))
+    entries.sort(key=lambda em: (float(em[0].real), float(em[0].imag)))
+    return RootSet(tuple(entries))
 
 
 def classify_root_pattern(r: RootSet) -> RootPattern:
@@ -427,7 +442,7 @@ def dual_ordinate(lam, p: DiagonalVFParams, tol: float = 1e-8):
     """
     q = build_characteristic_quartic(p)
     qres = abs(float(q(lam)))
-    if qres > tol * max(1.0, abs(float(lam)) ** 4) * q.scale:
+    if qres > _residual_bound(float(lam), q, tol):
         raise NotARoot(f"{lam} is not a root of the characteristic quartic (residual {qres})")
     A, a, b, c, d, e, f = p.as_tuple()
     nu = (lam * lam - a * lam + e * A) / b

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._num import (falling_factorial, is_exact, merge_points, near_integer,
-                   power_terms, widest_gap)
+from ._num import (is_exact, merge_points, near_integer, power_terms,
+                   widest_gap)
 from .errors import ConfigError, NoDominantAtom, NotNormalized
 from .measure import MAX_SUPPORT
 from .model import CandidateModel
@@ -38,7 +38,6 @@ class SeriesReport:
     depth: int
     terms: dict           # support point -> coefficient
     first_negative: Optional[tuple]   # (point, coefficient)
-    complete: bool
     pivot: int
     probe: tuple
 
@@ -145,17 +144,19 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     base = (r * m.atoms[pivot][0], r * m.atoms[pivot][1])
     lead = float(ap) ** float(r) if floats else ap ** n_int
 
-    # r(r-1)...(r-j+1) is nonzero for every j <= max_j: an integer r caps max_j
-    orders = [(j, lead * falling_factorial(r, j)
-               / (math.factorial(j) if exact else float(math.factorial(j))))
-              for j in range(max_j + 1)]
+    # the falling factorial ff = r(r-1)...(r-j+1), carried from order to
+    # order, is nonzero for every j <= max_j: an integer r caps max_j
+    orders, ff = [], 1
+    for j in range(max_j + 1):
+        orders.append((j, lead * ff / (math.factorial(j) if exact
+                                       else float(math.factorial(j)))))
+        ff = ff * (r - j)
     merged = merge_points(power_terms(orders, betas, base, wdiffs), exact)
 
     # of the least order, the first in point order
     neg = min((e for e in merged if e[1] < -1e-12), key=lambda e: e[2], default=None)
     return SeriesReport(depth=depth, terms={pt: coef for pt, coef, _ in merged},
                         first_negative=None if neg is None else (neg[0], neg[1]),
-                        complete=(n_int is not None and n_int <= max_j) or max_j == depth,
                         pivot=pivot, probe=probe)
 
 
@@ -184,8 +185,10 @@ def first_negative_coefficient(a1, a2, r, depth: int = 8,
     else:
         lead = float(a1) ** float(r)
     ratio = a2 / a1 if exact else float(a2) / float(a1)
+    ff = 1  # r(r-1)...(r-k+1)
     for k in range(1, depth + 1):
-        coef = lead * falling_factorial(r, k) * ratio ** k
+        ff = ff * (r - k + 1)
+        coef = lead * ff * ratio ** k
         coef = coef / math.factorial(k)
         if (exact and coef < 0) or (not exact and coef < -1e-15):
             return k

@@ -36,7 +36,26 @@ NEAR_DOUBLE_CONFIG = {
                "d": 5.249999999999995, "e": 0.0, "f": 12.000000000000059},
     "weights": [0.25, 0.25, 0.25, 0.25],
 }
-SQRT2_DOUBLE_GOLDEN = Path(__file__).parent / "golden" / "sqrt2_double.roots.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+SQRT2_DOUBLE_GOLDEN = GOLDEN_DIR / "sqrt2_double.roots.json"
+
+
+def huge_roots_config(k, n_weights=3):
+    """E1-like params, written as integer strings, whose quartic
+    x (x + 2 10^k)(x^2 - 10^2k) has four rational roots up to 2 10^k."""
+    return {"params": {"A": "-1", "a": str(-10 ** k), "b": "1", "c": "0",
+                       "d": str(2 * 10 ** (2 * k)), "e": "0", "f": "0"},
+            "weights": ["1/4", "1/2", "1/4"] if n_weights == 3 else ["1/4"] * 4}
+
+
+# atoms (-1, 10^155), (0, 0), (1, 10^155): a covariance of the float checks
+# passes the float range
+WIDE_ORDINATES = {"params": {"A": -1, "a": 0, "b": 1e-155, "c": 0, "d": 1e155,
+                             "e": 0, "f": 0},
+                  "weights": [0.25, 0.5, 0.25]}
+WIDE_ORDINATES_EXACT = {
+    "params": dict(WIDE_ORDINATES["params"], b="1/" + str(10 ** 155), d=str(10 ** 155)),
+    "weights": ["1/4", "1/2", "1/4"]}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -333,6 +352,17 @@ class TestCliMalformedInput:
         ("lattice", '{"matrix": [[1, 0], [0, 1], [1, 1]]}', []),
         ("lattice", '{"matrix": 3}', []),
         ("lattice", '{"matrix": ["123", "456", "789"]}', []),
+        ("characterize", json.dumps(dict(E1_CONFIG, weights="121")), []),
+        ("characterize", json.dumps(dict(E1_CONFIG, weights=1)), []),
+        ("characterize", json.dumps(dict(E1_CONFIG, weights={"w": 1})), []),
+        ("characterize", '{"quartic": {"c0": 1}}', []),
+        ("roots", '{"quartic": "10001"}', []),
+        ("roots", '{"quartic": 10001}', []),
+        ("expand", EXPAND_TEXT.replace("[0.5, 0.5]", '"11"'), []),
+        ("characterize", json.dumps(huge_roots_config(155)), []),
+        ("roots", json.dumps(huge_roots_config(155)), []),
+        ("characterize", json.dumps(WIDE_ORDINATES), []),
+        ("characterize", json.dumps(WIDE_ORDINATES_EXACT), []),
     ], ids=["tol-zero", "tol-negative", "zero-denominator", "inf-string",
             "nan", "overflowing-literal", "params-list", "weight-search-number",
             "search-denominator-string", "search-denominator-zero",
@@ -344,7 +374,11 @@ class TestCliMalformedInput:
             "scan-r-negative", "expand-atoms-not-ascending", "expand-r-negative",
             "expand-no-atoms", "eval-atoms-number", "eval-short-atom",
             "tilt-short-theta", "lattice-not-3x3", "lattice-matrix-number",
-            "lattice-rows-strings"])
+            "lattice-rows-strings", "weights-string", "weights-number",
+            "weights-object", "quartic-object", "roots-quartic-string",
+            "roots-quartic-number", "expand-weights-string",
+            "quartic-past-float-range", "roots-quartic-past-float-range",
+            "float-checks-overflow", "float-checks-overflow-exact"])
     def test_exit_2_one_line(self, tmp_path, capsys, command, text, flags):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -381,6 +415,30 @@ class TestCliMalformedInput:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+class TestCliHugeRoots:
+    """Exact quartics with rational roots near 10^100: a report, no
+    overflow."""
+
+    def test_characterize(self, tmp_path, capsys):
+        path = write_config(tmp_path, huge_roots_config(100))
+        assert main(["characterize", path, "--json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["n_r"] == 4 and "WeightCountMismatch" in out["verdict"]["reason"]
+        path = write_config(tmp_path, huge_roots_config(100, 4))
+        assert main(["characterize", path, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["status"] == "Inconclusive"
+        assert captured.err == ""
+
+    def test_roots(self, tmp_path, capsys):
+        path = write_config(tmp_path, huge_roots_config(100))
+        assert main(["roots", path, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        big = 10 ** 100
+        assert [e["re"] for e in out["roots"]] == [str(-2 * big), str(-big), "0", str(big)]
+        assert out["pattern"] == "FourSingleReal"
 
 
 class TestCliFlags:
@@ -489,6 +547,13 @@ class TestCliExpand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
+    @pytest.mark.parametrize("name, code", [("readme", 1), ("exact3", 0)])
+    def test_golden(self, capsys, name, code):
+        # readme: float coefficients, the first negative at order 2;
+        # exact3: exact coefficients of an integer power
+        assert main(["expand", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == code
+        assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.expand.json").read_text()
+
     @pytest.mark.parametrize("r", ["1/2", 0.5])
     def test_order_170_works(self, tmp_path, capsys, r):
         cfg = {"atoms": [["0", "0"], ["1", "1"]], "weights": ["3/4", "1/4"], "r": r}
@@ -538,6 +603,30 @@ class TestCliTilt:
         path = write_config(tmp_path, cfg)
         assert main(["tilt", path]) == 1
         assert main(["tilt", path, "--bound", "1"]) == 0
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("characterize", E1_CONFIG),
+    ("roots", {"quartic": ["0", "0", "-1", "0", "1"]}),
+    ("lattice", {"matrix": [["1", "1", "0"], ["2", "2", "0"], ["0", "0", "0"]]}),
+    ("expand", {"atoms": [["0", "0"], ["1", "1"]], "weights": ["3/4", "1/4"], "r": "1/2"}),
+    ("scan", {"poly": [1.0, 1.0], "r": "1"}),
+    ("eval", dict(E1_CONFIG, theta=["1/2", "0"])),
+    ("tilt", dict(E1_CONFIG, theta=["1", "0"])),
+])
+def test_human_form_is_the_json_object(tmp_path, capsys, command, cfg):
+    """Without --json, one `key: value` line per key of the --json object:
+    strings as they are, other values as JSON that reads back equal."""
+    path = write_config(tmp_path, cfg)
+    code = main([command, path, "--json"])
+    obj = json.loads(capsys.readouterr().out)
+    assert main([command, path]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(obj)
+    shown = dict(line.split(": ", 1) for line in lines)
+    assert shown.keys() == obj.keys()
+    for key, value in obj.items():
+        assert (shown[key] if isinstance(value, str) else json.loads(shown[key])) == value
 
 
 # Fuzzed configs: values from a small pool, so that no input is expensive.

@@ -328,19 +328,21 @@ def exact_params(draw):
 
 
 def diag_oracle(m, p, theta_grid):
-    """Oracle: cumulant_eval at each theta in turn, the deviations scanned
-    with a strict > from -1; DomainViolation comes from the first bad theta."""
+    """Oracle: cumulant_eval at each theta in turn, and the first largest
+    deviation, a NaN one counting as the largest; an empty grid gives an
+    infinite one.  DomainViolation comes from the first bad theta."""
     A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
-    max_dev, worst = -1.0, (0.0, 0.0)
+    best = None
     for theta in theta_grid:
         _, mean, cov = cumulant_eval(m, theta)
         m1, m2 = mean
         d1 = abs(cov[0, 0] - (A * m1 * m1 + a * m1 + b * m2 + e))
         d2 = abs(cov[1, 1] - (A * m2 * m2 + c * m1 + d * m2 + f))
-        dev = float(max(d1, d2))
-        if dev > max_dev:
-            max_dev, worst = dev, (float(theta[0]), float(theta[1]))
-    return max_dev, worst
+        dev = math.nan if math.isnan(d1) or math.isnan(d2) else float(max(d1, d2))
+        if best is None or not math.isnan(best[0]) and (math.isnan(dev)
+                                                        or dev > best[0]):
+            best = dev, (float(theta[0]), float(theta[1]))
+    return best or (math.inf, (0.0, 0.0))
 
 
 def diag_outcome(check, *args):
@@ -409,6 +411,21 @@ class TestDiagDifferential:
             diag_variance_check(m, E1, grid)
         assert str(exc.value) == diag_outcome(diag_oracle, m, E1, grid)
         assert "theta=(0.4, 0.4)" in str(exc.value)
+
+    def test_nan_deviation_fails(self):
+        # ordinates 10^155: some second-coordinate covariances overflow
+        p = DiagonalVFParams(F(-1), F(0), F(1, 10 ** 155), F(0), F(10 ** 155),
+                             F(0), F(0))
+        m = make_model([(-1, 10 ** 155), (0, 0), (1, 10 ** 155)],
+                       (F(1, 4), F(1, 2), F(1, 4)), 1)
+        with np.errstate(all="ignore"):
+            rep = diag_variance_check(m, p)
+        assert math.isnan(rep.max_dev) and not rep.passed
+
+    def test_empty_grid_fails(self):
+        m = make_model([(0, 0), (1, 1)], (F(1, 2), F(1, 2)), 1)
+        rep = diag_variance_check(m, E1, [])
+        assert rep.n_points == 0 and not rep.passed
 
 
 class TestRegressionDifferential:

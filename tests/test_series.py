@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -91,6 +92,36 @@ class TestExpandSeries:
                     for i, ((x, y), w) in enumerate(zip(m.atoms, m.weights))
                     if i != 1)
         assert total < 1.0
+
+
+def falling_factorial(r, k):
+    """r(r-1)...(r-k+1), formed from scratch."""
+    out = 1
+    for j in range(k):
+        out = out * (r - j)
+    return out
+
+
+class TestRunningFallingFactorial:
+    def test_deep_exact_expansion_is_fast(self):
+        # 1001 orders of an exact exponent 2000: products formed from
+        # scratch per order took seconds
+        m = make_model([(0, 0), (1, 1)], (F(1, 3), F(2, 3)), F(2000))
+        start = time.perf_counter()
+        rep = expand_series(m, 1000)
+        assert time.perf_counter() - start < 1.0
+        lead, beta = F(2, 3) ** 2000, F(1, 2)
+        assert rep.terms == {(2000 - j, 2000 - j): lead * falling_factorial(2000, j)
+                             / math.factorial(j) * beta ** j for j in range(1001)}
+
+    @pytest.mark.parametrize("r", [0.5, F(1, 2), 2.5])
+    def test_float_coefficients_keep_their_bits(self, r):
+        m = make_model([(0.0, 0.0), (1.0, 1.0)], (0.75, 0.25), r)
+        rep = expand_series(m, 170)
+        lead = 0.75 ** float(r)
+        assert rep.terms == {(j, j): lead * falling_factorial(r, j)
+                             / float(math.factorial(j)) * (0.25 / 0.75) ** j
+                             for j in range(171)}
 
 
 class TestFirstNegativeCoefficient:
