@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages so each is independently invokable:
 characterize, roots, lattice, expand, scan, eval, tilt.  Configs are JSON
 read from a file argument or stdin; numbers may be decimals or exact
 rational strings "p/q".  Exit codes: 0 ok/admissible, 1 rejected, 2 input
-error.
+error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -212,7 +213,12 @@ def main(argv=None) -> int:
             print(f"input error: --{flag} must be {rule}, got {value}", file=sys.stderr)
             return EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports it
     except (ConfigError, FileNotFoundError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

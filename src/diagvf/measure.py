@@ -139,7 +139,8 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     at most n^N <= (min w)^-N: a model that passes cannot overflow them.
     Any model, exact too, stops when (2N max |coordinate|)^2 passes the
     largest float: the diag check, always in floats, and the float
-    regression walk square sums of that size.
+    regression walk square sums of that size.  An exact power is built on
+    integers over common denominators D and M, with Fractions once per point.
     """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
@@ -162,16 +163,29 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     if wide:
         raise ConfigError(f"the float checks of the N-fold power (N = {N}) "
                           f"overflow: its coordinates pass the float range")
-    terms = power_terms([(N, 1 if exact else 1.0)], [w for _, w in kept],
-                        (0, 0), [a for a, _ in kept])
-    merged = merge_points((t for t in terms if t[1] != 0), exact)
-    return FiniteMeasure(tuple(pt for pt, _, _ in merged),
-                         tuple(mass for _, mass, _ in merged))
+    atoms, weights = [a for a, _ in kept], [w for _, w in kept]
+    if exact:
+        # points D x and masses M^N mass, merged and sorted as merge_points does
+        D = _common_denominator(c for a in atoms for c in a)
+        M = _common_denominator(weights)
+        power: dict = {}
+        for _, coef, pt in power_terms([(N, 1)], [int(w * M) for w in weights], (0, 0),
+                                       [(int(x * D), int(y * D)) for x, y in atoms]):
+            power[pt] = power.get(pt, 0) + coef
+        scale = M ** N
+        merged = sorted((((Fraction(X, D), Fraction(Y, D)), Fraction(coef, scale))
+                         for (X, Y), coef in power.items()),
+                        key=lambda pm: (float(pm[0][0]), float(pm[0][1])))
+    else:
+        terms = power_terms([(N, 1.0)], weights, (0, 0), atoms)
+        merged = [e[:2] for e in merge_points((t for t in terms if t[1] != 0), False)]
+    return FiniteMeasure(tuple(pt for pt, _ in merged),
+                         tuple(mass for _, mass in merged))
 
 
 def _cumulants(m: CandidateModel, T, thetas):
-    """Cumulant values, mean vectors and covariance matrices at the rows of
-    the float array T, one batched numpy pass over all of them.
+    """zmax and total, with cumulant r (zmax + log total), means and
+    covariances at the rows of the float array T, in one batched numpy pass.
 
     Each row's products have the matmul shapes of a single theta, so a row
     does not depend on the others.  A nonpositive mixture transform raises
@@ -191,19 +205,18 @@ def _cumulants(m: CandidateModel, T, thetas):
         theta = thetas[int(np.argmax(bad))]
         raise DomainViolation(f"mixture transform nonpositive at theta={theta}")
     N = float(m.r)
-    k = [N * (z + math.log(s)) for z, s in zip(zmax, total)]
     P = ew / total[:, None]
     PV = P[:, None, :] @ V
     C = V - PV
     cov = N * (np.swapaxes(C, 1, 2) * P[:, None, :]) @ C
-    return k, N * PV[:, 0, :], (cov + np.swapaxes(cov, 1, 2)) / 2
+    return zmax, total, N * PV[:, 0, :], (cov + np.swapaxes(cov, 1, 2)) / 2
 
 
 def cumulant_eval(m: CandidateModel, theta):
     """Cumulant value, mean vector, and covariance matrix at theta."""
     T = np.array([[float(theta[0]), float(theta[1])]])
-    k, mean, cov = _cumulants(m, T, [theta])
-    return k[0], mean[0], cov[0]
+    zmax, total, mean, cov = _cumulants(m, T, [theta])
+    return float(m.r) * (zmax[0] + math.log(total[0])), mean[0], cov[0]
 
 
 def mean_to_theta(m: CandidateModel, target, tol: float = 1e-10,
@@ -269,7 +282,7 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
         theta_grid = [(t1, t2) for t1 in axis for t2 in axis]
     A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
     T = np.array(theta_grid, dtype=float).reshape(len(theta_grid), 2)
-    _, mean, cov = _cumulants(m, T, theta_grid)
+    _, _, mean, cov = _cumulants(m, T, theta_grid)
     m1, m2 = mean[:, 0], mean[:, 1]
     d1 = np.abs(cov[:, 0, 0] - (A * m1 * m1 + a * m1 + b * m2 + e))
     d2 = np.abs(cov[:, 1, 1] - (A * m2 * m2 + c * m1 + d * m2 + f))

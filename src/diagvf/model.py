@@ -18,8 +18,8 @@ from typing import Optional
 
 from ._num import all_exact, is_exact, near_integer
 from .errors import NRootDeficit, UnsupportedArity, WeightCountMismatch
-from .roots import (DiagonalVFParams, RootSet, build_characteristic_quartic,
-                    dual_ordinate, solve_quartic)
+from .roots import (DiagonalVFParams, RootSet, _ordinate,
+                    build_characteristic_quartic, solve_quartic)
 
 __all__ = [
     "CandidateModel",
@@ -113,9 +113,11 @@ def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
 
     `roots`, when given, is that quartic's RootSet already solved at `tol`;
     callers building several models for one p pass it to solve only once.
+    Every root is checked against the quartic, built once per model.
     """
+    q = build_characteristic_quartic(p)
     if roots is None:
-        roots = solve_quartic(build_characteristic_quartic(p), tol)
+        roots = solve_quartic(q, tol)
     lams = roots.real_roots
     if len(lams) < 2:
         raise NRootDeficit(
@@ -123,12 +125,9 @@ def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
     if len(weights) != len(lams):
         raise WeightCountMismatch(
             f"{len(weights)} weights for {len(lams)} distinct real roots")
-    atoms = []
-    for lam in lams:
-        nu, _ = dual_ordinate(lam, p, tol)
-        atoms.append((lam, nu))
+    atoms = tuple((lam, _ordinate(lam, p, q, tol)) for lam in lams)
     r = Fraction(-1) / Fraction(p.A) if is_exact(p.A) else -1.0 / p.A
-    return CandidateModel(tuple(atoms), tuple(weights), r)
+    return CandidateModel(atoms, tuple(weights), r)
 
 
 def normalize_model(m: CandidateModel) -> CandidateModel:

@@ -434,17 +434,19 @@ def classify_root_pattern(r: RootSet) -> RootPattern:
         raise ValueError(f"unclassifiable multiplicity pattern {key}")
 
 
+def _ordinate(lam, p: DiagonalVFParams, q: Quartic, tol: float):
+    """dual_ordinate's nu at a root lam of q, p's characteristic quartic."""
+    qres = abs(float(q(lam)))
+    if qres > _residual_bound(float(lam), q, tol):
+        raise NotARoot(f"{lam} is not a root of the characteristic quartic (residual {qres})")
+    return (lam * lam - p.a * lam + p.e * p.A) / p.b
+
+
 def dual_ordinate(lam, p: DiagonalVFParams, tol: float = 1e-8):
     """Ordinate paired with a real abscissa, plus the second-relation residual.
 
     nu = (lam^2 - a*lam + e*A) / b; residual = nu^2 - c*lam - d*nu + f*A.
     The residual equals q(lam)/b^2 identically, so it vanishes at exact roots.
     """
-    q = build_characteristic_quartic(p)
-    qres = abs(float(q(lam)))
-    if qres > _residual_bound(float(lam), q, tol):
-        raise NotARoot(f"{lam} is not a root of the characteristic quartic (residual {qres})")
-    A, a, b, c, d, e, f = p.as_tuple()
-    nu = (lam * lam - a * lam + e * A) / b
-    residual = nu * nu - c * lam - d * nu + f * A
-    return nu, residual
+    nu = _ordinate(lam, p, build_characteristic_quartic(p), tol)
+    return nu, nu * nu - p.c * lam - p.d * nu + p.f * p.A

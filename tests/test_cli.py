@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -11,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagvf import ConfigError, parse_config, report_from_dict, report_to_dict, \
-    run_characterize, emit_report, solve_quartic, candidate_model, dual_ordinate
+    run_characterize, emit_report, solve_quartic, candidate_model
 from diagvf import admissibility_verdict, build_characteristic_quartic
 from diagvf import model, pipeline, series
 from diagvf._num import compositions
 from diagvf.pipeline import parse_params
+from diagvf.roots import _ordinate
 from diagvf.cli import build_parser, main
 
 E1_CONFIG = {
@@ -154,14 +158,14 @@ class TestRunCharacterize:
             builds.append(args)
             return candidate_model(*args, **kwargs)
 
-        def counting_atom(lam, p, tol):
+        def counting_atom(lam, p, q, tol):
             atoms.append(lam)
-            return dual_ordinate(lam, p, tol)
+            return _ordinate(lam, p, q, tol)
 
         monkeypatch.setattr(pipeline, "solve_quartic", counting)
         monkeypatch.setattr(model, "solve_quartic", counting)
         monkeypatch.setattr(pipeline, "candidate_model", counting_model)
-        monkeypatch.setattr(model, "dual_ordinate", counting_atom)
+        monkeypatch.setattr(model, "_ordinate", counting_atom)
         rep = run_characterize(dict(params=dict(E1_CONFIG["params"], A=A), **extra))
         assert rep.status == status and len(calls) == 1
         # one model, also for a search: the report takes the search's model
@@ -293,6 +297,22 @@ class TestCliCharacterize:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(E1_CONFIG)))
         assert main(["characterize", "-", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "Admissible"
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_closed_stdout_exits_141_quietly(self, as_json):
+        # 128 + SIGPIPE when the reader of stdout has gone, and no traceback
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        try:
+            with open(GOLDEN_DIR / "e1.config.json") as config:
+                done = subprocess.run(
+                    [sys.executable, "-m", "diagvf.cli", "characterize", "-"]
+                    + ["--json"] * as_json,
+                    stdin=config, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141 and done.stderr == b""
 
     def test_seed_extra_thetas(self, tmp_path, capsys):
         path = write_config(tmp_path, E1_CONFIG)
@@ -603,6 +623,13 @@ class TestCliTilt:
         path = write_config(tmp_path, cfg)
         assert main(["tilt", path]) == 1
         assert main(["tilt", path, "--bound", "1"]) == 0
+
+    @pytest.mark.parametrize("name", ["e1_n8", "q6"])
+    def test_golden(self, capsys, name):
+        # the realized measure's support order and exact masses at theta 0;
+        # q6 has three atoms with denominators up to 88 and 28 points
+        assert main(["tilt", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.tilt.json").read_text()
 
 
 @pytest.mark.parametrize("command, cfg", [

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diagvf import (ConfigError, Degenerate, DiagonalVFParams, DomainViolation,
+from diagvf import (AdmissibilityVerdict, ConfigError, Degenerate, DiagonalVFParams, DomainViolation,
                     FiniteMeasure, NotAdmissible,
                     OutOfMeanDomain, admissibility_verdict, candidate_model,
                     cumulant_eval, diag_variance_check, expand_series,
@@ -84,6 +84,51 @@ class TestRealizeMeasure:
         m = make_model(atoms, (F(1, 3),) * 3, 2)
         mu = realize_measure(m, admissibility_verdict(m))
         assert dict(zip(mu.support, mu.masses))[(2, 0)] == F(1, 9) + F(2, 9)
+
+
+def pairwise_power_oracle(atoms, weights, N):
+    """Independent oracle: the N-fold convolution of the mixture with
+    weights |w| as N pairwise products of point -> mass dicts."""
+    mixture = {a: abs(w) for a, w in zip(atoms, weights) if w}
+    acc = {(F(0), F(0)): F(1)}
+    for _ in range(N):
+        nxt = {}
+        for (x, y), mass in acc.items():
+            for (u, v), w in mixture.items():
+                nxt[(x + u, y + v)] = nxt.get((x + u, y + v), F(0)) + mass * w
+        acc = nxt
+    return acc
+
+
+class TestIntegerPower:
+    """The exact power, built on integers over common denominators, against
+    an oracle that never leaves Fractions; support order is ascending."""
+
+    @pytest.mark.parametrize("atoms, weights, N, case", [
+        # two atoms with denominators
+        ([(F(-1, 3), F(1, 9)), (F(1, 2), F(1, 4))], (F(2, 5), F(3, 5)), 5, "CaseA"),
+        # three atoms off any parabola, denominators up to 7
+        ([(F(-3, 7), F(2, 5)), (F(1, 4), F(-1, 6)), (F(5, 3), F(7, 2))],
+         (F(1, 2), F(1, 3), F(1, 6)), 4, "CaseA"),
+        # four atoms
+        ([(F(0), F(0)), (F(1, 2), F(1, 3)), (F(1), F(-2, 3)), (F(3, 2), F(5, 4))],
+         (F(1, 4), F(1, 8), F(3, 8), F(1, 4)), 3, "CaseA"),
+        # a zero-weight atom is dropped
+        ([(F(-1), F(1)), (F(0), F(0)), (F(2, 3), F(4, 9))],
+         (F(1, 3), F(0), F(2, 3)), 4, "CaseA"),
+        # collinear: distinct multi-indices share a point, so masses merge
+        ([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))], (F(1, 2), F(1, 3), F(1, 6)), 4, "CaseA"),
+        ([(F(0), F(0)), (F(1, 2), F(1, 2)), (F(1), F(1)), (F(3, 2), F(3, 2))],
+         (F(1, 8), F(3, 8), F(1, 4), F(1, 4)), 3, "CaseA"),
+        # CaseB takes |w|
+        ([(F(-1, 5), F(1, 25)), (F(2, 5), F(4, 25))], (F(-1, 3), F(-2, 3)), 4, "CaseB"),
+    ])
+    def test_matches_pairwise_oracle(self, atoms, weights, N, case):
+        m = make_model(atoms, weights, N)
+        mu = realize_measure(m, AdmissibilityVerdict(case, N=N))
+        oracle = pairwise_power_oracle(m.atoms, m.weights, N)
+        assert mu.support == tuple(sorted(oracle))
+        assert mu.masses == tuple(oracle[pt] for pt in mu.support)
 
 
 @st.composite

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diagvf import (DiagonalVFParams, LatticeMatrix,
-                    NRootDeficit, UnsupportedArity, WeightCountMismatch,
+from diagvf import (DiagonalVFParams, LatticeMatrix, NotARoot,
+                    NRootDeficit, RootSet, UnsupportedArity, WeightCountMismatch,
                     admissibility_verdict, build_lambda_matrix,
                     candidate_model, make_model, normalize_model,
                     star_condition)
@@ -62,6 +62,12 @@ class TestCandidateModel:
     def test_weight_count(self):
         with pytest.raises(WeightCountMismatch):
             candidate_model(E1, (F(1, 2), F(1, 2)))
+
+    def test_given_roots_are_checked(self):
+        # E1's quartic l^4 - l^2 has roots -1, 0 and 1, but not 2
+        roots = RootSet(((F(-1), 1), (F(0), 1), (F(1), 1), (F(2), 1)))
+        with pytest.raises(NotARoot):
+            candidate_model(E1, (F(1, 4),) * 4, roots=roots)
 
 
 class TestNormalizeModel:
