@@ -38,9 +38,9 @@ __all__ = [
 ]
 
 # Most support points a realized measure may have.  The regression check's
-# pair walk, exact or float, visits every ordered pair of them, so its time
-# grows with the square of this; at the cap the float walk is still the
-# slowest input, a few seconds.
+# pair walk visits every ordered pair of them, so its time grows with the
+# square of this; an exact power checked with its model skips the walk, and
+# at the cap the float walk is the slowest input, a few seconds.
 MAX_SUPPORT = 1500
 
 
@@ -121,10 +121,11 @@ class RegressionReport:
         return self.max_dev <= self.tol
 
 
-def _kept_atoms(m: CandidateModel) -> list:
-    """(atom, |alpha_i|) for the atoms of nonzero weight, which the verdict
-    keeps."""
-    return [(a, abs(w)) for a, w in zip(m.atoms, m.weights) if w != 0]
+def _kept_atoms(m: CandidateModel):
+    """The atoms of nonzero weight, which the verdict keeps, and their
+    weights |alpha_i|."""
+    return ([a for a, w in zip(m.atoms, m.weights) if w != 0],
+            [abs(w) for w in m.weights if w != 0])
 
 
 def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteMeasure:
@@ -140,39 +141,32 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     Any model, exact too, stops when (2N max |coordinate|)^2 passes the
     largest float: the diag check, always in floats, and the float
     regression walk square sums of that size.  An exact power is built on
-    integers over common denominators D and M, with Fractions once per point.
+    integers (`_integer_power`), with Fractions once per point.
     """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
     N = verdict.N
-    kept = _kept_atoms(m)
-    if math.comb(N + len(kept) - 1, len(kept) - 1) > MAX_SUPPORT:
+    atoms, weights = _kept_atoms(m)
+    if math.comb(N + len(atoms) - 1, len(atoms) - 1) > MAX_SUPPORT:
         raise ConfigError(f"the realized measure would have more than "
                           f"{MAX_SUPPORT} support points (the N-fold power "
-                          f"of {len(kept)} atoms)")
+                          f"of {len(atoms)} atoms)")
     exact = m.is_exact
-    if not exact and (2 * N * math.log(min(w for _, w in kept))
+    if not exact and (2 * N * math.log(min(weights))
                       < math.log(sys.float_info.min)):
         raise ConfigError(f"the masses of the float N-fold power (N = {N}) "
                           f"underflow in the regression check")
     try:
-        wide = (2 * N * max(abs(float(c)) for a, _ in kept for c in a)
+        wide = (2 * N * max(abs(float(c)) for a in atoms for c in a)
                 > math.sqrt(sys.float_info.max))
     except OverflowError:  # float() of a huge exact coordinate
         wide = True
     if wide:
         raise ConfigError(f"the float checks of the N-fold power (N = {N}) "
                           f"overflow: its coordinates pass the float range")
-    atoms, weights = [a for a, _ in kept], [w for _, w in kept]
     if exact:
         # points D x and masses M^N mass, merged and sorted as merge_points does
-        D = _common_denominator(c for a in atoms for c in a)
-        M = _common_denominator(weights)
-        power: dict = {}
-        for _, coef, pt in power_terms([(N, 1)], [int(w * M) for w in weights], (0, 0),
-                                       [(int(x * D), int(y * D)) for x, y in atoms]):
-            power[pt] = power.get(pt, 0) + coef
-        scale = M ** N
+        D, scale, power = _integer_power(atoms, weights, N)
         merged = sorted((((Fraction(X, D), Fraction(Y, D)), Fraction(coef, scale))
                          for (X, Y), coef in power.items()),
                         key=lambda pm: (float(pm[0][0]), float(pm[0][1])))
@@ -299,54 +293,57 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
 
 def _common_denominator(values) -> int:
     """Least common denominator of exact values."""
-    return math.lcm(*(Fraction(v).denominator for v in values))
+    return math.lcm(*(v.denominator for v in values))
 
 
-def _rhs_integers(p: DiagonalVFParams):
-    """The right-hand sides a s1 + b s2 + 2e and c s1 + d s2 + 2f as
-    integers (u, v, z) over one denominator Q each."""
-    rhs = []
-    for u, v, z in ((p.a, p.b, 2 * p.e), (p.c, p.d, 2 * p.f)):
-        Q = _common_denominator((u, v, z))
-        rhs.append((int(u * Q), int(v * Q), int(z * Q), Q))
-    return rhs
+def _integer_power(atoms, weights, N: int):
+    """The exact N-fold power of the mixture on integers: (D, M^N, power),
+    with D and M the common denominators of the atoms' coordinates and of
+    the weights, and power mapping each point D x to its mass times M^N."""
+    D = _common_denominator(c for a in atoms for c in a)
+    M = _common_denominator(weights)
+    power: dict = {}
+    for _, coef, pt in power_terms([(N, 1)], [int(w * M) for w in weights], (0, 0),
+                                   [(int(x * D), int(y * D)) for x, y in atoms]):
+        power[pt] = power.get(pt, 0) + coef
+    return D, M ** N, power
+
+
+def _convex_chain(atoms) -> bool:
+    """True when the atoms, in ascending lambda, turn the same strict way at
+    every consecutive triple, so each is a vertex of their convex hull."""
+    turns = [(x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+             for (x0, y0), (x1, y1), (x2, y2) in zip(atoms, atoms[1:], atoms[2:])]
+    return all(t > 0 for t in turns) or all(t < 0 for t in turns)
 
 
 def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
                       model: CandidateModel):
     """Exact maximum deviation and group count when mu is the N-fold power
-    of the model's mixture, from the law of one summand given the sum; else
-    None.
+    of the model's mixture, from the atoms' residuals on the two conics;
+    else None.
 
-    It applies to an exact model with 2 or 3 atoms of nonzero weight, not
-    collinear, and an integer exponent N = r.  Every support point and mass
-    of mu is first read against the multinomial closed form of that power
-    with weights |alpha_i|; any mismatch gives None.  Then distinct
-    multi-indices give distinct points, so the sum points of an i.i.d. pair
-    are the compositions m of 2N, and given the sum, the multi-index of one
-    summand is multivariate hypergeometric whatever the weights are.  So
-    with the atoms scaled to integers V = D * atoms, S_k = sum m_i V_ik and
-    Q_k = sum m_i V_ik^2,
-        E[g_k | m] = (2+A)((N-1) S_k^2 + N Q_k) / ((2N-1) D^2)
-                     - (1+A) S_k^2 / D^2,
-    and each composition gives one integer numerator of the deviation over
-    a denominator that is the same for all of them.
+    It needs exact params and an exact model with an integer exponent
+    N = r, A N = -1 and its atoms of nonzero weight on a strict convex
+    chain, and a mu that reads, point by point, as that power with weights
+    |alpha_i|.  Given the composition m of 2N of a pair's sum, one
+    summand's multi-index is hypergeometric, and at A = -1/N the two
+    identities deviate by sum m_i rho_i and sum m_i sigma_i, with
+    rho_i = lam_i^2 - a lam_i - b nu_i + e A and
+    sigma_i = nu_i^2 - c lam_i - d nu_i + f A.  A sum point averages its
+    compositions, and a chain vertex 2N a_i has only one, so the maximum is
+    2N max(|rho_i|, |sigma_i|).  Up to three such atoms give each
+    composition its own sum; the sums of four are counted, since a lattice
+    relation can merge them.
     """
     N = near_integer(model.r)
-    kept = _kept_atoms(model)
-    atoms = [a for a, _ in kept]
-    if (not model.is_exact or N is None or N < 1 or len(kept) not in (2, 3)
-            or (len(kept) == 3 and _collinear(atoms))):
+    atoms, weights = _kept_atoms(model)
+    if (not model.is_exact or N is None or N < 1 or p.A * N != -1
+            or not _convex_chain(atoms)):
         return None
-    D = _common_denominator(c for a in atoms for c in a)
-    V = [(int(x * D), int(y * D)) for x, y in atoms]
-    M = _common_denominator(w for _, w in kept)
-    # integer point -> integer mass over M^N
-    power = {pt: coef for _, coef, pt in
-             power_terms([(N, 1)], [int(w * M) for _, w in kept], (0, 0), V)}
+    D, scale, power = _integer_power(atoms, weights, N)
     if len(mu.support) != len(power):
         return None
-    scale = M ** N
     for (x, y), w in zip(mu.support, mu.masses):
         X, rx = divmod(x.numerator * D, x.denominator)
         Y, ry = divmod(y.numerator * D, y.denominator)
@@ -354,44 +351,20 @@ def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
         if rx or ry or coef is None or w.numerator * scale != coef * w.denominator:
             return None
 
-    A = Fraction(p.A)
-    An, Ad = A.numerator, A.denominator
-    # num_k = c2 S_k^2 + cq Q_k - (lu S_1 + lv S_2) - c0 over
-    # den_k = Ad (2N-1) D^2 Q
-    forms, dens = [], []
-    for u, v, z, Q in _rhs_integers(p):
-        cl = D * Ad * (2 * N - 1)
-        forms.append((Q * ((2 * Ad + An) * (N - 1) - (Ad + An) * (2 * N - 1)),
-                      Q * (2 * Ad + An) * N, cl * u, cl * v, cl * z * D))
-        dens.append(cl * D * Q)
-    # m = (2N - i - j, i, j) moves S_k and Q_k from atom 0 by i and j steps
-    # of (V_1k - V_0k, V_1k^2 - V_0k^2) and (V_2k - V_0k, V_2k^2 - V_0k^2);
-    # two atoms get a zero second step and j = 0 only
-    x0, y0 = V[0]
-    e1, e2 = ([(x - x0, y - y0, x * x - x0 * x0, y * y - y0 * y0)
-               for x, y in V[1:]] + [(0, 0, 0, 0)])[:2]
-    top = [0, 0]
-    for i in range(2 * N + 1):
-        S = (2 * N * x0 + i * e1[0], 2 * N * y0 + i * e1[1])
-        for k, (c2, cq, lu, lv, c0) in enumerate(forms):
-            Qk = 2 * N * V[0][k] ** 2 + i * e1[2 + k]
-            val = c2 * S[k] * S[k] + cq * Qk - lu * S[0] - lv * S[1] - c0
-            # along j, num_k is quadratic: step by its first and second
-            # differences
-            b = e2[k]
-            d = c2 * (2 * S[k] * b + b * b) + cq * e2[2 + k] - lu * e2[0] - lv * e2[1]
-            dd = 2 * c2 * b * b
-            hi = lo = val
-            for _ in range(2 * N - i if len(V) == 3 else 0):
-                val += d
-                d += dd
-                if val > hi:
-                    hi = val
-                elif val < lo:
-                    lo = val
-            top[k] = max(top[k], hi, -lo)
-    n_groups = math.comb(2 * N + len(V) - 1, len(V) - 1)
-    return max(Fraction(t, den) for t, den in zip(top, dens)), n_groups
+    # (Q D)^2 rho_i and (Q D)^2 sigma_i on integers, with Q the common
+    # denominator of the params and (X, Y) = D (lam_i, nu_i)
+    Q = _common_denominator(p.as_tuple())
+    A, a, b, c, d, e, f = (int(v * Q) for v in p.as_tuple())
+    top = 0
+    for lam, nu in atoms:
+        X, Y = int(lam * D), int(nu * D)
+        top = max(top, abs(Q * X * (Q * X - a * D) - Q * b * D * Y + e * A * D * D),
+                  abs(Q * Y * (Q * Y - d * D) - Q * c * D * X + f * A * D * D))
+    if len(atoms) <= 3:
+        n_groups = math.comb(2 * N + len(atoms) - 1, len(atoms) - 1)
+    else:
+        n_groups = len(_integer_power(atoms, [1] * len(atoms), 2 * N)[2])
+    return Fraction(2 * N * top, (Q * D) ** 2), n_groups
 
 
 def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
@@ -401,11 +374,11 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
 
     Exact rational arithmetic whenever the measure and parameters are exact,
     in which case a passing check has deviation exactly zero.  Given the
-    model whose N-fold power mu is meant to be, an exact check that reads mu
-    as that power takes the closed form of `_power_regression`; every other
-    measure gets the walk over its ordered pairs.  The exact walk runs on
-    integers: coordinates X / D, masses W / M and A = An / Ad make
-    Ad D^2 g_k = Ad (X_k - Y_k)^2 - 2 An X_k Y_k, with
+    model whose N-fold power mu is meant to be, an exact check takes the
+    conic residuals of `_power_regression` where they apply; float input
+    and every other measure get the walk over its ordered pairs.  The exact
+    walk runs on integers: coordinates X / D, masses W / M and A = An / Ad
+    make Ad D^2 g_k = Ad (X_k - Y_k)^2 - 2 An X_k Y_k, with
     g_k = (x_k - y_k)^2 - 2 A x_k y_k, and Fractions are formed once per sum
     point.  Floats take the same walk with D = M = Ad = 1, and pass at tol
     times the largest right-hand side, when that exceeds 1.

@@ -15,7 +15,8 @@ from typing import Optional
 from ._num import format_number, parse_number
 from .errors import ConfigError, NRootDeficit, WeightCountMismatch
 from .model import admissibility_verdict, candidate_model
-from .measure import (diag_variance_check, realize_measure, regression_check)
+from .measure import (_collinear, _kept_atoms, diag_variance_check,
+                      realize_measure, regression_check)
 from .roots import (DiagonalVFParams, Quartic, build_characteristic_quartic,
                     classify_root_pattern, solve_quartic)
 
@@ -200,7 +201,8 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
         return report
 
     mu = realize_measure(m, verdict)
-    report.degenerate = mu.degenerate
+    # an N-fold power's support is collinear exactly when its atoms are
+    report.degenerate = _collinear(_kept_atoms(m)[0])
 
     axis = [(-1.0 + 2.0 * i / (grid_n - 1)) for i in range(grid_n)] \
         if grid_n > 1 else [0.0]

@@ -41,7 +41,7 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
 # <name>.characterize.json its characterize --json output, committed as
 # produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_NAMES = ("e1", "p2", "e1_n8")
+GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4")
 
 
 def reported(label):

@@ -512,3 +512,30 @@ class TestRootStructure:
         assert len(set(reals)) == len(reals)
         cpx = rs.complex_entries
         assert all((z.conjugate(), m) in cpx for z, m in cpx)
+
+
+class TestOpenClusteringFounds:
+    """Float root clustering defects named in CHANGES.md; each test passes
+    once its defect is mended."""
+
+    @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: exact input "
+                       "still merges distinct close irrational roots")
+    def test_exact_close_roots_stay_apart(self):
+        # quartic (x - 3)(x + 2)(x^2 - 2x + 1 - 2e-16): four simple real roots
+        cfg = {"params": {"A": "-1", "a": "3/2", "b": "1",
+                          "c": "-31249999999999999/10000000000000000",
+                          "d": "26250000000000001/5000000000000000", "e": "0",
+                          "f": "14999999999999997/2500000000000000"},
+               "weights": ["1/4", "1/4", "1/4", "1/4"]}
+        assert run_characterize(cfg).pattern == "FourSingleReal"
+
+    @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: decimal input "
+                       "clusters float roots within an absolute tolerance")
+    def test_decimal_roots_at_scale_stay_apart(self):
+        # quartic x (x + 2e4)(x^2 - 1e8): roots -2e4, -1e4, 0 and 1e4
+        cfg = {"params": {"A": -1, "a": -1e4, "b": 1, "c": 0, "d": 2e8,
+                          "e": 0, "f": 0},
+               "weights": [0.25, 0.25, 0.25, 0.25]}
+        rep = run_characterize(cfg)
+        assert rep.pattern == "FourSingleReal"
+        assert [r["mult"] for r in rep.roots] == [1, 1, 1, 1]
