@@ -1,9 +1,10 @@
 """Finite atomic measures, cumulant calculus, and identity verification.
 
 An accepted model is realized as the N-fold convolution of the atomic
-mixture; masses stay exact rationals whenever the inputs are exact.  All
-identity checks are parameterized by theta so that collinear (degenerate)
-supports remain checkable without inverting a singular mean map.
+mixture; masses stay exact rationals whenever the inputs are exact.  The
+atoms' conic residuals decide both identity checks exactly where they apply
+(`_conic_residual`); otherwise the diag check runs along theta, so collinear
+(degenerate) supports remain checkable without inverting a singular mean map.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def _collinear(points) -> bool:
 
     Exact points are decided exactly: collinearity is then transitive, so
     the first point that differs from points[0] fixes the line.  Float
-    points count as collinear when no cross product from points[0] passes
-    1e-12.
+    points count as collinear when every cross product of two differences
+    d1, d2 from points[0] is within 1e-12 |d1| |d2|, whatever their scale.
     """
     if len(points) <= 2:
         return True
@@ -60,8 +61,8 @@ def _collinear(points) -> bool:
         return d is None or all((x - x0) * d[1] == (y - y0) * d[0]
                                 for x, y in points)
     for (x1, y1), (x2, y2) in itertools.combinations(points[1:], 2):
-        cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-        if abs(float(cross)) > 1e-12:
+        u, v = (float(x1 - x0), float(y1 - y0)), (float(x2 - x0), float(y2 - y0))
+        if abs(u[0] * v[1] - u[1] * v[0]) > 1e-12 * math.hypot(*u) * math.hypot(*v):
             return False
     return True
 
@@ -139,9 +140,10 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     1, so min w <= 1/n, and every multinomial coefficient of the power is
     at most n^N <= (min w)^-N: a model that passes cannot overflow them.
     Any model, exact too, stops when (2N max |coordinate|)^2 passes the
-    largest float: the diag check, always in floats, and the float
-    regression walk square sums of that size.  An exact power is built on
-    integers (`_integer_power`), with Fractions once per point.
+    largest float: the diag check's theta grid, exact input off the conic
+    rule too, and the float regression walk square sums of that size.  An
+    exact power is built on integers (`_integer_power`), with Fractions
+    once per point.
     """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
@@ -265,12 +267,18 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
                         theta_grid=None, tol: float = 1e-8) -> DiagCheckReport:
     """Compare both covariance diagonal entries to their quadratic forms.
 
-    Evaluated along the theta-parametrized mean curve, so no mean-map
+    Where `_conic_residual` applies, the deviation at theta is r sum P_i rho_i
+    (sigma_i for V22), P_i(theta) the tilted atom probabilities, so the check
+    returns its exact supremum r max(|rho_i|, |sigma_i|) and takes no theta.
+    Other input runs along the theta-parametrized mean curve, so no mean-map
     inversion is needed and collinear supports are checkable too.  All
     theta points go through the one batched pass that `cumulant_eval` runs
     on a single row; the worst theta is the first of the largest
     deviations, and a nonpositive transform raises at the first bad theta.
     """
+    if (top := _conic_residual(m, p)) is not None:
+        return DiagCheckReport(max_dev=float(m.r * top), tol=tol, n_points=0,
+                               worst_theta=(0.0, 0.0))
     if theta_grid is None:
         axis = np.linspace(-1.0, 1.0, 11)
         theta_grid = [(t1, t2) for t1 in axis for t2 in axis]
@@ -317,30 +325,47 @@ def _convex_chain(atoms) -> bool:
     return all(t > 0 for t in turns) or all(t < 0 for t in turns)
 
 
+def _conic_residual(m: CandidateModel, p: DiagonalVFParams):
+    """Exact max(|rho_i|, |sigma_i|) over the atoms of nonzero weight, with
+    rho_i = lam_i^2 - a lam_i - b nu_i + e A and
+    sigma_i = nu_i^2 - c lam_i - d nu_i + f A their conic residuals; None
+    unless m and p are exact, A r = -1, the kept weights share one sign and
+    the kept atoms form a strict convex chain, each a vertex of their hull."""
+    atoms, _ = _kept_atoms(m)
+    if (not (m.is_exact and p.is_exact) or p.A * m.r != -1 or not _convex_chain(atoms)
+            or len({w > 0 for w in m.weights if w != 0}) != 1):
+        return None
+    # (Q D)^2 rho_i and (Q D)^2 sigma_i on integers, with Q and D the common
+    # denominators of the params and of the atoms, and (X, Y) = D (lam_i, nu_i)
+    D = _common_denominator(c for a in atoms for c in a)
+    Q = _common_denominator(p.as_tuple())
+    A, a, b, c, d, e, f = (int(v * Q) for v in p.as_tuple())
+    top = 0
+    for lam, nu in atoms:
+        X, Y = int(lam * D), int(nu * D)
+        top = max(top, abs(Q * X * (Q * X - a * D) - Q * b * D * Y + e * A * D * D),
+                  abs(Q * Y * (Q * Y - d * D) - Q * c * D * X + f * A * D * D))
+    return Fraction(top, (Q * D) ** 2)
+
+
 def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
                       model: CandidateModel):
-    """Exact maximum deviation and group count when mu is the N-fold power
-    of the model's mixture, from the atoms' residuals on the two conics;
-    else None.
+    """Exact maximum deviation and group count when mu, read point by point,
+    is the N-fold power (weights |alpha_i|) of the model's mixture at an
+    integer N = r where `_conic_residual` applies; else None.
 
-    It needs exact params and an exact model with an integer exponent
-    N = r, A N = -1 and its atoms of nonzero weight on a strict convex
-    chain, and a mu that reads, point by point, as that power with weights
-    |alpha_i|.  Given the composition m of 2N of a pair's sum, one
-    summand's multi-index is hypergeometric, and at A = -1/N the two
-    identities deviate by sum m_i rho_i and sum m_i sigma_i, with
-    rho_i = lam_i^2 - a lam_i - b nu_i + e A and
-    sigma_i = nu_i^2 - c lam_i - d nu_i + f A.  A sum point averages its
+    Given the composition m of 2N of a pair's sum, one summand's
+    multi-index is hypergeometric, and at A = -1/N the two identities
+    deviate by sum m_i rho_i and sum m_i sigma_i.  A sum point averages its
     compositions, and a chain vertex 2N a_i has only one, so the maximum is
     2N max(|rho_i|, |sigma_i|).  Up to three such atoms give each
     composition its own sum; the sums of four are counted, since a lattice
     relation can merge them.
     """
     N = near_integer(model.r)
-    atoms, weights = _kept_atoms(model)
-    if (not model.is_exact or N is None or N < 1 or p.A * N != -1
-            or not _convex_chain(atoms)):
+    if N is None or (top := _conic_residual(model, p)) is None:
         return None
+    atoms, weights = _kept_atoms(model)
     D, scale, power = _integer_power(atoms, weights, N)
     if len(mu.support) != len(power):
         return None
@@ -350,21 +375,11 @@ def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
         coef = power.pop((X, Y), None)
         if rx or ry or coef is None or w.numerator * scale != coef * w.denominator:
             return None
-
-    # (Q D)^2 rho_i and (Q D)^2 sigma_i on integers, with Q the common
-    # denominator of the params and (X, Y) = D (lam_i, nu_i)
-    Q = _common_denominator(p.as_tuple())
-    A, a, b, c, d, e, f = (int(v * Q) for v in p.as_tuple())
-    top = 0
-    for lam, nu in atoms:
-        X, Y = int(lam * D), int(nu * D)
-        top = max(top, abs(Q * X * (Q * X - a * D) - Q * b * D * Y + e * A * D * D),
-                  abs(Q * Y * (Q * Y - d * D) - Q * c * D * X + f * A * D * D))
     if len(atoms) <= 3:
         n_groups = math.comb(2 * N + len(atoms) - 1, len(atoms) - 1)
     else:
         n_groups = len(_integer_power(atoms, [1] * len(atoms), 2 * N)[2])
-    return Fraction(2 * N * top, (Q * D) ** 2), n_groups
+    return 2 * N * top, n_groups
 
 
 def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,

@@ -41,7 +41,7 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
 # <name>.characterize.json its characterize --json output, committed as
 # produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4")
+GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide")
 
 
 def reported(label):
@@ -175,7 +175,11 @@ def test_criterion_03_worked_examples():
         assert v.outcome == "CaseA" and v.N == 1
         _, mean, cov = cumulant_eval(m, (0.0, 0.0))
         assert np.allclose(cov, [[0.5, 0.0], [0.0, 0.25]], atol=1e-15)
+        # exact: the conic residuals, no theta; the float twin: the grid
         diag = diag_variance_check(m, p)
+        assert (diag.max_dev, diag.n_points) == (0.0, 0)
+        fp = DiagonalVFParams(*(float(x) for x in p.as_tuple()))
+        diag = diag_variance_check(candidate_model(fp, [float(w) for w in W3]), fp)
         assert diag.n_points == 121 and diag.max_dev <= 1e-10
         reg = regression_check(realize_measure(m, v), p)
         assert reg.exact and reg.max_dev == 0.0

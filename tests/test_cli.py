@@ -61,6 +61,16 @@ WIDE_ORDINATES_EXACT = {
     "params": dict(WIDE_ORDINATES["params"], b="1/" + str(10 ** 155), d=str(10 ** 155)),
     "weights": ["1/4", "1/2", "1/4"]}
 
+# atoms near (0, 0), (1e-6, -1e-12), (3e-6, 3e-12) on a parabola: three
+# points, not collinear at any scale
+SMALL_ATOMS = {"params": {"A": -1.0, "a": 2e-06, "b": 1.0, "c": 2e-18, "d": 1e-12,
+                          "e": 0.0, "f": 0.0},
+               "weights": [0.25, 0.5, 0.25]}
+SMALL_ATOMS_EXACT = {
+    "params": dict(SMALL_ATOMS["params"], A="-1", a="1/500000", b="1",
+                   c="1/500000000000000000", d="1/1000000000000", e="0", f="0"),
+    "weights": ["1/4", "1/2", "1/4"]}
+
 
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
@@ -106,6 +116,26 @@ class TestRunCharacterize:
         rep = run_characterize(P2_CONFIG)
         assert rep.status == "Admissible"
         assert [a["nu"] for a in rep.atoms] == ["0", "-1", "0"]
+
+    @pytest.mark.parametrize("a, c, d", [("103", "969612", "9404"),
+                                         ("1003", "996996012", "994004")],
+                             ids=["roots-0-1-5-200", "roots-0-1-5-2000"])
+    def test_wide_exact_roots_pass_the_diag_check(self, a, c, d):
+        # the exact diag deviation is 0, where a float theta grid read
+        # 1.6e-8 and 2.5e-7
+        cfg = {"params": {"A": "-1/2", "a": a, "b": "1", "c": c, "d": d,
+                          "e": "0", "f": "0"},
+               "weights": ["1/4"] * 4}
+        rep = run_characterize(cfg)
+        assert rep.status == "Admissible" and rep.pattern == "FourSingleReal"
+        assert rep.diag_check == {"max_dev": 0.0, "pass": True}
+        assert rep.regression["exact"] and rep.regression["max_dev"] == 0.0
+
+    @pytest.mark.parametrize("cfg", [SMALL_ATOMS, SMALL_ATOMS_EXACT],
+                             ids=["decimal", "exact"])
+    def test_small_atoms_are_not_degenerate(self, cfg):
+        rep = run_characterize(cfg)
+        assert (rep.status, rep.degenerate) == ("Admissible", False)
 
     def test_bad_weights_rejected(self):
         cfg = dict(E1_CONFIG, weights=["1/2", "-1/4", "3/4"])
@@ -610,6 +640,10 @@ class TestCliTilt:
         assert main(["tilt", write_config(tmp_path, cfg), "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["measure"]) == 3 and out["degenerate"] is False
+
+    def test_small_decimal_atoms_are_not_degenerate(self, tmp_path, capsys):
+        assert main(["tilt", write_config(tmp_path, SMALL_ATOMS), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["degenerate"] is False
 
     def test_not_admissible(self, tmp_path):
         cfg = dict(E1_CONFIG, weights=["1/2", "-1/4", "3/4"])

@@ -30,6 +30,13 @@ def model_and_measure(p, weights):
     return m, realize_measure(m, v)
 
 
+def float_twin(m):
+    """The model with every number a float; the diag check takes it on
+    its theta grid."""
+    return make_model([(float(x), float(y)) for x, y in m.atoms],
+                      [float(w) for w in m.weights], float(m.r))
+
+
 def convolve_oracle(atoms, weights, N):
     """Independent oracle: enumerate all N-tuples of draws directly."""
     acc = {}
@@ -175,6 +182,13 @@ class TestFiniteMeasure:
             with pytest.raises(ConfigError):
                 realize_measure(m, v)
 
+    def test_float_collinearity_is_relative_to_scale(self):
+        # three points of a parabola near the origin, and a line whose
+        # float points cross by rounding at 1e-4
+        assert not measure._collinear([(0.0, 0.0), (1e-6, -1e-12), (3e-6, 3e-12)])
+        assert measure._collinear([(k * 1e6, k * 1e6 / 3) for k in (1, 7, 13)])
+        assert not measure._collinear([(0.0, 0.0), (1e6, 0.0), (0.0, 1e-3)])
+
     def test_exact_collinearity(self):
         # off the line by 1e-13: exactly not collinear, collinear in floats
         pts = [(F(-1), F(1, 10 ** 13)), (F(0), F(0)), (F(1), F(1, 10 ** 13))]
@@ -307,8 +321,12 @@ def test_import_leaves_scipy_out():
 
 class TestDiagVarianceCheck:
     def test_e1_passes(self):
+        # exact: the conic residuals decide, on no theta; the float twin
+        # runs the 121-point grid
         m = candidate_model(E1, W3)
         rep = diag_variance_check(m, E1)
+        assert (rep.max_dev, rep.n_points) == (0.0, 0) and rep.passed
+        rep = diag_variance_check(float_twin(m), E1)
         assert rep.passed and rep.max_dev <= 1e-10
         assert rep.n_points == 121
 
@@ -390,6 +408,12 @@ def diag_oracle(m, p, theta_grid):
     return best or (math.inf, (0.0, 0.0))
 
 
+def grid_model(m, p):
+    """m, or its float twin where the conic residuals would decide the diag
+    check, so that the theta grid runs."""
+    return m if measure._conic_residual(m, p) is None else float_twin(m)
+
+
 def diag_outcome(check, *args):
     try:
         return check(*args)
@@ -428,6 +452,7 @@ class TestDiagDifferential:
     @settings(max_examples=200, deadline=None)
     @given(diag_models(), exact_params(), theta_grids)
     def test_matches_per_theta_oracle(self, m, p, grid):
+        m = grid_model(m, p)
         rep = diag_variance_check(m, p, grid)
         if grid is None:
             axis = np.linspace(-1.0, 1.0, 11)
@@ -438,6 +463,8 @@ class TestDiagDifferential:
     @settings(max_examples=100, deadline=None)
     @given(diag_models(signs=("mixed",)), exact_params(), theta_grids)
     def test_mixed_signs_match_oracle(self, m, p, grid):
+        # the draw can give weights of one sign, such as (1/4, 1/4)
+        m = grid_model(m, p)
         if grid is None:
             axis = np.linspace(-1.0, 1.0, 11)
             grid = [(t1, t2) for t1 in axis for t2 in axis]
@@ -461,14 +488,14 @@ class TestDiagDifferential:
         # ordinates 10^155: some second-coordinate covariances overflow
         p = DiagonalVFParams(F(-1), F(0), F(1, 10 ** 155), F(0), F(10 ** 155),
                              F(0), F(0))
-        m = make_model([(-1, 10 ** 155), (0, 0), (1, 10 ** 155)],
-                       (F(1, 4), F(1, 2), F(1, 4)), 1)
+        m = make_model([(-1.0, 1e155), (0.0, 0.0), (1.0, 1e155)],
+                       (0.25, 0.5, 0.25), 1.0)
         with np.errstate(all="ignore"):
             rep = diag_variance_check(m, p)
         assert math.isnan(rep.max_dev) and not rep.passed
 
     def test_empty_grid_fails(self):
-        m = make_model([(0, 0), (1, 1)], (F(1, 2), F(1, 2)), 1)
+        m = make_model([(0.0, 0.0), (1.0, 1.0)], (0.5, 0.5), 1.0)
         rep = diag_variance_check(m, E1, [])
         assert rep.n_points == 0 and not rep.passed
 
@@ -666,6 +693,65 @@ class TestRegressionClosedForm:
         rep = regression_check(mu, p, model=m)
         assert time.perf_counter() - start < 0.1
         assert rep.exact and rep.max_dev == 0 and rep.n_groups == 3321
+
+
+class TestConicResidual:
+    """The diag check from the atoms' conic residuals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_models(), st.lists(st.integers(1, 20), min_size=4, max_size=4))
+    def test_identity_at_rational_tilts(self, model, ns):
+        # V_kk - rhs_k = r sum P_i rho_i (sigma_i) for every probability
+        # vector P, so for every tilt; all in Fractions
+        p, m, _ = model
+        A, a, b, c, d, e, f = p.as_tuple()
+        r, P = m.r, [F(n, sum(ns)) for n in ns]
+
+        def mean(values):
+            return sum(pi * v for pi, v in zip(P, values))
+
+        lam, nu = [x for x, _ in m.atoms], [y for _, y in m.atoms]
+        m1, m2 = r * mean(lam), r * mean(nu)
+        v11 = r * (mean([x * x for x in lam]) - mean(lam) ** 2)
+        v22 = r * (mean([y * y for y in nu]) - mean(nu) ** 2)
+        rho = [x * x - a * x - b * y + e * A for x, y in m.atoms]
+        sigma = [y * y - c * x - d * y + f * A for x, y in m.atoms]
+        assert v11 - (A * m1 * m1 + a * m1 + b * m2 + e) == r * mean(rho)
+        assert v22 - (A * m2 * m2 + c * m1 + d * m2 + f) == r * mean(sigma)
+        top = max(abs(v) for v in rho + sigma)
+        assert measure._conic_residual(m, p) == top
+        rep = diag_variance_check(m, p)
+        assert (rep.max_dev, rep.n_points) == (float(r * top), 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(parabola_models(), chain_models()), st.sampled_from("acdef"),
+           small_fraction)
+    def test_grid_stays_below_certificate(self, model, field, delta):
+        p, m, _ = model
+        q = _perturbed(p, field, delta)
+        cert = m.r * measure._conic_residual(m, q)
+        assume(cert != 0)
+        rep = diag_variance_check(float_twin(m), q)
+        assert rep.n_points == 121
+        assert rep.max_dev <= float(cert) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("atoms, weights, r, p", [
+        (((-1, 1), (0, 0), (1, 1)), (F(1, 8), F(1), F(-1, 8)), 1, E1),
+        (((-1, 1), (0, 0), (1, 1)), W3, 2, E1),
+        (((-1, 1), (0, 0), (1, 1), (2, 0)), (F(1, 4),) * 4, 1, E1),
+        (((-1, 1), (0, 0), (1, -1)), W3, 1, E1),
+        (((-1, 1), (0, 0), (1, 1)), (0.25, 0.5, 0.25), 1.0, E1),
+        (((-1, 1), (0, 0), (1, 1)), W3, 1,
+         DiagonalVFParams(*(float(v) for v in E1.as_tuple()))),
+    ], ids=["mixed-signs", "a-r-not-minus-one", "not-a-chain", "collinear",
+            "float-model", "float-params"])
+    def test_other_inputs_take_the_grid(self, atoms, weights, r, p):
+        m = make_model(atoms, weights, r)
+        assert measure._conic_residual(m, p) is None
+        rep = diag_variance_check(m, p)
+        assert rep.n_points == 121
+        assert (rep.max_dev, rep.worst_theta) == diag_oracle(m, p, [
+            (t1, t2) for t1 in np.linspace(-1, 1, 11) for t2 in np.linspace(-1, 1, 11)])
 
 
 class TestRegressionCheck:
