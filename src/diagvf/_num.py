@@ -81,6 +81,14 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def cleared(values):
+    """(L, (L v for each v)): the common denominator L of exact values and
+    each value times L, an int."""
+    values = tuple(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
 def point_key(pt, exact: bool, tol: float = 1e-9):
     """Merge key of a plane point.  Exact points are their own key (equal
     ints and Fractions hash alike); float ones round to multiples of tol."""

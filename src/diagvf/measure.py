@@ -13,15 +13,15 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 import numpy as np
 
-from ._num import (all_exact, merge_points, near_integer, point_key,
+from ._num import (all_exact, cleared, merge_points, near_integer, point_key,
                    power_terms, widest_gap)
 from .errors import (ConfigError, Degenerate, DomainViolation, NotAdmissible,
                      OutOfMeanDomain)
-from .model import AdmissibilityVerdict, CandidateModel
+from .model import AdmissibilityVerdict, CandidateModel, _kept_atoms
 from .roots import DiagonalVFParams
 
 __all__ = [
@@ -122,13 +122,6 @@ class RegressionReport:
         return self.max_dev <= self.tol
 
 
-def _kept_atoms(m: CandidateModel):
-    """The atoms of nonzero weight, which the verdict keeps, and their
-    weights |alpha_i|."""
-    return ([a for a, w in zip(m.atoms, m.weights) if w != 0],
-            [abs(w) for w in m.weights if w != 0])
-
-
 def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteMeasure:
     """N-fold convolution of the atomic mixture with weights |alpha_i|.
 
@@ -142,8 +135,9 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     Any model, exact too, stops when (2N max |coordinate|)^2 passes the
     largest float: the diag check's theta grid, exact input off the conic
     rule too, and the float regression walk square sums of that size.  An
-    exact power is built on integers (`_integer_power`), with Fractions
-    once per point.
+    exact power is the model's own, built once on its cleared integer form
+    and shared with the regression check (`_integer_power`), with Fractions
+    formed once per point.
     """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
@@ -168,7 +162,7 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
                           f"overflow: its coordinates pass the float range")
     if exact:
         # points D x and masses M^N mass, merged and sorted as merge_points does
-        D, scale, power = _integer_power(atoms, weights, N)
+        D, scale, power = _integer_power(m, N)
         merged = sorted((((Fraction(X, D), Fraction(Y, D)), Fraction(coef, scale))
                          for (X, Y), coef in power.items()),
                         key=lambda pm: (float(pm[0][0]), float(pm[0][1])))
@@ -299,22 +293,15 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
                            worst_theta=(float(T[i, 0]), float(T[i, 1])))
 
 
-def _common_denominator(values) -> int:
-    """Least common denominator of exact values."""
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _integer_power(atoms, weights, N: int):
-    """The exact N-fold power of the mixture on integers: (D, M^N, power),
-    with D and M the common denominators of the atoms' coordinates and of
-    the weights, and power mapping each point D x to its mass times M^N."""
-    D = _common_denominator(c for a in atoms for c in a)
-    M = _common_denominator(weights)
-    power: dict = {}
-    for _, coef, pt in power_terms([(N, 1)], [int(w * M) for w in weights], (0, 0),
-                                   [(int(x * D), int(y * D)) for x, y in atoms]):
-        power[pt] = power.get(pt, 0) + coef
-    return D, M ** N, power
+def _integer_power(m: CandidateModel, N: int):
+    """(D, M^N, power): the exact N-fold power of m's kept mixture on m's
+    cleared form (D, [(X, Y)], M, [W]), power mapping each point D x of the
+    support to its mass times M^N.  At N = r, the N of every verdict on an
+    exact model, it is m's own power, built once (`CandidateModel._power`)
+    and shared by `realize_measure` and `_power_regression`; another N
+    takes that of m's twin with r = N."""
+    D, _, M, _ = m._cleared
+    return D, M ** N, (m if N == m.r else replace(m, r=N))._power
 
 
 def _convex_chain(atoms) -> bool:
@@ -330,19 +317,20 @@ def _conic_residual(m: CandidateModel, p: DiagonalVFParams):
     rho_i = lam_i^2 - a lam_i - b nu_i + e A and
     sigma_i = nu_i^2 - c lam_i - d nu_i + f A their conic residuals; None
     unless m and p are exact, A r = -1, the kept weights share one sign and
-    the kept atoms form a strict convex chain, each a vertex of their hull."""
-    atoms, _ = _kept_atoms(m)
-    if (not (m.is_exact and p.is_exact) or p.A * m.r != -1 or not _convex_chain(atoms)
-            or len({w > 0 for w in m.weights if w != 0}) != 1):
+    the kept atoms form a strict convex chain, each a vertex of their hull.
+    The chain is tested on the cleared atoms D (lam_i, nu_i): D > 0 keeps
+    the sign of every turn."""
+    if not m.is_exact or p._cleared is None:
         return None
-    # (Q D)^2 rho_i and (Q D)^2 sigma_i on integers, with Q and D the common
-    # denominators of the params and of the atoms, and (X, Y) = D (lam_i, nu_i)
-    D = _common_denominator(c for a in atoms for c in a)
-    Q = _common_denominator(p.as_tuple())
-    A, a, b, c, d, e, f = (int(v * Q) for v in p.as_tuple())
+    # (Q D)^2 rho_i and (Q D)^2 sigma_i on integers, from the cleared params
+    # Q p and atoms (X, Y) = D (lam_i, nu_i)
+    Q, (A, a, b, c, d, e, f) = p._cleared
+    D, atoms, _, _ = m._cleared
+    if (A * m.r.numerator != -Q * m.r.denominator or not _convex_chain(atoms)
+            or len({w.numerator > 0 for w in m.weights if w}) != 1):
+        return None
     top = 0
-    for lam, nu in atoms:
-        X, Y = int(lam * D), int(nu * D)
+    for X, Y in atoms:
         top = max(top, abs(Q * X * (Q * X - a * D) - Q * b * D * Y + e * A * D * D),
                   abs(Q * Y * (Q * Y - d * D) - Q * c * D * X + f * A * D * D))
     return Fraction(top, (Q * D) ** 2)
@@ -365,20 +353,22 @@ def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
     N = near_integer(model.r)
     if N is None or (top := _conic_residual(model, p)) is None:
         return None
-    atoms, weights = _kept_atoms(model)
-    D, scale, power = _integer_power(atoms, weights, N)
+    D, scale, power = _integer_power(model, N)
     if len(mu.support) != len(power):
         return None
+    power = dict(power)  # the read pops each point of mu from a copy
     for (x, y), w in zip(mu.support, mu.masses):
         X, rx = divmod(x.numerator * D, x.denominator)
         Y, ry = divmod(y.numerator * D, y.denominator)
         coef = power.pop((X, Y), None)
         if rx or ry or coef is None or w.numerator * scale != coef * w.denominator:
             return None
+    _, atoms, _, _ = model._cleared
     if len(atoms) <= 3:
         n_groups = math.comb(2 * N + len(atoms) - 1, len(atoms) - 1)
     else:
-        n_groups = len(_integer_power(atoms, [1] * len(atoms), 2 * N)[2])
+        n_groups = len({pt for _, _, pt in power_terms([(2 * N, 1)], [1] * len(atoms),
+                                                       (0, 0), atoms)})
     return 2 * N * top, n_groups
 
 
@@ -405,16 +395,17 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
                                 n_groups=found[1])
     if exact:
         A, a, b, c, d, e, f = p.as_tuple()
-        D = _common_denominator(v for x in mu.support for v in x)
-        M = _common_denominator(mu.masses)
+        D, coords = cleared(v for x in mu.support for v in x)
+        _, masses = cleared(mu.masses)
+        pts = list(zip(zip(coords[::2], coords[1::2]), masses))
         An, Ad = Fraction(A).numerator, Fraction(A).denominator
-        num, ratio = int, Fraction
+        ratio = Fraction
     else:
         A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
-        D = M = Ad = 1
-        An, num, ratio = A, float, operator.truediv
-    pts = [((num(x[0] * D), num(x[1] * D)), num(w * M))
-           for x, w in zip(mu.support, mu.masses)]
+        D = Ad = 1
+        An, ratio = A, operator.truediv
+        pts = [((float(x[0]), float(x[1])), float(w))
+               for x, w in zip(mu.support, mu.masses)]
     groups: dict = {}
     twice_An = 2 * An
     for (x1, x2), wx in pts:

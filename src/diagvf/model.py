@@ -14,12 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from ._num import all_exact, is_exact, near_integer
+from ._num import all_exact, cleared, is_exact, near_integer, power_terms
 from .errors import NRootDeficit, UnsupportedArity, WeightCountMismatch
-from .roots import (DiagonalVFParams, RootSet, _ordinate,
-                    build_characteristic_quartic, solve_quartic)
+from .roots import DiagonalVFParams, RootSet, _ordinate, solve_quartic
 
 __all__ = [
     "CandidateModel",
@@ -59,10 +59,44 @@ class CandidateModel:
     def n_r(self) -> int:
         return len(self.atoms)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return (all_exact(self.r, *self.weights)
                 and all(all_exact(*a) for a in self.atoms))
+
+    @cached_property
+    def _cleared(self):
+        """(D, [(X, Y)], M, [W]), in tuples: the atoms of nonzero weight,
+        which the verdict keeps, and their weights |alpha_i|, on integers.
+        D and M are the common denominators of those atoms' coordinates and
+        of the weights, (X, Y) = D (lambda_i, nu_i) and W = M |alpha_i|.  A
+        float model is its own cleared form, with D = M = 1."""
+        atoms, weights = _kept_atoms(self)
+        if not self.is_exact:
+            return 1, tuple(atoms), 1, tuple(weights)
+        D, coords = cleared(c for a in atoms for c in a)
+        return (D, tuple(zip(coords[::2], coords[1::2])), *cleared(weights))
+
+    @cached_property
+    def _power(self) -> dict:
+        """The N-fold power, N = r an integer, of an exact model's kept
+        mixture on its cleared form: each point sum n_i (X_i, Y_i) of the
+        support, D times a point of mu, with its mass times M^N.  Built once
+        per model and shared, so no reader changes it: `realize_measure`
+        reads it and the regression check pops the points of mu from a
+        copy."""
+        _, points, _, weights = self._cleared
+        power: dict = {}
+        for _, coef, pt in power_terms([(int(self.r), 1)], weights, (0, 0), points):
+            power[pt] = power.get(pt, 0) + coef
+        return power
+
+
+def _kept_atoms(m: CandidateModel):
+    """The atoms of nonzero weight, which the verdict keeps, and their
+    weights |alpha_i|."""
+    return ([a for a, w in zip(m.atoms, m.weights) if w != 0],
+            [abs(w) for w in m.weights if w != 0])
 
 
 def make_model(atoms, weights, r) -> CandidateModel:
@@ -113,9 +147,9 @@ def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
 
     `roots`, when given, is that quartic's RootSet already solved at `tol`;
     callers building several models for one p pass it to solve only once.
-    Every root is checked against the quartic, built once per model.
+    Every root is checked against the quartic, which p builds once.
     """
-    q = build_characteristic_quartic(p)
+    q = p.quartic
     if roots is None:
         roots = solve_quartic(q, tol)
     lams = roots.real_roots

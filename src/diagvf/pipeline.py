@@ -15,10 +15,10 @@ from typing import Optional
 from ._num import format_number, parse_number
 from .errors import ConfigError, NRootDeficit, WeightCountMismatch
 from .model import admissibility_verdict, candidate_model
-from .measure import (_collinear, _kept_atoms, diag_variance_check,
-                      realize_measure, regression_check)
-from .roots import (DiagonalVFParams, Quartic, build_characteristic_quartic,
-                    classify_root_pattern, solve_quartic)
+from .measure import (_collinear, diag_variance_check, realize_measure,
+                      regression_check)
+from .roots import (DiagonalVFParams, Quartic, classify_root_pattern,
+                    solve_quartic)
 
 __all__ = ["PipelineReport", "parse_params", "parse_config", "run_characterize",
            "report_to_dict", "report_from_dict", "emit_report"]
@@ -146,7 +146,7 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
     p = cfg.get("params")
     if p is None and "quartic" not in cfg:
         raise ConfigError("config needs 'params' (or a diagnostic 'quartic')")
-    q = cfg.get("quartic") or build_characteristic_quartic(p)
+    q = cfg.get("quartic") or p.quartic
     rs = solve_quartic(q, tol)
     report = PipelineReport(
         params={k: format_number(v) for k, v in
@@ -201,8 +201,9 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
         return report
 
     mu = realize_measure(m, verdict)
-    # an N-fold power's support is collinear exactly when its atoms are
-    report.degenerate = _collinear(_kept_atoms(m)[0])
+    # an N-fold power's support is collinear exactly when its atoms are,
+    # and so when their cleared form D x is
+    report.degenerate = _collinear(m._cleared[1])
 
     axis = [(-1.0 + 2.0 * i / (grid_n - 1)) for i in range(grid_n)] \
         if grid_n > 1 else [0.0]

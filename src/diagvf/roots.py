@@ -13,10 +13,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from ._num import Number, all_exact
+from ._num import Number, all_exact, cleared, is_exact
 from .errors import ConfigError, NotARoot
 
 __all__ = [
@@ -61,6 +62,17 @@ class DiagonalVFParams:
     def as_tuple(self):
         return (self.A, self.a, self.b, self.c, self.d, self.e, self.f)
 
+    @cached_property
+    def quartic(self) -> "Quartic":
+        """The characteristic quartic, built once per params."""
+        return build_characteristic_quartic(self)
+
+    @cached_property
+    def _cleared(self):
+        """(Q, (A, a, b, c, d, e, f) times Q) for exact params, with Q their
+        common denominator; None for float params."""
+        return cleared(self.as_tuple()) if self.is_exact else None
+
 
 @dataclass(frozen=True)
 class Quartic:
@@ -76,7 +88,23 @@ class Quartic:
     def is_exact(self) -> bool:
         return all_exact(*self.coeffs)
 
+    @cached_property
+    def _cleared(self):
+        """(L, (C0, ..., C4)) for exact coefficients, with L their common
+        denominator and Ci = L ci; None for float coefficients."""
+        return cleared(self.coeffs) if self.is_exact else None
+
     def __call__(self, x):
+        """q(x).  An exact quartic at an exact x = h/k is the one Fraction
+        sum Ci h^i k^(4-i) / (L k^4) over the cleared coefficients; other
+        input runs Horner's rule."""
+        if is_exact(x) and self._cleared is not None:
+            den, ints = self._cleared
+            h, k = x.numerator, x.denominator
+            acc, kp = 0, 1
+            for c in reversed(ints):
+                acc, kp = acc * h + c * kp, kp * k
+            return Fraction(acc, den * k ** 4)
         c0, c1, c2, c3, c4 = self.coeffs
         return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
 
@@ -84,7 +112,7 @@ class Quartic:
         c0, c1, c2, c3, c4 = self.coeffs
         return ((4 * c4 * x + 3 * c3) * x + 2 * c2) * x + c1
 
-    @property
+    @cached_property
     def scale(self) -> float:
         return 1.0 + max(abs(float(c)) for c in self.coeffs)
 
@@ -277,9 +305,7 @@ def _rational_roots(q: Quartic):
     primitive, with a positive leading coefficient and the same roots).
     Only called when all coefficients are exact.
     """
-    poly = [Fraction(c) for c in q.coeffs]
-    den = math.lcm(*(c.denominator for c in poly))
-    ints = _primitive([c.numerator * (den // c.denominator) for c in poly])
+    ints = _primitive(q._cleared[1])
     sf = _square_free(ints)
     roots = []
     while len(sf) > 3:
@@ -448,5 +474,5 @@ def dual_ordinate(lam, p: DiagonalVFParams, tol: float = 1e-8):
     nu = (lam^2 - a*lam + e*A) / b; residual = nu^2 - c*lam - d*nu + f*A.
     The residual equals q(lam)/b^2 identically, so it vanishes at exact roots.
     """
-    nu = _ordinate(lam, p, build_characteristic_quartic(p), tol)
+    nu = _ordinate(lam, p, p.quartic, tol)
     return nu, nu * nu - p.c * lam - p.d * nu + p.f * p.A

@@ -37,11 +37,12 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
              "weights": ["1/4", "1/2", "1/4"]}
 
 # E1, P2 and E1 at N = 8 (45 support points, 153 sum points in the
-# regression check): <name>.config.json holds each config, and
-# <name>.characterize.json its characterize --json output, committed as
-# produced by the CLI
+# regression check), four-atom runs on roots 0, 1, 5, 60 and 0, 1, 5, 200,
+# and c2, two atoms beside a complex pair that the float polish solves:
+# <name>.config.json holds each config, and <name>.characterize.json its
+# characterize --json output, committed as produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide")
+GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2")
 
 
 def reported(label):

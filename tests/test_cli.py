@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from diagvf import ConfigError, parse_config, report_from_dict, report_to_dict, \
     run_characterize, emit_report, solve_quartic, candidate_model
 from diagvf import admissibility_verdict, build_characteristic_quartic
-from diagvf import model, pipeline, series
+from diagvf import _num, measure, model, pipeline, roots, series
 from diagvf._num import compositions
 from diagvf.pipeline import parse_params
 from diagvf.roots import _ordinate
@@ -216,6 +216,26 @@ class TestRunCharacterize:
             assert rep.status == "Admissible"
             assert rep.series == {"depth": 8, "first_negative": None}
         assert calls == []
+
+    @pytest.mark.parametrize("module, name", [
+        (roots, "build_characteristic_quartic"),
+        (_num, "power_terms"),
+    ], ids=["quartic", "power"])
+    def test_exact_run_builds_each_object_once(self, monkeypatch, module, name):
+        # counted under every diagvf module that binds the name
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in (roots, _num, model, measure, pipeline, series):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+        rep = run_characterize(E1_CONFIG)
+        assert rep.status == "Admissible" and rep.n_r == 3
+        assert rep.regression["exact"] and len(calls) == 1
 
     def test_exact_atoms_near_a_line_are_not_degenerate(self):
         # atoms (-1, 1e-13), (0, 0), (1, 1e-13): off one line by 1e-13

@@ -754,6 +754,46 @@ class TestConicResidual:
             (t1, t2) for t1 in np.linspace(-1, 1, 11) for t2 in np.linspace(-1, 1, 11)])
 
 
+class TestCachedForms:
+    """An exact model keeps its cleared form and its N-fold power; the
+    shared power must survive every read, and a float twin equal to the
+    model must not see it."""
+
+    P = DiagonalVFParams(F(-1, 2), F(0), F(1), F(0), F(1), F(0), F(0))
+
+    def test_reads_leave_the_power(self):
+        m, mu = model_and_measure(self.P, W3)
+        first = regression_check(mu, self.P, model=m)
+        assert first.exact and first.max_dev == 0 and first.n_groups == 15
+        assert regression_check(mu, self.P, model=m) == first
+        assert realize_measure(m, admissibility_verdict(m)) == mu
+
+    def test_swapped_masses_get_no_certificate(self):
+        m, mu = model_and_measure(self.P, W3)
+        assert measure._power_regression(mu, self.P, m) is not None
+        masses = list(mu.masses)
+        assert masses[0] != masses[1]
+        masses[0], masses[1] = masses[1], masses[0]
+        swapped = FiniteMeasure(mu.support, tuple(masses))
+        assert measure._power_regression(swapped, self.P, m) is None
+        rep = regression_check(swapped, self.P, model=m)
+        dev, n_groups = regression_oracle(swapped, self.P)
+        assert rep.exact and (rep.max_dev, rep.n_groups) == (float(dev), n_groups)
+        assert rep.max_dev > 0
+
+    def test_equal_float_twins_stay_float(self):
+        m, _ = model_and_measure(E1, W3)
+        assert measure._conic_residual(m, E1) == 0
+        twin = float_twin(m)
+        assert twin == m and not twin.is_exact
+        assert measure._conic_residual(twin, E1) is None
+        assert not realize_measure(twin, admissibility_verdict(twin)).is_exact
+        floats = DiagonalVFParams(*(float(v) for v in E1.as_tuple()))
+        assert floats == E1 and E1.quartic.is_exact
+        assert not floats.quartic.is_exact
+        assert measure._conic_residual(m, floats) is None
+
+
 class TestRegressionCheck:
     def test_e1_exact_zero(self):
         _, mu = model_and_measure(E1, W3)

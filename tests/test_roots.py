@@ -46,6 +46,33 @@ class TestBuildQuartic:
             DiagonalVFParams(-1, 0, 0, 0, 0, 0, 0)
 
 
+def horner(coeffs, x):
+    c0, c1, c2, c3, c4 = coeffs
+    return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+
+
+exact_values = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                         st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6))
+
+
+class TestQuarticEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(exact_values, min_size=4, max_size=4), exact_values,
+           st.floats(-1e3, 1e3), st.complex_numbers(max_magnitude=1e3))
+    def test_cleared_sum_is_horner(self, coeffs, x, xf, xc):
+        # an exact x takes the cleared integer sum, of the same value as
+        # Horner's rule on Fractions; float and complex x keep its bits
+        q = Quartic(tuple(coeffs) + (1,))
+        assert q(x) == horner(q.coeffs, F(x))
+        for v in (xf, xc):
+            assert repr(q(v)) == repr(horner(q.coeffs, v))
+
+    def test_float_coefficients_take_horner(self):
+        q = Quartic((0.5, -1.0, F(1, 3), 2, 1))
+        assert not q.is_exact
+        assert repr(q(F(1, 3))) == repr(horner(q.coeffs, F(1, 3)))
+
+
 class TestDualQuartic:
     def test_e1(self):
         q = build_dual_quartic(E1)
