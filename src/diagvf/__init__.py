@@ -4,15 +4,13 @@ functions: quartic characterization, admissibility, measures, verification.
 
 from .errors import (ConfigError, Degenerate, DiagVFError, DomainViolation,
                      NoDominantAtom, NotAdmissible, NotARoot, NotNormalized,
-                     NRootDeficit, OutOfMeanDomain, UnsupportedArity,
-                     WeightCountMismatch)
+                     NRootDeficit, OutOfMeanDomain, WeightCountMismatch)
 from .roots import (DiagonalVFParams, Quartic, RootPattern, RootSet,
                     build_characteristic_quartic, build_dual_quartic,
                     classify_root_pattern, dual_ordinate, solve_quartic)
 from .model import (AdmissibilityVerdict, CandidateModel, LatticeMatrix,
-                    StarReport, admissibility_verdict, build_lambda_matrix,
-                    candidate_model, make_model, normalize_model,
-                    star_condition)
+                    StarReport, admissibility_verdict, candidate_model,
+                    make_model, star_condition)
 from .measure import (DiagCheckReport, FiniteMeasure, RegressionReport,
                       cumulant_eval, diag_variance_check, fd_hessian,
                       mean_to_theta, realize_measure, regression_check,

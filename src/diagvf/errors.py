@@ -17,10 +17,6 @@ class WeightCountMismatch(DiagVFError):
     """Weight vector length differs from the number of distinct real roots."""
 
 
-class UnsupportedArity(DiagVFError):
-    """Lattice matrix construction needs three or four atoms."""
-
-
 class NotAdmissible(DiagVFError):
     """Measure realization requires an accepted admissibility verdict."""
 

@@ -5,20 +5,21 @@ a Laplace transform of a probability measure exactly when the weights are
 uniformly signed with unit total and the exponent is a (CaseA) positive or
 (CaseB) even positive integer.  For three or four atoms the argument goes
 through an exponent lattice whose left kernel must contain no mixed-sign
-integer vector; that check is done in exact rational arithmetic.
+integer vector: the verdict reads it from a closed-form generator in the
+abscissas, and `star_condition` row-reduces any 3x3 rational matrix exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 from ._num import all_exact, cleared, is_exact, near_integer, power_terms
-from .errors import NRootDeficit, UnsupportedArity, WeightCountMismatch
+from .errors import NRootDeficit, WeightCountMismatch
 from .roots import DiagonalVFParams, RootSet, _ordinate, solve_quartic
 
 __all__ = [
@@ -28,8 +29,6 @@ __all__ = [
     "AdmissibilityVerdict",
     "make_model",
     "candidate_model",
-    "normalize_model",
-    "build_lambda_matrix",
     "star_condition",
     "admissibility_verdict",
 ]
@@ -54,10 +53,6 @@ class CandidateModel:
             raise ValueError("atom abscissas must be strictly ascending")
         if not self.r > 0:
             raise ValueError("exponent must be positive")
-
-    @property
-    def n_r(self) -> int:
-        return len(self.atoms)
 
     @cached_property
     def is_exact(self) -> bool:
@@ -164,36 +159,6 @@ def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
     return CandidateModel(atoms, tuple(weights), r)
 
 
-def normalize_model(m: CandidateModel) -> CandidateModel:
-    """Affine change moving the first atom to the origin.
-
-    The new ordinates are lambda_i^2 - lambda_1^2, matching the transformed
-    transform whose exponents feed the lattice matrix.
-    """
-    lam1 = m.atoms[0][0]
-    atoms = tuple((lam - lam1, lam * lam - lam1 * lam1) for lam, _ in m.atoms)
-    return replace(m, atoms=atoms)
-
-
-def _to_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def build_lambda_matrix(m: CandidateModel) -> LatticeMatrix:
-    """Rows (lambda_i - lambda_1, lambda_i^2 - lambda_1^2, 0), zero-padded."""
-    k = m.n_r
-    if k not in (3, 4):
-        raise UnsupportedArity(f"lattice matrix needs 3 or 4 atoms, got {k}")
-    lam1 = _to_fraction(m.atoms[0][0])
-    rows = []
-    for lam, _ in m.atoms[1:]:
-        lam = _to_fraction(lam)
-        rows.append((lam - lam1, lam * lam - lam1 * lam1, Fraction(0)))
-    while len(rows) < 3:
-        rows.append((Fraction(0), Fraction(0), Fraction(0)))
-    return LatticeMatrix(tuple(rows))
-
-
 def _left_kernel_basis(rows):
     """Basis of {a : a^T M = 0} over the rationals, via RREF of M^T."""
     n = len(rows)
@@ -238,10 +203,52 @@ def _mixed_signs(a) -> bool:
     return any(ai * aj < 0 for ai, aj in itertools.combinations(a, 2))
 
 
+def _abscissa_star(lams, bound: int) -> StarReport:
+    """The star condition of the lattice matrix of three or four ascending
+    abscissas, read from its structure: up to a column operation its rows
+    are (d_i, d_i^2, 0), zero-padded, with d_i = lambda_i - lambda_1 in the
+    abscissas' own arithmetic (float subtraction for floats).  At rank 2 the
+    kernel is the line through the cross product g of (d_2, d_3, d_4) and
+    their squares (d_4 = 0 for three atoms), and RREF's generator is g's
+    primitive form with its last nonzero entry positive: e_3 for three
+    distinct positive d_i, and for four, (+, -, +), so the bound decides.
+    Float differences that round alike (or to 0) can leave rank <= 1."""
+    d = [Fraction(lam - lams[0]) for lam in lams[1:]]
+    d += [Fraction(0)] * (3 - len(d))
+    g = (d[1] * d[2] * (d[2] - d[1]), d[0] * d[2] * (d[0] - d[2]),
+         d[0] * d[1] * (d[1] - d[0]))
+    if any(g):
+        g = _primitive_integer(g)
+        if next(x for x in reversed(g) if x) < 0:
+            g = tuple(-x for x in g)
+        return _generator_star(g, bound)
+    # a plane: a free column f has RREF's basis vector e_f - [d_f != 0] e_p,
+    # p the first nonzero column, and the witness is the first two's difference
+    p = next((j for j in range(3) if d[j]), None)
+    f1, f2 = [j for j in range(3) if j != p][:2]
+    w = [0, 0, 0]
+    w[f1], w[f2] = 1, -1
+    if p is not None:
+        w[p] = (d[f2] != 0) - (d[f1] != 0)
+    return StarReport(holds=False, witness=tuple(w), method="exact-kernel")
+
+
+def _generator_star(g, bound: int) -> StarReport:
+    """The condition on a one-dimensional kernel with primitive integer
+    generator g: only a mixed-sign g within the bound is a witness."""
+    if not _mixed_signs(g):
+        return StarReport(holds=True, method="exact-kernel")
+    if max(abs(x) for x in g) <= bound:
+        return StarReport(holds=False, witness=g, method="exact-kernel")
+    return StarReport(holds=True, method="bounded-search", bound=bound)
+
+
 def star_condition(mat: LatticeMatrix, bound: int = 50) -> StarReport:
     """Decide whether the left kernel contains a mixed-sign integer vector.
 
-    Trivial kernel: holds.  One-dimensional kernel: the sign pattern of the
+    Any 3x3 rational matrix, by exact row reduction; the verdict's own
+    matrices have a closed-form kernel and do not come here.  Trivial
+    kernel: holds.  One-dimensional kernel: the sign pattern of the
     primitive integer generator decides, but a generator with entries beyond
     the bound is treated as no solution within reach (witnesses that large
     arise from float-to-rational conversion of irrational abscissas, where
@@ -255,12 +262,7 @@ def star_condition(mat: LatticeMatrix, bound: int = 50) -> StarReport:
     if not basis:
         return StarReport(holds=True, method="exact-kernel")
     if len(basis) == 1:
-        g = _primitive_integer(basis[0])
-        if not _mixed_signs(g):
-            return StarReport(holds=True, method="exact-kernel")
-        if max(abs(x) for x in g) <= bound:
-            return StarReport(holds=False, witness=g, method="exact-kernel")
-        return StarReport(holds=True, method="bounded-search", bound=bound)
+        return _generator_star(_primitive_integer(basis[0]), bound)
     g = _primitive_integer([x - y for x, y in zip(basis[0], basis[1])])
     return StarReport(holds=False, witness=g, method="exact-kernel")
 
@@ -269,22 +271,21 @@ def admissibility_verdict(m: CandidateModel, tol: float = 1e-9,
                           bound: int = 50) -> AdmissibilityVerdict:
     """CaseA / CaseB / Rejected per the sign, sum, and exponent clauses.
 
-    Zero-weight atoms are dropped first.  For three or four effective atoms
-    the lattice condition of the normalized model is checked as well; when
-    it fails, the verdict is Rejected with an inconclusive flag since the
-    characterization is silent in that regime.
+    Zero-weight atoms are dropped first.  For three or four kept atoms the
+    lattice condition of their abscissas is checked as well (it holds for
+    three; for four the bound decides); when it fails, the verdict is
+    Rejected with an inconclusive flag since the characterization is silent
+    in that regime.  tol applies to float weights; exact ones are exact.
     """
     kept = [(a, w) for a, w in zip(m.atoms, m.weights) if w != 0]
     if len(kept) < 2:
         return AdmissibilityVerdict(
             "Rejected", reason="fewer than two atoms with nonzero weight")
-    atoms = tuple(a for a, _ in kept)
-    weights = tuple(w for _, w in kept)
-    eff = CandidateModel(atoms, weights, m.r)
+    weights = [w for _, w in kept]
 
     star = None
-    if eff.n_r in (3, 4):
-        star = star_condition(build_lambda_matrix(normalize_model(eff)), bound)
+    if len(kept) in (3, 4):
+        star = _abscissa_star([a[0] for a, _ in kept], bound)
         if not star.holds:
             return AdmissibilityVerdict(
                 "Rejected", reason="lattice mixed-sign kernel vector exists; "
@@ -292,15 +293,16 @@ def admissibility_verdict(m: CandidateModel, tol: float = 1e-9,
                 star=star, inconclusive=True)
 
     # the weights share a sign s and sum to it; CaseB (s = -1) needs an even N
-    s = all(w >= -tol for w in weights) - all(w <= tol for w in weights)
+    t = 0 if all_exact(*weights) else tol
+    s = all(w >= -t for w in weights) - all(w <= t for w in weights)
     if not s:
         return AdmissibilityVerdict(
             "Rejected", reason="weights have mixed signs", star=star)
-    if abs(float(sum(weights)) - s) > tol:
+    if abs(sum(weights) - s) > t:
         sign = "nonnegative" if s > 0 else "nonpositive"
         return AdmissibilityVerdict(
             "Rejected", reason=f"{sign} weights do not sum to {s}", star=star)
-    n = near_integer(eff.r, tol)
+    n = near_integer(m.r, tol)
     if n is None or n < 1:
         return AdmissibilityVerdict(
             "Rejected", reason="exponent not a positive integer", star=star)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from diagvf import (DiagonalVFParams, EliminationForm, admissibility_verdict,
-                    build_characteristic_quartic, build_lambda_matrix,
+                    build_characteristic_quartic,
                     candidate_model, cumulant_eval, diag_variance_check,
                     dual_ordinate,
                     fd_hessian, first_negative_coefficient,
@@ -38,11 +38,12 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
 
 # E1, P2 and E1 at N = 8 (45 support points, 153 sum points in the
 # regression check), four-atom runs on roots 0, 1, 5, 60 and 0, 1, 5, 200,
-# and c2, two atoms beside a complex pair that the float polish solves:
+# c2, two atoms beside a complex pair that the float polish solves, and
+# q4_tight, roots 0, 1, 2, 3, Inconclusive on the lattice witness (3, -3, 1):
 # <name>.config.json holds each config, and <name>.characterize.json its
 # characterize --json output, committed as produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2")
+GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2", "q4_tight")
 
 
 def reported(label):
@@ -269,7 +270,7 @@ def test_criterion_05_star_condition():
         lams = sorted(rng.choice(np.arange(-6, 7), size=3, replace=False))
         atoms = [(F(int(l)), F(int(l)) ** 2) for l in lams]
         m = make_model(atoms, (F(1, 3),) * 3, 1)
-        assert star_condition(build_lambda_matrix(m)).holds
+        assert admissibility_verdict(m).star.holds
 
     # four-root lattice matrices from parameters with irrational roots
     for _ in range(20):
@@ -277,7 +278,7 @@ def test_criterion_05_star_condition():
         q2 = float(rng.uniform(3.5, 7.0))
         lams = sorted(np.roots([1.0, 0.0, -(p2 + q2), 0.0, p2 * q2]).real)
         m = make_model([(l, l * l) for l in lams], (0.25,) * 4, 1.0)
-        assert star_condition(build_lambda_matrix(m)).holds
+        assert admissibility_verdict(m).star.holds
     assert time.perf_counter() - start < 10.0
 
 

@@ -72,6 +72,18 @@ SMALL_ATOMS_EXACT = {
     "weights": ["1/4", "1/2", "1/4"]}
 
 
+# exact E1 weights a hair off the simplex: each is decided exactly, not
+# within the float tolerance 1e-9
+OFF_SIMPLEX_WEIGHTS = [
+    (["1/4", "1/2", "1000000000001/4000000000000"],
+     "nonnegative weights do not sum to 1"),
+    (["1/4", "1/2", "1000000000020/4000000000000"],
+     "nonnegative weights do not sum to 1"),
+    (["1/2", "1000000000001/2000000000000", "-1/2000000000000"],
+     "weights have mixed signs"),
+]
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -237,6 +249,21 @@ class TestRunCharacterize:
         assert rep.status == "Admissible" and rep.n_r == 3
         assert rep.regression["exact"] and len(calls) == 1
 
+    @pytest.mark.parametrize("name", ["e1", "q4_tight"])
+    def test_verdict_does_no_row_reduction(self, monkeypatch, name):
+        # the verdict reads the kernel generator from the abscissas
+        calls = []
+        original = model._left_kernel_basis
+
+        def counting(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(model, "_left_kernel_basis", counting)
+        cfg = json.loads((GOLDEN_DIR / f"{name}.config.json").read_text())
+        rep = run_characterize(cfg)
+        assert rep.star is not None and calls == []
+
     def test_exact_atoms_near_a_line_are_not_degenerate(self):
         # atoms (-1, 1e-13), (0, 0), (1, 1e-13): off one line by 1e-13
         cfg = {"params": {"A": "-1/2", "a": "0", "b": "10000000000000", "c": "0",
@@ -334,6 +361,14 @@ class TestCliCharacterize:
     def test_rejected_exit_code(self, tmp_path):
         cfg = dict(E1_CONFIG, weights=["1/2", "-1/4", "3/4"])
         assert main(["characterize", write_config(tmp_path, cfg)]) == 1
+
+    @pytest.mark.parametrize("weights, reason", OFF_SIMPLEX_WEIGHTS,
+                             ids=["over", "far-over", "mixed"])
+    def test_exact_weights_off_the_simplex(self, tmp_path, capsys, weights, reason):
+        cfg = dict(E1_CONFIG, weights=weights)
+        assert main(["characterize", write_config(tmp_path, cfg), "--json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "Rejected" and out["verdict"]["reason"] == reason
 
     def test_invalid_json_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -668,6 +703,29 @@ class TestCliTilt:
     def test_not_admissible(self, tmp_path):
         cfg = dict(E1_CONFIG, weights=["1/2", "-1/4", "3/4"])
         assert main(["tilt", write_config(tmp_path, cfg)]) == 1
+
+    @pytest.mark.parametrize("weights, reason", OFF_SIMPLEX_WEIGHTS,
+                             ids=["over", "far-over", "mixed"])
+    def test_exact_weights_off_the_simplex(self, tmp_path, capsys, weights, reason):
+        cfg = {"atoms": [["-1", "1"], ["0", "0"], ["1", "1"]],
+               "weights": weights, "r": "1"}
+        assert main(["tilt", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == f"model not admissible: {reason}\n"
+
+    @pytest.mark.parametrize("lams", [
+        [0.1, 1.1, 2.1, 3.1],       # float differences exactly 1, 2, 3
+        [-1e17, 2.0, 6.0],          # float differences round to one value
+        [-1e16, 2.0, 3.0, 5.0],     # the last two differences round alike
+    ], ids=["decimal", "three-collide", "four-collide"])
+    def test_float_abscissas_are_differenced_in_float(self, tmp_path, capsys, lams):
+        # the lattice rows take lambda_i - lambda_1 as float arithmetic
+        # gives it, so each model has a mixed witness within the bound
+        cfg = {"atoms": [[x, x * x] for x in lams],
+               "weights": [1 / len(lams)] * len(lams), "r": 1}
+        assert main(["tilt", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "model not admissible: lattice mixed-sign kernel vector exists; "
+            "atom masses cannot be identified\n")
 
     def test_bound_reaches_the_verdict(self, tmp_path):
         # abscissas -2, -1, 1, 2: the lattice generator (2, -2, 1) is mixed,

@@ -4,18 +4,27 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagvf import (DiagonalVFParams, LatticeMatrix, NotARoot,
-                    NRootDeficit, RootSet, UnsupportedArity, WeightCountMismatch,
-                    admissibility_verdict, build_lambda_matrix,
-                    candidate_model, make_model, normalize_model,
+                    NRootDeficit, RootSet, WeightCountMismatch,
+                    admissibility_verdict, candidate_model, make_model,
                     star_condition)
+from diagvf.model import StarReport, _abscissa_star
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
 W3 = (F(1, 4), F(1, 2), F(1, 4))
+
+
+def lambda_matrix(lams):
+    """The lattice matrix of ascending abscissas, built here as the oracle's
+    input: rows (d_i, d_i^2, 0), zero-padded to 3x3, with d_i the Fraction of
+    lambda_i - lambda_1 as the abscissas' own arithmetic gives it (subtracted
+    in float for float abscissas), the first atom moved to the origin."""
+    rows = [(d, d * d, F(0)) for d in (F(x - lams[0]) for x in lams[1:])]
+    return LatticeMatrix(tuple(rows + [(F(0),) * 3] * (3 - len(rows))))
 
 
 def brute_force_star(rows, bound=20):
@@ -70,45 +79,52 @@ class TestCandidateModel:
             candidate_model(E1, (F(1, 4),) * 4, roots=roots)
 
 
-class TestNormalizeModel:
-    def test_e1_shift(self):
-        m = candidate_model(E1, W3)
-        nm = normalize_model(m)
-        assert nm.atoms == ((0, 0), (1, -1), (2, 0))
-
-    def test_idempotent_when_first_at_origin(self):
-        m = make_model([(0, 0), (1, 1), (2, 4)], W3, 1)
-        assert normalize_model(m).atoms == m.atoms
-        assert normalize_model(normalize_model(m)).atoms == m.atoms
-
-    def test_two_atom(self):
-        m = make_model([(0, 5), (1, 7)], (F(1, 2), F(1, 2)), 1)
-        assert normalize_model(m).atoms == ((0, 0), (1, 1))
-
-
 class TestLambdaMatrix:
     def test_three_atoms(self):
-        m = candidate_model(E1, W3)
-        lm = build_lambda_matrix(m)
-        assert lm.rows == ((1, -1, 0), (2, 0, 0), (0, 0, 0))
+        # E1's abscissas -1, 0, 1: rows (1, 1, 0), (2, 4, 0) and the
+        # padding row, whose e_3 spans the kernel
+        mat = lambda_matrix([-1, 0, 1])
+        assert mat.rows == ((1, 1, 0), (2, 4, 0), (0, 0, 0))
+        assert _abscissa_star([F(-1), F(0), F(1)], 50) == StarReport(holds=True)
+        _assert_kernel_vector((0, 0, 1), mat.rows)
+        v = admissibility_verdict(candidate_model(E1, W3))
+        assert v.star == star_condition(mat)
+        assert v.star.holds and v.star.method == "exact-kernel"
 
     def test_normalization_preserves_kernel(self):
-        # rows differ by a column operation after normalization, so the
-        # star outcome must be identical either way
-        m = candidate_model(E1, W3)
-        assert (star_condition(build_lambda_matrix(m))
-                == star_condition(build_lambda_matrix(normalize_model(m))))
+        # shifting every abscissa moves the rows by a column operation, so
+        # neither the generator nor the star outcome changes
+        for lams in ([0, 1, 5, 60], [F(-7, 3), F(1, 2), 4], [-1.5, 0.25, 3.0]):
+            g = _abscissa_star(lams, math.inf)
+            base = star_condition(lambda_matrix(lams))
+            for t in (F(-5, 2), 3, 0.125):
+                shifted = [x + t for x in lams]
+                assert _abscissa_star(shifted, math.inf) == g
+                assert star_condition(lambda_matrix(shifted)) == base
 
     def test_four_atoms(self):
-        m = make_model([(0, 0), (1, 1), (2, 4), (3, 9)],
-                       (F(1, 4),) * 4, 1)
-        lm = build_lambda_matrix(normalize_model(m))
-        assert lm.rows == ((1, 1, 0), (2, 4, 0), (3, 9, 0))
+        mat = lambda_matrix([0, 1, 2, 3])
+        assert mat.rows == ((1, 1, 0), (2, 4, 0), (3, 9, 0))
+        assert _abscissa_star([0, 1, 2, 3], math.inf).witness == (3, -3, 1)
+        _assert_kernel_vector((3, -3, 1), mat.rows)
+        # the q4 golden's roots 0, 1, 5, 60: a mixed generator past bound 50
+        assert _abscissa_star([0, 1, 5, 60], math.inf).witness == (825, -177, 1)
+        assert _abscissa_star([0, 1, 5, 60], 50) == StarReport(
+            holds=True, method="bounded-search", bound=50)
 
-    def test_two_atoms_unsupported(self):
-        m = make_model([(0, 0), (1, 1)], (F(1, 2), F(1, 2)), 1)
-        with pytest.raises(UnsupportedArity):
-            build_lambda_matrix(m)
+    @given(st.lists(st.fractions(-40, 40, max_denominator=9), min_size=4,
+                    max_size=4, unique=True))
+    def test_four_atom_generator_is_primitive_and_signed(self, lams):
+        lams = sorted(lams)
+        g = _abscissa_star(lams, math.inf).witness
+        assert all(type(x) is int for x in g) and math.gcd(*g) == 1
+        assert g[0] > 0 > g[1] and g[2] > 0
+        _assert_kernel_vector(g, lambda_matrix(lams).rows)
+
+
+def _assert_kernel_vector(a, rows):
+    assert all(sum(ai * F(rows[i][j]) for i, ai in enumerate(a)) == 0
+               for j in range(3)), (a, rows)
 
 
 def _mat(rows):
@@ -119,8 +135,7 @@ def _assert_mixed_kernel_vector(a, rows):
     """a is a mixed-sign integer vector with a^T M = 0, checked in Fractions."""
     assert len(a) == 3 and all(type(x) is int for x in a), a
     assert any(x > 0 for x in a) and any(x < 0 for x in a), a
-    assert all(sum(ai * F(rows[i][j]) for i, ai in enumerate(a)) == 0
-               for j in range(3)), (a, rows)
+    _assert_kernel_vector(a, rows)
 
 
 class TestStarCondition:
@@ -188,31 +203,28 @@ class TestStarCondition:
         rng = np.random.default_rng(5)
         for _ in range(30):
             lams = sorted(rng.choice(np.arange(-6, 7), size=3, replace=False))
-            atoms = [(F(int(l)), F(int(l)) ** 2) for l in lams]
-            m = make_model(atoms, (F(1, 3),) * 3, 1)
-            assert star_condition(build_lambda_matrix(m)).holds
+            assert star_condition(lambda_matrix([int(l) for l in lams])).holds
 
     def test_four_rational_atoms_collide(self):
         # three exponent rows in a rank-2 plane always carry a rational
         # relation; with small integer abscissas its primitive integer form
         # is within the bound and has mixed signs, so the condition fails
-        m = make_model([(0, 0), (1, 1), (2, 4), (3, 9)], (F(1, 4),) * 4, 1)
-        rep = star_condition(build_lambda_matrix(m))
+        mat = lambda_matrix([0, 1, 2, 3])
+        rep = star_condition(mat)
         assert not rep.holds and rep.witness == (3, -3, 1)
-        rows = build_lambda_matrix(m).rows
-        a = rep.witness
-        assert all(sum(ai * rows[i][j] for i, ai in enumerate(a)) == 0
-                   for j in range(3))
+        _assert_mixed_kernel_vector(rep.witness, mat.rows)
+        m = make_model([(0, 0), (1, 1), (2, 4), (3, 9)], (F(1, 4),) * 4, 1)
+        assert admissibility_verdict(m).star == rep
 
     def test_four_irrational_atoms_hold(self):
         # roots of l^4 - 5 l^2 + 6 are +-sqrt(2), +-sqrt(3); the only real
         # linear relation among the exponent rows has irrational ratios, so
         # no bounded integer witness exists and the condition holds
         lams = sorted(np.roots([1, 0, -5, 0, 6]).real)
-        atoms = [(float(l), float(l) ** 2) for l in lams]
-        m = make_model(atoms, (0.25,) * 4, 1.0)
-        rep = star_condition(build_lambda_matrix(m))
+        rep = star_condition(lambda_matrix([float(l) for l in lams]))
         assert rep.holds and rep.method == "bounded-search"
+        m = make_model([(float(l), float(l) ** 2) for l in lams], (0.25,) * 4, 1.0)
+        assert admissibility_verdict(m).star == rep
 
 
 class TestVerdict:
@@ -295,3 +307,74 @@ class TestStarProperties:
         base = star_condition(LatticeMatrix(tuple(rows)))
         shuffled = star_condition(LatticeMatrix(tuple(rows[i] for i in perm)))
         assert base.holds == shuffled.holds
+
+
+def _abscissas(exact):
+    if exact:
+        return st.fractions(-60, 60, max_denominator=16)
+    # decimal abscissas c + k put the float rounding of lambda_i - lambda_1
+    # in play: 0.1 + k differences are often exactly integers
+    return st.one_of(
+        st.floats(-100, 100, allow_nan=False, allow_infinity=False,
+                  allow_subnormal=False),
+        st.tuples(st.sampled_from([0.1, 0.3, 12.34]), st.integers(-30, 30))
+        .map(sum))
+
+
+class TestVerdictStarDifferential:
+    """The verdict's closed-form star condition against `star_condition`'s
+    row reduction of the lattice matrix built here from the kept abscissas,
+    the rows the verdict row-reduced before it read the closed form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans().flatmap(lambda exact: st.lists(
+               _abscissas(exact), min_size=3, max_size=4, unique=True)),
+           st.booleans())
+    def test_matches_row_reduction(self, lams, below):
+        lams = sorted(lams)
+        mat = lambda_matrix(lams)
+        # the RREF generator at an unlimited bound; three exact atoms have
+        # e_3 (float differences that round alike can give a plane)
+        ref = star_condition(mat, bound=math.inf)
+        top = max(abs(x) for x in ref.witness) if ref.witness else 1
+        if isinstance(lams[0], F):
+            assert (ref.witness is None) == (len(lams) == 3)
+        bound = top - 1 if below else top
+        n = len(lams)
+        w = (F(1, n) if isinstance(lams[0], F) else 1.0 / n,) * n
+        m = make_model([(x, x * x) for x in lams], w, 1)
+        star = admissibility_verdict(m, bound=bound).star
+        assert star == star_condition(mat, bound=bound)
+
+    def test_decimal_abscissas_keep_their_float_differences(self):
+        # 0.1, 1.1, 2.1, 3.1 differ by exactly 1, 2, 3 in float, as for the
+        # integers 0..3, so the witness is (3, -3, 1)
+        m = make_model([(x, x * x) for x in (0.1, 1.1, 2.1, 3.1)], (0.25,) * 4, 1)
+        v = admissibility_verdict(m)
+        assert v.outcome == "Rejected" and v.inconclusive
+        assert v.star == StarReport(holds=False, witness=(3, -3, 1))
+
+    @pytest.mark.parametrize("lams, witness", [
+        ([-1e17, 2.0, 6.0], (-1, 1, -1)),           # d_2 = d_3: rank 1
+        ([-1e16, 2.0, 3.0, 5.0], (0, -1, 1)),       # d_3 = d_4
+        ([-1e16, 2.0, 2.5, 6.0], (-1, 1, 0)),       # d_2 = d_3
+        ([-1e17, 1.0, 3.0, 5.0], (0, 1, -1)),       # d_2 = d_3 = d_4: rank 1
+        ([0.1, F(0.1) + F(1, 10**30), 1.0], (1, 0, -1)),  # d_2 = 0.0
+    ], ids=["three-equal", "four-last-equal", "four-first-equal",
+            "four-all-equal", "zero-difference"])
+    def test_colliding_float_differences(self, lams, witness):
+        # float subtraction can round distinct abscissas to equal (or zero)
+        # differences; the rows then have rank <= 2 with a short witness
+        m = make_model([(x, x * x) for x in lams], (1 / len(lams),) * len(lams), 1)
+        v = admissibility_verdict(m, bound=1)
+        assert v.star == star_condition(lambda_matrix(lams), bound=1)
+        assert v.star.witness == witness and v.inconclusive
+
+    def test_zero_weight_atoms_leave_the_lattice(self):
+        # abscissas 0, 1, 2, 3 with the weight of 1 zero: the kept 0, 2, 3
+        # have a trivial condition although all four collide
+        m = make_model([(x, x * x) for x in range(4)],
+                       (F(1, 2), F(0), F(1, 4), F(1, 4)), 1)
+        v = admissibility_verdict(m)
+        assert v.star == star_condition(lambda_matrix([0, 2, 3]))
+        assert v.outcome == "CaseA"
