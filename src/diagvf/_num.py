@@ -102,11 +102,16 @@ def power_terms(orders, bases, origin, steps):
 
     One (j, coefficient, point) per order and composition n of j into
     len(bases) parts, in `compositions` order: c * multinomial(j; n) *
-    prod b_i^n_i, and origin + sum n_i step_i.
+    prod b_i^n_i, and origin + sum n_i step_i.  When every c is a float,
+    each power b_i^n is converted once, as float(b_i ** n): the float a
+    float coefficient times an exact power converts it to, so the products
+    keep their bits.
     """
     top = max((j for j, _ in orders), default=0)
     fact = [math.factorial(i) for i in range(top + 1)]
     pows = [[b ** n for n in range(top + 1)] for b in bases]
+    if all(isinstance(c, float) for _, c in orders):
+        pows = [[float(p) for p in row] for row in pows]
     xs, ys = [s[0] for s in steps], [s[1] for s in steps]
     x0, y0 = origin
     for j, scale in orders:
@@ -121,23 +126,30 @@ def power_terms(orders, bases, origin, steps):
                             y0 + sum(map(operator.mul, ns, ys)))
 
 
-def merge_points(terms, exact: bool) -> list:
+def merge_points(terms, exact: bool, den: int | None = None) -> list:
     """Merge (order, coefficient, point) terms whose points share a point_key.
 
     One [first point seen, sum of coefficients, least order] per key, the
-    sum started from an exact or float zero, in ascending key order.
+    sum started from 0 (a lone -0.0 sums to 0.0), in ascending key order.  With
+    den, the points are exact integer pairs (X, Y) standing for
+    (X / den, Y / den), as `cleared` gives them: they merge as they are,
+    sort by (X / den, Y / den), which is the float key of the point they
+    stand for since int division rounds correctly, and each merged point
+    becomes one pair of Fractions.
     """
-    zero = Fraction(0) if exact else 0.0
     merged: dict = {}
     for order, coef, pt in terms:
         key = point_key(pt, exact)
         entry = merged.get(key)
         if entry is None:
-            merged[key] = [pt, zero + coef, order]
+            merged[key] = [pt, 0 + coef, order]
         else:
             entry[1] += coef
             entry[2] = min(entry[2], order)
-    return [merged[k] for k in sorted(merged, key=lambda k: (float(k[0]), float(k[1])))]
+    if den is None:
+        return [merged[k] for k in sorted(merged, key=lambda k: (float(k[0]), float(k[1])))]
+    return [[(Fraction(X, den), Fraction(Y, den)), *merged[X, Y][1:]]
+            for X, Y in sorted(merged, key=lambda k: (k[0] / den, k[1] / den))]
 
 
 def widest_gap(vectors):

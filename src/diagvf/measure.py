@@ -72,14 +72,16 @@ class FiniteMeasure:
     """Finitely supported probability measure in the plane."""
 
     support: tuple   # of (x1, x2)
-    masses: tuple    # positive, summing to 1
+    masses: tuple    # positive, summing to 1: exactly when all are exact
 
     def __post_init__(self):
         if len(self.support) != len(self.masses):
             raise ValueError("support/mass length mismatch")
         if any(not m > 0 for m in self.masses):
             raise ValueError("masses must be positive")
-        if abs(float(sum(self.masses)) - 1.0) > 1e-12:
+        total = sum(self.masses)
+        if (total != 1 if all_exact(*self.masses)
+                else abs(float(total) - 1.0) > 1e-12):
             raise ValueError("masses must sum to 1")
 
     @property

@@ -6,13 +6,14 @@ unboundedness of inadmissible transform shapes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._num import (is_exact, merge_points, near_integer, power_terms,
-                   widest_gap)
+import numpy as np
+
+from ._num import (cleared, is_exact, merge_points, near_integer,
+                   power_terms, widest_gap)
 from .errors import ConfigError, NoDominantAtom, NotNormalized
 from .measure import MAX_SUPPORT
 from .model import CandidateModel
@@ -60,20 +61,28 @@ class EliminationForm:
         if not (self.poly or self.exp_terms or self.linexp or self.osc_blocks):
             raise ValueError("at least one block must be present")
 
-    def eval_imag(self, t: float) -> complex:
-        """f(i t) by direct complex evaluation."""
-        z = 1j * t
-        val = 0j
+    def eval_imag(self, t):
+        """f(i t) at each t of a float array, as a complex128 array.
+
+        The blocks are added in the order written above, and each term is
+        formed in the order of its scalar expression.  Every coefficient is
+        converted with float(), as complex() converts a Fraction.  Overflow
+        gives inf or nan rather than an error; a coefficient past the float
+        range raises OverflowError.
+        """
+        z = 1j * np.asarray(t, dtype=float)
+        val = np.zeros_like(z)
         for k, c in enumerate(self.poly):
-            val += c * z ** k
+            val += float(c) * z ** k
         for amp, lam in self.exp_terms:
-            val += amp * cmath.exp(lam * z)
+            val += float(amp) * np.exp(float(lam) * z)
         if self.linexp is not None:
             B, g = self.linexp
-            val += B * z * cmath.exp(g * z)
+            val += float(B) * z * np.exp(float(g) * z)
         for lam, g, a0, a1, b0, b1 in self.osc_blocks:
-            val += cmath.exp(lam * z) * ((a0 + z * b0) * cmath.cos(g * z)
-                                         + (a1 + z * b1) * cmath.sin(g * z))
+            val += np.exp(float(lam) * z) * (
+                (float(a0) + z * float(b0)) * np.cos(float(g) * z)
+                + (float(a1) + z * float(b1)) * np.sin(float(g) * z))
         return val
 
 
@@ -111,7 +120,9 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
 
     Terms are keyed by the absolute support point r*v_pivot + sum n_i w_i,
     so for an integer exponent they coincide with the convolution masses.
-    Exact rational arithmetic is used when the model is exact.  Orders up to
+    Exact rational arithmetic is used when the model is exact; its points
+    are cleared to integers over one denominator (`_num.cleared`), merged
+    on those, and each merged point's Fractions are formed once.  Orders up to
     max_j = min(depth, N) of n atoms make C(max_j + n - 1, n - 1) terms; past
     MAX_SUPPORT terms or orders, or past order 170 with float coefficients
     (171! exceeds the largest float), it raises ConfigError before any work.
@@ -142,6 +153,11 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     wdiffs = [(m.atoms[i][0] - m.atoms[pivot][0],
                m.atoms[i][1] - m.atoms[pivot][1]) for i in others]
     base = (r * m.atoms[pivot][0], r * m.atoms[pivot][1])
+    den = None
+    if exact:
+        # the points on integers over one denominator
+        den, ints = cleared((*base, *(c for d in wdiffs for c in d)))
+        base, wdiffs = ints[:2], list(zip(ints[2::2], ints[3::2]))
     lead = float(ap) ** float(r) if floats else ap ** n_int
 
     # the falling factorial ff = r(r-1)...(r-j+1), carried from order to
@@ -151,7 +167,7 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
         orders.append((j, lead * ff / (math.factorial(j) if exact
                                        else float(math.factorial(j)))))
         ff = ff * (r - j)
-    merged = merge_points(power_terms(orders, betas, base, wdiffs), exact)
+    merged = merge_points(power_terms(orders, betas, base, wdiffs), exact, den)
 
     # of the least order, the first in point order
     neg = min((e for e in merged if e[1] < -1e-12), key=lambda e: e[2], default=None)
@@ -201,15 +217,25 @@ def magnitude_scan(f: EliminationForm, r, t_grid) -> Optional[float]:
     A finite witness certifies that f^r cannot be a Laplace transform of a
     probability measure: the characteristic-function magnitude would exceed
     its value at zero.  Only the magnitude is used, so no branch of the
-    complex power is ever chosen.
+    complex power is ever chosen.  The grid is evaluated in its own order,
+    in numpy blocks of 32 points that double in size, so a witness early
+    in the grid ends the scan early.  With r > 0, as the CLI requires, a
+    magnitude that is not finite (f overflowed) is a witness, and so is
+    the first t when a coefficient is past the float range.
     """
     rf = float(r)
-    for t in t_grid:
-        t = float(t)
-        try:
-            mag = abs(f.eval_imag(t)) ** rf
-        except OverflowError:
-            return t
-        if math.isinf(mag) or mag > 1.0 + 1e-6:
-            return t
+    ts = np.asarray(t_grid, dtype=float)
+    start, size = 0, 32
+    with np.errstate(all="ignore"):
+        while start < len(ts):
+            block = ts[start:start + size]
+            try:
+                # inf and nan are not <= 1 + 1e-6, and a power r > 0 keeps them
+                bad = ~(np.abs(f.eval_imag(block)) ** rf <= 1.0 + 1e-6)
+            except OverflowError:
+                return float(block[0])
+            i = bad.argmax()
+            if bad[i]:
+                return float(block[i])
+            start, size = start + size, 2 * size
     return None

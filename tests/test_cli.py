@@ -652,11 +652,17 @@ class TestCliExpand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
-    @pytest.mark.parametrize("name, code", [("readme", 1), ("exact3", 0)])
-    def test_golden(self, capsys, name, code):
+    @pytest.mark.parametrize("name, code, depth", [
+        pytest.param("readme", 1, 8, id="readme-1"),
+        pytest.param("exact3", 0, 8, id="exact3-0"),
+        pytest.param("frac24", 1, 24, id="frac24-1"),
+    ])
+    def test_golden(self, capsys, name, code, depth):
         # readme: float coefficients, the first negative at order 2;
-        # exact3: exact coefficients of an integer power
-        assert main(["expand", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == code
+        # exact3: exact coefficients of an integer power; frac24: exact
+        # points and float coefficients of the exponent 9/4 to order 24
+        assert main(["expand", str(GOLDEN_DIR / f"{name}.config.json"), "--json",
+                     f"--depth={depth}"]) == code
         assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.expand.json").read_text()
 
     @pytest.mark.parametrize("r", ["1/2", 0.5])
@@ -678,6 +684,13 @@ class TestCliScan:
             "exp_terms": [["1/2", "-1"], ["1/2", "1"]], "r": "1"})
         assert main(["scan", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["witness"] is None
+
+    @pytest.mark.parametrize("name", ["scan_mixture", "scan_osc", "scan_poly"])
+    def test_golden(self, capsys, name):
+        # scan_mixture: no witness; scan_osc: cosh(20 t) overflows at the
+        # witness; scan_poly: "p/q" coefficients and exponent
+        assert main(["scan", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.scan.json").read_text()
 
 
 class TestCliEval:

@@ -206,6 +206,17 @@ class TestFiniteMeasure:
         with pytest.raises(ValueError):
             FiniteMeasure(((0, 0), (1, 1)), (F(3, 2), F(-1, 2)))
 
+    def test_exact_masses_sum_exactly(self):
+        # 1 + 1e-13 passes a float tolerance of 1e-12 but is no probability
+        with pytest.raises(ValueError, match="sum to 1"):
+            FiniteMeasure(((0, 0), (1, 1)), (F(1, 2), F(1, 2) + F(1, 10**13)))
+        with pytest.raises(ValueError, match="sum to 1"):
+            FiniteMeasure(((0, 0), (1, 1)), (F(1, 3), 2 * F(1, 3) - F(1, 10**40)))
+        # float masses keep the tolerance, and so do exact and float mixed
+        FiniteMeasure(((0, 0), (1, 1)), (0.5, 0.5 + 1e-13))
+        FiniteMeasure(((0, 0), (1, 1)), (F(1, 2), 0.5 + 1e-13))
+        FiniteMeasure(((0, 0), (1, 1), (2, 4)), (F(1, 3), F(1, 2), F(1, 6)))
+
     def test_laplace(self):
         mu = FiniteMeasure(((0, 0), (1, 2)), (F(1, 2), F(1, 2)))
         t = (0.3, -0.7)

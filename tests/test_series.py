@@ -1,12 +1,16 @@
+import cmath
+import itertools
 import math
 import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diagvf import series
+from diagvf._num import power_terms
 from diagvf import (DiagonalVFParams, EliminationForm, NoDominantAtom,
                     NotNormalized, admissibility_verdict, candidate_model,
                     expand_series, first_negative_coefficient, make_model,
@@ -124,6 +128,114 @@ class TestRunningFallingFactorial:
                              for j in range(171)}
 
 
+def _bits(c):
+    """A coefficient as a value that tells signed zeros and float bits apart."""
+    return (type(c), c.hex()) if isinstance(c, float) else (type(c), c)
+
+
+def _report_bits(rep):
+    return ([(pt, _bits(c)) for pt, c in rep.terms.items()],
+            None if rep.first_negative is None
+            else (rep.first_negative[0], _bits(rep.first_negative[1])),
+            rep.pivot, rep.probe)
+
+
+def fraction_merge(terms, exact, den=None):
+    """Exact points merged as they are, each sum started from Fraction(0),
+    in the order of their float keys: merge_points(terms, True) on Fraction
+    points, written out here."""
+    assert exact and den is None
+    merged = {}
+    for order, coef, pt in terms:
+        entry = merged.get(pt)
+        if entry is None:
+            merged[pt] = [pt, F(0) + coef, order]
+        else:
+            entry[1] += coef
+            entry[2] = min(entry[2], order)
+    return [merged[k] for k in sorted(merged, key=lambda k: (float(k[0]), float(k[1])))]
+
+
+def fraction_point_expansion(m, depth):
+    """expand_series with its points left as Fractions and merged by
+    fraction_merge."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "cleared", lambda values: (None, tuple(values)))
+        mp.setattr(series, "merge_points", fraction_merge)
+        return expand_series(m, depth)
+
+
+@st.composite
+def exact_series_models(draw):
+    """Exact models on the parabola (lam, lam^2), int or Fraction atoms, a
+    positive weight on the first atom at least as large as any other, zero
+    weights allowed elsewhere, and integer or fractional r."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        lams = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k, unique=True))
+    else:
+        lams = draw(st.lists(st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 7))),
+                             min_size=k, max_size=k, unique=True))
+    lams = sorted(lams)
+    ns = draw(st.lists(st.integers(0, 6), min_size=k - 1, max_size=k - 1))
+    top = max(ns, default=0) + draw(st.integers(1, 3))
+    weights = [F(top, top + sum(ns))] + [F(n, top + sum(ns)) for n in ns]
+    r = draw(st.integers(1, 5) | st.builds(F, st.integers(1, 19), st.sampled_from((2, 3, 4, 5))))
+    return make_model([(lam, lam * lam) for lam in lams], weights, r)
+
+
+class TestExpandSeriesDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(exact_series_models(), st.integers(0, 14))
+    def test_cleared_points_match_fraction_points(self, m, depth):
+        try:
+            want = fraction_point_expansion(m, depth)
+        except NoDominantAtom:
+            with pytest.raises(NoDominantAtom):
+                expand_series(m, depth)
+            return
+        got = expand_series(m, depth)
+        assert _report_bits(got) == _report_bits(want)
+        assert all(isinstance(x, F) for pt in got.terms for x in pt)
+
+    @pytest.mark.parametrize("weights", [(F(1, 2), F(0), F(1, 2)), (F(2, 3), F(1, 3), F(0))],
+                             ids=["middle-zero", "last-zero"])
+    @pytest.mark.parametrize("r", [F(7, 4), F(1, 3), 2, F(3)],
+                             ids=["r7_4", "r1_3", "int-2", "fraction-3"])
+    def test_zero_weights_keep_their_signed_zeros(self, weights, r):
+        m = make_model([(0, 0), (1, 1), (3, 9)], weights, r)
+        rep = expand_series(m, 12)
+        assert _report_bits(rep) == _report_bits(fraction_point_expansion(m, 12))
+        # a zero-weight atom's terms sum to +0.0, whatever the sign of their
+        # order's coefficient
+        zero = 2 if weights[2] == 0 else 1
+        pt = tuple(r * a + 2 * (b - a) for a, b in zip(m.atoms[0], m.atoms[zero]))
+        assert _bits(rep.terms[pt]) == (_bits(0.0) if isinstance(rep.terms[pt], float)
+                                        else _bits(F(0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 9), st.floats(-10, 10, allow_nan=False)),
+                    min_size=1, max_size=4),
+           st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 9)), min_size=1, max_size=3))
+    def test_float_power_terms_keep_their_bits(self, orders, bases):
+        # each float coefficient times the exact power, as the product with
+        # a Fraction rounds it
+        steps = [(i, 0) for i in range(len(bases))]
+        got = list(power_terms(orders, bases, (0, 0), steps))
+        want = []
+        for j, scale in orders:
+            for ns in _compositions(j, len(bases)):
+                coef = scale * (math.factorial(j) // math.prod(math.factorial(n) for n in ns))
+                for b, n in zip(bases, ns):
+                    coef = coef * b ** n
+                want.append(coef)
+        assert [_bits(c) for _, c, _ in got] == [_bits(c) for c in want]
+
+
+def _compositions(total, parts):
+    return [ns for ns in itertools.product(range(total + 1), repeat=parts) if sum(ns) == total]
+
+
 class TestFirstNegativeCoefficient:
     def test_half(self):
         assert first_negative_coefficient(F(3, 4), F(1, 4), F(1, 2)) == 2
@@ -160,6 +272,54 @@ class TestFirstNegativeCoefficient:
 def _grid(t_max=50.0, n=2001):
     g = np.linspace(-t_max, t_max, n)
     return g[np.argsort(np.abs(g), kind="stable")]
+
+
+def f_imag_oracle(f, t):
+    """f(it) at one float t by scalar cmath arithmetic; OverflowError when
+    a value passes the float range."""
+    z = 1j * t
+    val = 0j
+    for k, c in enumerate(f.poly):
+        val += c * z ** k
+    for amp, lam in f.exp_terms:
+        val += amp * cmath.exp(lam * z)
+    if f.linexp is not None:
+        B, g = f.linexp
+        val += B * z * cmath.exp(g * z)
+    for lam, g, a0, a1, b0, b1 in f.osc_blocks:
+        val += cmath.exp(lam * z) * ((a0 + z * b0) * cmath.cos(g * z)
+                                     + (a1 + z * b1) * cmath.sin(g * z))
+    return val
+
+
+def term_scale(f, t):
+    """Sum over the terms of f(it) of the product of their factors'
+    magnitudes: the size of the values both evaluations round."""
+    t = abs(t)
+    scale = sum(abs(float(c)) * t ** k for k, c in enumerate(f.poly))
+    scale += sum(abs(float(amp)) for amp, _ in f.exp_terms)
+    if f.linexp is not None:
+        scale += abs(float(f.linexp[0])) * t
+    for _, g, a0, a1, b0, b1 in f.osc_blocks:
+        # |cos(i g t)| = cosh(g t) and |sin(i g t)| = |sinh(g t)|
+        scale += (abs(float(a0)) + t * abs(float(b0)) + abs(float(a1))
+                  + t * abs(float(b1))) * math.cosh(float(g) * t)
+    return scale
+
+
+def scan_oracle(f, r, t_grid):
+    """magnitude_scan as a scalar loop: f(it) at one t at a time, and an
+    OverflowError is a witness."""
+    rf = float(r)
+    for t in t_grid:
+        t = float(t)
+        try:
+            mag = abs(f_imag_oracle(f, t)) ** rf
+        except OverflowError:
+            return t
+        if math.isinf(mag) or mag > 1.0 + 1e-6:
+            return t
+    return None
 
 
 class TestMagnitudeScan:
@@ -212,6 +372,106 @@ class TestMagnitudeScan:
     def test_empty_form_rejected(self):
         with pytest.raises(ValueError):
             EliminationForm()
+
+    @pytest.mark.parametrize("index", [0, 31, 32, 95, 96, 223, 224])
+    def test_witness_at_block_edges(self, index):
+        # |1 + it| is 1 to within 1e-18 at the tiny t before index, and
+        # sqrt(2) or more from there on; the blocks hold 32, 64, 128... points
+        grid = [k * 1e-9 for k in range(1, index + 1)] + [1.0 + k for k in range(300)]
+        f = EliminationForm(poly=(1.0, 1.0))
+        for r in (0.5, 1, F(3, 2), 2):
+            assert magnitude_scan(f, r, grid) == grid[index] == scan_oracle(f, r, grid)
+
+    def test_overflow_is_a_witness(self):
+        # cosh(20 t) passes the float range between t = 35.50 and 35.55; the
+        # 1e-320 amplitude keeps every finite value below the threshold
+        f = EliminationForm(exp_terms=((0.5, -1.0), (0.5, 1.0)),
+                            osc_blocks=((0.25, 20.0, 0.0, 0.0, 1e-320, 0.0),))
+        assert magnitude_scan(f, 2, _grid()) == -35.55 == scan_oracle(f, 2, _grid())
+
+    def test_coefficient_past_float_range_is_a_witness_at_once(self):
+        f = EliminationForm(poly=(F(10 ** 400),))
+        assert magnitude_scan(f, 1, _grid()) == 0.0 == scan_oracle(f, 1, _grid())
+
+    def test_empty_grid(self):
+        assert magnitude_scan(EliminationForm(poly=(5.0,)), 1, []) is None
+
+    @pytest.mark.parametrize("form, blocks", [
+        (EliminationForm(exp_terms=((0.5, -1.0), (0.5, 1.0))), [32, 64, 128, 256, 512, 1009]),
+        (EliminationForm(poly=(2.0,)), [32]),
+        (EliminationForm(poly=(1.0, 0.0005)), [32, 64, 128]),
+    ], ids=["mixture", "first-point", "index-100"])
+    def test_blocks_double_from_32(self, monkeypatch, form, blocks):
+        # an early witness ends the scan early: the grid is never evaluated
+        # in one pass
+        seen = []
+        full = EliminationForm.eval_imag
+        monkeypatch.setattr(EliminationForm, "eval_imag",
+                            lambda f, t: seen.append(len(t)) or full(f, t))
+        magnitude_scan(form, 1, _grid())
+        assert seen == blocks
+
+
+# float and exact coefficients; the tiny and zero ones let osc blocks reach
+# the float range (g t past 710 on the [-50, 50] grid) without a witness
+# before it
+coefficient = st.one_of(
+    st.floats(-1, 1, allow_nan=False, allow_infinity=False),
+    st.builds(F, st.integers(-8, 8), st.integers(1, 12)),
+    st.sampled_from((0.0, 1e-320, 1e-300, 1e-200)))
+
+
+@st.composite
+def elimination_forms(draw):
+    poly = tuple(draw(st.lists(coefficient, max_size=3)))
+    exp_terms = tuple(draw(st.lists(st.tuples(coefficient, coefficient), max_size=3)))
+    linexp = draw(st.none() | st.tuples(coefficient, coefficient))
+    osc = tuple(draw(st.lists(st.tuples(
+        coefficient, st.floats(0, 40, allow_nan=False) | st.sampled_from((14.3, 20.0, 36.0)),
+        coefficient, coefficient, coefficient, coefficient), max_size=2)))
+    assume(poly or exp_terms or linexp or osc)
+    return EliminationForm(poly=poly, exp_terms=exp_terms, linexp=linexp, osc_blocks=osc)
+
+
+@st.composite
+def mixtures(draw):
+    """Probability mixtures of characters: never a witness."""
+    ns = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    lams = draw(st.lists(coefficient, min_size=len(ns), max_size=len(ns)))
+    exact = draw(st.booleans())
+    ws = [F(n, sum(ns)) if exact else n / sum(ns) for n in ns]
+    return EliminationForm(exp_terms=tuple(zip(ws, lams)))
+
+
+scan_exponents = st.sampled_from((0.5, 1, F(3, 2), 2))
+
+
+class TestMagnitudeScanDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(elimination_forms(), scan_exponents)
+    def test_matches_scalar_oracle(self, f, r):
+        assert magnitude_scan(f, r, _grid()) == scan_oracle(f, r, _grid())
+
+    @settings(max_examples=200, deadline=None)
+    @given(elimination_forms(), st.lists(st.floats(-50, 50), min_size=1, max_size=40))
+    def test_values_match_scalar_oracle(self, f, ts):
+        # same operation order; numpy's complex products and functions may
+        # round differently, by a few units in the last place of each term
+        with np.errstate(all="ignore"):
+            vals = f.eval_imag(np.array(ts))
+        for t, v in zip(ts, vals):
+            try:
+                want, scale = f_imag_oracle(f, t), term_scale(f, t)
+            except OverflowError:
+                assert not np.isfinite(v)
+                continue
+            assert abs(v - want) <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixtures(), scan_exponents)
+    def test_mixtures_have_no_witness(self, f, r):
+        assert magnitude_scan(f, r, _grid()) is None
+        assert scan_oracle(f, r, _grid()) is None
 
 
 small_fraction = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
