@@ -15,6 +15,7 @@ import operator
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 import numpy as np
 
 from ._num import (all_exact, cleared, merge_points, near_integer, point_key,
@@ -67,32 +68,71 @@ def _collinear(points) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteMeasure:
-    """Finitely supported probability measure in the plane."""
+    """Finitely supported probability measure in the plane.
 
-    support: tuple   # of (x1, x2)
-    masses: tuple    # positive, summing to 1: exactly when all are exact
+    An exact measure is held in its cleared form `_cleared` =
+    (D, points, S, weights), all ints: each point (X, Y) = D x with its
+    mass W = S m, every W positive and their sum S.  `support` and `masses`
+    are the tuples the constructor was given, which it clears once when
+    they are exact.  A measure built on a cleared form (`_from_cleared`)
+    forms them as Fractions on first read, sorted stably by the float key
+    (X / D, Y / D).  Float and mixed input has no cleared form.
+    """
 
-    def __post_init__(self):
-        if len(self.support) != len(self.masses):
+    support: tuple = cached_property(lambda self: self._view[0])  # of (x1, x2)
+    # positive, summing to 1: exactly when all are exact
+    masses: tuple = cached_property(lambda self: self._view[1])
+
+    def __init__(self, support, masses):
+        if len(support) != len(masses):
             raise ValueError("support/mass length mismatch")
-        if any(not m > 0 for m in self.masses):
+        if all_exact(*masses) and all(all_exact(*x) for x in support):
+            D, coords = cleared(v for x in support for v in x)
+            self._hold(D, tuple(zip(coords[::2], coords[1::2])), *cleared(masses))
+        else:
+            if any(not m > 0 for m in masses):
+                raise ValueError("masses must be positive")
+            total = sum(masses)
+            if (total != 1 if all_exact(*masses)
+                    else abs(float(total) - 1.0) > 1e-12):
+                raise ValueError("masses must sum to 1")
+            object.__setattr__(self, "_cleared", None)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "masses", masses)
+
+    @classmethod
+    def _from_cleared(cls, D, points, scale, weights) -> "FiniteMeasure":
+        """The exact measure with the points (X, Y) / D and masses W / scale,
+        kept as these tuples of ints."""
+        mu = cls.__new__(cls)
+        mu._hold(D, points, scale, weights)
+        return mu
+
+    def _hold(self, D, points, scale, weights):
+        if any(w <= 0 for w in weights):
             raise ValueError("masses must be positive")
-        total = sum(self.masses)
-        if (total != 1 if all_exact(*self.masses)
-                else abs(float(total) - 1.0) > 1e-12):
+        if sum(weights) != scale:
             raise ValueError("masses must sum to 1")
+        object.__setattr__(self, "_cleared", (D, points, scale, weights))
+
+    @cached_property
+    def _view(self):
+        # (support, masses) of a measure built on its cleared form
+        D, points, scale, weights = self._cleared
+        pairs = sorted(zip(points, weights), key=lambda pw: (pw[0][0] / D, pw[0][1] / D))
+        return (tuple((Fraction(X, D), Fraction(Y, D)) for (X, Y), _ in pairs),
+                tuple(Fraction(W, scale) for _, W in pairs))
 
     @property
     def degenerate(self) -> bool:
         """True when the support lies on a single affine line."""
-        return _collinear(self.support)
+        return _collinear(self.support if self._cleared is None else self._cleared[1])
 
     @property
     def is_exact(self) -> bool:
-        return (all_exact(*self.masses)
-                and all(all_exact(*x) for x in self.support))
+        return self._cleared is not None
 
     def laplace(self, theta) -> float:
         t1, t2 = float(theta[0]), float(theta[1])
@@ -138,8 +178,9 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     largest float: the diag check's theta grid, exact input off the conic
     rule too, and the float regression walk square sums of that size.  An
     exact power is the model's own, built once on its cleared integer form
-    and shared with the regression check (`_integer_power`), with Fractions
-    formed once per point.
+    and shared with the regression check (`_integer_power`); the measure
+    holds a copy of its points and masses as its cleared form, and forms
+    no Fraction until they are read.
     """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
@@ -163,14 +204,10 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
         raise ConfigError(f"the float checks of the N-fold power (N = {N}) "
                           f"overflow: its coordinates pass the float range")
     if exact:
-        # points D x and masses M^N mass, merged and sorted as merge_points does
         D, scale, power = _integer_power(m, N)
-        merged = sorted((((Fraction(X, D), Fraction(Y, D)), Fraction(coef, scale))
-                         for (X, Y), coef in power.items()),
-                        key=lambda pm: (float(pm[0][0]), float(pm[0][1])))
-    else:
-        terms = power_terms([(N, 1.0)], weights, (0, 0), atoms)
-        merged = [e[:2] for e in merge_points((t for t in terms if t[1] != 0), False)]
+        return FiniteMeasure._from_cleared(D, tuple(power), scale, tuple(power.values()))
+    terms = power_terms([(N, 1.0)], weights, (0, 0), atoms)
+    merged = [e[:2] for e in merge_points((t for t in terms if t[1] != 0), False)]
     return FiniteMeasure(tuple(pt for pt, _ in merged),
                          tuple(mass for _, mass in merged))
 
@@ -356,15 +393,16 @@ def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
     if N is None or (top := _conic_residual(model, p)) is None:
         return None
     D, scale, power = _integer_power(model, N)
-    if len(mu.support) != len(power):
+    # mu's cleared form, brought to the power's D and M^N, must be the power
+    mD, points, mscale, weights = mu._cleared
+    k, l = D // mD, scale // mscale
+    if k * mD != D or l * mscale != scale or len(points) != len(power):
         return None
-    power = dict(power)  # the read pops each point of mu from a copy
-    for (x, y), w in zip(mu.support, mu.masses):
-        X, rx = divmod(x.numerator * D, x.denominator)
-        Y, ry = divmod(y.numerator * D, y.denominator)
-        coef = power.pop((X, Y), None)
-        if rx or ry or coef is None or w.numerator * scale != coef * w.denominator:
-            return None
+    if k != 1 or l != 1:
+        points = [(X * k, Y * k) for X, Y in points]
+        weights = [W * l for W in weights]
+    if dict(zip(points, weights)) != power:
+        return None
     _, atoms, _, _ = model._cleared
     if len(atoms) <= 3:
         n_groups = math.comb(2 * N + len(atoms) - 1, len(atoms) - 1)
@@ -384,10 +422,10 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
     model whose N-fold power mu is meant to be, an exact check takes the
     conic residuals of `_power_regression` where they apply; float input
     and every other measure get the walk over its ordered pairs.  The exact
-    walk runs on integers: coordinates X / D, masses W / M and A = An / Ad
-    make Ad D^2 g_k = Ad (X_k - Y_k)^2 - 2 An X_k Y_k, with
-    g_k = (x_k - y_k)^2 - 2 A x_k y_k, and Fractions are formed once per sum
-    point.  Floats take the same walk with D = M = Ad = 1, and pass at tol
+    walk runs on mu's cleared form: coordinates X / D, masses W / S and
+    A = An / Ad make Ad D^2 g_k = Ad (X_k - Y_k)^2 - 2 An X_k Y_k, with
+    g_k = (x_k - y_k)^2 - 2 A x_k y_k, and Fractions are formed once per
+    sum point.  Floats take the same walk with D = S = Ad = 1, and pass at tol
     times the largest right-hand side, when that exceeds 1.
     """
     exact = mu.is_exact and p.is_exact
@@ -397,9 +435,8 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
                                 n_groups=found[1])
     if exact:
         A, a, b, c, d, e, f = p.as_tuple()
-        D, coords = cleared(v for x in mu.support for v in x)
-        _, masses = cleared(mu.masses)
-        pts = list(zip(zip(coords[::2], coords[1::2]), masses))
+        D, points, _, masses = mu._cleared
+        pts = list(zip(points, masses))
         An, Ad = Fraction(A).numerator, Fraction(A).denominator
         ratio = Fraction
     else:

@@ -78,8 +78,8 @@ class CandidateModel:
         mixture on its cleared form: each point sum n_i (X_i, Y_i) of the
         support, D times a point of mu, with its mass times M^N.  Built once
         per model and shared, so no reader changes it: `realize_measure`
-        reads it and the regression check pops the points of mu from a
-        copy."""
+        hands the measure a copy of its points and masses, and the
+        regression check compares mu's cleared form with it."""
         _, points, _, weights = self._cleared
         power: dict = {}
         for _, coef, pt in power_terms([(int(self.r), 1)], weights, (0, 0), points):

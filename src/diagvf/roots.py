@@ -157,15 +157,21 @@ class RootPattern(enum.Enum):
 
 
 def build_characteristic_quartic(p: DiagonalVFParams) -> Quartic:
-    """Monic quartic in the first-coordinate abscissa lambda."""
-    A, a, b, c, d, e, f = p.as_tuple()
-    return Quartic((
+    """Monic quartic in the first-coordinate abscissa lambda.
+
+    Exact params take the formula on their cleared form Q p, so that
+    coefficient k is one Fraction, an int over Q^(4 - k); other params take
+    it as they are."""
+    Q, (A, a, b, c, d, e, f) = p._cleared or (None, p.as_tuple())
+    coeffs = (
         A * A * e * e - e * d * b * A + f * b * b * A,
         -(2 * A * a * e - a * d * b + c * b * b),
         2 * A * e + a * a - d * b,
         -2 * a,
-        1,
-    ))
+    )
+    if Q is not None:
+        coeffs = tuple(Fraction(ck, Q ** (4 - k)) for k, ck in enumerate(coeffs))
+    return Quartic((*coeffs, 1))
 
 
 def build_dual_quartic(p: DiagonalVFParams) -> Quartic:

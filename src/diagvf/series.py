@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -149,7 +150,7 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
 
     ap = weights[pivot]
     others = [i for i in range(len(weights)) if i != pivot]
-    betas = [weights[i] / ap for i in others]
+    betas = [Fraction(weights[i], ap) if exact else weights[i] / ap for i in others]
     wdiffs = [(m.atoms[i][0] - m.atoms[pivot][0],
                m.atoms[i][1] - m.atoms[pivot][1]) for i in others]
     base = (r * m.atoms[pivot][0], r * m.atoms[pivot][1])
@@ -164,8 +165,8 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     # order, is nonzero for every j <= max_j: an integer r caps max_j
     orders, ff = [], 1
     for j in range(max_j + 1):
-        orders.append((j, lead * ff / (math.factorial(j) if exact
-                                       else float(math.factorial(j)))))
+        fact = math.factorial(j)
+        orders.append((j, lead * ff / fact if floats else Fraction(lead * ff, fact)))
         ff = ff * (r - j)
     merged = merge_points(power_terms(orders, betas, base, wdiffs), exact, den)
 

@@ -749,10 +749,11 @@ class TestCliTilt:
         assert main(["tilt", path]) == 1
         assert main(["tilt", path, "--bound", "1"]) == 0
 
-    @pytest.mark.parametrize("name", ["e1_n8", "q6"])
+    @pytest.mark.parametrize("name", ["e1_n8", "q6", "q4"])
     def test_golden(self, capsys, name):
         # the realized measure's support order and exact masses at theta 0;
-        # q6 has three atoms with denominators up to 88 and 28 points
+        # q6 has three atoms with denominators up to 88 and 28 points, q4
+        # four atoms and 10 points
         assert main(["tilt", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.tilt.json").read_text()
 

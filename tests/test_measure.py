@@ -18,6 +18,7 @@ from diagvf import (AdmissibilityVerdict, ConfigError, Degenerate, DiagonalVFPar
                     fd_hessian, make_model, mean_to_theta, realize_measure,
                     regression_check, run_characterize, tilt_member)
 from diagvf import measure
+from diagvf._num import merge_points, power_terms
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -222,6 +223,84 @@ class TestFiniteMeasure:
         t = (0.3, -0.7)
         want = 0.5 + 0.5 * math.exp(0.3 - 1.4)
         assert abs(mu.laplace(t) - want) <= 1e-14
+
+
+@st.composite
+def accepted_powers(draw):
+    """(params, model, measure): an exact model with 2 to 4 atoms on both
+    conics of its params, realized CaseA or CaseB at N from 1 to 12 with
+    A = -1/N.  The atoms lie on nu = (lam^2 - a lam + e A) / b with a half
+    the sum of four abscissas; the second conic is fixed by three of them
+    and passes through the fourth, since the quartic's roots sum to 2a."""
+    case_b = draw(st.booleans())
+    N = 2 * draw(st.integers(1, 6)) if case_b else draw(st.integers(1, 12))
+    A = F(-1, N)
+    lams = draw(st.lists(small_fraction, min_size=4, max_size=4, unique=True))
+    a, b, e = sum(lams) / 2, draw(small_fraction.filter(bool)), draw(small_fraction)
+    pts = [(lam, (lam * lam - a * lam + e * A) / b) for lam in lams]
+    c, d, h = _solve3([(lam, nu, F(1)) for lam, nu in pts[:3]],
+                      [nu * nu for _, nu in pts[:3]])
+    p = DiagonalVFParams(A, a, b, c, d, e, -h / A)
+    k = draw(st.integers(2, 4))
+    ns = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    m = make_model(pts[:k], tuple((-1 if case_b else 1) * F(n, sum(ns)) for n in ns), N)
+    v = AdmissibilityVerdict("CaseB" if case_b else "CaseA", N=N)
+    return p, m, realize_measure(m, v)
+
+
+def fraction_power(m):
+    """The exact N-fold power as Fractions, N = r: power_terms on the
+    Fraction atoms and weights |alpha_i|, merged by merge_points, which
+    sorts the points stably by their floats."""
+    kept = [(x, abs(w)) for x, w in zip(m.atoms, m.weights) if w]
+    merged = merge_points(power_terms([(m.r, 1)], [w for _, w in kept], (0, 0),
+                                      [x for x, _ in kept]), True)
+    return tuple(pt for pt, _, _ in merged), tuple(c for _, c, _ in merged)
+
+
+class TestClearedMeasure:
+    """A realized exact measure keeps the model's power on integers and
+    forms its Fractions only when they are read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(accepted_powers())
+    def test_matches_fraction_power(self, model):
+        p, m, mu = model
+        assert (mu.support, mu.masses) == fraction_power(m)
+        assert all(type(v) is F for pt in mu.support for v in pt)
+        assert all(type(w) is F for w in mu.masses)
+        twin = FiniteMeasure(mu.support, mu.masses)
+        assert mu == twin and twin == mu and hash(mu) == hash(twin)
+        assert twin.is_exact and twin.degenerate == mu.degenerate
+        # the twin is cleared over its own denominators, and still reads
+        # as the power
+        assert measure._power_regression(twin, p, m) is not None
+        rep = regression_check(twin, p, model=m)
+        assert rep.exact and rep.max_dev == 0
+        assert rep.n_groups == regression_check(mu, p, model=m).n_groups
+
+    def test_checks_form_no_fractions(self):
+        m, mu = model_and_measure(E1, W3)
+        assert regression_check(mu, E1, model=m).max_dev == 0
+        assert not mu.degenerate and mu.is_exact
+        assert "support" not in vars(mu) and "masses" not in vars(mu)
+        D, points, scale, weights = mu._cleared
+        assert all(type(v) is int
+                   for v in (D, scale, *weights, *(c for pt in points for c in pt)))
+        assert mu.support == ((-1, 1), (0, 0), (1, 1))
+        assert mu.masses == W3
+
+    def test_constructor_keeps_its_tuples(self):
+        pts, masses = ((0, 0), (1, 2)), (F(1, 2), F(1, 2))
+        mu = FiniteMeasure(pts, masses)
+        assert mu.support is pts and mu.masses is masses
+        assert mu._cleared == (1, ((0, 0), (1, 2)), 2, (1, 1))
+
+    def test_cleared_form_is_validated(self):
+        with pytest.raises(ValueError, match="positive"):
+            FiniteMeasure._from_cleared(1, ((0, 0), (1, 1)), 2, (3, -1))
+        with pytest.raises(ValueError, match="sum to 1"):
+            FiniteMeasure._from_cleared(1, ((0, 0), (1, 1)), 4, (1, 2))
 
 
 class TestCumulantEval:

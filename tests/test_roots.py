@@ -46,6 +46,50 @@ class TestBuildQuartic:
             DiagonalVFParams(-1, 0, 0, 0, 0, 0, 0)
 
 
+def quartic_formula(A, a, b, c, d, e, f):
+    """The characteristic quartic's coefficients as the params give them."""
+    return (A * A * e * e - e * d * b * A + f * b * b * A,
+            -(2 * A * a * e - a * d * b + c * b * b),
+            2 * A * e + a * a - d * b,
+            -2 * a,
+            1)
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else (type(x), x)
+
+
+exact_params = st.one_of(st.integers(-10 ** 4, 10 ** 4),
+                         st.fractions(-10 ** 4, 10 ** 4, max_denominator=10 ** 4))
+negative = st.one_of(st.integers(-10 ** 4, -1),
+                     st.fractions(-10 ** 4, F(-1, 10 ** 4), max_denominator=10 ** 4))
+
+
+class TestIntegerQuartic:
+    """Exact params build the quartic from their cleared form; other
+    params take the formula as they are."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(negative, st.lists(exact_params, min_size=6, max_size=6).filter(lambda v: v[1]))
+    def test_exact_params_match_fraction_formula(self, A, rest):
+        p = DiagonalVFParams(A, *rest)
+        q = build_characteristic_quartic(p)
+        assert q.coeffs == quartic_formula(*(F(v) for v in p.as_tuple()))
+        assert q.is_exact and all(isinstance(c, F) for c in q.coeffs[:4])
+        assert q.coeffs[4] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e3, -1e-3),
+           st.lists(st.one_of(st.floats(-1e3, 1e3), exact_params), min_size=6,
+                    max_size=6).filter(lambda v: v[1] and any(isinstance(x, float) for x in v)))
+    def test_float_params_keep_their_bits(self, A, rest):
+        # float A, or any float among the others, takes the formula as
+        # written, Fractions and ints mixed in too
+        for p in (DiagonalVFParams(A, *rest), DiagonalVFParams(F(A), *rest)):
+            assert [_bits(c) for c in build_characteristic_quartic(p).coeffs] \
+                == [_bits(c) for c in quartic_formula(*p.as_tuple())]
+
+
 def horner(coeffs, x):
     c0, c1, c2, c3, c4 = coeffs
     return (((c4 * x + c3) * x + c2) * x + c1) * x + c0

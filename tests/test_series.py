@@ -58,6 +58,15 @@ class TestExpandSeries:
         assert all(isinstance(v, F) or isinstance(v, int)
                    for v in rep.terms.values())
 
+    def test_int_weights_expand_exactly(self):
+        # (2 - e^<(1, 1), theta>)^3 on int weights divides exactly
+        m = make_model([(0, 0), (1, 1)], [2, -1], 3)
+        assert m.is_exact
+        rep = expand_series(m)
+        assert rep.terms == {(0, 0): 8, (1, 1): -12, (2, 2): 6, (3, 3): -1}
+        assert all(isinstance(v, F) for v in rep.terms.values())
+        assert rep.first_negative == ((1, 1), -12)
+
     def test_e1_has_dominant_direction(self):
         # the middle atom of E1 dominates after tilting along -theta2
         m = candidate_model(E1, W3)
@@ -463,6 +472,10 @@ class TestMagnitudeScanDifferential:
             try:
                 want, scale = f_imag_oracle(f, t), term_scale(f, t)
             except OverflowError:
+                assert not np.isfinite(v)
+                continue
+            if not cmath.isfinite(want):
+                # cmath can also overflow to inf or nan without raising
                 assert not np.isfinite(v)
                 continue
             assert abs(v - want) <= 1e-13 * scale
