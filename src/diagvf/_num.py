@@ -132,10 +132,10 @@ def merge_points(terms, exact: bool, den: int | None = None) -> list:
     One [first point seen, sum of coefficients, least order] per key, the
     sum started from 0 (a lone -0.0 sums to 0.0), in ascending key order.  With
     den, the points are exact integer pairs (X, Y) standing for
-    (X / den, Y / den), as `cleared` gives them: they merge as they are,
-    sort by (X / den, Y / den), which is the float key of the point they
-    stand for since int division rounds correctly, and each merged point
-    becomes one pair of Fractions.
+    (X / den, Y / den), as `cleared` gives them: they merge and stay as
+    they are, and sort by (X / den, Y / den), which is the float key of the
+    point they stand for since int division rounds correctly.  No Fraction
+    is formed or hashed.
     """
     merged: dict = {}
     for order, coef, pt in terms:
@@ -148,8 +148,7 @@ def merge_points(terms, exact: bool, den: int | None = None) -> list:
             entry[2] = min(entry[2], order)
     if den is None:
         return [merged[k] for k in sorted(merged, key=lambda k: (float(k[0]), float(k[1])))]
-    return [[(Fraction(X, den), Fraction(Y, den)), *merged[X, Y][1:]]
-            for X, Y in sorted(merged, key=lambda k: (k[0] / den, k[1] / den))]
+    return [merged[k] for k in sorted(merged, key=lambda k: (k[0] / den, k[1] / den))]
 
 
 def widest_gap(vectors):

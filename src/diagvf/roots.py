@@ -428,7 +428,9 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     # square-free part of what is left of q once its rational roots are
     # deflated
     cluster_tol = tol * (1.0 + max(abs(c) for c in numeric_coeffs))
-    raw = [_polish(q, complex(r)) for r in np.roots(numeric_coeffs[::-1])]
+    # a square-free part of degree 0 ([1]: every root was rational) has none
+    raw = [_polish(q, complex(r)) for r in np.roots(numeric_coeffs[::-1])
+           ] if len(numeric_coeffs) > 1 else []
     # np.roots gives exact conjugate pairs, and _polish and _cluster keep them
     # bit for bit (IEEE complex *, / and abs are sign-symmetric).  So a
     # cluster is real when it holds its own conjugate, that is, when it lies

@@ -7,6 +7,8 @@ unboundedness of inadmissible transform shapes.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -21,6 +23,7 @@ from .model import CandidateModel
 
 __all__ = [
     "SeriesReport",
+    "SeriesTerms",
     "EliminationForm",
     "expand_series",
     "first_negative_coefficient",
@@ -33,12 +36,89 @@ _PROBE_DIRECTIONS = (
     (-1.0, -1e-3), (1.0, 1e-3),
 )
 _LOG_DOMINANCE = math.log(0.999)
+_U = 2.0 ** -53                  # the unit roundoff of a float
+_SCAN_LIMIT = 1.0 + 1e-6         # |f(it)|^r past this is a witness
+
+
+def _lattice_coordinate(c, den: int):
+    """c * den as an int, or None when c is not a number on the 1/den
+    lattice."""
+    if isinstance(c, float):
+        if not math.isfinite(c):
+            return None
+        num, d = c.as_integer_ratio()
+    elif isinstance(c, numbers.Rational):
+        num, d = c.numerator, c.denominator
+    else:
+        return None
+    q, rem = divmod(num * den, d)
+    return None if rem else q
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._coefs.values())
+
+
+class SeriesTerms(Mapping):
+    """Read-only map of an expansion's support points to their coefficients,
+    in point order.
+
+    With den, the points are held cleared: int pairs (X, Y) standing for
+    (X / den, Y / den).  A lookup clears the point it is given, so points of
+    ints, Fractions or floats find their term and a point off the 1/den
+    lattice is missing; `len` forms no Fraction, and iteration forms each
+    point's pair of Fractions and hashes none.  Without den (a float
+    expansion) the points are held and yielded as they are.  A SeriesTerms
+    equals a dict of the same items, both ways.
+    """
+
+    __slots__ = ("_coefs", "_den")
+
+    def __init__(self, coefs: dict, den: int | None = None):
+        self._coefs, self._den = coefs, den
+
+    def _point(self, key):
+        """The support point a stored key stands for."""
+        den = self._den
+        return key if den is None else (Fraction(key[0], den), Fraction(key[1], den))
+
+    def __getitem__(self, point):
+        den = self._den
+        if den is None:
+            return self._coefs[point]
+        if not (isinstance(point, tuple) and len(point) == 2):
+            raise KeyError(point)
+        key = (_lattice_coordinate(point[0], den), _lattice_coordinate(point[1], den))
+        if None in key:
+            raise KeyError(point)
+        return self._coefs[key]
+
+    def __iter__(self):
+        return map(self._point, self._coefs)
+
+    def __len__(self):
+        return len(self._coefs)
+
+    def items(self):
+        return _TermItems(self)
+
+    def values(self):
+        return self._coefs.values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 @dataclass(frozen=True)
 class SeriesReport:
+    """An expansion to `depth`: its terms by support point (a SeriesTerms,
+    on cleared integer points when the model is exact), the first negative
+    coefficient of the least order with its point, the pivot atom and the
+    probe that shows the pivot dominates."""
+
     depth: int
-    terms: dict           # support point -> coefficient
+    terms: SeriesTerms    # support point -> coefficient, in point order
     first_negative: Optional[tuple]   # (point, coefficient)
     pivot: int
     probe: tuple
@@ -123,7 +203,9 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     so for an integer exponent they coincide with the convolution masses.
     Exact rational arithmetic is used when the model is exact; its points
     are cleared to integers over one denominator (`_num.cleared`), merged
-    on those, and each merged point's Fractions are formed once.  Orders up to
+    on those and kept there: `terms` is a SeriesTerms over the integer
+    points, which forms a point's Fractions only when it is iterated, and
+    the first negative coefficient's point is formed once.  Orders up to
     max_j = min(depth, N) of n atoms make C(max_j + n - 1, n - 1) terms; past
     MAX_SUPPORT terms or orders, or past order 170 with float coefficients
     (171! exceeds the largest float), it raises ConfigError before any work.
@@ -172,8 +254,9 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
 
     # of the least order, the first in point order
     neg = min((e for e in merged if e[1] < -1e-12), key=lambda e: e[2], default=None)
-    return SeriesReport(depth=depth, terms={pt: coef for pt, coef, _ in merged},
-                        first_negative=None if neg is None else (neg[0], neg[1]),
+    terms = SeriesTerms({pt: coef for pt, coef, _ in merged}, den)
+    return SeriesReport(depth=depth, terms=terms,
+                        first_negative=None if neg is None else (terms._point(neg[0]), neg[1]),
                         pivot=pivot, probe=probe)
 
 
@@ -212,27 +295,78 @@ def first_negative_coefficient(a1, a2, r, depth: int = 8,
     return None
 
 
+def _mass_bounded(f: EliminationForm, rf: float, ts) -> bool:
+    """Whether f, a form of exp_terms only, is bounded by its mass so that
+    no grid t can be a witness of magnitude_scan.
+
+    Every |exp(i lambda t)| is 1, so |f(it)| <= S = sum |A_i| for every t,
+    and f has no witness when S^r <= 1 + 1e-6.  The scan rounds, so the
+    test is (S (1 + delta))^r <= 1 + 1e-6 - 2^-49, with S summed by
+    math.fsum and delta = 4 (n + 6) u for n terms, u = 2^-53.  The
+    derivation takes cos, sin, hypot and pow within 4 ulp (relative error
+    8u on a normal result; cos and sin of a float are never subnormal).
+    It holds only when r > 0 and the grid is finite and non-empty, and
+    when every |lambda_i| max|t| is finite: then no lambda_i t overflows
+    (an overflow gives the scan a nan witness), exp's argument is
+    (+-0, fl(lambda_i t)), and eval_imag computes, for each t:
+      - each exp(i y) with modulus at most 1 + 8u;
+      - each term A_i exp(i y) with one rounding per part: modulus at most
+        |A_i| (1 + 8u)(1 + u), plus 2^-1074 if a part underflows;
+      - their sum from 0 in n - 1 additions, exact when they underflow:
+        each part within (1 + u)^(n - 1) of the sum of the parts' moduli,
+        so the modulus within it of the sum of the terms' moduli;
+      - abs within 1 + 8u.
+    So |f(it)| as computed is at most (1 + u)^n (1 + 8u)^2 (S' + n 2^-1074)
+    for the exact sum S' of the |A_i|.  If S' < 2^-1022, that is below 1,
+    and its r-th power as computed is at most 1 + 8u.  Otherwise n 2^-1074 <= 2nu S', fsum's S
+    has S' <= S (1 + 2u), and the computed S (1 + delta) is at least
+    S (1 + delta)(1 - u)^2, so |f(it)| is at most S (1 + delta) as
+    computed times a factor whose log is below (3n + 20)u - delta +
+    O((nu)^2) < 0 for n < 10^14.  Below 2, the two powers are within 4
+    ulp = 8u each of their exact values, which x^r orders: so every
+    |f(it)|^r of the scan is at most the bound's power plus 16u = 2^-49,
+    which is at most 1 + 1e-6.  A nan or inf S fails the comparison.
+    """
+    if f.poly or f.linexp is not None or f.osc_blocks or not rf > 0 or not len(ts):
+        return False
+    tmax = float(np.abs(ts).max())   # nan or inf if any t is
+    try:
+        terms = [(float(amp), float(lam)) for amp, lam in f.exp_terms]
+        if not all(math.isfinite(abs(lam) * tmax) for _, lam in terms):
+            return False
+        delta = 4 * (len(terms) + 6) * _U
+        bound = (math.fsum(abs(amp) for amp, _ in terms) * (1 + delta)) ** rf
+    except OverflowError:   # a coefficient or the power past the float range
+        return False
+    return bound <= _SCAN_LIMIT - 2.0 ** -49
+
+
 def magnitude_scan(f: EliminationForm, r, t_grid) -> Optional[float]:
     """First grid t with |f(it)|^r > 1 + 1e-6, or None.
 
     A finite witness certifies that f^r cannot be a Laplace transform of a
     probability measure: the characteristic-function magnitude would exceed
     its value at zero.  Only the magnitude is used, so no branch of the
-    complex power is ever chosen.  The grid is evaluated in its own order,
-    in numpy blocks of 32 points that double in size, so a witness early
-    in the grid ends the scan early.  With r > 0, as the CLI requires, a
-    magnitude that is not finite (f overflowed) is a witness, and so is
-    the first t when a coefficient is past the float range.
+    complex power is ever chosen.  A form of exp_terms only whose mass
+    sum |A_i| bounds |f(it)|^r below the threshold, rounding included
+    (`_mass_bounded`), has no witness and evaluates no point.  Any other
+    form is evaluated on the grid in its own order, in numpy blocks of 32
+    points that double in size, so a witness early in the grid ends the
+    scan early.  With r > 0, as the CLI requires, a magnitude that is not
+    finite (f overflowed) is a witness, and so is the first t when a
+    coefficient is past the float range.
     """
     rf = float(r)
     ts = np.asarray(t_grid, dtype=float)
+    if _mass_bounded(f, rf, ts):
+        return None
     start, size = 0, 32
     with np.errstate(all="ignore"):
         while start < len(ts):
             block = ts[start:start + size]
             try:
                 # inf and nan are not <= 1 + 1e-6, and a power r > 0 keeps them
-                bad = ~(np.abs(f.eval_imag(block)) ** rf <= 1.0 + 1e-6)
+                bad = ~(np.abs(f.eval_imag(block)) ** rf <= _SCAN_LIMIT)
             except OverflowError:
                 return float(block[0])
             i = bad.argmax()

@@ -685,10 +685,12 @@ class TestCliScan:
         assert main(["scan", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["witness"] is None
 
-    @pytest.mark.parametrize("name", ["scan_mixture", "scan_osc", "scan_poly"])
+    @pytest.mark.parametrize("name", ["scan_mixture", "scan_osc", "scan_poly", "scan_signed"])
     def test_golden(self, capsys, name):
-        # scan_mixture: no witness; scan_osc: cosh(20 t) overflows at the
-        # witness; scan_poly: "p/q" coefficients and exponent
+        # scan_mixture: no witness, decided by its mass; scan_osc: cosh(20 t)
+        # overflows at the witness; scan_poly: "p/q" coefficients and
+        # exponent; scan_signed: amplitudes 3/4 and -1/2, whose mass 5/4
+        # leaves the witness to the scan
         assert main(["scan", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.scan.json").read_text()
 

@@ -25,7 +25,10 @@ def test_cleared_points_merge_as_their_fractions():
     terms = [(j % 3, c, pt) for j, (c, pt) in enumerate(zip(coefs, points))]
     got = merge_points(terms, True, 3)
     want = merge_points([(j, c, (F(x, 3), F(y, 3))) for j, c, (x, y) in terms], True)
-    assert got == want
-    assert [pt for pt, _, _ in got] == [(F(-4, 3), F(0)), (F(7, 3), F(-2, 3)), (F(3), F(1)),
-                                        (F(2 ** 60 + 1, 3), F(5, 3)), (F(2 ** 60, 3), F(5, 3))]
+    # the merged points stay integers, and clear to the Fraction merge's
+    assert [pt for pt, _, _ in got] == [(-4, 0), (7, -2), (9, 3), (2 ** 60 + 1, 5), (2 ** 60, 5)]
+    assert all(type(x) is int for pt, _, _ in got for x in pt)
+    assert [[(F(x, 3), F(y, 3)), c, j] for (x, y), c, j in got] == want
+    assert [pt for pt, _, _ in want] == [(F(-4, 3), F(0)), (F(7, 3), F(-2, 3)), (F(3), F(1)),
+                                         (F(2 ** 60 + 1, 3), F(5, 3)), (F(2 ** 60, 3), F(5, 3))]
     assert math.copysign(1.0, got[0][1]) == 1.0

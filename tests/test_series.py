@@ -107,6 +107,102 @@ class TestExpandSeries:
         assert total < 1.0
 
 
+FRAC24 = make_model([(F(-3, 2), F(9, 4)), (F(-1, 4), F(1, 16)), (F(5, 4), F(25, 16))],
+                    (F(1, 2), F(1, 3), F(1, 6)), F(9, 4))
+
+
+@pytest.fixture
+def fraction_counts(monkeypatch):
+    """Counts of the Fractions formed and hashed while the test runs."""
+    counts = {"formed": 0, "hashed": 0}
+    new, hash_ = F.__new__, F.__hash__
+
+    def counting_new(cls, *args, **kwargs):
+        counts["formed"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_hash(self):
+        counts["hashed"] += 1
+        return hash_(self)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    monkeypatch.setattr(F, "__hash__", counting_hash)
+    return counts
+
+
+class TestSeriesTerms:
+    """The terms of an exact expansion are held on cleared integer points."""
+
+    def test_exact_expansion_forms_and_hashes_no_point(self, fraction_counts):
+        # 325 merged points; the Fractions formed are the exact powers and
+        # factors of each order, and the first negative's point
+        rep = expand_series(FRAC24, 24)
+        assert len(rep.terms) == 325
+        assert fraction_counts["hashed"] == 0
+        assert fraction_counts["formed"] <= 5 * (24 + 1)
+
+    def test_len_forms_no_fraction(self, fraction_counts):
+        rep = expand_series(FRAC24, 24)
+        formed = fraction_counts["formed"]
+        assert len(rep.terms) == 325
+        assert fraction_counts["formed"] == formed
+
+    def test_iteration_hashes_no_fraction(self, fraction_counts):
+        rep = expand_series(FRAC24, 24)
+        points = list(rep.terms)
+        assert len(points) == 325 and fraction_counts["hashed"] == 0
+        assert all(type(x) is F for pt in points for x in pt)
+        # in the order of the points' float keys
+        assert points == sorted(points, key=lambda pt: (float(pt[0]), float(pt[1])))
+        assert [pt for pt, _ in rep.terms.items()] == points
+        assert list(rep.terms.values()) == [rep.terms[pt] for pt in points]
+
+    def test_lookups_clear_the_point(self):
+        rep = expand_series(FRAC24, 24)
+        # the pivot's point r v_pivot = (-27/8, 81/16) leads the series
+        coef = rep.terms[(F(-27, 8), F(81, 16))]
+        assert coef == 0.5 ** 2.25
+        assert rep.terms[(-3.375, 5.0625)] == coef
+        assert rep.terms.get((F(-27, 8), 5.0625)) == coef
+        # every point on the lattice of the series, ints included
+        m = make_model([(0, 0), (F(1, 2), F(1, 4)), (1, 1)], (F(1, 2), F(1, 4), F(1, 4)), 3)
+        terms = expand_series(m, 8).terms
+        assert terms[(0, 0)] == terms[(F(0), 0.0)] == F(1, 8)
+        assert terms[(3, 3)] == terms[(3.0, F(3))] == F(1, 64)
+
+    @pytest.mark.parametrize("point", [
+        (0, 0),                      # on the lattice, not in the support
+        (F(-27, 8), F(81, 17)),      # off the lattice
+        (-3.375, 5.0625 + 2 ** -40), (F(1, 3), 0.1),
+        (math.nan, 0.0), (math.inf, 1), (-3.375,), (-3.375, 5.0625, 0), "ab", None,
+        ("-27/8", "81/16"),
+    ])
+    def test_missing_points(self, point):
+        terms = expand_series(FRAC24, 24).terms
+        assert terms.get(point) is None and point not in terms
+        with pytest.raises(KeyError):
+            terms[point]
+
+    def test_equals_a_dict_both_ways(self):
+        terms = expand_series(FRAC24, 24).terms
+        plain = dict(terms.items())
+        assert terms == plain and plain == terms
+        plain[next(iter(plain))] += 1.0
+        assert terms != plain and plain != terms
+        assert terms != dict(list(terms.items())[1:])
+        # read-only
+        with pytest.raises(TypeError):
+            terms[(F(-27, 8), F(81, 16))] = 0.0
+
+    def test_float_expansion_keeps_its_points(self):
+        m = make_model([(0.0, 0.0), (0.1, 0.01)], (0.75, 0.25), 0.5)
+        terms = expand_series(m, 6).terms
+        points = list(terms)
+        assert all(type(x) is float for pt in points for x in pt)
+        assert points[1] == (0.1, 0.01)
+        assert terms.get(points[1]) == terms[points[1]] and terms.get((F(1, 10), 0.01)) is None
+
+
 def falling_factorial(r, k):
     """r(r-1)...(r-k+1), formed from scratch."""
     out = 1
@@ -318,13 +414,14 @@ def term_scale(f, t):
 
 def scan_oracle(f, r, t_grid):
     """magnitude_scan as a scalar loop: f(it) at one t at a time, and an
-    OverflowError is a witness."""
+    OverflowError is a witness, as is the ValueError of cmath.exp at an
+    argument lambda t that overflowed to inf (numpy gives nan there)."""
     rf = float(r)
     for t in t_grid:
         t = float(t)
         try:
             mag = abs(f_imag_oracle(f, t)) ** rf
-        except OverflowError:
+        except (OverflowError, ValueError):
             return t
         if math.isinf(mag) or mag > 1.0 + 1e-6:
             return t
@@ -406,13 +503,20 @@ class TestMagnitudeScan:
         assert magnitude_scan(EliminationForm(poly=(5.0,)), 1, []) is None
 
     @pytest.mark.parametrize("form, blocks", [
-        (EliminationForm(exp_terms=((0.5, -1.0), (0.5, 1.0))), [32, 64, 128, 256, 512, 1009]),
+        # mass 1.25 > 1, but |0.75 - 0.5 exp(0.001 i t)| <= 0.28 on the grid
+        (EliminationForm(exp_terms=((0.75, 0.0), (-0.5, 0.001))), [32, 64, 128, 256, 512, 1009]),
         (EliminationForm(poly=(2.0,)), [32]),
         (EliminationForm(poly=(1.0, 0.0005)), [32, 64, 128]),
-    ], ids=["mixture", "first-point", "index-100"])
+        # a mixture of mass 1 is bounded by its mass: no point is evaluated
+        (EliminationForm(exp_terms=((0.5, -1.0), (0.5, 1.0))), []),
+        # mass 1 + 1e-6 is within rounding of the limit, so the grid is
+        # walked (at lambda = 0.5 the product with exp(0.5 i t) rounds to a
+        # modulus one ulp above the limit, a witness in the second block)
+        (EliminationForm(exp_terms=((1.0 + 1e-6, 0.0),)), [32, 64, 128, 256, 512, 1009]),
+    ], ids=["mixture", "first-point", "index-100", "bounded-mixture", "mass-at-limit"])
     def test_blocks_double_from_32(self, monkeypatch, form, blocks):
         # an early witness ends the scan early: the grid is never evaluated
-        # in one pass
+        # in one pass; a form that cannot have a witness is not evaluated
         seen = []
         full = EliminationForm.eval_imag
         monkeypatch.setattr(EliminationForm, "eval_imag",
@@ -455,6 +559,27 @@ def mixtures(draw):
 scan_exponents = st.sampled_from((0.5, 1, F(3, 2), 2))
 
 
+@st.composite
+def massed_forms(draw):
+    """exp_terms forms of mass sum |A_i| = S from 1 - 1e-9 to 1 + 1e-5 up
+    to rounding, signed float or Fraction amplitudes plus zero and
+    subnormal ones, and exponents up to 1e300 and past 1e306, where
+    lambda t overflows on the grid."""
+    mass = 1 + draw(st.floats(-1e-9, 1e-5))
+    shares = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    amps = []
+    for n in shares:
+        sign = draw(st.sampled_from((1, -1)))
+        amp = F(sign * n, sum(shares)) * F(mass)
+        amps.append(amp if draw(st.booleans()) else float(amp))
+    amps += draw(st.lists(st.sampled_from((0.0, F(0), -0.0, 5e-324, -1e-310, 1e-320)),
+                          max_size=2))
+    lam = st.one_of(st.floats(-3, 3), st.floats(-1e300, 1e300),
+                    st.sampled_from((0.0, 1e300, -1e300, 1e307, -1.7e308)))
+    lams = draw(st.lists(lam, min_size=len(amps), max_size=len(amps)))
+    return EliminationForm(exp_terms=tuple(zip(amps, lams)))
+
+
 class TestMagnitudeScanDifferential:
     @settings(max_examples=300, deadline=None)
     @given(elimination_forms(), scan_exponents)
@@ -479,6 +604,13 @@ class TestMagnitudeScanDifferential:
                 assert not np.isfinite(v)
                 continue
             assert abs(v - want) <= 1e-13 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(massed_forms(), st.sampled_from((0.5, 1, F(3, 2), 2, 1000)))
+    def test_mass_bound_matches_scalar_oracle(self, f, r):
+        # a form the bound decides has no witness by the scalar oracle
+        # either; every other one is scanned
+        assert magnitude_scan(f, r, _grid()) == scan_oracle(f, r, _grid())
 
     @settings(max_examples=60, deadline=None)
     @given(mixtures(), scan_exponents)
