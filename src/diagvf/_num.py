@@ -61,8 +61,7 @@ def format_number(x):
 def near_integer(r, tol: float = 1e-9):
     """Return the nearest int if r is within tol of one, else None."""
     if is_exact(r):
-        fr = Fraction(r)
-        return int(fr) if fr.denominator == 1 else None
+        return int(r) if r.denominator == 1 else None
     n = round(float(r))
     return n if abs(float(r) - n) <= tol else None
 

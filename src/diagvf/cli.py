@@ -60,17 +60,9 @@ def _model_from_config(cfg, tol):
 
 def cmd_characterize(args) -> int:
     cfg = _read_config(args.config)
-    rep = run_characterize(cfg, tol=args.tol, grid_n=args.grid,
-                           bound=args.bound, extra_thetas=_seed_thetas(args))
+    rep = run_characterize(cfg, tol=args.tol, bound=args.bound)
     _emit(report_to_dict(rep), args.json)
     return EXIT_REJECTED if rep.status == "Rejected" else EXIT_OK
-
-
-def _seed_thetas(args):
-    if args.seed is None:
-        return None
-    rng = np.random.default_rng(args.seed)
-    return [tuple(t) for t in rng.uniform(-1.0, 1.0, size=(args.grid, 2))]
 
 
 def cmd_roots(args) -> int:
@@ -167,15 +159,13 @@ def cmd_tilt(args) -> int:
 FLAGS = {
     "tol": (float, 1e-8, lambda v: 0 < v < math.inf, "positive and finite"),
     "bound": (int, 50, lambda v: v >= 1, "at least 1"),
-    "grid": (int, 11, lambda v: v >= 1, "at least 1"),
     "depth": (int, 8, lambda v: v >= 0, "at least 0"),
-    "seed": (int, None, None, None),
 }
 
 # subcommand -> (function, help, the flags it reads)
 COMMANDS = {
     "characterize": (cmd_characterize, "run the full pipeline",
-                     ("tol", "bound", "grid", "seed")),
+                     ("tol", "bound")),
     "roots": (cmd_roots, "solve and classify the characteristic quartic", ("tol",)),
     "lattice": (cmd_lattice, "mixed-sign kernel check on an explicit matrix",
                 ("bound",)),
@@ -209,7 +199,7 @@ def main(argv=None) -> int:
     for flag in COMMANDS[args.command][2]:
         _, _, ok, rule = FLAGS[flag]
         value = getattr(args, flag)
-        if ok and not ok(value):
+        if not ok(value):
             print(f"input error: --{flag} must be {rule}, got {value}", file=sys.stderr)
             return EXIT_INPUT
     try:

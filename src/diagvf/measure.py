@@ -1,10 +1,11 @@
 """Finite atomic measures, cumulant calculus, and identity verification.
 
 An accepted model is realized as the N-fold convolution of the atomic
-mixture; masses stay exact rationals whenever the inputs are exact.  The
-atoms' conic residuals decide both identity checks exactly where they apply
-(`_conic_residual`); otherwise the diag check runs along theta, so collinear
-(degenerate) supports remain checkable without inverting a singular mean map.
+mixture; masses stay exact rationals whenever the inputs are exact.  Both
+identity checks read the atoms' conic residuals (`_conic_certificate`),
+floats as the exact values they hold.  Off that rule, the diag check runs
+along theta, so collinear (degenerate) supports remain checkable without
+inverting a singular mean map, and the regression check walks the pairs.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 import numpy as np
 
-from ._num import (all_exact, cleared, merge_points, near_integer, point_key,
-                   power_terms, widest_gap)
+from ._num import (all_exact, cleared, near_integer, point_key, power_terms,
+                   widest_gap)
 from .errors import (ConfigError, Degenerate, DomainViolation, NotAdmissible,
                      OutOfMeanDomain)
 from .model import AdmissibilityVerdict, CandidateModel, _kept_atoms
@@ -39,10 +40,9 @@ __all__ = [
     "MAX_SUPPORT",
 ]
 
-# Most support points a realized measure may have.  The regression check's
-# pair walk visits every ordered pair of them, so its time grows with the
-# square of this; an exact power checked with its model skips the walk, and
-# at the cap the float walk is the slowest input, a few seconds.
+# Most support points a realized measure may have.  A power checked with its
+# model skips the regression check's pair walk; the walk, for other input,
+# grows with the square of this and takes a few seconds at the cap.
 MAX_SUPPORT = 1500
 
 
@@ -164,23 +164,30 @@ class RegressionReport:
         return self.max_dev <= self.tol
 
 
+def _float(x) -> float:
+    """float(x), or inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteMeasure:
     """N-fold convolution of the atomic mixture with weights |alpha_i|.
 
-    Zero-weight atoms are dropped first, as the verdict drops them.  The
-    support of the N-fold power of n atoms has C(N + n - 1, n - 1) points;
-    past MAX_SUPPORT this raises ConfigError before any term is built.  So
-    it does for a float model when the least pair mass (min w)^(2N) of the
-    regression walk falls below the least normal float.  The weights sum to
-    1, so min w <= 1/n, and every multinomial coefficient of the power is
-    at most n^N <= (min w)^-N: a model that passes cannot overflow them.
-    Any model, exact too, stops when (2N max |coordinate|)^2 passes the
-    largest float: the diag check's theta grid, exact input off the conic
-    rule too, and the float regression walk square sums of that size.  An
-    exact power is the model's own, built once on its cleared integer form
-    and shared with the regression check (`_integer_power`); the measure
-    holds a copy of its points and masses as its cleared form, and forms
-    no Fraction until they are read.
+    Zero-weight atoms are dropped first, as the verdict drops them.
+    ConfigError is raised before any term is built when the support of the
+    N-fold power of n atoms, C(N + n - 1, n - 1) points, passes MAX_SUPPORT;
+    when a float model's least pair mass (min w)^(2N) in the regression
+    walk falls below the least normal float (min w <= 1/n, so a model that
+    passes keeps every multinomial coefficient, at most n^N <= (min w)^-N,
+    in range); and when (2N max |coordinate|)^2, the size the theta grid
+    and the float walk square, passes the largest float.  The power is the
+    model's own, built once on its cleared form and shared with the
+    regression check (`_model_power`).  An exact measure holds a copy of its
+    integer points and masses and forms no Fraction until they are read; a
+    float one takes the power's points, merged only where they are equal
+    floats, sorted stably by `point_key`.
     """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
@@ -190,26 +197,18 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
         raise ConfigError(f"the realized measure would have more than "
                           f"{MAX_SUPPORT} support points (the N-fold power "
                           f"of {len(atoms)} atoms)")
-    exact = m.is_exact
-    if not exact and (2 * N * math.log(min(weights))
-                      < math.log(sys.float_info.min)):
+    if not m.is_exact and 2 * N * math.log(min(weights)) < math.log(sys.float_info.min):
         raise ConfigError(f"the masses of the float N-fold power (N = {N}) "
                           f"underflow in the regression check")
-    try:
-        wide = (2 * N * max(abs(float(c)) for a in atoms for c in a)
-                > math.sqrt(sys.float_info.max))
-    except OverflowError:  # float() of a huge exact coordinate
-        wide = True
-    if wide:
+    wide = 2 * N * max(_float(abs(c)) for a in atoms for c in a)
+    if wide > math.sqrt(sys.float_info.max):
         raise ConfigError(f"the float checks of the N-fold power (N = {N}) "
                           f"overflow: its coordinates pass the float range")
-    if exact:
-        D, scale, power = _integer_power(m, N)
+    D, scale, power = _model_power(m, N)
+    if m.is_exact:
         return FiniteMeasure._from_cleared(D, tuple(power), scale, tuple(power.values()))
-    terms = power_terms([(N, 1.0)], weights, (0, 0), atoms)
-    merged = [e[:2] for e in merge_points((t for t in terms if t[1] != 0), False)]
-    return FiniteMeasure(tuple(pt for pt, _ in merged),
-                         tuple(mass for _, mass in merged))
+    points = sorted(power, key=lambda pt: point_key(pt, False))
+    return FiniteMeasure(tuple(points), tuple(power[pt] for pt in points))
 
 
 def _cumulants(m: CandidateModel, T, thetas):
@@ -300,21 +299,18 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
                         theta_grid=None, tol: float = 1e-8) -> DiagCheckReport:
     """Compare both covariance diagonal entries to their quadratic forms.
 
-    Where `_conic_residual` applies, the deviation at theta is r sum P_i rho_i
-    (sigma_i for V22), P_i(theta) the tilted atom probabilities, so the check
-    returns its exact supremum r max(|rho_i|, |sigma_i|) and takes no theta.
-    Other input runs along the theta-parametrized mean curve, so no mean-map
-    inversion is needed and collinear supports are checkable too.  All
-    theta points go through the one batched pass that `cumulant_eval` runs
-    on a single row; the worst theta is the first of the largest
-    deviations, and a nonpositive transform raises at the first bad theta.
+    Given no theta points, where `_conic_certificate` applies, the check
+    returns its bound at s = r, the supremum over all theta at A r = -1.
+    Named theta points, or else the 11 x 11 grid over [-1, 1]^2, go through
+    the one batched pass that `cumulant_eval` runs on a single row; the
+    worst theta is the first of the largest deviations, and a nonpositive
+    transform raises at the first bad theta.
     """
-    if (top := _conic_residual(m, p)) is not None:
-        return DiagCheckReport(max_dev=float(m.r * top), tol=tol, n_points=0,
-                               worst_theta=(0.0, 0.0))
     if theta_grid is None:
-        axis = np.linspace(-1.0, 1.0, 11)
-        theta_grid = [(t1, t2) for t1 in axis for t2 in axis]
+        if (cert := _conic_certificate(m, p, m.r)) is not None:
+            return DiagCheckReport(max_dev=_float(cert), tol=tol, n_points=0,
+                                   worst_theta=(0.0, 0.0))
+        theta_grid = list(itertools.product(np.linspace(-1.0, 1.0, 11), repeat=2))
     A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
     T = np.array(theta_grid, dtype=float).reshape(len(theta_grid), 2)
     _, _, mean, cov = _cumulants(m, T, theta_grid)
@@ -332,15 +328,13 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
                            worst_theta=(float(T[i, 0]), float(T[i, 1])))
 
 
-def _integer_power(m: CandidateModel, N: int):
-    """(D, M^N, power): the exact N-fold power of m's kept mixture on m's
-    cleared form (D, [(X, Y)], M, [W]), power mapping each point D x of the
-    support to its mass times M^N.  At N = r, the N of every verdict on an
-    exact model, it is m's own power, built once (`CandidateModel._power`)
-    and shared by `realize_measure` and `_power_regression`; another N
-    takes that of m's twin with r = N."""
+def _model_power(m: CandidateModel, N: int):
+    """(D, M^N, power): the N-fold power of m's kept mixture on m's cleared
+    form (D, [(X, Y)], M, [W]), D = M = 1 for floats, mapping each point to
+    its mass times M^N.  At the N of every verdict on m it is m's own power
+    (`CandidateModel._power`); another N takes that of m's twin with r = N."""
     D, _, M, _ = m._cleared
-    return D, M ** N, (m if N == m.r else replace(m, r=N))._power
+    return D, M ** N, (m if N == near_integer(m.r) else replace(m, r=N))._power
 
 
 def _convex_chain(atoms) -> bool:
@@ -351,57 +345,73 @@ def _convex_chain(atoms) -> bool:
     return all(t > 0 for t in turns) or all(t < 0 for t in turns)
 
 
-def _conic_residual(m: CandidateModel, p: DiagonalVFParams):
-    """Exact max(|rho_i|, |sigma_i|) over the atoms of nonzero weight, with
-    rho_i = lam_i^2 - a lam_i - b nu_i + e A and
-    sigma_i = nu_i^2 - c lam_i - d nu_i + f A their conic residuals; None
-    unless m and p are exact, A r = -1, the kept weights share one sign and
-    the kept atoms form a strict convex chain, each a vertex of their hull.
-    The chain is tested on the cleared atoms D (lam_i, nu_i): D > 0 keeps
-    the sign of every turn."""
-    if not m.is_exact or p._cleared is None:
+def _conic_certificate(m: CandidateModel, p: DiagonalVFParams, s):
+    """The exact s (max(|rho_i|, |sigma_i|) + |1 + A s| max(lam_i^2, nu_i^2))
+    over the kept atoms, rho_i = lam_i^2 - a lam_i - b nu_i - e/s and
+    sigma_i = nu_i^2 - c lam_i - d nu_i - f/s; None unless the kept weights
+    share one sign and the kept atoms form a strict convex chain.
+
+    At every theta V_11 - rhs_1 = r sum P_i rho_i(r) - r (1 + A r) (sum P_i lam_i)^2,
+    P_i(theta) the tilted atom probabilities (V_22 likewise), so at s = r
+    this bounds the diag deviation, and at A r = -1, where each chain
+    atom's P_i can be driven to 1, it is the supremum.  Floats count as
+    their exact values.  All is cleared to integers: the params Q p, the
+    atoms (X, Y) = D (lam_i, nu_i) and s = sn / sd.
+    """
+    if len({w.as_integer_ratio()[0] > 0 for w in m.weights if w}) != 1:
         return None
-    # (Q D)^2 rho_i and (Q D)^2 sigma_i on integers, from the cleared params
-    # Q p and atoms (X, Y) = D (lam_i, nu_i)
-    Q, (A, a, b, c, d, e, f) = p._cleared
-    D, atoms, _, _ = m._cleared
-    if (A * m.r.numerator != -Q * m.r.denominator or not _convex_chain(atoms)
-            or len({w.numerator > 0 for w in m.weights if w}) != 1):
+    Q, (A, a, b, c, d, e, f) = p._cleared or cleared(map(Fraction, p.as_tuple()))
+    if m.is_exact:
+        D, atoms, _, _ = m._cleared
+    else:
+        D, coords = cleared(Fraction(v) for pt in m._cleared[1] for v in pt)
+        atoms = tuple(zip(coords[::2], coords[1::2]))
+    if not _convex_chain(atoms):
         return None
-    top = 0
-    for X, Y in atoms:
-        top = max(top, abs(Q * X * (Q * X - a * D) - Q * b * D * Y + e * A * D * D),
-                  abs(Q * Y * (Q * Y - d * D) - Q * c * D * X + f * A * D * D))
-    return Fraction(top, (Q * D) ** 2)
+    sn, sd = s.as_integer_ratio()
+    gap = Q * sd + A * sn  # Q sd (1 + A s)
+    # (Q D)^2 u rho_i = u (Q X (Q X - a D) - Q b D Y) - v e D^2 with
+    # u / v = sn / (Q sd), and likewise sigma_i; at A s = -1, e/s = -e A
+    u, v = (sn, Q * sd) if gap else (1, -A)
+    top = max(max(abs(u * (Q * X * (Q * X - a * D) - Q * b * D * Y) - v * e * D * D),
+                  abs(u * (Q * Y * (Q * Y - d * D) - Q * c * D * X) - v * f * D * D))
+              for X, Y in atoms)
+    if not gap:
+        return Fraction(top * sn, (Q * D) ** 2 * sd)
+    big = max(max(X * X, Y * Y) for X, Y in atoms)
+    return Fraction(top * sd + abs(gap) * Q * sn * big, (Q * D * sd) ** 2)
 
 
 def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
                       model: CandidateModel):
-    """Exact maximum deviation and group count when mu, read point by point,
-    is the N-fold power (weights |alpha_i|) of the model's mixture at an
-    integer N = r where `_conic_residual` applies; else None.
+    """Bound on the deviation, group count and largest |right-hand side|
+    (0 on exact input) when mu, read point by point, is the N-fold power of
+    the model's mixture at an integer N = r where `_conic_certificate`
+    applies; else None.
 
-    Given the composition m of 2N of a pair's sum, one summand's
-    multi-index is hypergeometric, and at A = -1/N the two identities
-    deviate by sum m_i rho_i and sum m_i sigma_i.  A sum point averages its
-    compositions, and a chain vertex 2N a_i has only one, so the maximum is
-    2N max(|rho_i|, |sigma_i|).  Up to three such atoms give each
-    composition its own sum; the sums of four are counted, since a lattice
-    relation can merge them.
+    Given the composition m of 2N of a pair's sum, the first identity
+    deviates by sum m_i rho_i(N) - 2 (A + 1/N) E[x_1 y_1 | m], with
+    |x_1 y_1| <= N^2 max lam_i^2 (the second likewise), so twice the
+    certificate at s = N bounds a sum point, which averages its
+    compositions; at A N = -1 the chain vertex 2N a_i attains it, and the
+    affine right-hand sides peak at such vertices.  Up to three atoms give
+    each composition its own sum; the sums of four are counted.
     """
     N = near_integer(model.r)
-    if N is None or (top := _conic_residual(model, p)) is None:
+    if (N is None or mu.is_exact != model.is_exact
+            or (cert := _conic_certificate(model, p, N)) is None):
         return None
-    D, scale, power = _integer_power(model, N)
-    # mu's cleared form, brought to the power's D and M^N, must be the power
-    mD, points, mscale, weights = mu._cleared
+    D, scale, power = _model_power(model, N)
+    # mu (an exact one on its cleared form, brought to the power's D and
+    # M^N) must be the power
+    mD, points, mscale, weights = mu._cleared or (D, mu.support, scale, mu.masses)
     k, l = D // mD, scale // mscale
-    if k * mD != D or l * mscale != scale or len(points) != len(power):
+    if k * mD != D or l * mscale != scale:
         return None
     if k != 1 or l != 1:
         points = [(X * k, Y * k) for X, Y in points]
         weights = [W * l for W in weights]
-    if dict(zip(points, weights)) != power:
+    if len(points) != len(power) or dict(zip(points, weights)) != power:
         return None
     _, atoms, _, _ = model._cleared
     if len(atoms) <= 3:
@@ -409,30 +419,35 @@ def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
     else:
         n_groups = len({pt for _, _, pt in power_terms([(2 * N, 1)], [1] * len(atoms),
                                                        (0, 0), atoms)})
-    return 2 * N * top, n_groups
+    top = 0
+    if not model.is_exact or p._cleared is None:
+        _, a, b, c, d, e, f = map(float, p.as_tuple())
+        top = max(abs(2 * N * (u * float(x) + v * float(y)) + 2 * w)
+                  for x, y in _kept_atoms(model)[0] for u, v, w in ((a, b, e), (c, d, f)))
+    return 2 * cert, n_groups, top
 
 
 def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
                      tol: float = 1e-10,
                      model: CandidateModel | None = None) -> RegressionReport:
-    """Conditional-expectation identities for an i.i.d. pair, by enumeration.
+    """Conditional-expectation identities for an i.i.d. pair.
 
-    Exact rational arithmetic whenever the measure and parameters are exact,
-    in which case a passing check has deviation exactly zero.  Given the
-    model whose N-fold power mu is meant to be, an exact check takes the
-    conic residuals of `_power_regression` where they apply; float input
-    and every other measure get the walk over its ordered pairs.  The exact
-    walk runs on mu's cleared form: coordinates X / D, masses W / S and
-    A = An / Ad make Ad D^2 g_k = Ad (X_k - Y_k)^2 - 2 An X_k Y_k, with
-    g_k = (x_k - y_k)^2 - 2 A x_k y_k, and Fractions are formed once per
-    sum point.  Floats take the same walk with D = S = Ad = 1, and pass at tol
-    times the largest right-hand side, when that exceeds 1.
+    Given the model whose N-fold power mu is meant to be, exact and float
+    input alike take the conic residuals of `_power_regression` where they
+    apply; other measures, and a check with no model, walk mu's ordered
+    pairs.  On exact measure and params a passing check has deviation
+    exactly zero, and the walk runs on mu's cleared form: coordinates
+    X / D, masses W / S and A = An / Ad make
+    Ad D^2 g_k = Ad (X_k - Y_k)^2 - 2 An X_k Y_k, with
+    g_k = (x_k - y_k)^2 - 2 A x_k y_k, and one Fraction per sum point.
+    Floats walk with D = S = Ad = 1.  A float check passes at tol times the
+    largest right-hand side, when that exceeds 1.
     """
     exact = mu.is_exact and p.is_exact
-    found = exact and model is not None and _power_regression(mu, p, model)
+    found = model is not None and _power_regression(mu, p, model)
     if found:
-        return RegressionReport(max_dev=float(found[0]), tol=tol, exact=True,
-                                n_groups=found[1])
+        return RegressionReport(max_dev=_float(found[0]), tol=tol * max(1, found[2]),
+                                exact=exact, n_groups=found[1])
     if exact:
         A, a, b, c, d, e, f = p.as_tuple()
         D, points, _, masses = mu._cleared

@@ -74,15 +74,15 @@ class CandidateModel:
 
     @cached_property
     def _power(self) -> dict:
-        """The N-fold power, N = r an integer, of an exact model's kept
-        mixture on its cleared form: each point sum n_i (X_i, Y_i) of the
-        support, D times a point of mu, with its mass times M^N.  Built once
-        per model and shared, so no reader changes it: `realize_measure`
-        hands the measure a copy of its points and masses, and the
-        regression check compares mu's cleared form with it."""
+        """The N-fold power, N the integer nearest r, of the kept mixture on
+        its cleared form: each point sum n_i (X_i, Y_i) of the support, D
+        times a point of mu, with its mass times M^N; float points merge when
+        equal.  Built once per model and shared, so no reader changes it:
+        `realize_measure` hands the measure a copy of its points and masses,
+        and the regression check compares mu with it."""
         _, points, _, weights = self._cleared
         power: dict = {}
-        for _, coef, pt in power_terms([(int(self.r), 1)], weights, (0, 0), points):
+        for _, coef, pt in power_terms([(near_integer(self.r), 1)], weights, (0, 0), points):
             power[pt] = power.get(pt, 0) + coef
         return power
 

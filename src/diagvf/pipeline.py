@@ -139,9 +139,9 @@ def _search_weights(p, n_r, denominator, tol, roots, bound):
     return m, admissibility_verdict(m, tol=1e-9, bound=bound)
 
 
-def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
-                     bound: int = 50, extra_thetas=None) -> PipelineReport:
-    """Run the whole pipeline: quartic -> roots -> model -> verdict -> checks."""
+def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineReport:
+    """Run the whole pipeline: quartic -> roots -> model -> verdict -> checks,
+    both checks from the atoms' conic residuals, on decimal input too."""
     cfg = parse_config(config)
     p = cfg.get("params")
     if p is None and "quartic" not in cfg:
@@ -205,12 +205,7 @@ def run_characterize(config, tol: float = 1e-8, grid_n: int = 11,
     # and so when their cleared form D x is
     report.degenerate = _collinear(m._cleared[1])
 
-    axis = [(-1.0 + 2.0 * i / (grid_n - 1)) for i in range(grid_n)] \
-        if grid_n > 1 else [0.0]
-    thetas = [(t1, t2) for t1 in axis for t2 in axis]
-    if extra_thetas:
-        thetas.extend(extra_thetas)
-    diag = diag_variance_check(m, p, thetas, tol)
+    diag = diag_variance_check(m, p, tol=tol)
     report.diag_check = {"max_dev": float(diag.max_dev), "pass": bool(diag.passed)}
 
     reg = regression_check(mu, p, tol=max(tol, 1e-10), model=m)

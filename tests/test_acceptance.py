@@ -39,11 +39,13 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
 # E1, P2 and E1 at N = 8 (45 support points, 153 sum points in the
 # regression check), four-atom runs on roots 0, 1, 5, 60 and 0, 1, 5, 200,
 # c2, two atoms beside a complex pair that the float polish solves, and
-# q4_tight, roots 0, 1, 2, 3, Inconclusive on the lattice witness (3, -3, 1):
+# q4_tight, roots 0, 1, 2, 3, Inconclusive on the lattice witness (3, -3, 1),
+# and q4_decimal, the decimal twin of roots 0, 1, 5, 60 at N = 12, whose
+# float checks read the conic residuals:
 # <name>.config.json holds each config, and <name>.characterize.json its
 # characterize --json output, committed as produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2", "q4_tight")
+GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2", "q4_tight", "q4_decimal")
 
 
 def reported(label):
@@ -177,11 +179,16 @@ def test_criterion_03_worked_examples():
         assert v.outcome == "CaseA" and v.N == 1
         _, mean, cov = cumulant_eval(m, (0.0, 0.0))
         assert np.allclose(cov, [[0.5, 0.0], [0.0, 0.25]], atol=1e-15)
-        # exact: the conic residuals, no theta; the float twin: the grid
+        # exact and float twin alike: the conic residuals, no theta; the
+        # twin's 121-point grid agrees
         diag = diag_variance_check(m, p)
         assert (diag.max_dev, diag.n_points) == (0.0, 0)
         fp = DiagonalVFParams(*(float(x) for x in p.as_tuple()))
-        diag = diag_variance_check(candidate_model(fp, [float(w) for w in W3]), fp)
+        fm = candidate_model(fp, [float(w) for w in W3])
+        diag = diag_variance_check(fm, fp)
+        assert diag.n_points == 0 and diag.max_dev <= 1e-10
+        axis = np.linspace(-1.0, 1.0, 11)
+        diag = diag_variance_check(fm, fp, [(t1, t2) for t1 in axis for t2 in axis])
         assert diag.n_points == 121 and diag.max_dev <= 1e-10
         reg = regression_check(realize_measure(m, v), p)
         assert reg.exact and reg.max_dev == 0.0

@@ -399,14 +399,6 @@ class TestCliCharacterize:
             os.close(write_end)
         assert done.returncode == 141 and done.stderr == b""
 
-    def test_seed_extra_thetas(self, tmp_path, capsys):
-        path = write_config(tmp_path, E1_CONFIG)
-        assert main(["characterize", path, "--json", "--seed", "7"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["diag_check"]["pass"]
-        main(["characterize", path, "--json", "--seed", "7"])
-        assert json.loads(capsys.readouterr().out) == out
-
 
 def _search_text(weight_search):
     return json.dumps({"params": E1_CONFIG["params"],
@@ -436,8 +428,6 @@ class TestCliMalformedInput:
         ("characterize", _search_text({"denominator": 2.5}), []),
         ("characterize", E1_TEXT, ["--bound", "0"]),
         ("characterize", E1_TEXT, ["--bound=-1"]),
-        ("characterize", E1_TEXT, ["--seed", "1", "--grid=-1"]),
-        ("characterize", E1_TEXT, ["--grid", "0"]),
         ("expand", EXPAND_TEXT, ["--depth=-1"]),
         ("characterize", json.dumps(dict(E1_CONFIG, quartic=[0, 0, -1, 0, 1])), []),
         ("roots", json.dumps(dict(E1_CONFIG, quartic=[0, 0, -1, 0, 1])), []),
@@ -472,8 +462,8 @@ class TestCliMalformedInput:
             "nan", "overflowing-literal", "params-list", "weight-search-number",
             "search-denominator-string", "search-denominator-zero",
             "search-denominator-negative", "search-denominator-fraction",
-            "bound-zero", "bound-negative", "grid-negative-seeded", "grid-zero",
-            "depth-negative", "params-and-quartic", "roots-params-and-quartic",
+            "bound-zero", "bound-negative", "depth-negative", "params-and-quartic",
+            "roots-params-and-quartic",
             "scan-no-block", "scan-short-exp-term", "scan-short-osc-block",
             "scan-long-linexp", "scan-n-grid-negative", "scan-n-grid-huge",
             "scan-r-negative", "expand-atoms-not-ascending", "expand-r-negative",
@@ -550,7 +540,7 @@ class TestCliFlags:
     """Each subcommand takes only the flags it reads."""
 
     def test_flags_per_subcommand(self):
-        want = {"characterize": {"tol", "grid", "bound", "json", "seed"},
+        want = {"characterize": {"tol", "bound", "json"},
                 "roots": {"tol", "json"}, "lattice": {"bound", "json"},
                 "expand": {"tol", "depth", "json"}, "scan": {"json"},
                 "eval": {"tol", "json"}, "tilt": {"tol", "bound", "json"}}
@@ -561,7 +551,9 @@ class TestCliFlags:
 
     @pytest.mark.parametrize("argv", [["lattice", "--seed", "1"],
                                       ["scan", "--tol", "1e-3"],
-                                      ["characterize", "--depth", "5"]])
+                                      ["characterize", "--depth", "5"],
+                                      ["characterize", "--grid", "11"],
+                                      ["characterize", "--seed", "7"]])
     def test_unread_flag_refused(self, tmp_path, argv):
         path = write_config(tmp_path, {})
         with pytest.raises(SystemExit) as exc:
