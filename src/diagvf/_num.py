@@ -8,6 +8,8 @@ so rational configurations survive the whole pipeline without rounding.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -66,18 +68,26 @@ def near_integer(r, tol: float = 1e-9):
     return n if abs(float(r) - n) <= tol else None
 
 
-def compositions(total: int, parts: int):
+@functools.lru_cache(maxsize=512)
+def compositions(total: int, parts: int) -> tuple:
     """Tuples of `parts` nonnegative ints summing to `total`, ascending
     lexicographically: the order in which filtering
-    itertools.product(range(total + 1), repeat=parts) by sum would yield them.
+    itertools.product(range(total + 1), repeat=parts) by sum would yield
+    them, read off the bar positions itertools.combinations yields; cached.
     """
-    if parts <= 1:
-        if parts or not total:
-            yield (total,) * parts
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    if not parts:
+        return ((),) if not total else ()
+    end = (total + parts - 1,)
+    return tuple(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+                 for bars in itertools.combinations(range(total + parts - 1), parts - 1))
+
+
+@functools.lru_cache(maxsize=512)
+def multinomials(total: int, parts: int) -> tuple:
+    """total! / prod n_i! for each composition n of `compositions`."""
+    top = math.factorial(total)
+    return tuple(top // math.prod(map(math.factorial, ns))
+                 for ns in compositions(total, parts))
 
 
 def cleared(values):
@@ -96,28 +106,34 @@ def point_key(pt, exact: bool, tol: float = 1e-9):
     return (round(float(pt[0]) / tol), round(float(pt[1]) / tol))
 
 
+def float_powers(b, top: int) -> list:
+    """float(b ** n) for n = 0..top; for a Fraction p/q, p**n / q**n on
+    ints, which rounds alike and forms no Fraction."""
+    if isinstance(b, Fraction):
+        p, q = b.numerator, b.denominator
+        return [p ** n / q ** n for n in range(top + 1)]
+    return [float(b ** n) for n in range(top + 1)]
+
+
 def power_terms(orders, bases, origin, steps):
     """Terms of sum over (j, c) in orders of c * (sum_i b_i e^<step_i, theta>)^j.
 
     One (j, coefficient, point) per order and composition n of j into
     len(bases) parts, in `compositions` order: c * multinomial(j; n) *
     prod b_i^n_i, and origin + sum n_i step_i.  When every c is a float,
-    each power b_i^n is converted once, as float(b_i ** n): the float a
-    float coefficient times an exact power converts it to, so the products
-    keep their bits.
+    each power b_i^n is converted once (`float_powers`): the float a float
+    coefficient times an exact power converts it to, so the products keep
+    their bits.
     """
     top = max((j for j, _ in orders), default=0)
-    fact = [math.factorial(i) for i in range(top + 1)]
-    pows = [[b ** n for n in range(top + 1)] for b in bases]
     if all(isinstance(c, float) for _, c in orders):
-        pows = [[float(p) for p in row] for row in pows]
+        pows = [float_powers(b, top) for b in bases]
+    else:
+        pows = [[b ** n for n in range(top + 1)] for b in bases]
     xs, ys = [s[0] for s in steps], [s[1] for s in steps]
     x0, y0 = origin
     for j, scale in orders:
-        for ns in compositions(j, len(bases)):
-            mult = fact[j]
-            for n in ns:
-                mult //= fact[n]
+        for ns, mult in zip(compositions(j, len(bases)), multinomials(j, len(bases))):
             coef = scale * mult
             for pw, n in zip(pows, ns):
                 coef = coef * pw[n]

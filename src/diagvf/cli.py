@@ -24,7 +24,7 @@ from .model import (LatticeMatrix, admissibility_verdict, candidate_model,
                     make_model, star_condition)
 from .measure import cumulant_eval, realize_measure, tilt_member
 from .pipeline import (_built, _items, _number, _roots_json, parse_config,
-                       report_to_dict, run_characterize)
+                       report_to_dict, run_characterize, to_json)
 from .roots import classify_root_pattern, solve_quartic, build_characteristic_quartic
 from .series import EliminationForm, expand_series, magnitude_scan
 
@@ -42,7 +42,7 @@ def _emit(obj, as_json: bool):
     """The result dict as indented JSON, or one `key: value` line per key in
     dict order: strings as they are, other values as one-line JSON."""
     if as_json:
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        print(to_json(obj))
     else:
         for key, value in obj.items():
             print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}")

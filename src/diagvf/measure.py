@@ -300,7 +300,8 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
     """Compare both covariance diagonal entries to their quadratic forms.
 
     Given no theta points, where `_conic_certificate` applies, the check
-    returns its bound at s = r, the supremum over all theta at A r = -1.
+    returns its bound at s = r, the supremum over all theta at A r = -1,
+    and a float one passes at tol * max(1, `_vertex_scale`).
     Named theta points, or else the 11 x 11 grid over [-1, 1]^2, go through
     the one batched pass that `cumulant_eval` runs on a single row; the
     worst theta is the first of the largest deviations, and a nonpositive
@@ -308,8 +309,8 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
     """
     if theta_grid is None:
         if (cert := _conic_certificate(m, p, m.r)) is not None:
-            return DiagCheckReport(max_dev=_float(cert), tol=tol, n_points=0,
-                                   worst_theta=(0.0, 0.0))
+            return DiagCheckReport(max_dev=_float(cert), tol=tol * max(1, _vertex_scale(m, p)),
+                                   n_points=0, worst_theta=(0.0, 0.0))
         theta_grid = list(itertools.product(np.linspace(-1.0, 1.0, 11), repeat=2))
     A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
     T = np.array(theta_grid, dtype=float).reshape(len(theta_grid), 2)
@@ -326,6 +327,20 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
     i = int(np.argmax(dev))
     return DiagCheckReport(max_dev=float(dev[i]), tol=tol, n_points=len(theta_grid),
                            worst_theta=(float(T[i, 0]), float(T[i, 1])))
+
+
+def _vertex_scale(m: CandidateModel, p: DiagonalVFParams) -> float:
+    """0 for exact m and p; else the largest size, term by term, of the
+    right-hand sides at the chain vertices r (lam_i, nu_i) of the kept
+    atoms, where their values vanish on a fitting model (0 past the float
+    range)."""
+    if m.is_exact and p.is_exact:
+        return 0
+    A, a, b, c, d, e, f = (abs(float(x)) for x in p.as_tuple())
+    top = max(max(A * x * x + a * abs(x) + b * abs(y) + e, A * y * y + c * abs(x) + d * abs(y) + f)
+              for x, y in ((float(m.r) * float(u), float(m.r) * float(v))
+                           for u, v in _kept_atoms(m)[0]))
+    return top if top < math.inf else 0
 
 
 def _model_power(m: CandidateModel, N: int):

@@ -5,13 +5,13 @@ a Laplace transform of a probability measure exactly when the weights are
 uniformly signed with unit total and the exponent is a (CaseA) positive or
 (CaseB) even positive integer.  For three or four atoms the argument goes
 through an exponent lattice whose left kernel must contain no mixed-sign
-integer vector: the verdict reads it from a closed-form generator in the
-abscissas, and `star_condition` row-reduces any 3x3 rational matrix exactly.
+integer vector.  Both the verdict, on the abscissas, and `star_condition`,
+on any 3x3 rational matrix, read that kernel in closed form from the
+matrix's columns cleared to integers: no row reduction is done.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,48 +159,16 @@ def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
     return CandidateModel(atoms, tuple(weights), r)
 
 
-def _left_kernel_basis(rows):
-    """Basis of {a : a^T M = 0} over the rationals, via RREF of M^T."""
-    n = len(rows)
-    mt = [[rows[j][i] for j in range(n)] for i in range(len(rows[0]))]
-    cols = n
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(mt)) if mt[i][c] != 0), None)
-        if piv is None:
-            continue
-        mt[r], mt[piv] = mt[piv], mt[r]
-        inv = mt[r][c]
-        mt[r] = [x / inv for x in mt[r]]
-        for i in range(len(mt)):
-            if i != r and mt[i][c] != 0:
-                fac = mt[i][c]
-                mt[i] = [x - fac * y for x, y in zip(mt[i], mt[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mt[i][fc]
-        basis.append(tuple(v))
-    return basis
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
 
-def _primitive_integer(v):
-    den = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
-    g = math.gcd(*(abs(i) for i in ints))
-    if g:
-        ints = [i // g for i in ints]
-    return tuple(ints)
-
-
-def _mixed_signs(a) -> bool:
-    return any(ai * aj < 0 for ai, aj in itertools.combinations(a, 2))
+def _primitive(v, lead: int) -> tuple:
+    """The int vector v over the gcd of its entries, signed so that its
+    entry at index lead is positive."""
+    g = math.gcd(*v)
+    return tuple(x // (g if v[lead] > 0 else -g) for x in v)
 
 
 def _abscissa_star(lams, bound: int) -> StarReport:
@@ -209,34 +177,52 @@ def _abscissa_star(lams, bound: int) -> StarReport:
     are (d_i, d_i^2, 0), zero-padded, with d_i = lambda_i - lambda_1 in the
     abscissas' own arithmetic (float subtraction for floats).  At rank 2 the
     kernel is the line through the cross product g of (d_2, d_3, d_4) and
-    their squares (d_4 = 0 for three atoms), and RREF's generator is g's
-    primitive form with its last nonzero entry positive: e_3 for three
-    distinct positive d_i, and for four, (+, -, +), so the bound decides.
-    Float differences that round alike (or to 0) can leave rank <= 1."""
+    their squares (d_4 = 0 for three atoms): e_3 for three distinct
+    positive d_i, and for four, (+, -, +), so the bound decides.  Float
+    differences that round alike (or to 0) can leave rank <= 1."""
     d = [Fraction(lam - lams[0]) for lam in lams[1:]]
-    d += [Fraction(0)] * (3 - len(d))
-    g = (d[1] * d[2] * (d[2] - d[1]), d[0] * d[2] * (d[0] - d[2]),
-         d[0] * d[1] * (d[1] - d[0]))
+    _, ints = cleared(d + [Fraction(0)] * (3 - len(d)))
+    return _kernel_star((ints, tuple(x * x for x in ints), (0, 0, 0)), bound)
+
+
+def _kernel_star(cols, bound: int) -> StarReport:
+    """The star condition of the 3x3 int matrix with columns cols, from its
+    left kernel {a : a . c = 0 for every column c} in closed form.
+
+    Rank 3, c_0 . (c_1 x c_2) != 0: the kernel is trivial and the condition
+    holds.  Rank 2: the kernel is the line through the cross product of two
+    independent columns, and RREF's generator is its primitive form with
+    its last nonzero entry positive (the free column's entry 1, past every
+    pivot); `_generator_star` decides.  Rank 1 or 0: two free columns
+    f_1 < f_2 have RREF's basis vectors e_f - l_f e_p, p the first nonzero
+    row and row f = l_f row p (l_f = 0 at rank 0, with no p), and their
+    difference, the witness, is mixed-sign.
+    """
+    c0, c1, c2 = cols
+    g = _cross(c0, c1)
     if any(g):
-        g = _primitive_integer(g)
-        if next(x for x in reversed(g) if x) < 0:
-            g = tuple(-x for x in g)
-        return _generator_star(g, bound)
-    # a plane: a free column f has RREF's basis vector e_f - [d_f != 0] e_p,
-    # p the first nonzero column, and the witness is the first two's difference
-    p = next((j for j in range(3) if d[j]), None)
-    f1, f2 = [j for j in range(3) if j != p][:2]
+        if g[0] * c2[0] + g[1] * c2[1] + g[2] * c2[2]:
+            return StarReport(holds=True, method="exact-kernel")
+    else:
+        g = _cross(c0 if any(c0) else c1, c2)
+    if any(g):
+        return _generator_star(_primitive(g, max(i for i in range(3) if g[i])), bound)
+    rows = list(zip(c0, c1, c2))
+    p = next((i for i in range(3) if any(rows[i])), None)
+    f1, f2 = [i for i in range(3) if i != p][:2]
     w = [0, 0, 0]
     w[f1], w[f2] = 1, -1
     if p is not None:
-        w[p] = (d[f2] != 0) - (d[f1] != 0)
-    return StarReport(holds=False, witness=tuple(w), method="exact-kernel")
+        k = next(k for k in range(3) if rows[p][k])
+        w = [rows[p][k] * x for x in w]
+        w[p] = rows[f2][k] - rows[f1][k]
+    return StarReport(holds=False, witness=_primitive(w, f1), method="exact-kernel")
 
 
 def _generator_star(g, bound: int) -> StarReport:
     """The condition on a one-dimensional kernel with primitive integer
     generator g: only a mixed-sign g within the bound is a witness."""
-    if not _mixed_signs(g):
+    if not min(g) < 0 < max(g):
         return StarReport(holds=True, method="exact-kernel")
     if max(abs(x) for x in g) <= bound:
         return StarReport(holds=False, witness=g, method="exact-kernel")
@@ -246,25 +232,18 @@ def _generator_star(g, bound: int) -> StarReport:
 def star_condition(mat: LatticeMatrix, bound: int = 50) -> StarReport:
     """Decide whether the left kernel contains a mixed-sign integer vector.
 
-    Any 3x3 rational matrix, by exact row reduction; the verdict's own
-    matrices have a closed-form kernel and do not come here.  Trivial
-    kernel: holds.  One-dimensional kernel: the sign pattern of the
-    primitive integer generator decides, but a generator with entries beyond
-    the bound is treated as no solution within reach (witnesses that large
+    Any 3x3 rational matrix, in closed form with no row reduction: its
+    columns, each cleared to ints (which changes no integer solution), go
+    to `_kernel_star`, as the verdict's abscissas do.  Trivial kernel:
+    holds.  One-dimensional kernel: the sign pattern of the primitive
+    integer generator decides, but a generator with entries beyond the
+    bound is treated as no solution within reach (witnesses that large
     arise from float-to-rational conversion of irrational abscissas, where
     the underlying real matrix admits no integer relation at all); the
     method field discloses when the bound was decisive.  Higher dimension:
-    always fails, with no bound.  The RREF basis vectors of two free columns
-    i != j are e_i and e_j plus entries on pivot columns only, so their
-    difference is +1 at i and -1 at j: mixed-sign and exactly in the kernel.
+    always fails, with no bound, on the witness RREF would give.
     """
-    basis = _left_kernel_basis(mat.rows)
-    if not basis:
-        return StarReport(holds=True, method="exact-kernel")
-    if len(basis) == 1:
-        return _generator_star(_primitive_integer(basis[0]), bound)
-    g = _primitive_integer([x - y for x, y in zip(basis[0], basis[1])])
-    return StarReport(holds=False, witness=g, method="exact-kernel")
+    return _kernel_star([cleared(col)[1] for col in zip(*mat.rows)], bound)
 
 
 def admissibility_verdict(m: CandidateModel, tol: float = 1e-9,

@@ -8,8 +8,10 @@ bit-exactly in reports so exact-arithmetic paths survive round trips.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from ._num import format_number, parse_number
@@ -233,5 +235,40 @@ def report_from_dict(d: dict) -> PipelineReport:
                              if f.name in d})
 
 
+def to_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, without the
+    pure-Python encoder that any indent makes json take: str, int, float,
+    bool and None in lists, tuples and dicts of str keys; others raise
+    TypeError."""
+    out: list = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(v, indent: str, out: list) -> None:
+    if isinstance(v, str):
+        out.append(_json_str(v))
+    elif v is None or isinstance(v, bool):
+        out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):
+        out.append(float.__repr__(v) if math.isfinite(v)
+                   else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity")
+    elif not isinstance(v, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    elif not v:
+        out.append("{}" if isinstance(v, dict) else "[]")
+    else:
+        inner, keyed = indent + "  ", isinstance(v, dict)
+        for i, x in enumerate(sorted(v) if keyed else v):
+            out.append(("," if i else "{" if keyed else "[") + inner)
+            if keyed:   # _json_str refuses a key that is not a str
+                out.append(_json_str(x) + ": ")
+                x = v[x]
+            _write_json(x, inner, out)
+        out.append(indent + ("}" if keyed else "]"))
+
+
 def emit_report(rep: PipelineReport) -> str:
-    return json.dumps(report_to_dict(rep), sort_keys=True, indent=2)
+    return to_json(report_to_dict(rep))

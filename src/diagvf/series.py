@@ -6,6 +6,7 @@ unboundedness of inadmissible transform shapes.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import ItemsView, Mapping
@@ -15,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import (cleared, is_exact, merge_points, near_integer,
-                   power_terms, widest_gap)
+from ._num import (cleared, compositions, float_powers, is_exact, merge_points,
+                   multinomials, near_integer, power_terms, widest_gap)
 from .errors import ConfigError, NoDominantAtom, NotNormalized
 from .measure import MAX_SUPPORT
 from .model import CandidateModel
@@ -196,6 +197,65 @@ def _find_probe(atoms, weights, pivot):
     raise NoDominantAtom("no probe point strictly dominates the pivot atom")
 
 
+@functools.lru_cache(maxsize=32)
+def _composition_table(cap: int, parts: int):
+    """The compositions of the orders 0..cap into `parts` parts, order by
+    order in `compositions` order, as read-only arrays of their orders,
+    their parts (a row each) and their multinomials as floats."""
+    ns = np.array([c for j in range(cap + 1) for c in compositions(j, parts)], dtype=np.int64)
+    table = (ns.sum(axis=1), ns,
+             np.array([float(x) for j in range(cap + 1) for x in multinomials(j, parts)]))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _array_terms(orders, bases, origin, steps, den):
+    """`merge_points(power_terms(orders, bases, origin, steps), ...)` with
+    float coefficients in one numpy pass, as lists of the points, their
+    coefficients and least orders; None below 16 terms, where the Python
+    loop costs less, and unless the points are all floats or cleared ints
+    (den) whose sums and den stay below 2^53, which numpy divides exactly.
+    Products and float points are formed in the scalar order; equal keys
+    sum in generation order from 0 (np.add.at keeps those bits, unlike a
+    pairwise sum), and the points sort stably by `merge_points`' key.
+    """
+    cap, coords = orders[-1][0], (*origin, *(c for step in steps for c in step))
+    if math.comb(cap + len(bases), cap) < 16 or (
+            not all(type(c) is float for c in coords) if den is None
+            else max(den, max(map(abs, origin)) + cap * max(map(abs, coords))) >= 2 ** 53):
+        return None
+    order, ns, mults = _composition_table(cap, len(bases))
+    with np.errstate(all="ignore"):
+        coefs = np.array([c for _, c in orders], dtype=float)[order] * mults
+        for i, b in enumerate(bases):
+            coefs = coefs * np.array(float_powers(b, cap))[ns[:, i]]
+        if den is None:
+            xs = ys = np.zeros(len(order))
+            for i, (sx, sy) in enumerate(steps):
+                xs, ys = xs + ns[:, i] * sx, ys + ns[:, i] * sy
+            xs, ys = origin[0] + xs, origin[1] + ys
+            kx, ky = fx, fy = np.rint(xs / 1e-9), np.rint(ys / 1e-9)
+            if not np.isfinite(fx + fy).all():
+                return None     # point_key raises on infinite keys
+        else:
+            xs = origin[0] + ns @ np.array([s[0] for s in steps], dtype=np.int64)
+            ys = origin[1] + ns @ np.array([s[1] for s in steps], dtype=np.int64)
+            kx, ky, fx, fy = xs, ys, xs / den, ys / den
+    perm = np.lexsort((ky, kx))
+    new = np.ones(len(perm), dtype=bool)
+    new[1:] = (kx[perm][1:] != kx[perm][:-1]) | (ky[perm][1:] != ky[perm][:-1])
+    group = np.empty(len(perm), dtype=np.intp)
+    group[perm] = np.cumsum(new) - 1
+    sums = np.zeros(int(new.sum()))
+    np.add.at(sums, group, coefs)
+    first = perm[new]
+    rank = np.lexsort((first, fy[first], fx[first]))
+    first = first[rank]
+    return (list(zip(xs[first].tolist(), ys[first].tolist())), sums[rank].tolist(),
+            order[first].tolist())
+
+
 def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     """Coefficients of the mixture power, aggregated by support point.
 
@@ -205,10 +265,15 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     are cleared to integers over one denominator (`_num.cleared`), merged
     on those and kept there: `terms` is a SeriesTerms over the integer
     points, which forms a point's Fractions only when it is iterated, and
-    the first negative coefficient's point is formed once.  Orders up to
-    max_j = min(depth, N) of n atoms make C(max_j + n - 1, n - 1) terms; past
-    MAX_SUPPORT terms or orders, or past order 170 with float coefficients
-    (171! exceeds the largest float), it raises ConfigError before any work.
+    the first negative coefficient's point is formed once.  Float
+    coefficients (a non-integer r, or float atoms) are built in one numpy
+    pass over a cached composition table (`_array_terms`), with the bits of
+    the scalar terms; other points, or cleared ones past 2^53, take the
+    Python loop of `power_terms` and `merge_points`, as exact coefficients
+    do.  Orders up to max_j = min(depth, N) of n atoms make
+    C(max_j + n - 1, n - 1) terms; past MAX_SUPPORT terms or orders, or past
+    order 170 with float coefficients (171! exceeds the largest float), it
+    raises ConfigError before any work.
     """
     exact = m.is_exact
     r = m.r
@@ -243,20 +308,25 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
         base, wdiffs = ints[:2], list(zip(ints[2::2], ints[3::2]))
     lead = float(ap) ** float(r) if floats else ap ** n_int
 
-    # the falling factorial ff = r(r-1)...(r-j+1), carried from order to
-    # order, is nonzero for every j <= max_j: an integer r caps max_j
+    # the falling factorial r(r-1)...(r-j+1), carried from order to order
+    # as ff / q^j, on ints for an exact r = p/q, is nonzero for every
+    # j <= max_j: an integer r caps max_j
+    p, q = (r.numerator, r.denominator) if exact else (r, 1)
     orders, ff = [], 1
     for j in range(max_j + 1):
         fact = math.factorial(j)
-        orders.append((j, lead * ff / fact if floats else Fraction(lead * ff, fact)))
-        ff = ff * (r - j)
-    merged = merge_points(power_terms(orders, betas, base, wdiffs), exact, den)
-
+        orders.append((j, lead * (ff / q ** j) / fact if floats else Fraction(lead * ff, fact)))
+        ff = ff * (p - j * q)
+    points, coefs, least = (floats and _array_terms(orders, betas, base, wdiffs, den)
+                            or zip(*merge_points(power_terms(orders, betas, base, wdiffs),
+                                                 exact, den)))
     # of the least order, the first in point order
-    neg = min((e for e in merged if e[1] < -1e-12), key=lambda e: e[2], default=None)
-    terms = SeriesTerms({pt: coef for pt, coef, _ in merged}, den)
+    neg = min((i for i, c in enumerate(coefs) if c < -1e-12),
+              key=least.__getitem__, default=None)
+    terms = SeriesTerms(dict(zip(points, coefs)), den)
     return SeriesReport(depth=depth, terms=terms,
-                        first_negative=None if neg is None else (terms._point(neg[0]), neg[1]),
+                        first_negative=None if neg is None
+                        else (terms._point(points[neg]), coefs[neg]),
                         pivot=pivot, probe=probe)
 
 

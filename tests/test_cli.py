@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from diagvf import ConfigError, parse_config, report_from_dict, report_to_dict, 
 from diagvf import admissibility_verdict, build_characteristic_quartic
 from diagvf import _num, measure, model, pipeline, roots, series
 from diagvf._num import compositions
-from diagvf.pipeline import parse_params
+from diagvf.pipeline import parse_params, to_json
 from diagvf.roots import _ordinate
 from diagvf.cli import build_parser, main
 
@@ -251,15 +253,16 @@ class TestRunCharacterize:
 
     @pytest.mark.parametrize("name", ["e1", "q4_tight"])
     def test_verdict_does_no_row_reduction(self, monkeypatch, name):
-        # the verdict reads the kernel generator from the abscissas
+        # the verdict reads the kernel from the abscissas: it builds no
+        # lattice matrix and never goes through star_condition
         calls = []
-        original = model._left_kernel_basis
 
-        def counting(rows):
-            calls.append(rows)
-            return original(rows)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("the verdict built a lattice matrix")
 
-        monkeypatch.setattr(model, "_left_kernel_basis", counting)
+        monkeypatch.setattr(model, "star_condition", counting)
+        monkeypatch.setattr(model, "LatticeMatrix", counting)
         cfg = json.loads((GOLDEN_DIR / f"{name}.config.json").read_text())
         rep = run_characterize(cfg)
         assert rep.star is not None and calls == []
@@ -609,6 +612,17 @@ class TestCliLattice:
         out = json.loads(capsys.readouterr().out)
         assert out["holds"] is False and out["witness"] is not None
 
+    @pytest.mark.parametrize("name, code", [
+        ("lattice_dim0", 0), ("lattice_dim1", 1), ("lattice_dim2", 1),
+        ("lattice_dim3", 1), ("lattice_onesign", 0), ("lattice_beyond", 0),
+    ])
+    def test_golden(self, capsys, name, code):
+        # kernel dimensions 0 to 3 (a mixed generator within the bound at
+        # 1), a one-sign generator (1, 2, 3) and a mixed one, (60, -7, 1),
+        # past the bound 50
+        assert main(["lattice", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == code
+        assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.lattice.json").read_text()
+
 
 class TestCliExpand:
     def test_integer_exponent(self, tmp_path, capsys):
@@ -648,11 +662,15 @@ class TestCliExpand:
         pytest.param("readme", 1, 8, id="readme-1"),
         pytest.param("exact3", 0, 8, id="exact3-0"),
         pytest.param("frac24", 1, 24, id="frac24-1"),
+        pytest.param("decimal16", 1, 16, id="decimal16-1"),
+        pytest.param("merge4", 1, 8, id="merge4-1"),
     ])
     def test_golden(self, capsys, name, code, depth):
         # readme: float coefficients, the first negative at order 2;
         # exact3: exact coefficients of an integer power; frac24: exact
-        # points and float coefficients of the exponent 9/4 to order 24
+        # points and float coefficients of the exponent 9/4 to order 24;
+        # decimal16: decimal atoms and exponent to order 16; merge4: four
+        # atoms on an integer parabola, whose 165 terms merge on 130 points
         assert main(["expand", str(GOLDEN_DIR / f"{name}.config.json"), "--json",
                      f"--depth={depth}"]) == code
         assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.expand.json").read_text()
@@ -835,3 +853,36 @@ def test_fuzzed_configs_exit_cleanly(run):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    """to_json against json.dumps(sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_goldens(self, path):
+        obj = json.loads(path.read_text())
+        assert to_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert to_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_edge_values(self):
+        value = {"nan": math.nan, "inf": [math.inf, -math.inf], "empty": [{}, [], ()],
+                 "text": "\u00e9\U0001f600\n\"", "float": 1e-310, "int": -2 ** 70,
+                 "flags": (True, False, None), "sub": np.float64(0.1)}
+        assert to_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [{1: 2}, {1}, np.int64(1), [b"x"]],
+                             ids=["int-key", "set", "np-int", "bytes"])
+    def test_refuses_what_json_does_not_write(self, value):
+        with pytest.raises(TypeError):
+            to_json(value)

@@ -457,6 +457,35 @@ class TestDiagVarianceCheck:
         rep = diag_variance_check(m, bad)
         assert not rep.passed and rep.max_dev >= 0.05
 
+    def test_decimal_tolerance_scales_with_the_right_hand_sides(self):
+        # roots 0, 1, 5, 2000 at N = 3: A's rounding leaves the gap term
+        # r |1 + A r| max nu_i^2 = 6.6e-4, far below the size of the
+        # right-hand sides' terms at the vertices, about 1.2e13; an
+        # absolute tol rejected the model, whose exact twin is admissible
+        params = {"A": -0.3333333333333333, "a": 1003, "b": 1, "c": 996996012,
+                  "d": 994004, "e": 0, "f": 0}
+        rep = run_characterize({"params": params, "weights": [0.25] * 4})
+        assert 1e-4 < rep.diag_check["max_dev"] < 1e-3
+        assert rep.diag_check["pass"] and rep.regression["pass"]
+        assert rep.status == "Admissible"
+        exact = dict(params, A="-1/3")
+        rep = run_characterize({"params": exact, "weights": ["1/4"] * 4})
+        assert rep.status == "Admissible" and rep.diag_check["max_dev"] == 0
+
+    def test_exact_and_perturbed_decimal_tolerances(self):
+        # exact input keeps the absolute tol; a decimal model off its
+        # params by far more than rounding still fails at the scaled tol
+        m = candidate_model(E1, W3)
+        assert diag_variance_check(m, E1).tol == 1e-8
+        twin = float_twin(m)
+        rep = diag_variance_check(twin, E1)
+        # E1's atoms (-1, 1), (0, 0), (1, 1) at r = 1: the largest size is
+        # |A| + |b| = 2
+        assert rep.tol == 2e-8 and rep.passed
+        bad = DiagonalVFParams(-1.0, 0.0, 1.0, 0.0, 1.0, 0.1, 0.0)
+        rep = diag_variance_check(twin, bad)
+        assert not rep.passed and rep.max_dev >= 0.05
+
 
 def regression_oracle(mu, p):
     """Independent oracle: every ordered pair, grouped by exact sum point.

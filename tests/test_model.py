@@ -48,6 +48,61 @@ def brute_force_star(rows, bound=20):
     return tuple(int(x) for x in a[hits[0]]) if hits.size else None
 
 
+def _left_kernel_basis(rows):
+    """Basis of {a : a^T M = 0} over the rationals, via RREF of M^T."""
+    n = len(rows)
+    mt = [[F(rows[j][i]) for j in range(n)] for i in range(len(rows[0]))]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(mt)) if mt[i][c] != 0), None)
+        if piv is None:
+            continue
+        mt[r], mt[piv] = mt[piv], mt[r]
+        inv = mt[r][c]
+        mt[r] = [x / inv for x in mt[r]]
+        for i in range(len(mt)):
+            if i != r and mt[i][c] != 0:
+                fac = mt[i][c]
+                mt[i] = [x - fac * y for x, y in zip(mt[i], mt[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [F(0)] * n
+        v[fc] = F(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -mt[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _primitive_integer(v):
+    den = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = math.gcd(*ints)
+    return tuple(i // g for i in ints) if g else tuple(ints)
+
+
+def rref_star(rows, bound=50):
+    """Oracle by exact row reduction: a trivial kernel holds; a line's
+    primitive RREF generator decides, mixed within the bound being a
+    witness; a plane or more fails on the difference of the first two
+    basis vectors."""
+    basis = _left_kernel_basis(rows)
+    if not basis:
+        return StarReport(holds=True)
+    if len(basis) > 1:
+        return StarReport(holds=False, witness=_primitive_integer(
+            [x - y for x, y in zip(basis[0], basis[1])]))
+    g = _primitive_integer(basis[0])
+    if not (any(x > 0 for x in g) and any(x < 0 for x in g)):
+        return StarReport(holds=True)
+    if max(map(abs, g)) <= bound:
+        return StarReport(holds=False, witness=g)
+    return StarReport(holds=True, method="bounded-search", bound=bound)
+
+
 class TestCandidateModel:
     def test_e1(self):
         m = candidate_model(E1, W3)
@@ -298,6 +353,44 @@ class TestVerdict:
             assert v.outcome in ("CaseA", "CaseB", "Rejected")
 
 
+@st.composite
+def ranked_matrices(draw):
+    """3x3 rational matrices of a drawn rank 0-3: rows are integer
+    combinations of `rank` random rows, in random order."""
+    rank = draw(st.integers(0, 3))
+    size = draw(st.sampled_from((1, 5, 50)))
+    entry = st.builds(F, st.integers(-size, size), st.integers(1, 6))
+    basis = draw(st.lists(st.tuples(entry, entry, entry), min_size=rank, max_size=rank))
+    rows = []
+    for _ in range(3):
+        ks = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+        rows.append(tuple(sum((k * v[j] for k, v in zip(ks, basis)), F(0))
+                          for j in range(3)))
+    return rows
+
+
+class TestStarClosedForm:
+    """star_condition's closed form against exact row reduction."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(ranked_matrices(), st.sampled_from((1, 5, 50, math.inf)))
+    def test_matches_rref_oracle(self, rows, bound):
+        assert star_condition(_mat(rows), bound=bound) == rref_star(rows, bound)
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 0, 0)] * 3,                                      # rank 0
+        [(0, 0, 0), (F(1, 2), 1, F(-3, 2)), (-1, -2, 3)],     # rank 1, p = 1
+        [(0, 0, 0), (0, 0, 0), (0, 0, -7)],                   # rank 1, p = 2
+        [(0, 2, 0), (0, -3, 0), (0, 5, 0)],                   # rank 1, k = 1
+        [(1, 0, 0), (0, 0, 0), (0, 0, 1)],                    # rank 2, e_2
+        [(1, 1, 0), (2, 2, 0), (1, 0, 0)],                    # rank 2, mixed
+        [(F(1, 2), 1, 0), (0, F(2, 3), 1), (1, 0, 3)],        # rank 3
+    ])
+    def test_every_rank(self, rows):
+        for bound in (1, 2, 50):
+            assert star_condition(_mat(rows), bound=bound) == rref_star(rows, bound)
+
+
 class TestStarProperties:
     @given(st.lists(st.integers(min_value=-6, max_value=6),
                     min_size=9, max_size=9),
@@ -322,8 +415,8 @@ def _abscissas(exact):
 
 
 class TestVerdictStarDifferential:
-    """The verdict's closed-form star condition against `star_condition`'s
-    row reduction of the lattice matrix built here from the kept abscissas,
+    """The verdict's closed-form star condition against the row reduction
+    (`rref_star`) of the lattice matrix built here from the kept abscissas,
     the rows the verdict row-reduced before it read the closed form."""
 
     @settings(max_examples=300, deadline=None)
@@ -335,7 +428,7 @@ class TestVerdictStarDifferential:
         mat = lambda_matrix(lams)
         # the RREF generator at an unlimited bound; three exact atoms have
         # e_3 (float differences that round alike can give a plane)
-        ref = star_condition(mat, bound=math.inf)
+        ref = rref_star(mat.rows, bound=math.inf)
         top = max(abs(x) for x in ref.witness) if ref.witness else 1
         if isinstance(lams[0], F):
             assert (ref.witness is None) == (len(lams) == 3)
@@ -344,7 +437,7 @@ class TestVerdictStarDifferential:
         w = (F(1, n) if isinstance(lams[0], F) else 1.0 / n,) * n
         m = make_model([(x, x * x) for x in lams], w, 1)
         star = admissibility_verdict(m, bound=bound).star
-        assert star == star_condition(mat, bound=bound)
+        assert star == rref_star(mat.rows, bound=bound) == star_condition(mat, bound=bound)
 
     def test_decimal_abscissas_keep_their_float_differences(self):
         # 0.1, 1.1, 2.1, 3.1 differ by exactly 1, 2, 3 in float, as for the
@@ -367,7 +460,7 @@ class TestVerdictStarDifferential:
         # differences; the rows then have rank <= 2 with a short witness
         m = make_model([(x, x * x) for x in lams], (1 / len(lams),) * len(lams), 1)
         v = admissibility_verdict(m, bound=1)
-        assert v.star == star_condition(lambda_matrix(lams), bound=1)
+        assert v.star == rref_star(lambda_matrix(lams).rows, bound=1)
         assert v.star.witness == witness and v.inconclusive
 
     def test_zero_weight_atoms_leave_the_lattice(self):
@@ -376,5 +469,5 @@ class TestVerdictStarDifferential:
         m = make_model([(x, x * x) for x in range(4)],
                        (F(1, 2), F(0), F(1, 4), F(1, 4)), 1)
         v = admissibility_verdict(m)
-        assert v.star == star_condition(lambda_matrix([0, 2, 3]))
+        assert v.star == rref_star(lambda_matrix([0, 2, 3]).rows)
         assert v.outcome == "CaseA"

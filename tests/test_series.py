@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diagvf import series
-from diagvf._num import power_terms
+from diagvf._num import near_integer, power_terms
 from diagvf import (DiagonalVFParams, EliminationForm, NoDominantAtom,
                     NotNormalized, admissibility_verdict, candidate_model,
                     expand_series, first_negative_coefficient, make_model,
@@ -245,29 +245,60 @@ def _report_bits(rep):
             rep.pivot, rep.probe)
 
 
-def fraction_merge(terms, exact, den=None):
-    """Exact points merged as they are, each sum started from Fraction(0),
-    in the order of their float keys: merge_points(terms, True) on Fraction
-    points, written out here."""
-    assert exact and den is None
-    merged = {}
-    for order, coef, pt in terms:
-        entry = merged.get(pt)
-        if entry is None:
-            merged[pt] = [pt, F(0) + coef, order]
-        else:
-            entry[1] += coef
-            entry[2] = min(entry[2], order)
-    return [merged[k] for k in sorted(merged, key=lambda k: (float(k[0]), float(k[1])))]
+def scalar_expansion(m, depth):
+    """expand_series written out term by term, as `_report_bits` reads it:
+    compositions in lexicographic order, each coefficient c_j times its
+    multinomial times each power in turn (float(b ** n) when c_j is a
+    float), each point the atoms' own sums from 0 (Fractions stay
+    Fractions), merged by point_key's rule, summed from 0 in generation
+    order and sorted stably by their floats; the probe is series' own."""
+    w = m.weights
+    if all(x <= 0 for x in w) and any(x < 0 for x in w):
+        w = tuple(-x for x in w)
+    pivot = max(range(len(w)), key=lambda i: abs(float(w[i])))
+    probe = series._find_probe(m.atoms, w, pivot)
+    others = [i for i in range(len(w)) if i != pivot]
+    n_int = near_integer(m.r, 1e-12)
+    max_j = depth if n_int is None or n_int > depth else n_int
+    floats = not (m.is_exact and n_int is not None)
+    ap = w[pivot]
+    betas = [F(w[i], ap) if m.is_exact else w[i] / ap for i in others]
+    lead = float(ap) ** float(m.r) if floats else ap ** n_int
+    merged, ff = {}, 1
+    for j in range(max_j + 1):
+        fact = math.factorial(j)
+        scale = lead * ff / fact if floats else F(lead * ff, fact)
+        for ns in _compositions(j, len(others)):
+            coef = scale * (fact // math.prod(math.factorial(n) for n in ns))
+            for b, n in zip(betas, ns):
+                coef = coef * (float(b ** n) if floats else b ** n)
+            pt = []
+            for axis in (0, 1):
+                total = 0
+                for n, i in zip(ns, others):
+                    total = total + n * (m.atoms[i][axis] - m.atoms[pivot][axis])
+                pt.append(m.r * m.atoms[pivot][axis] + total)
+            key = tuple(pt) if m.is_exact else tuple(round(float(x) / 1e-9) for x in pt)
+            entry = merged.setdefault(key, [tuple(pt), 0, j])
+            entry[1] = entry[1] + coef
+        ff = ff * (m.r - j)
+    entries = [merged[k] for k in sorted(merged, key=lambda k: (float(k[0]), float(k[1])))]
+    neg = min((e for e in entries if e[1] < -1e-12), key=lambda e: e[2], default=None)
+    return ([(pt, _bits(c)) for pt, c, _ in entries],
+            None if neg is None else (neg[0], _bits(neg[1])), pivot, probe)
 
 
-def fraction_point_expansion(m, depth):
-    """expand_series with its points left as Fractions and merged by
-    fraction_merge."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "cleared", lambda values: (None, tuple(values)))
-        mp.setattr(series, "merge_points", fraction_merge)
-        return expand_series(m, depth)
+def _checked(m, depth):
+    """expand_series(m, depth) against scalar_expansion; the report."""
+    try:
+        want = scalar_expansion(m, depth)
+    except NoDominantAtom:
+        with pytest.raises(NoDominantAtom):
+            expand_series(m, depth)
+        return None
+    got = expand_series(m, depth)
+    assert _report_bits(got) == want
+    return got
 
 
 @st.composite
@@ -289,34 +320,103 @@ def exact_series_models(draw):
     return make_model([(lam, lam * lam) for lam in lams], weights, r)
 
 
+def _assert_zero_weight_terms(atoms, weights, r):
+    # a zero-weight atom's terms sum to +0.0, whatever the sign of their
+    # order's coefficient
+    m = make_model(atoms, weights, r)
+    rep = _checked(m, 12)
+    zero = 2 if weights[2] == 0 else 1
+    pt = tuple(r * a + 2 * (b - a) for a, b in zip(m.atoms[0], m.atoms[zero]))
+    assert _bits(rep.terms[pt]) == (_bits(0.0) if isinstance(rep.terms[pt], float)
+                                    else _bits(F(0)))
+
+
+@st.composite
+def decimal_series_models(draw, atoms=st.integers(1, 4)):
+    """Decimal models on the parabola (lam, lam^2): abscissas on a grid of
+    1/40 (integers, whose points merge, one time in four), a largest
+    positive weight on the first atom, zero weights allowed elsewhere, and
+    an integer or non-integer float r."""
+    k = draw(atoms)
+    scale = draw(st.sampled_from((1.0, 1.0, 1.0, 40.0)))
+    lams = sorted(draw(st.lists(st.integers(-60, 60), min_size=k, max_size=k, unique=True)))
+    lams = [x / scale for x in lams]
+    ns = draw(st.lists(st.integers(0, 6), min_size=k - 1, max_size=k - 1))
+    top = max(ns, default=0) + draw(st.integers(1, 3))
+    weights = [top / (top + sum(ns))] + [n / (top + sum(ns)) for n in ns]
+    r = draw(st.integers(1, 5).map(float) | st.floats(0.05, 6.0))
+    return make_model([(lam, lam * lam) for lam in lams], weights, r)
+
+
 class TestExpandSeriesDifferential:
     @settings(max_examples=300, deadline=None)
     @given(exact_series_models(), st.integers(0, 14))
     def test_cleared_points_match_fraction_points(self, m, depth):
-        try:
-            want = fraction_point_expansion(m, depth)
-        except NoDominantAtom:
-            with pytest.raises(NoDominantAtom):
-                expand_series(m, depth)
-            return
-        got = expand_series(m, depth)
-        assert _report_bits(got) == _report_bits(want)
-        assert all(isinstance(x, F) for pt in got.terms for x in pt)
+        got = _checked(m, depth)
+        assert got is None or all(isinstance(x, F) for pt in got.terms for x in pt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(decimal_series_models(), st.integers(0, 14))
+    def test_decimal_points_match_scalar_terms(self, m, depth):
+        got = _checked(m, depth)
+        assert got is None or all(type(x) is float for pt in got.terms for x in pt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(lambda exact: exact_series_models() if exact
+                                 else decimal_series_models(st.integers(2, 3))),
+           st.integers(15, 24))
+    def test_non_integer_exponents_to_depth_24(self, m, depth):
+        assume(near_integer(m.r, 1e-12) is None and len(m.atoms) <= 3)
+        _checked(m, depth)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "decimal"])
+    @pytest.mark.parametrize("r", [F(5, 2), F(7, 3)], ids=["r5_2", "r7_3"])
+    def test_four_atoms_on_an_integer_parabola_merge(self, exact, r):
+        lams = (0, 1, 2, 3) if exact else (0.0, 1.0, 2.0, 3.0)
+        weights = (F(1, 2), F(1, 4), F(1, 8), F(1, 8))
+        m = make_model([(x, x * x) for x in lams],
+                       weights if exact else tuple(map(float, weights)),
+                       r if exact else float(r))
+        rep = _checked(m, 10)
+        # 286 terms of orders 0..10 on fewer points
+        assert len(rep.terms) < math.comb(13, 3)
 
     @pytest.mark.parametrize("weights", [(F(1, 2), F(0), F(1, 2)), (F(2, 3), F(1, 3), F(0))],
                              ids=["middle-zero", "last-zero"])
     @pytest.mark.parametrize("r", [F(7, 4), F(1, 3), 2, F(3)],
                              ids=["r7_4", "r1_3", "int-2", "fraction-3"])
     def test_zero_weights_keep_their_signed_zeros(self, weights, r):
-        m = make_model([(0, 0), (1, 1), (3, 9)], weights, r)
-        rep = expand_series(m, 12)
-        assert _report_bits(rep) == _report_bits(fraction_point_expansion(m, 12))
-        # a zero-weight atom's terms sum to +0.0, whatever the sign of their
-        # order's coefficient
-        zero = 2 if weights[2] == 0 else 1
-        pt = tuple(r * a + 2 * (b - a) for a, b in zip(m.atoms[0], m.atoms[zero]))
-        assert _bits(rep.terms[pt]) == (_bits(0.0) if isinstance(rep.terms[pt], float)
-                                        else _bits(F(0)))
+        _assert_zero_weight_terms([(0, 0), (1, 1), (3, 9)], weights, r)
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.0, 0.5), (2 / 3, 1 / 3, 0.0)],
+                             ids=["middle-zero", "last-zero"])
+    @pytest.mark.parametrize("r", [1.75, 1 / 3, 2.0], ids=["r7_4", "r1_3", "int-2"])
+    def test_decimal_zero_weights_keep_their_signed_zeros(self, weights, r):
+        _assert_zero_weight_terms([(0.0, 0.0), (1.0, 1.0), (3.0, 9.0)], weights, r)
+
+    @pytest.mark.parametrize("step, den, arrays", [
+        (2 ** 49 - 1, 1, True), (2 ** 49, 1, False),
+        (1, 2 ** 53 - 1, True), (1, 2 ** 53, False),
+    ], ids=["points-below", "points-at", "den-below", "den-at"])
+    def test_int64_bound(self, step, den, arrays):
+        # order 16 of two atoms reaches the point 16 * step / den; points
+        # and denominators below 2^53 take the array pass, others the int
+        # loop
+        orders = [(j, 1.0 / (j + 1)) for j in range(17)]
+        found = series._array_terms(orders, [F(-1, 3)], (0, 0), [(step, step)], den)
+        assert (found is not None) == arrays
+        lam = F(step, den)
+        m = make_model([(0, 0), (lam, lam)], (F(3, 4), F(1, 4)), F(1, 2))
+        assert _checked(m, 16).first_negative is not None
+
+    @pytest.mark.parametrize("depth, arrays", [(14, False), (15, True)])
+    def test_short_expansions_take_the_python_loop(self, depth, arrays):
+        # 15 terms of two atoms cost less in the loop than the pass's
+        # fixed numpy calls; both give the same bits
+        orders = [(j, 1.0 / (j + 1)) for j in range(depth + 1)]
+        found = series._array_terms(orders, [-0.5], (0.0, 0.0), [(0.25, 0.5)], None)
+        assert (found is not None) == arrays
+        _checked(make_model([(0.0, 0.0), (0.25, 0.5)], (0.75, 0.25), 0.5), depth)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 9), st.floats(-10, 10, allow_nan=False)),
@@ -338,7 +438,12 @@ class TestExpandSeriesDifferential:
 
 
 def _compositions(total, parts):
-    return [ns for ns in itertools.product(range(total + 1), repeat=parts) if sum(ns) == total]
+    """Tuples of `parts` nonnegative ints summing to total, in lexicographic
+    order, recursively."""
+    if parts <= 1:
+        return [(total,) * parts] if parts or not total else []
+    return [(first,) + rest for first in range(total + 1)
+            for rest in _compositions(total - first, parts - 1)]
 
 
 class TestFirstNegativeCoefficient:
