@@ -145,7 +145,7 @@ def cmd_tilt(args) -> int:
         return EXIT_REJECTED
     mu = realize_measure(m, verdict)
     theta = _items(cfg.get("theta", [0, 0]), 2)
-    tilted = tilt_member(mu, theta)
+    tilted = _built(tilt_member, mu, theta)
     _emit({"theta": [float(t) for t in theta],
            "measure": [{"point": [format_number(x) for x in pt],
                         "mass": format_number(ms)}

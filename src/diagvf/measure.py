@@ -1,11 +1,11 @@
 """Finite atomic measures, cumulant calculus, and identity verification.
 
-An accepted model is realized as the N-fold convolution of the atomic
-mixture; masses stay exact rationals whenever the inputs are exact.  Both
-identity checks read the atoms' conic residuals (`_conic_certificate`),
-floats as the exact values they hold.  Off that rule, the diag check runs
-along theta, so collinear (degenerate) supports remain checkable without
-inverting a singular mean map, and the regression check walks the pairs.
+An accepted model's measure is the N-fold convolution of its atomic
+mixture; masses stay exact rationals whenever the inputs are exact.
+`check_model` reads both identities off the atoms' conic residuals, floats
+as the exact values they hold, and builds no measure.  Off that rule it
+realizes one: the diag check runs along theta, so collinear (degenerate)
+supports remain checkable, and the regression check walks the pairs.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 import numpy as np
 
-from ._num import (all_exact, cleared, near_integer, point_key, power_terms,
-                   widest_gap)
+from ._num import all_exact, cleared, point_key, power_terms, widest_gap
 from .errors import (ConfigError, Degenerate, DomainViolation, NotAdmissible,
                      OutOfMeanDomain)
 from .model import AdmissibilityVerdict, CandidateModel, _kept_atoms
@@ -31,19 +30,21 @@ __all__ = [
     "DiagCheckReport",
     "RegressionReport",
     "realize_measure",
+    "check_model",
     "cumulant_eval",
     "mean_to_theta",
     "diag_variance_check",
     "regression_check",
     "tilt_member",
-    "fd_hessian",
     "MAX_SUPPORT",
 ]
 
-# Most support points a realized measure may have.  A power checked with its
-# model skips the regression check's pair walk; the walk, for other input,
-# grows with the square of this and takes a few seconds at the cap.
+# Most support points a realized measure may have (a certified check builds
+# none); its pair walk grows with the square of this, a few seconds at the cap.
 MAX_SUPPORT = 1500
+
+# the diag check's theta grid where the certificate does not apply
+_THETA_GRID = tuple(itertools.product(np.linspace(-1.0, 1.0, 11), repeat=2))
 
 
 def _collinear(points) -> bool:
@@ -172,22 +173,16 @@ def _float(x) -> float:
         return math.inf
 
 
-def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteMeasure:
-    """N-fold convolution of the atomic mixture with weights |alpha_i|.
+def _check_caps(m: CandidateModel, verdict: AdmissibilityVerdict) -> int:
+    """verdict.N, once the caps on the N-fold power of the kept atoms pass.
 
-    Zero-weight atoms are dropped first, as the verdict drops them.
-    ConfigError is raised before any term is built when the support of the
-    N-fold power of n atoms, C(N + n - 1, n - 1) points, passes MAX_SUPPORT;
-    when a float model's least pair mass (min w)^(2N) in the regression
-    walk falls below the least normal float (min w <= 1/n, so a model that
-    passes keeps every multinomial coefficient, at most n^N <= (min w)^-N,
-    in range); and when (2N max |coordinate|)^2, the size the theta grid
-    and the float walk square, passes the largest float.  The power is the
-    model's own, built once on its cleared form and shared with the
-    regression check (`_model_power`).  An exact measure holds a copy of its
-    integer points and masses and forms no Fraction until they are read; a
-    float one takes the power's points, merged only where they are equal
-    floats, sorted stably by `point_key`.
+    ConfigError is raised before any work when its support, C(N + n - 1,
+    n - 1) points for n atoms, passes MAX_SUPPORT; when a float model's
+    least pair mass (min w)^(2N) in the regression walk falls below the
+    least normal float (min w <= 1/n, so a model that passes keeps every
+    multinomial coefficient, at most n^N <= (min w)^-N, in range); and when
+    (2N max |coordinate|)^2, the size the theta grid and the float walk
+    square, passes the largest float.
     """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
@@ -204,11 +199,61 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     if wide > math.sqrt(sys.float_info.max):
         raise ConfigError(f"the float checks of the N-fold power (N = {N}) "
                           f"overflow: its coordinates pass the float range")
-    D, scale, power = _model_power(m, N)
+    return N
+
+
+def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteMeasure:
+    """N-fold convolution of the atomic mixture with weights |alpha_i|.
+
+    Zero-weight atoms are dropped first, as the verdict drops them, and the
+    caps of `_check_caps` run before any term is built.  The power is summed
+    over `power_terms` on the model's cleared form.  An exact measure holds
+    its integer points and masses and forms no Fraction until they are
+    read; a float one takes the power's points, merged only where they are
+    equal floats, sorted stably by `point_key`.
+    """
+    N = _check_caps(m, verdict)
+    D, atoms, M, weights = m._cleared
+    power: dict = {}
+    for _, coef, pt in power_terms([(N, 1)], weights, (0, 0), atoms):
+        power[pt] = power.get(pt, 0) + coef
     if m.is_exact:
-        return FiniteMeasure._from_cleared(D, tuple(power), scale, tuple(power.values()))
+        return FiniteMeasure._from_cleared(D, tuple(power), M ** N, tuple(power.values()))
     points = sorted(power, key=lambda pt: point_key(pt, False))
     return FiniteMeasure(tuple(points), tuple(power[pt] for pt in points))
+
+
+def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVerdict,
+                tol: float = 1e-8) -> tuple[DiagCheckReport, RegressionReport]:
+    """Diag report at tol and regression report at max(tol, 1e-10) of an
+    accepted model, whose measure mu is its N-fold power.
+
+    The caps of `_check_caps` run first.  Where `_conic_certificate`
+    applies, no measure is built: the diag bound is the certificate at
+    s = r, and the regression bound twice that at s = N (the same one when
+    r = N), as a pair sum's composition m of 2N deviates by
+    sum m_i rho_i(N) - 2 (A + 1/N) E[x_1 y_1 | m] (the second likewise); a
+    float one passes at tol times the largest right-hand side, at a chain
+    vertex 2N a_i.  Elsewhere mu is realized, the diag check takes the
+    11 x 11 theta grid and the regression check walks mu.
+    """
+    N = _check_caps(m, verdict)
+    reg_tol = max(tol, 1e-10)
+    if (cert := _conic_certificate(m, p, m.r)) is None:
+        return (diag_variance_check(m, p, _THETA_GRID, tol),
+                regression_check(realize_measure(m, verdict), p, reg_tol))
+    atoms, weights = _kept_atoms(m)
+    # mu is exact when the kept atoms and weights are, whatever r is
+    exact = p.is_exact and all_exact(*weights, *(c for a in atoms for c in a))
+    top = 0
+    if not exact:
+        _, a, b, c, d, e, f = map(float, p.as_tuple())
+        top = max(abs(2 * N * (u * float(x) + v * float(y)) + 2 * w)
+                  for x, y in atoms for u, v, w in ((a, b, e), (c, d, f)))
+    bound = 2 * (cert if m.r == N else _conic_certificate(m, p, N))
+    return (_certified_diag(m, p, cert, tol),
+            RegressionReport(max_dev=_float(bound), tol=reg_tol * max(1, top),
+                             exact=exact, n_groups=0))
 
 
 def _cumulants(m: CandidateModel, T, thetas):
@@ -309,9 +354,8 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
     """
     if theta_grid is None:
         if (cert := _conic_certificate(m, p, m.r)) is not None:
-            return DiagCheckReport(max_dev=_float(cert), tol=tol * max(1, _vertex_scale(m, p)),
-                                   n_points=0, worst_theta=(0.0, 0.0))
-        theta_grid = list(itertools.product(np.linspace(-1.0, 1.0, 11), repeat=2))
+            return _certified_diag(m, p, cert, tol)
+        theta_grid = _THETA_GRID
     A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
     T = np.array(theta_grid, dtype=float).reshape(len(theta_grid), 2)
     _, _, mean, cov = _cumulants(m, T, theta_grid)
@@ -329,6 +373,11 @@ def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,
                            worst_theta=(float(T[i, 0]), float(T[i, 1])))
 
 
+def _certified_diag(m: CandidateModel, p: DiagonalVFParams, cert, tol: float) -> DiagCheckReport:
+    return DiagCheckReport(max_dev=_float(cert), tol=tol * max(1, _vertex_scale(m, p)),
+                           n_points=0, worst_theta=(0.0, 0.0))
+
+
 def _vertex_scale(m: CandidateModel, p: DiagonalVFParams) -> float:
     """0 for exact m and p; else the largest size, term by term, of the
     right-hand sides at the chain vertices r (lam_i, nu_i) of the kept
@@ -341,15 +390,6 @@ def _vertex_scale(m: CandidateModel, p: DiagonalVFParams) -> float:
               for x, y in ((float(m.r) * float(u), float(m.r) * float(v))
                            for u, v in _kept_atoms(m)[0]))
     return top if top < math.inf else 0
-
-
-def _model_power(m: CandidateModel, N: int):
-    """(D, M^N, power): the N-fold power of m's kept mixture on m's cleared
-    form (D, [(X, Y)], M, [W]), D = M = 1 for floats, mapping each point to
-    its mass times M^N.  At the N of every verdict on m it is m's own power
-    (`CandidateModel._power`); another N takes that of m's twin with r = N."""
-    D, _, M, _ = m._cleared
-    return D, M ** N, (m if N == near_integer(m.r) else replace(m, r=N))._power
 
 
 def _convex_chain(atoms) -> bool:
@@ -397,72 +437,18 @@ def _conic_certificate(m: CandidateModel, p: DiagonalVFParams, s):
     return Fraction(top * sd + abs(gap) * Q * sn * big, (Q * D * sd) ** 2)
 
 
-def _power_regression(mu: FiniteMeasure, p: DiagonalVFParams,
-                      model: CandidateModel):
-    """Bound on the deviation, group count and largest |right-hand side|
-    (0 on exact input) when mu, read point by point, is the N-fold power of
-    the model's mixture at an integer N = r where `_conic_certificate`
-    applies; else None.
-
-    Given the composition m of 2N of a pair's sum, the first identity
-    deviates by sum m_i rho_i(N) - 2 (A + 1/N) E[x_1 y_1 | m], with
-    |x_1 y_1| <= N^2 max lam_i^2 (the second likewise), so twice the
-    certificate at s = N bounds a sum point, which averages its
-    compositions; at A N = -1 the chain vertex 2N a_i attains it, and the
-    affine right-hand sides peak at such vertices.  Up to three atoms give
-    each composition its own sum; the sums of four are counted.
-    """
-    N = near_integer(model.r)
-    if (N is None or mu.is_exact != model.is_exact
-            or (cert := _conic_certificate(model, p, N)) is None):
-        return None
-    D, scale, power = _model_power(model, N)
-    # mu (an exact one on its cleared form, brought to the power's D and
-    # M^N) must be the power
-    mD, points, mscale, weights = mu._cleared or (D, mu.support, scale, mu.masses)
-    k, l = D // mD, scale // mscale
-    if k * mD != D or l * mscale != scale:
-        return None
-    if k != 1 or l != 1:
-        points = [(X * k, Y * k) for X, Y in points]
-        weights = [W * l for W in weights]
-    if len(points) != len(power) or dict(zip(points, weights)) != power:
-        return None
-    _, atoms, _, _ = model._cleared
-    if len(atoms) <= 3:
-        n_groups = math.comb(2 * N + len(atoms) - 1, len(atoms) - 1)
-    else:
-        n_groups = len({pt for _, _, pt in power_terms([(2 * N, 1)], [1] * len(atoms),
-                                                       (0, 0), atoms)})
-    top = 0
-    if not model.is_exact or p._cleared is None:
-        _, a, b, c, d, e, f = map(float, p.as_tuple())
-        top = max(abs(2 * N * (u * float(x) + v * float(y)) + 2 * w)
-                  for x, y in _kept_atoms(model)[0] for u, v, w in ((a, b, e), (c, d, f)))
-    return 2 * cert, n_groups, top
-
-
 def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
-                     tol: float = 1e-10,
-                     model: CandidateModel | None = None) -> RegressionReport:
-    """Conditional-expectation identities for an i.i.d. pair.
-
-    Given the model whose N-fold power mu is meant to be, exact and float
-    input alike take the conic residuals of `_power_regression` where they
-    apply; other measures, and a check with no model, walk mu's ordered
-    pairs.  On exact measure and params a passing check has deviation
-    exactly zero, and the walk runs on mu's cleared form: coordinates
-    X / D, masses W / S and A = An / Ad make
+                     tol: float = 1e-10) -> RegressionReport:
+    """Conditional-expectation identities for an i.i.d. pair, by a walk over
+    mu's ordered pairs.  On exact measure and params a passing check has
+    deviation exactly zero, and the walk runs on mu's cleared form:
+    coordinates X / D, masses W / S and A = An / Ad make
     Ad D^2 g_k = Ad (X_k - Y_k)^2 - 2 An X_k Y_k, with
     g_k = (x_k - y_k)^2 - 2 A x_k y_k, and one Fraction per sum point.
     Floats walk with D = S = Ad = 1.  A float check passes at tol times the
     largest right-hand side, when that exceeds 1.
     """
     exact = mu.is_exact and p.is_exact
-    found = model is not None and _power_regression(mu, p, model)
-    if found:
-        return RegressionReport(max_dev=_float(found[0]), tol=tol * max(1, found[2]),
-                                exact=exact, n_groups=found[1])
     if exact:
         A, a, b, c, d, e, f = p.as_tuple()
         D, points, _, masses = mu._cleared
@@ -499,7 +485,10 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
 
 
 def tilt_member(mu: FiniteMeasure, theta) -> FiniteMeasure:
-    """Exponentially tilted member: mass(x) -> mass(x) e^<theta,x> / L(theta)."""
+    """Exponentially tilted member: mass(x) -> mass(x) e^<theta,x> / L(theta).
+
+    ValueError names theta when a tilted mass underflows to 0 (or its
+    exponent passes the float range)."""
     if theta[0] == 0 and theta[1] == 0:
         return mu
     t1, t2 = float(theta[0]), float(theta[1])
@@ -507,23 +496,7 @@ def tilt_member(mu: FiniteMeasure, theta) -> FiniteMeasure:
             for x, m in zip(mu.support, mu.masses)]
     top = max(logs)
     raw = [math.exp(v - top) for v in logs]
+    if not all(v > 0 for v in raw):
+        raise ValueError(f"the masses tilted by theta ({t1}, {t2}) underflow to 0")
     z = sum(raw)
     return FiniteMeasure(mu.support, tuple(v / z for v in raw))
-
-
-def fd_hessian(m: CandidateModel, theta, h: float = 1e-4):
-    """Central-difference Hessian of the cumulant; independent covariance oracle."""
-    if not h > 0:
-        raise ValueError("h must be positive")
-
-    def k(t1, t2):
-        val, _, _ = cumulant_eval(m, (t1, t2))
-        return val
-
-    t1, t2 = float(theta[0]), float(theta[1])
-    k0 = k(t1, t2)
-    h11 = (k(t1 + h, t2) - 2 * k0 + k(t1 - h, t2)) / h ** 2
-    h22 = (k(t1, t2 + h) - 2 * k0 + k(t1, t2 - h)) / h ** 2
-    h12 = (k(t1 + h, t2 + h) + k(t1 - h, t2 - h)
-           - k(t1 + h, t2 - h) - k(t1 - h, t2 + h)) / (4 * h ** 2)
-    return np.array([[h11, h12], [h12, h22]])

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from ._num import all_exact, cleared, is_exact, near_integer, power_terms
+from ._num import all_exact, cleared, is_exact, near_integer
 from .errors import NRootDeficit, WeightCountMismatch
 from .roots import DiagonalVFParams, RootSet, _ordinate, solve_quartic
 
@@ -72,20 +72,6 @@ class CandidateModel:
         D, coords = cleared(c for a in atoms for c in a)
         return (D, tuple(zip(coords[::2], coords[1::2])), *cleared(weights))
 
-    @cached_property
-    def _power(self) -> dict:
-        """The N-fold power, N the integer nearest r, of the kept mixture on
-        its cleared form: each point sum n_i (X_i, Y_i) of the support, D
-        times a point of mu, with its mass times M^N; float points merge when
-        equal.  Built once per model and shared, so no reader changes it:
-        `realize_measure` hands the measure a copy of its points and masses,
-        and the regression check compares mu with it."""
-        _, points, _, weights = self._cleared
-        power: dict = {}
-        for _, coef, pt in power_terms([(near_integer(self.r), 1)], weights, (0, 0), points):
-            power[pt] = power.get(pt, 0) + coef
-        return power
-
 
 def _kept_atoms(m: CandidateModel):
     """The atoms of nonzero weight, which the verdict keeps, and their
@@ -127,7 +113,6 @@ class AdmissibilityVerdict:
     outcome: str                    # "CaseA" | "CaseB" | "Rejected"
     N: Optional[int] = None
     reason: Optional[str] = None
-    theta_domain_full: bool = False
     star: Optional[StarReport] = None
     inconclusive: bool = False
 
@@ -288,5 +273,4 @@ def admissibility_verdict(m: CandidateModel, tol: float = 1e-9,
     if s < 0 and n % 2:
         return AdmissibilityVerdict(
             "Rejected", reason="exponent not an even positive integer", star=star)
-    return AdmissibilityVerdict("CaseA" if s > 0 else "CaseB", N=n,
-                                theta_domain_full=True, star=star)
+    return AdmissibilityVerdict("CaseA" if s > 0 else "CaseB", N=n, star=star)

@@ -17,13 +17,12 @@ from typing import Optional
 from ._num import format_number, parse_number
 from .errors import ConfigError, NRootDeficit, WeightCountMismatch
 from .model import admissibility_verdict, candidate_model
-from .measure import (_collinear, diag_variance_check, realize_measure,
-                      regression_check)
+from .measure import _collinear, check_model
 from .roots import (DiagonalVFParams, Quartic, classify_root_pattern,
                     solve_quartic)
 
 __all__ = ["PipelineReport", "parse_params", "parse_config", "run_characterize",
-           "report_to_dict", "report_from_dict", "emit_report"]
+           "report_to_dict", "emit_report"]
 
 PARAM_KEYS = ("A", "a", "b", "c", "d", "e", "f")
 
@@ -143,7 +142,7 @@ def _search_weights(p, n_r, denominator, tol, roots, bound):
 
 def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineReport:
     """Run the whole pipeline: quartic -> roots -> model -> verdict -> checks,
-    both checks from the atoms' conic residuals, on decimal input too."""
+    both checks by `check_model`, on decimal input too."""
     cfg = parse_config(config)
     p = cfg.get("params")
     if p is None and "quartic" not in cfg:
@@ -202,15 +201,11 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
             report.status = "Inconclusive"
         return report
 
-    mu = realize_measure(m, verdict)
+    diag, reg = check_model(m, p, verdict, tol)
     # an N-fold power's support is collinear exactly when its atoms are,
     # and so when their cleared form D x is
     report.degenerate = _collinear(m._cleared[1])
-
-    diag = diag_variance_check(m, p, tol=tol)
     report.diag_check = {"max_dev": float(diag.max_dev), "pass": bool(diag.passed)}
-
-    reg = regression_check(mu, p, tol=max(tol, 1e-10), model=m)
     report.regression = {"max_dev": float(reg.max_dev), "pass": bool(reg.passed),
                          "exact": bool(reg.exact)}
 
@@ -228,11 +223,6 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
 def report_to_dict(rep: PipelineReport) -> dict:
     # shallow: dataclasses.asdict's deep copy costs more than the JSON encoding
     return {f.name: getattr(rep, f.name) for f in fields(rep)}
-
-
-def report_from_dict(d: dict) -> PipelineReport:
-    return PipelineReport(**{f.name: d[f.name] for f in fields(PipelineReport)
-                             if f.name in d})
 
 
 def to_json(obj) -> str:

@@ -26,7 +26,6 @@ __all__ = [
     "RootSet",
     "RootPattern",
     "build_characteristic_quartic",
-    "build_dual_quartic",
     "solve_quartic",
     "classify_root_pattern",
     "dual_ordinate",
@@ -172,18 +171,6 @@ def build_characteristic_quartic(p: DiagonalVFParams) -> Quartic:
     if Q is not None:
         coeffs = tuple(Fraction(ck, Q ** (4 - k)) for k, ck in enumerate(coeffs))
     return Quartic((*coeffs, 1))
-
-
-def build_dual_quartic(p: DiagonalVFParams) -> Quartic:
-    """Monic quartic in the second-coordinate ordinate nu."""
-    A, a, b, c, d, e, f = p.as_tuple()
-    return Quartic((
-        A * A * f * f - a * c * f * A + e * c * c * A,
-        -(b * c * c - a * c * d + 2 * d * f * A),
-        2 * A * f - a * c + d * d,
-        -2 * d,
-        1,
-    ))
 
 
 # a float root of the square-free part counts as real when its imaginary

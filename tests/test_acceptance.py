@@ -18,12 +18,12 @@ import numpy as np
 from diagvf import (DiagonalVFParams, EliminationForm, admissibility_verdict,
                     build_characteristic_quartic,
                     candidate_model, cumulant_eval, diag_variance_check,
-                    dual_ordinate,
-                    fd_hessian, first_negative_coefficient,
+                    dual_ordinate, first_negative_coefficient,
                     magnitude_scan, make_model, mean_to_theta, realize_measure,
                     regression_check, run_characterize, solve_quartic,
                     star_condition, LatticeMatrix)
 from diagvf.cli import main
+from oracles import fd_hessian
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -45,7 +45,8 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
 # <name>.config.json holds each config, and <name>.characterize.json its
 # characterize --json output, committed as produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2", "q4_tight", "q4_decimal")
+GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2", "q4_tight", "q4_decimal",
+                "float_chain", "mixed_within_tol")
 
 
 def reported(label):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagvf import ConfigError, parse_config, report_from_dict, report_to_dict, \
+from diagvf import ConfigError, parse_config, report_to_dict, \
     run_characterize, emit_report, solve_quartic, candidate_model
 from diagvf import admissibility_verdict, build_characteristic_quartic
 from diagvf import _num, measure, model, pipeline, roots, series
@@ -23,6 +23,7 @@ from diagvf._num import compositions
 from diagvf.pipeline import parse_params, to_json
 from diagvf.roots import _ordinate
 from diagvf.cli import build_parser, main
+from oracles import report_from_dict
 
 E1_CONFIG = {
     "params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "1",
@@ -231,12 +232,13 @@ class TestRunCharacterize:
             assert rep.series == {"depth": 8, "first_negative": None}
         assert calls == []
 
-    @pytest.mark.parametrize("module, name", [
-        (roots, "build_characteristic_quartic"),
-        (_num, "power_terms"),
+    @pytest.mark.parametrize("module, name, count", [
+        (roots, "build_characteristic_quartic", 1),
+        (_num, "power_terms", 0),
     ], ids=["quartic", "power"])
-    def test_exact_run_builds_each_object_once(self, monkeypatch, module, name):
-        # counted under every diagvf module that binds the name
+    def test_exact_run_builds_each_object_once(self, monkeypatch, module, name, count):
+        # counted under every diagvf module that binds the name; the
+        # certificate checks the model, so no power is built
         calls = []
         original = getattr(module, name)
 
@@ -249,7 +251,43 @@ class TestRunCharacterize:
                 monkeypatch.setattr(mod, name, counting)
         rep = run_characterize(E1_CONFIG)
         assert rep.status == "Admissible" and rep.n_r == 3
-        assert rep.regression["exact"] and len(calls) == 1
+        assert rep.regression["exact"] and len(calls) == count
+
+    @pytest.mark.parametrize("name, realized", [
+        *((name, 0) for name in ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2",
+                                 "q4_tight", "q4_decimal", "float_chain")),
+        ("mixed_within_tol", 1),
+    ])
+    def test_measure_is_realized_only_off_the_certificate(self, monkeypatch, name,
+                                                         realized):
+        # the certificate checks every other golden's model with no measure
+        # (float_chain's three float atoms 1.5e-4 and 4e-6 apart still form
+        # a strict chain at their exact values); mixed_within_tol's weights
+        # share one sign only within the verdict's tol, so its run realizes
+        # mu once, takes the 121-point theta grid and walks mu's pairs.
+        # Counted under every module that binds a name.
+        reports = []
+
+        def spying(fn):
+            def spy(*args, **kwargs):
+                reports.append((fn.__name__, fn(*args, **kwargs)))
+                return reports[-1][1]
+            return spy
+
+        for fn in (measure.realize_measure, measure.diag_variance_check,
+                   measure.regression_check):
+            for mod in (measure, pipeline):
+                if getattr(mod, fn.__name__, None) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, spying(fn))
+        cfg = json.loads((GOLDEN_DIR / f"{name}.config.json").read_text())
+        text = emit_report(run_characterize(cfg)) + "\n"
+        assert text == (GOLDEN_DIR / f"{name}.characterize.json").read_text()
+        assert [fn for fn, _ in reports].count("realize_measure") == realized
+        if realized:
+            checks = {fn: rep for fn, rep in reports}
+            assert checks["diag_variance_check"].n_points == 121
+            assert checks["regression_check"].n_groups > 0
+            assert not checks["realize_measure"].is_exact
 
     @pytest.mark.parametrize("name", ["e1", "q4_tight"])
     def test_verdict_does_no_row_reduction(self, monkeypatch, name):
@@ -266,6 +304,27 @@ class TestRunCharacterize:
         cfg = json.loads((GOLDEN_DIR / f"{name}.config.json").read_text())
         rep = run_characterize(cfg)
         assert rep.star is not None and calls == []
+
+    def test_dropped_float_atoms_leave_the_regression_exact(self):
+        # the quartic's roots are -1 and 3 and the irrational 1 -+ sqrt(3),
+        # floats whose zero weights drop them: the model is not exact, but
+        # its kept atoms and weights, and so its measure, are
+        cfg = {"params": {"A": "-1", "a": "2", "b": "-1", "c": "0", "d": "1",
+                          "e": "3", "f": "0"},
+               "weights": ["1/2", "0", "0", "1/2"]}
+        rep = run_characterize(cfg)
+        assert [a["lambda"] for a in rep.atoms][::3] == ["-1", "3"]
+        assert rep.status == "Degenerate-Admissible"
+        assert rep.regression == {"max_dev": 0.0, "pass": True, "exact": True}
+
+    def test_float_weights_off_one_by_rounding_need_no_measure(self):
+        # the weights sum to 1 + 5e-10, within the verdict's tol; a float
+        # measure refuses masses that far off 1, but the certificate
+        # builds none
+        cfg = {"params": {k: float(v) for k, v in E1_CONFIG["params"].items()},
+               "weights": [0.25, 0.5, 0.2500000005]}
+        rep = run_characterize(cfg)
+        assert rep.status == "Admissible" and rep.regression["max_dev"] == 0.0
 
     def test_exact_atoms_near_a_line_are_not_degenerate(self):
         # atoms (-1, 1e-13), (0, 0), (1, 1e-13): off one line by 1e-13
@@ -760,6 +819,19 @@ class TestCliTilt:
         path = write_config(tmp_path, cfg)
         assert main(["tilt", path]) == 1
         assert main(["tilt", path, "--bound", "1"]) == 0
+
+    @pytest.mark.parametrize("theta", [[1e300, 0], [-1e300, 0], [1e308, 0]])
+    def test_underflowing_masses_exit_2(self, tmp_path, capsys, theta):
+        # every mass but the largest tilts to exp(-1e300) = 0; at 1e308 the
+        # exponent at (2, 4) passes the float range
+        cfg = {"atoms": [["0", "0"], ["1", "1"], ["2", "4"]],
+               "weights": ["1/4", "1/2", "1/4"], "r": "2", "theta": theta}
+        assert main(["tilt", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+        assert f"theta ({float(theta[0])}, 0.0)" in lines[0]
 
     @pytest.mark.parametrize("name", ["e1_n8", "q6", "q4"])
     def test_golden(self, capsys, name):

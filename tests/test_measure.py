@@ -15,10 +15,11 @@ from diagvf import (AdmissibilityVerdict, ConfigError, Degenerate, DiagonalVFPar
                     FiniteMeasure, NotAdmissible,
                     OutOfMeanDomain, admissibility_verdict, candidate_model,
                     cumulant_eval, diag_variance_check, expand_series,
-                    fd_hessian, make_model, mean_to_theta, realize_measure,
+                    make_model, mean_to_theta, realize_measure,
                     regression_check, run_characterize, tilt_member)
 from diagvf import measure
-from diagvf._num import merge_points, power_terms
+from diagvf._num import merge_points, near_integer, power_terms
+from oracles import fd_hessian
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -29,6 +30,15 @@ def model_and_measure(p, weights):
     m = candidate_model(p, weights)
     v = admissibility_verdict(m)
     return m, realize_measure(m, v)
+
+
+def certified(m, p, tol=1e-10):
+    """check_model's regression report of m at N the integer nearest r (the
+    only field of the verdict it reads besides acceptance), which its
+    certificate gives: no pair group is counted."""
+    _, rep = measure.check_model(m, p, AdmissibilityVerdict("CaseA", N=near_integer(m.r)), tol)
+    assert rep.n_groups == 0
+    return rep
 
 
 def float_twin(m):
@@ -68,8 +78,8 @@ class TestRealizeMeasure:
 
     def test_float_power_merges_equal_points_only(self):
         # at N = 2 the sums (0, 2e-12) and (0, 0) are two support points,
-        # within 1e-9 of each other; the power read and the certificate
-        # take the measure, and the draw enumeration agrees
+        # within 1e-9 of each other; the draw enumeration agrees, and the
+        # certificate checks the model
         atoms, weights = [(-1.0, 1e-12), (0.0, 0.0), (1.0, 1e-12)], (0.25, 0.5, 0.25)
         m = make_model(atoms, weights, 2.0)
         mu = realize_measure(m, admissibility_verdict(m))
@@ -77,8 +87,7 @@ class TestRealizeMeasure:
         want = convolve_oracle(atoms, weights, 2)
         assert dict(zip(mu.support, mu.masses)) == pytest.approx(want, rel=1e-15)
         p = DiagonalVFParams(-0.5, 0.0, 1e12, 0.0, 1e-12, 0.0, 0.0)
-        assert measure._power_regression(mu, p, m) is not None
-        assert regression_check(mu, p, model=m).max_dev < 1e-16
+        assert certified(m, p).max_dev < 1e-16
 
     def test_matches_draw_enumeration(self):
         atoms = [(F(0), F(0)), (F(1), F(1)), (F(2), F(4))]
@@ -290,16 +299,16 @@ class TestClearedMeasure:
         twin = FiniteMeasure(mu.support, mu.masses)
         assert mu == twin and twin == mu and hash(mu) == hash(twin)
         assert twin.is_exact and twin.degenerate == mu.degenerate
-        # the twin is cleared over its own denominators, and still reads
-        # as the power
-        assert measure._power_regression(twin, p, m) is not None
-        rep = regression_check(twin, p, model=m)
+        # the twin is cleared over its own denominators, and its walk is
+        # mu's; the model's certificate reads exactly 0
+        rep = certified(m, p)
         assert rep.exact and rep.max_dev == 0
-        assert rep.n_groups == regression_check(mu, p, model=m).n_groups
+        assert regression_check(twin, p) == regression_check(mu, p)
 
     def test_checks_form_no_fractions(self):
         m, mu = model_and_measure(E1, W3)
-        assert regression_check(mu, E1, model=m).max_dev == 0
+        assert certified(m, E1).max_dev == 0
+        assert regression_check(mu, E1).max_dev == 0
         assert not mu.degenerate and mu.is_exact
         assert "support" not in vars(mu) and "masses" not in vars(mu)
         D, points, scale, weights = mu._cleared
@@ -741,11 +750,13 @@ def _perturbed(p, field, delta):
 class TestRegressionClosedForm:
     """The conic-residual certificate against the pair-enumeration oracle."""
 
-    def assert_matches_oracle(self, mu, p, m):
-        rep = regression_check(mu, p, model=m)
+    def assert_matches_oracle(self, mu, p, m=None):
+        """The walk over mu, or given its model the certificate, against the
+        oracle; returns the oracle's deviation."""
+        rep = regression_check(mu, p) if m is None else certified(m, p)
         dev, n_groups = regression_oracle(mu, p)
-        assert rep.exact
-        assert (rep.max_dev, rep.n_groups) == (float(dev), n_groups)
+        assert rep.exact and rep.max_dev == float(dev)
+        assert m is not None or rep.n_groups == n_groups
         return dev
 
     @settings(max_examples=80, deadline=None)
@@ -753,17 +764,15 @@ class TestRegressionClosedForm:
            small_fraction.filter(bool))
     def test_realized_models(self, model, field, delta):
         p, m, mu = model
-        assert measure._power_regression(mu, p, m) is not None
         assert self.assert_matches_oracle(mu, p, m) == 0
         q = _perturbed(p, field, delta)
-        assert measure._power_regression(mu, q, m) is not None
         self.assert_matches_oracle(mu, q, m)
 
     @settings(max_examples=60, deadline=None)
     @given(parabola_models(), st.booleans())
     def test_other_measures_take_the_walk(self, model, extra_point):
-        # one mass moved, or one extra point: the mass read sends the
-        # measure to the walk, which the oracle agrees with
+        # one mass moved, or one extra point: the walk, which takes no
+        # model, agrees with the oracle
         p, m, mu = model
         pts, ws = list(mu.support), list(mu.masses)
         if extra_point:
@@ -772,30 +781,31 @@ class TestRegressionClosedForm:
         else:
             ws[0], ws[1] = ws[0] / 2, ws[1] + ws[0] / 2
         other = FiniteMeasure(tuple(pts), tuple(ws))
-        assert measure._power_regression(other, p, m) is None
-        self.assert_matches_oracle(other, p, m)
+        self.assert_matches_oracle(other, p)
 
-    @pytest.mark.parametrize("atoms, weights, r, applies", [
-        (((-1, 1), (0, 0), (1, 1)), W3, 1, True),
+    @pytest.mark.parametrize("atoms, weights, r", [
+        (((-1, 1), (0, 0), (1, 1)), W3, 1),
         # a zero-weight atom is dropped, as the verdict drops it
-        (((-1, 1), (0, 0), (1, 1), (2, 4)), W3 + (F(0),), 1, True),
-        (((-1, 1), (0, 0), (1, 1)), W3, F(1, 2), False),
-        (((-1, 1), (0, 0), (1, 1)), tuple(float(w) for w in W3), 1.0, False),
-        (((-1, 1), (0, 0), (1, 1), (2, 4)), (F(1, 4),) * 4, 1, True),
+        (((-1, 1), (0, 0), (1, 1), (2, 4)), W3 + (F(0),), 1),
+        (((-1, 1), (0, 0), (1, 1)), W3, F(1, 2)),
+        (((-1, 1), (0, 0), (1, 1)), tuple(float(w) for w in W3), 1.0),
+        (((-1, 1), (0, 0), (1, 1), (2, 4)), (F(1, 4),) * 4, 1),
     ], ids=["e1", "zero-weight", "fractional-r", "float", "four-atoms"])
-    def test_applies_to_exact_chain_powers(self, atoms, weights, r, applies):
-        # mu is the power at N = 1 of the model's exact twin
+    def test_applies_to_exact_chain_powers(self, atoms, weights, r):
+        # mu is the power at N = 1 of the model's exact twin; check_model
+        # reads the certificate at the verdict's N = 1 whatever r is, and on
+        # the float model too, whose own power is mu up to rounding
         twin = make_model(atoms, tuple(F(w) for w in weights), 1)
         mu = realize_measure(twin, AdmissibilityVerdict("CaseA", N=1))
         m = make_model(atoms, weights, r)
-        assert (measure._power_regression(mu, E1, m) is not None) == applies
-        self.assert_matches_oracle(mu, E1, m)
+        _, rep = measure.check_model(m, E1, AdmissibilityVerdict("CaseA", N=1))
+        assert rep.n_groups == 0 and rep.max_dev == float(regression_oracle(mu, E1)[0])
+        self.assert_matches_oracle(mu, E1)
 
     @settings(max_examples=80, deadline=None)
     @given(chain_models())
     def test_four_atom_chains(self, model):
         p, m, mu = model
-        assert measure._power_regression(mu, p, m) is not None
         self.assert_matches_oracle(mu, p, m)
 
     def test_lattice_relation_merges_sums(self):
@@ -805,44 +815,47 @@ class TestRegressionClosedForm:
         m = make_model([(k, k * k) for k in range(4)], (F(1, 4),) * 4, 2)
         mu = realize_measure(m, AdmissibilityVerdict("CaseA", N=2))
         p = DiagonalVFParams(F(-1, 2), F(0), F(1), F(1), F(2), F(3), F(4))
-        _, n_groups, _ = measure._power_regression(mu, p, m)
-        assert n_groups < math.comb(4 + 3, 3)
+        assert regression_check(mu, p).n_groups < math.comb(4 + 3, 3)
+        assert self.assert_matches_oracle(mu, p) > 0
         assert self.assert_matches_oracle(mu, p, m) > 0
 
     @pytest.mark.parametrize("atoms, N, p, on_rule", [
         # turns left, then right: (0, 0) is not a hull vertex
         (((-1, 1), (0, 0), (1, 1), (2, 0)), 1, E1, False),
         # a chain at A N = -2: the certificate with its gap term bounds the
-        # walk, which a check without the model still takes
+        # walk, which regression_check, given no model, still takes
         (((-1, 1), (0, 0), (1, 1), (2, 4)), 2, E1, True),
     ], ids=["not-a-chain", "a-n-not-minus-one"])
     def test_other_four_atom_models_take_the_walk(self, atoms, N, p, on_rule):
         m = make_model(atoms, (F(1, 4),) * 4, N)
         mu = realize_measure(m, AdmissibilityVerdict("CaseA", N=N))
         if not on_rule:
-            assert measure._power_regression(mu, p, m) is None
-            self.assert_matches_oracle(mu, p, m)
+            _, rep = measure.check_model(m, p, AdmissibilityVerdict("CaseA", N=N))
+            assert rep == regression_check(mu, p, 1e-8)
+            self.assert_matches_oracle(mu, p)
             return
-        bound, n_groups, _ = measure._power_regression(mu, p, m)
+        bound = 2 * measure._conic_certificate(m, p, m.r)
         dev, oracle_groups = regression_oracle(mu, p)
-        assert 0 < dev <= bound and n_groups == oracle_groups
-        assert regression_check(mu, p).max_dev == float(dev)
+        assert 0 < dev <= bound and certified(m, p).max_dev == float(bound)
+        walk = regression_check(mu, p)
+        assert (walk.max_dev, walk.n_groups) == (float(dev), oracle_groups)
 
     def test_collinear_atoms_take_the_walk(self):
-        # at N = 1 the measure reads as the power, but at 2N the sums
-        # (-1, 1) + (1, -1) and 2 (0, 0) coincide
+        # the atoms are no strict chain, so check_model realizes mu and
+        # walks it; at 2N the sums (-1, 1) + (1, -1) and 2 (0, 0) coincide
         m = make_model([(-1, 1), (0, 0), (1, -1)], W3, 1)
         mu = realize_measure(m, admissibility_verdict(m))
-        assert measure._power_regression(mu, E1, m) is None
-        self.assert_matches_oracle(mu, E1, m)
+        _, rep = measure.check_model(m, E1, admissibility_verdict(m))
+        assert rep == regression_check(mu, E1, 1e-8)
+        self.assert_matches_oracle(mu, E1)
 
     def test_e1_at_n_40_is_fast(self):
         p = DiagonalVFParams(F(-1, 40), F(0), F(1), F(0), F(1), F(0), F(0))
-        m, mu = model_and_measure(p, W3)
+        m = candidate_model(p, W3)
         start = time.perf_counter()
-        rep = regression_check(mu, p, model=m)
+        rep = certified(m, p)
         assert time.perf_counter() - start < 0.1
-        assert rep.exact and rep.max_dev == 0 and rep.n_groups == 3321
+        assert rep.exact and rep.max_dev == 0
 
 
 class TestConicResidual:
@@ -901,7 +914,7 @@ class TestConicResidual:
             assert rep.max_dev <= float(bound) * (1 + 1e-9)
         assert float(bound) == pytest.approx(float(cert), rel=1e-9)
         dev, _ = regression_oracle(mu, q)
-        assert dev <= measure._power_regression(mu, q, m)[0] == 2 * cert
+        assert dev <= 2 * cert and certified(m, q).max_dev == float(2 * cert)
 
     @pytest.mark.parametrize("atoms, weights, r, p, on_rule", [
         (((-1, 1), (0, 0), (1, 1)), (F(1, 8), F(1), F(-1, 8)), 1, E1, False),
@@ -931,28 +944,30 @@ class TestConicResidual:
 
 
 class TestCachedForms:
-    """An exact model keeps its cleared form and its N-fold power; the
-    shared power must survive every read, and a float twin equal to the
-    model must not see it."""
+    """An exact model keeps its cleared form; its reads must leave what
+    realize_measure builds unchanged, and a float twin equal to the model
+    must not see it."""
 
     P = DiagonalVFParams(F(-1, 2), F(0), F(1), F(0), F(1), F(0), F(0))
 
     def test_reads_leave_the_power(self):
         m, mu = model_and_measure(self.P, W3)
-        first = regression_check(mu, self.P, model=m)
-        assert first.exact and first.max_dev == 0 and first.n_groups == 15
-        assert regression_check(mu, self.P, model=m) == first
-        assert realize_measure(m, admissibility_verdict(m)) == mu
+        v = admissibility_verdict(m)
+        first = measure.check_model(m, self.P, v)
+        assert first[1].exact and first[1].max_dev == 0 and first[1].n_groups == 0
+        assert measure.check_model(m, self.P, v) == first
+        assert realize_measure(m, v) == mu
+        walk = regression_check(mu, self.P)
+        assert walk.exact and walk.max_dev == 0 and walk.n_groups == 15
 
     def test_swapped_masses_get_no_certificate(self):
+        # the walk takes the measure alone, so it reads the swap
         m, mu = model_and_measure(self.P, W3)
-        assert measure._power_regression(mu, self.P, m) is not None
         masses = list(mu.masses)
         assert masses[0] != masses[1]
         masses[0], masses[1] = masses[1], masses[0]
         swapped = FiniteMeasure(mu.support, tuple(masses))
-        assert measure._power_regression(swapped, self.P, m) is None
-        rep = regression_check(swapped, self.P, model=m)
+        rep = regression_check(swapped, self.P)
         dev, n_groups = regression_oracle(swapped, self.P)
         assert rep.exact and (rep.max_dev, rep.n_groups) == (float(dev), n_groups)
         assert rep.max_dev > 0
@@ -972,11 +987,11 @@ class TestCachedForms:
         assert not floats.quartic.is_exact
         assert measure._conic_certificate(m, floats, m.r) == 0
         for measure_, params, model in ((mu_f, E1, twin), (mu, floats, m)):
-            rep = regression_check(measure_, params, model=model)
-            assert measure._power_regression(measure_, params, model) is not None
-            assert not rep.exact and rep.passed
-            assert (rep.max_dev, rep.n_groups) == (0.0, regression_oracle(mu, E1)[1])
-            assert regression_check(measure_, params).max_dev == 0.0
+            rep = certified(model, params)
+            assert not rep.exact and rep.passed and rep.max_dev == 0.0
+            walk = regression_check(measure_, params)
+            assert not walk.exact and walk.max_dev == 0.0
+            assert walk.n_groups == regression_oracle(mu, E1)[1]
 
 
 class TestRegressionCheck:
@@ -1019,7 +1034,7 @@ class TestRegressionCheck:
         m = candidate_model(p, decimal["weights"])
         mu = realize_measure(m, admissibility_verdict(m))
         walk = regression_check(mu, p, tol=1e-8)
-        cert = regression_check(mu, p, tol=1e-8, model=m)
+        _, cert = measure.check_model(m, p, admissibility_verdict(m), tol=1e-8)
         assert walk.passed and cert.passed and not cert.exact
         assert walk.max_dev > 1e-8 > cert.max_dev
         assert cert.tol == pytest.approx(walk.tol, rel=1e-12) and cert.tol > 0.1
@@ -1039,8 +1054,8 @@ class TestRegressionCheck:
         p = DiagonalVFParams(*(self.TINY_ORDINATES["params"][k] for k in "Aabcdef"))
         m = candidate_model(p, self.TINY_ORDINATES["weights"])
         mu = realize_measure(m, admissibility_verdict(m))
-        bound, _, _ = measure._power_regression(mu, p, m)
-        assert rep.regression["max_dev"] == float(bound)
+        bound = 2 * measure._conic_certificate(m, p, m.r)
+        assert rep.regression["max_dev"] == certified(m, p).max_dev == float(bound)
         assert regression_oracle(mu, p)[0] <= bound
 
     @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: measure._collinear "

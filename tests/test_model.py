@@ -286,7 +286,7 @@ class TestVerdict:
     def test_case_a(self):
         m = candidate_model(E1, W3)
         v = admissibility_verdict(m)
-        assert v.outcome == "CaseA" and v.N == 1 and v.theta_domain_full
+        assert v.outcome == "CaseA" and v.N == 1
         assert v.star is not None and v.star.holds
 
     def test_case_b(self):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagvf import (DiagonalVFParams, NotARoot, Quartic, RootPattern,
-                    build_characteristic_quartic, build_dual_quartic,
-                    classify_root_pattern, dual_ordinate, run_characterize,
+                    build_characteristic_quartic, classify_root_pattern, dual_ordinate, run_characterize,
                     solve_quartic)
 from diagvf.roots import _rational_roots, _square_free
+from oracles import build_dual_quartic
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
