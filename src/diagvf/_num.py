@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 Number = int | float | Fraction
@@ -25,23 +26,50 @@ def all_exact(*xs) -> bool:
     return all(is_exact(x) for x in xs)
 
 
-def parse_number(v) -> Number:
-    """Accept ints, finite floats, and 'p/q' or integer strings.
+# Most decimal digits in the numerator or denominator of an exact input
+# number; every such number has a finite, normal float.  A characterize
+# report then prints under Python's 4300-digit limit on int to str
+# conversion: the characteristic quartic cleared to a primitive integer
+# polynomial P has coefficients of at most 11 MAX_DIGITS + 1 digits, so a
+# rational root h/k (k | lead P, h | its lowest nonzero coefficient) and an
+# ordinate (a root of the dual quartic) have at most that many.
+MAX_DIGITS = 300
+_DIGITS_BOUND = 10 ** MAX_DIGITS
+# a decimal exponent past 4 digits is past the cap, and Fraction(str)
+# would form 10 ** exponent
+_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)$")
 
-    Anything else, a zero denominator or a non-finite value raises ValueError.
+
+def parse_number(v) -> Number:
+    """Accept ints, finite floats, and 'p/q', integer or decimal strings.
+
+    ASCII '[-]digits[/digits]' strings are read by int(), to the Fraction
+    Fraction(str) gives; other strings by Fraction(str), else float().
+    ValueError: a numerator or denominator past MAX_DIGITS digits (or a
+    string past 4 MAX_DIGITS characters), a zero denominator, a non-finite
+    value.
     """
-    if isinstance(v, bool):
-        raise ValueError(f"not a number: {v!r}")
-    if isinstance(v, (int, Fraction)):
-        return v
     if isinstance(v, str):
         s = v.strip()
+        num, slash, den = s.partition("/")
+        digits = num.removeprefix("-")
+        if (s.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS
+                and (not slash or den.isdigit() and len(den) <= MAX_DIGITS and den.strip("0"))):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        if len(s) > 4 * MAX_DIGITS or (e := _EXPONENT.search(s)) and len(e[1]) > 4:
+            raise ValueError(f"more than {MAX_DIGITS} digits in a number")
         try:
-            return Fraction(s)
+            v = Fraction(s)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {v!r}") from None
         except ValueError:
             v = float(s)
+    if isinstance(v, bool):
+        raise ValueError(f"not a number: {v!r}")
+    if isinstance(v, (int, Fraction)):
+        if abs(v.numerator) >= _DIGITS_BOUND or v.denominator >= _DIGITS_BOUND:
+            raise ValueError(f"more than {MAX_DIGITS} digits in a number")
+        return v
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError(f"not a finite number: {v!r}")

@@ -25,19 +25,10 @@ from .errors import (ConfigError, Degenerate, DomainViolation, NotAdmissible,
 from .model import AdmissibilityVerdict, CandidateModel, _kept_atoms
 from .roots import DiagonalVFParams
 
-__all__ = [
-    "FiniteMeasure",
-    "DiagCheckReport",
-    "RegressionReport",
-    "realize_measure",
-    "check_model",
-    "cumulant_eval",
-    "mean_to_theta",
-    "diag_variance_check",
-    "regression_check",
-    "tilt_member",
-    "MAX_SUPPORT",
-]
+__all__ = ["FiniteMeasure", "DiagCheckReport", "RegressionReport",
+           "realize_measure", "check_model", "cumulant_eval", "mean_to_theta",
+           "diag_variance_check", "regression_check", "tilt_member",
+           "MAX_SUPPORT"]
 
 # Most support points a realized measure may have (a certified check builds
 # none); its pair walk grows with the square of this, a few seconds at the cap.
@@ -79,14 +70,15 @@ class FiniteMeasure:
     are the tuples the constructor was given, which it clears once when
     they are exact.  A measure built on a cleared form (`_from_cleared`)
     forms them as Fractions on first read, sorted stably by the float key
-    (X / D, Y / D).  Float and mixed input has no cleared form.
+    (X / D, Y / D).  Float and mixed input has no cleared form, and its
+    masses sum to 1 within tol, by default the verdict's 1e-9.
     """
 
     support: tuple = cached_property(lambda self: self._view[0])  # of (x1, x2)
     # positive, summing to 1: exactly when all are exact
     masses: tuple = cached_property(lambda self: self._view[1])
 
-    def __init__(self, support, masses):
+    def __init__(self, support, masses, tol: float = 1e-9):
         if len(support) != len(masses):
             raise ValueError("support/mass length mismatch")
         if all_exact(*masses) and all(all_exact(*x) for x in support):
@@ -97,7 +89,7 @@ class FiniteMeasure:
                 raise ValueError("masses must be positive")
             total = sum(masses)
             if (total != 1 if all_exact(*masses)
-                    else abs(float(total) - 1.0) > 1e-12):
+                    else abs(float(total) - 1.0) > tol):
                 raise ValueError("masses must sum to 1")
             object.__setattr__(self, "_cleared", None)
         object.__setattr__(self, "support", support)
@@ -165,10 +157,10 @@ class RegressionReport:
         return self.max_dev <= self.tol
 
 
-def _float(x) -> float:
-    """float(x), or inf past the float range."""
+def _float(x, den: int = 1) -> float:
+    """float(x / den), correctly rounded, or inf past the float range."""
     try:
-        return float(x)
+        return x / den if den != 1 else float(x)
     except OverflowError:
         return math.inf
 
@@ -182,12 +174,13 @@ def _check_caps(m: CandidateModel, verdict: AdmissibilityVerdict) -> int:
     least normal float (min w <= 1/n, so a model that passes keeps every
     multinomial coefficient, at most n^N <= (min w)^-N, in range); and when
     (2N max |coordinate|)^2, the size the theta grid and the float walk
-    square, passes the largest float.
+    square, passes the largest float.  All of it reads the model's cleared
+    form.
     """
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
     N = verdict.N
-    atoms, weights = _kept_atoms(m)
+    D, atoms, _, weights = m._cleared
     if math.comb(N + len(atoms) - 1, len(atoms) - 1) > MAX_SUPPORT:
         raise ConfigError(f"the realized measure would have more than "
                           f"{MAX_SUPPORT} support points (the N-fold power "
@@ -195,7 +188,7 @@ def _check_caps(m: CandidateModel, verdict: AdmissibilityVerdict) -> int:
     if not m.is_exact and 2 * N * math.log(min(weights)) < math.log(sys.float_info.min):
         raise ConfigError(f"the masses of the float N-fold power (N = {N}) "
                           f"underflow in the regression check")
-    wide = 2 * N * max(_float(abs(c)) for a in atoms for c in a)
+    wide = 2 * N * _float(max(abs(c) for a in atoms for c in a), D)
     if wide > math.sqrt(sys.float_info.max):
         raise ConfigError(f"the float checks of the N-fold power (N = {N}) "
                           f"overflow: its coordinates pass the float range")
@@ -220,7 +213,10 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     if m.is_exact:
         return FiniteMeasure._from_cleared(D, tuple(power), M ** N, tuple(power.values()))
     points = sorted(power, key=lambda pt: point_key(pt, False))
-    return FiniteMeasure(tuple(points), tuple(power[pt] for pt in points))
+    # the verdict holds the weights' sum within 1e-9 of 1, and the masses
+    # sum to its N-th power, up to rounding
+    return FiniteMeasure(tuple(points), tuple(power[pt] for pt in points),
+                         tol=(1 + 1e-9) ** N - 1 + 1e-12)
 
 
 def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVerdict,
@@ -242,10 +238,11 @@ def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVe
     if (cert := _conic_certificate(m, p, m.r)) is None:
         return (diag_variance_check(m, p, _THETA_GRID, tol),
                 regression_check(realize_measure(m, verdict), p, reg_tol))
-    atoms, weights = _kept_atoms(m)
-    # mu is exact when the kept atoms and weights are, whatever r is
-    exact = p.is_exact and all_exact(*weights, *(c for a in atoms for c in a))
-    top = 0
+    exact, top = p.is_exact and m.is_exact, 0
+    if not exact:
+        atoms, weights = _kept_atoms(m)
+        # mu is exact when the kept atoms and weights are, whatever r is
+        exact = p.is_exact and all_exact(*weights, *(c for a in atoms for c in a))
     if not exact:
         _, a, b, c, d, e, f = map(float, p.as_tuple())
         top = max(abs(2 * N * (u * float(x) + v * float(y)) + 2 * w)

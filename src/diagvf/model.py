@@ -22,16 +22,9 @@ from ._num import all_exact, cleared, is_exact, near_integer
 from .errors import NRootDeficit, WeightCountMismatch
 from .roots import DiagonalVFParams, RootSet, _ordinate, solve_quartic
 
-__all__ = [
-    "CandidateModel",
-    "LatticeMatrix",
-    "StarReport",
-    "AdmissibilityVerdict",
-    "make_model",
-    "candidate_model",
-    "star_condition",
-    "admissibility_verdict",
-]
+__all__ = ["CandidateModel", "LatticeMatrix", "StarReport",
+           "AdmissibilityVerdict", "make_model", "candidate_model",
+           "star_condition", "admissibility_verdict"]
 
 
 @dataclass(frozen=True)
@@ -140,8 +133,12 @@ def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
         raise WeightCountMismatch(
             f"{len(weights)} weights for {len(lams)} distinct real roots")
     atoms = tuple((lam, _ordinate(lam, p, q, tol)) for lam in lams)
-    r = Fraction(-1) / Fraction(p.A) if is_exact(p.A) else -1.0 / p.A
-    return CandidateModel(atoms, tuple(weights), r)
+    return CandidateModel(atoms, tuple(weights), _exponent(p))
+
+
+def _exponent(p: DiagonalVFParams):
+    """The exponent r = -1/A of p's models, a Fraction when A is exact."""
+    return Fraction(-1) / Fraction(p.A) if is_exact(p.A) else -1.0 / p.A
 
 
 def _cross(u, v):
@@ -249,20 +246,26 @@ def admissibility_verdict(m: CandidateModel, tol: float = 1e-9,
 
     star = None
     if len(kept) in (3, 4):
-        star = _abscissa_star([a[0] for a, _ in kept], bound)
+        # an exact model's kept abscissas as the ints D lambda_i: scaling
+        # the columns (d_i) and (d_i^2) by D and D^2 keeps the generator
+        lams = [X for X, _ in m._cleared[1]] if m.is_exact else [a[0] for a, _ in kept]
+        star = _abscissa_star(lams, bound)
         if not star.holds:
             return AdmissibilityVerdict(
                 "Rejected", reason="lattice mixed-sign kernel vector exists; "
                 "atom masses cannot be identified",
                 star=star, inconclusive=True)
 
-    # the weights share a sign s and sum to it; CaseB (s = -1) needs an even N
-    t = 0 if all_exact(*weights) else tol
-    s = all(w >= -t for w in weights) - all(w <= t for w in weights)
+    # the weights share a sign s and sum to it; CaseB (s = -1) needs an even
+    # N.  Exact weights are read as the ints M w_i, M their common denominator
+    exact = all_exact(*weights)
+    M, ws = cleared(weights) if exact else (1, weights)
+    t = 0 if exact else tol
+    s = all(w >= -t for w in ws) - all(w <= t for w in ws)
     if not s:
         return AdmissibilityVerdict(
             "Rejected", reason="weights have mixed signs", star=star)
-    if abs(sum(weights) - s) > t:
+    if abs(sum(ws) - s * M) > t:
         sign = "nonnegative" if s > 0 else "nonpositive"
         return AdmissibilityVerdict(
             "Rejected", reason=f"{sign} weights do not sum to {s}", star=star)

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ._num import format_number, parse_number
 from .errors import ConfigError, NRootDeficit, WeightCountMismatch
-from .model import admissibility_verdict, candidate_model
+from .model import CandidateModel, _exponent, admissibility_verdict, candidate_model
 from .measure import _collinear, check_model
 from .roots import (DiagonalVFParams, Quartic, classify_root_pattern,
                     solve_quartic)
@@ -85,7 +85,7 @@ def parse_config(doc):
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past 4300 digits
             raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -126,18 +126,21 @@ def _search_weights(p, n_r, denominator, tol, roots, bound):
     1/denominator grid, or None when the grid has no point.
 
     Every grid point has positive weights with exact sum 1, and the verdict
-    sees weights only through their signs and sum (the star condition and
-    the exponent clause depend on atoms and r alone).  So all grid points
-    share one verdict, and the first one, (1, ..., 1, D - n_r + 1) / D,
-    decides the search.  `roots`, p's solved characteristic quartic, builds
-    the atoms.
+    sees weights only through their signs and sum, and else only the
+    abscissas and r.  So all grid points share the verdict of the first,
+    (1, ..., 1, D - n_r + 1) / D, on the abscissas of `roots` (p's solved
+    quartic) with ordinates 0; the model is built only when it accepts,
+    and is None otherwise.
     """
     if denominator < n_r:
         return None
     weights = ((Fraction(1, denominator),) * (n_r - 1)
                + (Fraction(denominator - n_r + 1, denominator),))
-    m = candidate_model(p, weights, tol, roots=roots)
-    return m, admissibility_verdict(m, tol=1e-9, bound=bound)
+    verdict = admissibility_verdict(
+        CandidateModel(tuple((lam, 0) for lam in roots.real_roots), weights, _exponent(p)),
+        tol=1e-9, bound=bound)
+    m = candidate_model(p, weights, tol, roots=roots) if verdict.accepted else None
+    return m, verdict
 
 
 def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineReport:

@@ -20,16 +20,9 @@ import numpy as np
 from ._num import Number, all_exact, cleared, is_exact
 from .errors import ConfigError, NotARoot
 
-__all__ = [
-    "DiagonalVFParams",
-    "Quartic",
-    "RootSet",
-    "RootPattern",
-    "build_characteristic_quartic",
-    "solve_quartic",
-    "classify_root_pattern",
-    "dual_ordinate",
-]
+__all__ = ["DiagonalVFParams", "Quartic", "RootSet", "RootPattern",
+           "build_characteristic_quartic", "solve_quartic",
+           "classify_root_pattern", "dual_ordinate"]
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,7 @@ class DiagonalVFParams:
         if self.b == 0:
             raise ValueError("b must be nonzero")
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all_exact(self.A, self.a, self.b, self.c, self.d, self.e, self.f)
 
@@ -83,7 +76,7 @@ class Quartic:
         if len(self.coeffs) != 5 or self.coeffs[4] != 1:
             raise ValueError("quartic must be monic with five coefficients")
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all_exact(*self.coeffs)
 
@@ -93,23 +86,27 @@ class Quartic:
         denominator and Ci = L ci; None for float coefficients."""
         return cleared(self.coeffs) if self.is_exact else None
 
+    @cached_property
+    def _floats(self):
+        """float(c0), ..., float(c3), float(2 c2), float(3 c3): what each
+        converts to beside a float or complex, so that q and q' keep their
+        bits (c4 stays the int 1, and `1 * x` converts x as `c4 * x` does)."""
+        c0, c1, c2, c3, _ = self.coeffs
+        return (*map(float, (c0, c1, c2, c3)), float(2 * c2), float(3 * c3))
+
     def __call__(self, x):
         """q(x).  An exact quartic at an exact x = h/k is the one Fraction
-        sum Ci h^i k^(4-i) / (L k^4) over the cleared coefficients; other
-        input runs Horner's rule."""
+        sum Ci h^i k^(4-i) / (L k^4) over the cleared coefficients; a float
+        or complex x runs Horner's rule on `_floats`, other input on the
+        coefficients."""
+        if isinstance(x, (float, complex)):
+            c0, c1, c2, c3, _, _ = self._floats
+            return (((1 * x + c3) * x + c2) * x + c1) * x + c0
         if is_exact(x) and self._cleared is not None:
             den, ints = self._cleared
-            h, k = x.numerator, x.denominator
-            acc, kp = 0, 1
-            for c in reversed(ints):
-                acc, kp = acc * h + c * kp, kp * k
-            return Fraction(acc, den * k ** 4)
+            return Fraction(_cleared_sum(ints, x), den * x.denominator ** 4)
         c0, c1, c2, c3, c4 = self.coeffs
         return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
-
-    def derivative(self, x):
-        c0, c1, c2, c3, c4 = self.coeffs
-        return ((4 * c4 * x + 3 * c3) * x + 2 * c2) * x + c1
 
     @cached_property
     def scale(self) -> float:
@@ -141,6 +138,15 @@ class RootSet:
     @property
     def n_r(self) -> int:
         return len(self.real_entries)
+
+
+def _cleared_sum(ints, x) -> int:
+    """sum Ci h^i k^(4-i) over ints = (C0, ..., C4) at an exact x = h/k."""
+    h, k = x.numerator, x.denominator
+    acc, kp = 0, 1
+    for c in reversed(ints):
+        acc, kp = acc * h + c * kp, kp * k
+    return acc
 
 
 class RootPattern(enum.Enum):
@@ -249,6 +255,42 @@ def _refine(poly, x: float, bits: int) -> int:
     return X
 
 
+def _nearest_fraction(X: int, bits: int, limit: int):
+    """(numerator, denominator) of Fraction(X, 2**bits).limit_denominator(limit),
+    by its continued fraction and tie rule on ints."""
+    n, d = X, 1 << bits
+    g = math.gcd(n, d)
+    if d // g <= limit:
+        return n // g, d // g
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > limit:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (limit - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - x| <= |p2/q2 - x| for x = X / 2**bits, cross-multiplied
+    if abs((p1 << bits) - X * q1) * q2 <= abs((p2 << bits) - X * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
+def _companion_roots(coeffs) -> list:
+    """np.roots(coeffs), highest degree first, bit for bit as Python floats
+    or complexes: np.linalg.eigvals of the same companion matrix, and the
+    trailing zeros as zero roots last."""
+    nz = [i for i, c in enumerate(coeffs) if c]
+    if not nz:
+        return []
+    mat = np.eye(nz[-1] - nz[0], k=-1)
+    mat[:1] = [-c / coeffs[nz[0]] for c in coeffs[nz[0] + 1:nz[-1] + 1]]
+    roots = np.linalg.eigvals(mat) if len(mat) else np.array([])
+    return roots.tolist() + [roots.dtype.type(0).item()] * (len(coeffs) - 1 - nz[-1])
+
+
 def _deflate(poly, num: int, den: int):
     """Quotient of poly by (den x - num), or None if it does not divide."""
     out, carry = [], 0
@@ -280,16 +322,16 @@ def _rational_roots(q: Quartic):
     Every rational root h/k of the integer square-free part has k | L, its
     leading coefficient.  Each real float root of that part is refined by
     fixed-point Newton steps to 2**-(2 bits(L) + 4) < 1 / (2 L^2), so the
-    closest fraction with denominator at most L (`limit_denominator`) is the
-    only candidate it can stand for; exact deflation confirms it and takes
+    closest fraction with denominator at most L (`_nearest_fraction`) is
+    the only candidate it can stand for; exact deflation confirms it and takes
     it out, so the next float root near it converges to a neighbour.  The
     float roots of what is left are taken again until a pass finds nothing,
     and a remainder of degree 1 or 2 is solved exactly.  There is no size
     guard: the work grows with the bit length of the coefficients, not
-    with their divisors.  A rational root is missed only when np.roots
-    places it off the real axis in every pass; it is then left in sf, which
-    `solve_quartic` solves in floats.  The multiplicity of each root is
-    counted by deflating the whole polynomial.
+    with their divisors.  A rational root is missed only when the
+    eigenvalues place it off the real axis in every pass; it is then left
+    in sf, which `solve_quartic` solves in floats.  The multiplicity of
+    each root is counted by deflating the whole polynomial.
 
     Returns (list of (Fraction, mult), rest, sf), roots in ascending
     (|numerator|, denominator, sign) order.  rest is the cleared integer
@@ -305,17 +347,16 @@ def _rational_roots(q: Quartic):
         lead, before = sf[-1], len(roots)
         bits = 2 * lead.bit_length() + 4
         top = max(abs(c) for c in sf)
-        for z in np.roots([c / top for c in reversed(sf)]):
+        for z in _companion_roots([c / top for c in reversed(sf)]):
             if len(sf) <= 3:
                 break
             if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z)):
                 continue
-            X = _refine(sf, float(z.real), bits)
-            r = Fraction(X, 1 << bits).limit_denominator(lead)
-            deflated = _deflate(sf, r.numerator, r.denominator)
+            h, k = _nearest_fraction(_refine(sf, float(z.real), bits), bits, lead)
+            deflated = _deflate(sf, h, k)
             if deflated is not None:
                 sf = deflated
-                roots.append(r)
+                roots.append(Fraction(h, k))
         if len(roots) == before:
             break
     if 1 < len(sf) <= 3 and (low := _low_degree_roots(sf)):
@@ -359,18 +400,6 @@ def _cluster(values, tol: float):
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
-def _polish(q: Quartic, r: complex, steps: int = 3) -> complex:
-    for _ in range(steps):
-        d = q.derivative(r)
-        if abs(d) < 1e-12 * q.scale:
-            break
-        step = q(r) / d
-        if abs(step) > 1.0:
-            break
-        r = r - step
-    return r
-
-
 def _residual_bound(v, q: Quartic, tol: float) -> float:
     """tol * max(1, |v|)^4 * q.scale, the largest residual a root v may
     leave.  Formed by products, which give inf past the float range where
@@ -383,9 +412,11 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     """All four roots with multiplicities.
 
     Exact rational roots are extracted exactly when the coefficients are
-    exact.  What is left is solved via companion-matrix eigenvalues with
-    Newton polishing and proximity clustering; a coefficient past the
-    float range, which np.roots cannot take, raises ConfigError.
+    exact.  What is left is solved via companion-matrix eigenvalues
+    (`_companion_roots`), three Newton steps on q at q's `_floats` and
+    proximity clustering.  A coefficient past the float range, which the
+    eigenvalues cannot take, or a float root whose residual passes its
+    bound, raises ConfigError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -406,7 +437,7 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
         k, missed = divmod(len(rest) - 1, max(len(sf) - 1, 1))
         if missed:
             raise ArithmeticError(f"a rational root of {rest} was missed")
-        numeric_coeffs = [float(Fraction(c, sf[-1])) for c in sf]
+        numeric_coeffs = [c / sf[-1] for c in sf]
     else:
         entries, k = [], 1
         numeric_coeffs = [float(c) for c in q.coeffs]
@@ -416,21 +447,45 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     # deflated
     cluster_tol = tol * (1.0 + max(abs(c) for c in numeric_coeffs))
     # a square-free part of degree 0 ([1]: every root was rational) has none
-    raw = [_polish(q, complex(r)) for r in np.roots(numeric_coeffs[::-1])
-           ] if len(numeric_coeffs) > 1 else []
-    # np.roots gives exact conjugate pairs, and _polish and _cluster keep them
-    # bit for bit (IEEE complex *, / and abs are sign-symmetric).  So a
-    # cluster is real when it holds its own conjugate, that is, when it lies
-    # within cluster_tol / 2 of the axis.
+    raw = []
+    if len(numeric_coeffs) > 1:
+        _, c1, _, _, d2, d3 = q._floats
+        for r in map(complex, _companion_roots(numeric_coeffs[::-1])):
+            for _ in range(3):
+                d = ((4 * r + d3) * r + d2) * r + c1
+                if abs(d) < 1e-12 * q.scale or abs(step := q(r) / d) > 1.0:
+                    break
+                r = r - step
+            raw.append(r)
+    # The eigenvalues come in exact conjugate pairs, and the Newton steps
+    # and _cluster keep them bit for bit (IEEE complex *, / and abs are
+    # sign-symmetric).  So a cluster is real when it holds its own
+    # conjugate, that is, when it lies within cluster_tol / 2 of the axis.
     # exact deflation proves the rational entries: only float roots are checked
     for v, m in _cluster(raw, cluster_tol):
         v = v.real if abs(v.imag) <= cluster_tol / 2 else v
         res = abs(complex(q(v)))
         if res > _residual_bound(v, q, tol):
-            raise ArithmeticError(f"root residual too large at {v}: {res}")
+            raise ConfigError(f"the float roots of the quartic do not resolve: "
+                              f"residual {res} at {v}")
         entries.append((v, m * k))
     entries.sort(key=lambda em: (float(em[0].real), float(em[0].imag)))
     return RootSet(tuple(entries))
+
+
+# (real multiplicities, multiplicities of the complex roots in the upper
+# half plane), each descending -> pattern
+_PATTERNS = {
+    ((1, 1, 1, 1), ()): RootPattern.FOUR_SINGLE_REAL,
+    ((2, 1, 1), ()): RootPattern.DOUBLE_PLUS_TWO_SINGLE_REAL,
+    ((3, 1), ()): RootPattern.SINGLE_PLUS_TRIPLE_REAL,
+    ((4,), ()): RootPattern.QUADRUPLE_REAL,
+    ((2, 2), ()): RootPattern.TWO_DOUBLE_REAL,
+    ((1, 1), (1,)): RootPattern.TWO_REAL_TWO_COMPLEX,
+    ((), (1, 1)): RootPattern.FOUR_COMPLEX,
+    ((), (2,)): RootPattern.TWO_DOUBLE_COMPLEX,
+    ((2,), (1,)): RootPattern.DOUBLE_REAL_PLUS_COMPLEX_PAIR,
+}
 
 
 def classify_root_pattern(r: RootSet) -> RootPattern:
@@ -438,25 +493,22 @@ def classify_root_pattern(r: RootSet) -> RootPattern:
     real = sorted((m for _, m in r.real_entries), reverse=True)
     cpx = sorted((m for v, m in r.complex_entries if v.imag > 0), reverse=True)
     key = (tuple(real), tuple(cpx))
-    table = {
-        ((1, 1, 1, 1), ()): RootPattern.FOUR_SINGLE_REAL,
-        ((2, 1, 1), ()): RootPattern.DOUBLE_PLUS_TWO_SINGLE_REAL,
-        ((3, 1), ()): RootPattern.SINGLE_PLUS_TRIPLE_REAL,
-        ((4,), ()): RootPattern.QUADRUPLE_REAL,
-        ((2, 2), ()): RootPattern.TWO_DOUBLE_REAL,
-        ((1, 1), (1,)): RootPattern.TWO_REAL_TWO_COMPLEX,
-        ((), (1, 1)): RootPattern.FOUR_COMPLEX,
-        ((), (2,)): RootPattern.TWO_DOUBLE_COMPLEX,
-        ((2,), (1,)): RootPattern.DOUBLE_REAL_PLUS_COMPLEX_PAIR,
-    }
     try:
-        return table[key]
+        return _PATTERNS[key]
     except KeyError:  # pragma: no cover - RootSet invariants preclude this
         raise ValueError(f"unclassifiable multiplicity pattern {key}")
 
 
 def _ordinate(lam, p: DiagonalVFParams, q: Quartic, tol: float):
-    """dual_ordinate's nu at a root lam of q, p's characteristic quartic."""
+    """dual_ordinate's nu at a root lam of q, p's characteristic quartic.
+    A Fraction lam = h/k of exact p with a zero cleared sum is a root, and
+    nu = (Q^2 h^2 - Q a h k + e A k^2) / (Q k^2 b) on p's cleared form;
+    other lam, or a nonzero sum, is checked by its residual."""
+    if isinstance(lam, Fraction) and p._cleared is not None:
+        if not _cleared_sum(q._cleared[1], lam):
+            Q, (A, a, b, _, _, e, _) = p._cleared
+            h, k = lam.numerator, lam.denominator
+            return Fraction(Q * Q * h * h - Q * a * h * k + e * A * k * k, Q * k * k * b)
     qres = abs(float(q(lam)))
     if qres > _residual_bound(float(lam), q, tol):
         raise NotARoot(f"{lam} is not a root of the characteristic quartic (residual {qres})")

@@ -40,13 +40,14 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
 # regression check), four-atom runs on roots 0, 1, 5, 60 and 0, 1, 5, 200,
 # c2, two atoms beside a complex pair that the float polish solves, and
 # q4_tight, roots 0, 1, 2, 3, Inconclusive on the lattice witness (3, -3, 1),
-# and q4_decimal, the decimal twin of roots 0, 1, 5, 60 at N = 12, whose
-# float checks read the conic residuals:
+# q4_decimal, the decimal twin of roots 0, 1, 5, 60 at N = 12, whose
+# float checks read the conic residuals, and irrational4, exact params
+# with four irrational atoms, roots of x^4 - 5 x^2 - x + 4:
 # <name>.config.json holds each config, and <name>.characterize.json its
 # characterize --json output, committed as produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2", "q4_tight", "q4_decimal",
-                "float_chain", "mixed_within_tol")
+                "float_chain", "mixed_within_tol", "irrational4")
 
 
 def reported(label):

@@ -55,6 +55,24 @@ def huge_roots_config(k, n_weights=3):
             "weights": ["1/4", "1/2", "1/4"] if n_weights == 3 else ["1/4"] * 4}
 
 
+# decimal params whose quartic has roots -964777.4 and 1.2090602,
+# 1.2090623, 1.2090662: the three close ones do not resolve in floats
+UNRESOLVED_ROOTS = {"params": {"A": -1.0, "a": -482386.8888811743, "b": 1.0,
+                               "c": -1.1225172329797608e+17, "d": 232700609989.82886,
+                               "e": 0.0, "f": 1705194.1315738985},
+                    "weights": [0.25, 0.25, 0.25, 0.25]}
+
+
+def capped_params(digits, seed=0):
+    """Exact params whose numerators and denominators have `digits` digits."""
+    rng = np.random.default_rng(seed)
+
+    def number():
+        return "".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, digits - 1)]))
+    params = {k: f"{'-' if rng.random() < 0.5 else ''}{number()}/{number()}" for k in "abcdef"}
+    return dict(params, A=f"-{number()}/{number()}")
+
+
 # atoms (-1, 10^155), (0, 0), (1, 10^155): a covariance of the float checks
 # passes the float range
 WIDE_ORDINATES = {"params": {"A": -1, "a": 0, "b": 1e-155, "c": 0, "d": 1e155,
@@ -189,7 +207,8 @@ class TestRunCharacterize:
     @pytest.mark.parametrize("A, extra, status", [
         ("-1", {"weights": ["1/4", "1/2", "1/4"]}, "Admissible"),
         ("-1", {"weight_search": {"denominator": 4}}, "Admissible"),
-        # r = 3/2: the one grid point the search builds is rejected
+        # r = 3/2: the one grid point the search takes is rejected on its
+        # abscissas, so no model is built
         ("-2/3", {"weight_search": {"denominator": 5}}, "Rejected"),
     ])
     def test_quartic_solved_once(self, monkeypatch, A, extra, status):
@@ -213,8 +232,10 @@ class TestRunCharacterize:
         monkeypatch.setattr(model, "_ordinate", counting_atom)
         rep = run_characterize(dict(params=dict(E1_CONFIG["params"], A=A), **extra))
         assert rep.status == status and len(calls) == 1
-        # one model, also for a search: the report takes the search's model
-        assert len(builds) == 1 and len(atoms) == rep.n_r
+        # one model, also for an accepted search: the report takes the
+        # search's model; a rejected search builds none
+        built = status != "Rejected"
+        assert len(builds) == built and len(atoms) == built * rep.n_r
 
     def test_series_block_needs_no_expansion(self, monkeypatch):
         calls = []
@@ -255,7 +276,7 @@ class TestRunCharacterize:
 
     @pytest.mark.parametrize("name, realized", [
         *((name, 0) for name in ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2",
-                                 "q4_tight", "q4_decimal", "float_chain")),
+                                 "q4_tight", "q4_decimal", "float_chain", "irrational4")),
         ("mixed_within_tol", 1),
     ])
     def test_measure_is_realized_only_off_the_certificate(self, monkeypatch, name,
@@ -380,7 +401,12 @@ class TestWeightSearch:
             weights = found[0].weights if found and found[1].accepted else None
             assert weights == grid_search_oracle(p, rs.n_r, den, rs)
             if found:
-                assert found[1] == admissibility_verdict(found[0], tol=1e-9)
+                # the verdict of the model on the grid's first point, with
+                # its ordinates; an accepted search returns that model
+                first = (F(1, den),) * (rs.n_r - 1) + (F(den - rs.n_r + 1, den),)
+                m = candidate_model(p, first, roots=rs)
+                assert found[1] == admissibility_verdict(m, tol=1e-9)
+                assert found[0] == (m if found[1].accepted else None)
 
     def test_bound_reaches_the_verdict(self):
         # roots -2, -1, 1, 2: the lattice generator (2, -2, 1) is mixed,
@@ -520,6 +546,14 @@ class TestCliMalformedInput:
         ("roots", json.dumps(huge_roots_config(155)), []),
         ("characterize", json.dumps(WIDE_ORDINATES), []),
         ("characterize", json.dumps(WIDE_ORDINATES_EXACT), []),
+        ("characterize", json.dumps(huge_roots_config(110)), []),
+        ("characterize", json.dumps(UNRESOLVED_ROOTS), []),
+        ("characterize", '{"params": {"A": -%s}}' % ("1" * 5000), []),
+        ("characterize", json.dumps({"params": capped_params(1000), "weights": ["1/4"] * 4}), []),
+        ("expand", json.dumps({"atoms": [[0, 0], [1, 1]], "weights": ["1/2", "1/2"],
+                               "r": f"{10 ** 2000}/3"}), []),
+        ("expand", json.dumps({"atoms": [[0, 0], ["1" * 3001, 1]], "weights": ["1/2", "1/2"],
+                               "r": "2"}), []),
     ], ids=["tol-zero", "tol-negative", "zero-denominator", "inf-string",
             "nan", "overflowing-literal", "params-list", "weight-search-number",
             "search-denominator-string", "search-denominator-zero",
@@ -535,7 +569,10 @@ class TestCliMalformedInput:
             "weights-object", "quartic-object", "roots-quartic-string",
             "roots-quartic-number", "expand-weights-string",
             "quartic-past-float-range", "roots-quartic-past-float-range",
-            "float-checks-overflow", "float-checks-overflow-exact"])
+            "float-checks-overflow", "float-checks-overflow-exact",
+            "quartic-past-float-range-within-digit-cap", "float-roots-unresolved",
+            "json-int-past-str-limit", "params-of-1000-digits", "expand-r-of-2001-digits",
+            "expand-atom-of-3001-digits"])
     def test_exit_2_one_line(self, tmp_path, capsys, command, text, flags):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -630,6 +667,13 @@ class TestCliRoots:
         path = write_config(tmp_path, {"quartic": ["4", "0", "-4", "0", "1"]})
         assert main(["roots", path, "--json", "--tol", tol]) == 0
         assert capsys.readouterr().out == SQRT2_DOUBLE_GOLDEN.read_text()
+
+    def test_cubic_rest_golden(self, capsys):
+        # (x - 1/3)(x^3 - 2): one rational root, deflated exactly, and an
+        # irreducible cubic rest solved in floats and polished
+        path = GOLDEN_DIR / "cubic_rest.config.json"
+        assert main(["roots", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / "cubic_rest.roots.json").read_text()
 
     def test_float_pair_near_the_axis(self, tmp_path, capsys):
         path = write_config(tmp_path, NEAR_DOUBLE_CONFIG)
@@ -773,7 +817,59 @@ class TestCliEval:
         assert out["variance"][0][0] == pytest.approx(0.5)
 
 
+class TestCliDigitCap:
+    """Exact input numbers of up to MAX_DIGITS digits a numerator or
+    denominator run to a report in bounded time; one digit more is an
+    input error."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_characterize_at_the_cap(self, tmp_path, capsys, seed):
+        cfg = {"params": capped_params(_num.MAX_DIGITS, seed), "weights": ["1/4"] * 4}
+        start = time.perf_counter()
+        assert main(["characterize", write_config(tmp_path, cfg), "--json"]) in (0, 1)
+        assert time.perf_counter() - start < 10.0
+        captured = capsys.readouterr()
+        params = json.loads(captured.out)["params"]
+        assert {k: F(v) for k, v in params.items()} == {k: F(v) for k, v in cfg["params"].items()}
+        assert captured.err == ""
+
+    def test_characterize_past_the_cap(self, tmp_path, capsys):
+        params = capped_params(_num.MAX_DIGITS)
+        params["f"] = params["f"] + "0"
+        cfg = {"params": params, "weights": ["1/4"] * 4}
+        assert main(["characterize", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (f"input error: more than {_num.MAX_DIGITS} "
+                                           "digits in a number\n")
+
+    def test_expand_at_the_cap(self, tmp_path, capsys):
+        # an atom coordinate and a weight at the cap
+        big = "9" * _num.MAX_DIGITS
+        cfg = {"atoms": [[0, 0], [big, f"1/{big}"]], "weights": [f"1/{big}", f"{int(big) - 1}/{big}"],
+               "r": "2"}
+        start = time.perf_counter()
+        assert main(["expand", write_config(tmp_path, cfg), "--json"]) == 0
+        assert time.perf_counter() - start < 10.0
+        assert capsys.readouterr().err == ""
+        cfg["atoms"][1][0] = big + "9"
+        assert main(["expand", write_config(tmp_path, cfg)]) == 2
+
+
 class TestCliTilt:
+    @pytest.mark.parametrize("A, last", [(-1.0, 0.2500000005), (-0.5, 0.2500000009)],
+                             ids=["N1", "N2"])
+    def test_float_weights_within_the_verdict_tol(self, tmp_path, capsys, A, last):
+        # the verdict accepts weights that sum to 1 within 1e-9, and so
+        # does the N-fold power they realize, whose masses sum to the N-th
+        # power of theirs
+        cfg = {"params": {"A": A, "a": 0.0, "b": 1.0, "c": 0.0, "d": 1.0, "e": 0.0, "f": 0.0},
+               "weights": [0.25, 0.5, last]}
+        path = write_config(tmp_path, cfg)
+        assert main(["characterize", path]) == 0
+        capsys.readouterr()
+        assert main(["tilt", path, "--json"]) == 0
+        masses = [pt["mass"] for pt in json.loads(capsys.readouterr().out)["measure"]]
+        assert abs(sum(masses) - 1) <= 2e-9
+
     def test_tilt(self, tmp_path, capsys):
         cfg = dict(E1_CONFIG, theta=["1", "0"])
         assert main(["tilt", write_config(tmp_path, cfg), "--json"]) == 0

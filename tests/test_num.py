@@ -3,8 +3,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diagvf._num import compositions, merge_points
+from diagvf._num import MAX_DIGITS, compositions, merge_points, parse_number
 
 
 @pytest.mark.parametrize("total", range(6))
@@ -32,3 +34,66 @@ def test_cleared_points_merge_as_their_fractions():
     assert [pt for pt, _, _ in want] == [(F(-4, 3), F(0)), (F(7, 3), F(-2, 3)), (F(3), F(1)),
                                          (F(2 ** 60 + 1, 3), F(5, 3)), (F(2 ** 60, 3), F(5, 3))]
     assert math.copysign(1.0, got[0][1]) == 1.0
+
+
+def _parse_by_fraction(s):
+    """parse_number's reading of a string before its int() fast path:
+    Fraction(str) of the stripped string, else float(), finite."""
+    s = s.strip()
+    try:
+        return F(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+    except ValueError:
+        v = float(s)
+    if not math.isfinite(v):
+        raise ValueError("not finite")
+    return v
+
+
+def _same_parse(s):
+    try:
+        want = _parse_by_fraction(s)
+        if isinstance(want, F) and max(abs(want.numerator), want.denominator) >= 10 ** MAX_DIGITS:
+            raise ValueError("past the digit cap")
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_number(s)
+        return
+    got = parse_number(s)
+    assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("s", [
+    "0", "-0", "7", "-7", "+7", "007", "-1/3", "6/4", "-0/5", "3/-4", "3/+4", "-3/4",
+    "1_000", "1_000/3", "\u0663", "\u0663/4", "1/\u0664", "\u00b2", " 5/6 ", "\t-2\n",
+    "5 /6", "5/ 6", "1/0", "0/0", "-1/00", "/", "-", "", "1/", "/2", "--3", "1.5",
+    "-2.5e-3", "1e3", "nan", "inf", "-Infinity", "0x10", "1/2/3", "1.5/2", "١٢/٣",
+])
+def test_fast_parse_is_fraction_of_str(s):
+    _same_parse(s)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789-+/_ .\u0663", max_size=12))
+def test_fast_parse_matches_on_any_string(s):
+    _same_parse(s)
+
+
+@pytest.mark.parametrize("text", [
+    "9" * MAX_DIGITS, "-" + "9" * MAX_DIGITS + "/" + "7" * MAX_DIGITS,
+    "1" + "0" * (MAX_DIGITS - 1) + ".5", "1e%d" % (MAX_DIGITS - 1),
+])
+def test_digit_cap_admits_its_own_size(text):
+    assert parse_number(text) == F(text)
+
+
+@pytest.mark.parametrize("value", [
+    "9" * (MAX_DIGITS + 1), "1/" + "7" * (MAX_DIGITS + 1), "1e%d" % MAX_DIGITS,
+    "1e-%d" % MAX_DIGITS, "0." + "0" * (MAX_DIGITS - 1) + "1", "1e99999999999",
+    "1e-1_000_000_000", "0" * (4 * MAX_DIGITS + 1) + "1", "1_" * 3000 + "1",
+    10 ** MAX_DIGITS, F(1, 10 ** MAX_DIGITS), -(10 ** MAX_DIGITS),
+])
+def test_digit_cap_refuses_one_digit_past(value):
+    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+        parse_number(value)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from diagvf import (DiagonalVFParams, NotARoot, Quartic, RootPattern,
                     build_characteristic_quartic, classify_root_pattern, dual_ordinate, run_characterize,
                     solve_quartic)
-from diagvf.roots import _rational_roots, _square_free
+from diagvf.roots import (_companion_roots, _nearest_fraction, _ordinate, _rational_roots,
+                          _square_free)
 from oracles import build_dual_quartic
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
@@ -610,3 +611,64 @@ class TestOpenClusteringFounds:
         rep = run_characterize(cfg)
         assert rep.pattern == "FourSingleReal"
         assert [r["mult"] for r in rep.roots] == [1, 1, 1, 1]
+
+
+finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestFloatRootsKeepTheirBits:
+    """The roots stage's int and float shortcuts against the numpy and
+    Fraction calls they replace, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(finite_floats, min_size=1, max_size=4),
+           st.integers(0, 2), st.integers(0, 2), finite_floats.filter(bool))
+    def test_companion_roots_are_np_roots(self, coeffs, lead_zeros, trail_zeros, scale):
+        # degrees 1 to 4 (and their leading and trailing zeros), not monic
+        poly = [0.0] * lead_zeros + [scale] + [c * scale for c in coeffs] + [0.0] * trail_zeros
+        assert repr(_companion_roots(poly)) == repr(np.roots(poly).tolist())
+
+    @pytest.mark.parametrize("poly", [[1.0], [0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, -6.0],
+                                      [1.0, 0.0, 1.0], [1.0, -3.0, 3.0, -1.0]])
+    def test_companion_roots_edges(self, poly):
+        assert repr(_companion_roots(poly)) == repr(np.roots(poly).tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(exact_values, min_size=4, max_size=4),
+           st.floats(-1e3, 1e3), st.complex_numbers(max_magnitude=1e3))
+    def test_derivative_on_cached_floats(self, coeffs, xf, xc):
+        # the Newton step's q' at q._floats, as the Fraction coefficients
+        # give it at a float or complex point
+        q = Quartic(tuple(coeffs) + (1,))
+        c0, c1, c2, c3, d2, d3 = q._floats
+        for x in (xf, xc, complex(xf)):
+            want = ((4 * q.coeffs[4] * x + 3 * q.coeffs[3]) * x + 2 * q.coeffs[2]) * x + q.coeffs[1]
+            assert repr(((4 * x + d3) * x + d2) * x + c1) == repr(want)
+
+    @pytest.mark.parametrize("bits", range(1, 7))
+    @pytest.mark.parametrize("limit", [1, 2, 3, 5, 8, 13])
+    def test_nearest_fraction_every_small_point(self, bits, limit):
+        # every X / 2**bits in [-4, 4]: reduced denominators at most the
+        # limit, and the ties of a midpoint between two candidates
+        for X in range(-4 << bits, (4 << bits) + 1):
+            want = F(X, 1 << bits).limit_denominator(limit)
+            assert _nearest_fraction(X, bits, limit) == (want.numerator, want.denominator)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(-2 ** 200, 2 ** 200), st.integers(1, 300), st.integers(1, 2 ** 80))
+    def test_nearest_fraction_is_limit_denominator(self, X, bits, limit):
+        want = F(X, 1 << bits).limit_denominator(limit)
+        assert _nearest_fraction(X, bits, limit) == (want.numerator, want.denominator)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(exact_values, min_size=6, max_size=6), exact_values,
+           st.fractions(-10 ** 6, F(-1, 10 ** 6), max_denominator=10 ** 6))
+    def test_integer_ordinate_is_the_fraction_formula(self, vals, lam, A):
+        # f chosen so that lam is a root: q(lam) = b^2 (nu^2 - c lam - d nu + f A)
+        a, b, c, d, e, _ = map(F, vals)
+        b = b or F(1)
+        lam = F(lam)
+        nu = (lam * lam - a * lam + e * A) / b
+        p = DiagonalVFParams(A, a, b, c, d, e, (c * lam + d * nu - nu * nu) / A)
+        got = _ordinate(lam, p, p.quartic, 1e-8)
+        assert type(got) is F and got == nu
