@@ -35,6 +35,9 @@ def all_exact(*xs) -> bool:
 # ordinate (a root of the dual quartic) have at most that many.
 MAX_DIGITS = 300
 _DIGITS_BOUND = 10 ** MAX_DIGITS
+# Most bits, N times the larger bit length, of the exact lead w^N of an
+# integer power's series, checked before w^N is formed (under 4300 digits)
+MAX_LEAD_BITS = 13000
 # a decimal exponent past 4 digits is past the cap, and Fraction(str)
 # would form 10 ** exponent
 _EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)$")

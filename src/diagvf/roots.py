@@ -207,22 +207,22 @@ def _pseudo_remainder(a, b):
 
 
 def _square_free(poly):
-    """poly / gcd(poly, poly') for a primitive poly, by the primitive
-    remainder sequence and one exact division."""
+    """(poly / g, g), g = gcd(poly, poly') of a primitive poly ([1] when it is
+    square-free), by the primitive remainder sequence and one exact division."""
     a, b = poly, _primitive([i * c for i, c in enumerate(poly)][1:])
     while any(b):
         a, b = b, _pseudo_remainder(a, b)
         if any(b):
             b = _primitive(b)
     if len(a) == 1:
-        return poly
+        return poly, a
     # Gauss: both are primitive, so the quotient has integer coefficients
     rest, quot = list(poly), [0] * (len(poly) - len(a) + 1)
     for k in range(len(quot) - 1, -1, -1):
         quot[k] = rest[k + len(a) - 1] // a[-1]
         for i, c in enumerate(a):
             rest[i + k] -= quot[k] * c
-    return quot
+    return quot, a
 
 
 def _scaled_value(poly, X, bits):
@@ -319,8 +319,12 @@ def _low_degree_roots(poly):
 def _rational_roots(q: Quartic):
     """Extract exact rational roots with multiplicities: rationalize and verify.
 
-    Every rational root h/k of the integer square-free part has k | L, its
-    leading coefficient.  Each real float root of that part is refined by
+    The repeated roots of q, at most two, are those of g = gcd(q, q'), the
+    product of (x - r)^(m - 1) over q's roots r of multiplicity m:
+    `_low_degree_roots` solves g's square-free part exactly, and its rational
+    roots are deflated first from sf, q's square-free part, whose degree stays
+    above 2 only when q is square-free.  Every rational root h/k of sf has
+    k | L, its leading coefficient.  Each real float root of sf is refined by
     fixed-point Newton steps to 2**-(2 bits(L) + 4) < 1 / (2 L^2), so the
     closest fraction with denominator at most L (`_nearest_fraction`) is
     the only candidate it can stand for; exact deflation confirms it and takes
@@ -341,8 +345,10 @@ def _rational_roots(q: Quartic):
     Only called when all coefficients are exact.
     """
     ints = _primitive(q._cleared[1])
-    sf = _square_free(ints)
-    roots = []
+    sf, g = _square_free(ints)
+    roots = _low_degree_roots(_square_free(g)[0]) if len(g) > 1 else []
+    for r in roots:
+        sf = _deflate(sf, r.numerator, r.denominator)
     while len(sf) > 3:
         lead, before = sf[-1], len(roots)
         bits = 2 * lead.bit_length() + 4

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import (cleared, compositions, float_powers, is_exact, merge_points,
-                   multinomials, near_integer, power_terms, widest_gap)
+from ._num import (MAX_LEAD_BITS, cleared, compositions, float_powers, is_exact,
+                   merge_points, multinomials, near_integer, power_terms, widest_gap)
 from .errors import ConfigError, NoDominantAtom, NotNormalized
 from .measure import MAX_SUPPORT
 from .model import CandidateModel
@@ -271,9 +271,9 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     the scalar terms; other points, or cleared ones past 2^53, take the
     Python loop of `power_terms` and `merge_points`, as exact coefficients
     do.  Orders up to max_j = min(depth, N) of n atoms make
-    C(max_j + n - 1, n - 1) terms; past MAX_SUPPORT terms or orders, or past
-    order 170 with float coefficients (171! exceeds the largest float), it
-    raises ConfigError before any work.
+    C(max_j + n - 1, n - 1) terms; past MAX_SUPPORT terms or orders, order 170
+    with float coefficients (171! > the largest float) or MAX_LEAD_BITS in an
+    exact lead, it raises ConfigError before any work, and on a float overflow.
     """
     exact = m.is_exact
     r = m.r
@@ -306,17 +306,23 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
         # the points on integers over one denominator
         den, ints = cleared((*base, *(c for d in wdiffs for c in d)))
         base, wdiffs = ints[:2], list(zip(ints[2::2], ints[3::2]))
-    lead = float(ap) ** float(r) if floats else ap ** n_int
+    if not floats and n_int * max(ap.numerator, ap.denominator).bit_length() > MAX_LEAD_BITS:
+        raise ConfigError(f"the exact series lead w^N has more than {MAX_LEAD_BITS} bits")
 
     # the falling factorial r(r-1)...(r-j+1), carried from order to order
     # as ff / q^j, on ints for an exact r = p/q, is nonzero for every
     # j <= max_j: an integer r caps max_j
     p, q = (r.numerator, r.denominator) if exact else (r, 1)
     orders, ff = [], 1
-    for j in range(max_j + 1):
-        fact = math.factorial(j)
-        orders.append((j, lead * (ff / q ** j) / fact if floats else Fraction(lead * ff, fact)))
-        ff = ff * (p - j * q)
+    try:
+        lead = float(ap) ** float(r) if floats else ap ** n_int
+        for j in range(max_j + 1):
+            fact = math.factorial(j)
+            orders.append((j, lead * (ff / q ** j) / fact if floats
+                           else Fraction(lead * ff, fact)))
+            ff = ff * (p - j * q)
+    except OverflowError:
+        raise ConfigError("the series coefficients are past the float range") from None
     points, coefs, least = (floats and _array_terms(orders, betas, base, wdiffs, den)
                             or zip(*merge_points(power_terms(orders, betas, base, wdiffs),
                                                  exact, den)))

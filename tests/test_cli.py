@@ -554,6 +554,12 @@ class TestCliMalformedInput:
                                "r": f"{10 ** 2000}/3"}), []),
         ("expand", json.dumps({"atoms": [[0, 0], ["1" * 3001, 1]], "weights": ["1/2", "1/2"],
                                "r": "2"}), []),
+        # 3^1000.5, and the falling factorial over q^2 at r = (10^298 + 1)/2,
+        # past the float range
+        ("expand", json.dumps({"atoms": [[0, 0], [1, 1]], "weights": ["3", "-2"],
+                               "r": "2001/2"}), []),
+        ("expand", json.dumps({"atoms": [[0, 0], [1, 1]], "weights": ["1/2", "1/2"],
+                               "r": f"{10 ** 298 + 1}/2"}), []),
     ], ids=["tol-zero", "tol-negative", "zero-denominator", "inf-string",
             "nan", "overflowing-literal", "params-list", "weight-search-number",
             "search-denominator-string", "search-denominator-zero",
@@ -572,7 +578,8 @@ class TestCliMalformedInput:
             "float-checks-overflow", "float-checks-overflow-exact",
             "quartic-past-float-range-within-digit-cap", "float-roots-unresolved",
             "json-int-past-str-limit", "params-of-1000-digits", "expand-r-of-2001-digits",
-            "expand-atom-of-3001-digits"])
+            "expand-atom-of-3001-digits", "expand-float-lead-overflow",
+            "expand-falling-factorial-overflow"])
     def test_exit_2_one_line(self, tmp_path, capsys, command, text, flags):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -675,6 +682,15 @@ class TestCliRoots:
         assert main(["roots", str(path), "--json"]) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / "cubic_rest.roots.json").read_text()
 
+    @pytest.mark.parametrize("name", ["triple", "double_irrational"])
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-12"])
+    def test_repeated_root_golden(self, capsys, name, tol):
+        # triple: (x - 1/3)^3 (x + 2); double_irrational: (x - 1/2)^2 (x^2 - 3),
+        # whose rest x^2 - 3 is solved in floats
+        path = GOLDEN_DIR / f"{name}.config.json"
+        assert main(["roots", str(path), "--json", "--tol", tol]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.roots.json").read_text()
+
     def test_float_pair_near_the_axis(self, tmp_path, capsys):
         path = write_config(tmp_path, NEAR_DOUBLE_CONFIG)
         assert main(["roots", path, "--json"]) == 0
@@ -755,6 +771,20 @@ class TestCliExpand:
                "weights": ["1/4"] * 4, "r": r}
         start = time.perf_counter()
         assert main(["expand", write_config(tmp_path, cfg), f"--depth={depth}"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+    @pytest.mark.parametrize("r", ["1000000000", "100000000", "9" * 300],
+                             ids=["1e9", "1e8", "300-nines"])
+    def test_integer_exponent_past_the_lead_cap(self, tmp_path, capsys, r):
+        # the exact lead (1/2)^r would have r bits: past MAX_LEAD_BITS it is
+        # an input error before the power is formed
+        cfg = {"atoms": [["0", "0"], ["1", "1"]], "weights": ["1/2", "1/2"], "r": r}
+        start = time.perf_counter()
+        assert main(["expand", write_config(tmp_path, cfg), "--json"]) == 2
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""

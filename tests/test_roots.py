@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -408,7 +409,7 @@ def rational_roots(q: Quartic):
     """_rational_roots as the oracle gives it: the found roots and the rest
     made monic.  Its third value must be the rest's square-free part."""
     found, rest, sf = _rational_roots(q)
-    assert sf == (_square_free(rest) if len(rest) > 1 else [1])
+    assert sf == (_square_free(rest)[0] if len(rest) > 1 else [1])
     return found, [F(c, rest[-1]) for c in rest]
 
 
@@ -457,12 +458,52 @@ def prescribed_quartics(draw):
                         quads)
 
 
+# b^2 - 4c of an irreducible quadratic x^2 + bx + c with real roots, and
+# with complex ones
+real_non_square = st.sampled_from([F(2), F(5, 4), F(3), F(7, 9)])
+complex_disc = st.sampled_from([F(-3), F(-1), F(-2, 3), F(-7, 9)])
+# multiplicities of distinct rational roots, or "quad^2" for a squared
+# irreducible quadratic and "double*quad" for a rational double root times one
+SHAPES = [(1, 1, 1, 1), (2, 1, 1), (3, 1), (4,), (2, 2), "quad^2", "double*quad"]
+
+
+@st.composite
+def shaped_quartics(draw):
+    """(shape, quartic) over SHAPES; every shape but (1, 1, 1, 1) has a
+    repeated root."""
+    shape = draw(st.sampled_from(SHAPES))
+    u = draw(small_root)
+    quad = (u, (u * u - draw(st.one_of(real_non_square, complex_disc))) / 4)
+    if shape == "quad^2":
+        return shape, quartic_from((), [quad] * 2)
+    if shape == "double*quad":
+        r = draw(root_or_zero)
+        return shape, quartic_from((r, r), [quad])
+    distinct = draw(st.lists(root_or_zero, min_size=len(shape), max_size=len(shape),
+                             unique=True))
+    return shape, quartic_from([r for r, m in zip(distinct, shape) for _ in range(m)])
+
+
 class TestRationalRoots:
     @settings(max_examples=200, deadline=None)
     @given(prescribed_quartics())
     def test_matches_trial_division(self, q):
         assert within_old_guard(q)
         assert rational_roots(q) == trial_division_roots(q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shaped_quartics())
+    def test_repeated_roots_need_no_eigenvalues(self, shaped):
+        # the repeated roots come from gcd(q, q'), so only a square-free q
+        # reaches the eigenvalue search
+        shape, q = shaped
+        with mock.patch("diagvf.roots._companion_roots",
+                        wraps=_companion_roots) as companion:
+            got = rational_roots(q)
+        assert within_old_guard(q)
+        assert got == trial_division_roots(q)
+        if shape != (1, 1, 1, 1):
+            assert companion.call_count == 0
 
     @pytest.mark.parametrize("roots", [
         (F(123456789, 1000000007), F(1), F(-2), F(3)),
@@ -568,7 +609,7 @@ class TestRootStructure:
         q = quartic_from((F(1), F(1)), [(F(0), F(-2))])
         rest = [int(c) for c in q.coeffs]
         monkeypatch.setattr("diagvf.roots._rational_roots",
-                            lambda q: ([], rest, _square_free(rest)))
+                            lambda q: ([], rest, _square_free(rest)[0]))
         with pytest.raises(ArithmeticError):
             solve_quartic(q)
 
