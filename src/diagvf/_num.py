@@ -19,7 +19,9 @@ Number = int | float | Fraction
 
 
 def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    t = type(x)  # types first: isinstance(x, Fraction) goes through ABCMeta
+    return (t is int or t is Fraction
+            or t is not float and isinstance(x, (int, Fraction)) and not isinstance(x, bool))
 
 
 def all_exact(*xs) -> bool:
@@ -67,6 +69,8 @@ def parse_number(v) -> Number:
             raise ValueError(f"zero denominator: {v!r}") from None
         except ValueError:
             v = float(s)
+    if type(v) is float and math.isfinite(v):
+        return v
     if isinstance(v, bool):
         raise ValueError(f"not a number: {v!r}")
     if isinstance(v, (int, Fraction)):
@@ -82,12 +86,14 @@ def parse_number(v) -> Number:
 
 def format_number(x):
     """JSON-friendly encoding; Fractions become 'p/q' strings."""
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else str(x.numerator)
+    if type(x) is float:
+        return x
     if isinstance(x, bool):
         raise ValueError("not a number")
     if isinstance(x, int):
         return str(x)
+    if isinstance(x, Fraction):
+        return str(x) if x.denominator != 1 else str(x.numerator)
     return float(x)
 
 

@@ -80,6 +80,10 @@ def parse_params(obj) -> DiagonalVFParams:
     return _built(DiagonalVFParams, *map(_number, vals))
 
 
+class _Config(dict):
+    """A config parse_config returned, which run_characterize takes as it is."""
+
+
 def parse_config(doc):
     """Parse a config document (dict or JSON text)."""
     if isinstance(doc, str):
@@ -89,7 +93,7 @@ def parse_config(doc):
             raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    out = dict(doc)
+    out = _Config(doc)
     if "params" in doc:
         out["params"] = parse_params(doc["params"])
     if "weights" in doc:
@@ -145,8 +149,9 @@ def _search_weights(p, n_r, denominator, tol, roots, bound):
 
 def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineReport:
     """Run the whole pipeline: quartic -> roots -> model -> verdict -> checks,
-    both checks by `check_model`, on decimal input too."""
-    cfg = parse_config(config)
+    both checks by `check_model`, on decimal input too.  A config from
+    `parse_config` is not parsed again."""
+    cfg = config if type(config) is _Config else parse_config(config)
     p = cfg.get("params")
     if p is None and "quartic" not in cfg:
         raise ConfigError("config needs 'params' (or a diagnostic 'quartic')")

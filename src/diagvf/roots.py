@@ -10,12 +10,14 @@ at exact roots (the residual times b^2 is the quartic itself).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from ._num import Number, all_exact, cleared, is_exact
 from .errors import ConfigError, NotARoot
@@ -168,12 +170,15 @@ def build_characteristic_quartic(p: DiagonalVFParams) -> Quartic:
     coefficient k is one Fraction, an int over Q^(4 - k); other params take
     it as they are."""
     Q, (A, a, b, c, d, e, f) = p._cleared or (None, p.as_tuple())
-    coeffs = (
-        A * A * e * e - e * d * b * A + f * b * b * A,
-        -(2 * A * a * e - a * d * b + c * b * b),
-        2 * A * e + a * a - d * b,
-        -2 * a,
-    )
+    try:
+        coeffs = (
+            A * A * e * e - e * d * b * A + f * b * b * A,
+            -(2 * A * a * e - a * d * b + c * b * b),
+            2 * A * e + a * a - d * b,
+            -2 * a,
+        )
+    except OverflowError:  # a float beside an exact term past the float range
+        raise ConfigError("the quartic has a coefficient past the float range") from None
     if Q is not None:
         coeffs = tuple(Fraction(ck, Q ** (4 - k)) for k, ck in enumerate(coeffs))
     return Quartic((*coeffs, 1))
@@ -278,17 +283,27 @@ def _nearest_fraction(X: int, bits: int, limit: int):
     return p2, q2
 
 
+def _no_convergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 def _companion_roots(coeffs) -> list:
     """np.roots(coeffs), highest degree first, bit for bit as Python floats
-    or complexes: np.linalg.eigvals of the same companion matrix, and the
-    trailing zeros as zero roots last."""
+    or complexes: the LAPACK gufunc of np.linalg.eigvals, with its checks, on
+    the same companion matrix, and the trailing zeros as zero roots last."""
     nz = [i for i, c in enumerate(coeffs) if c]
     if not nz:
         return []
-    mat = np.eye(nz[-1] - nz[0], k=-1)
-    mat[:1] = [-c / coeffs[nz[0]] for c in coeffs[nz[0] + 1:nz[-1] + 1]]
-    roots = np.linalg.eigvals(mat) if len(mat) else np.array([])
-    return roots.tolist() + [roots.dtype.type(0).item()] * (len(coeffs) - 1 - nz[-1])
+    row = [-c / coeffs[nz[0]] for c in coeffs[nz[0] + 1:nz[-1] + 1]]
+    if not all(map(math.isfinite, row)):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    mat = np.eye(len(row), k=-1)
+    mat[:1] = row
+    with np.errstate(call=_no_convergence, invalid="call"):
+        roots = _eigvals(mat, signature="d->D").tolist() if row else []
+    real = all(not z.imag for z in roots)
+    return (([z.real for z in roots] if real else roots)
+            + [0.0 if real else 0j] * (len(coeffs) - 1 - nz[-1]))
 
 
 def _deflate(poly, num: int, den: int):
@@ -379,17 +394,17 @@ def _rational_roots(q: Quartic):
 
 
 def _cluster(values, tol: float):
-    """Single-linkage clustering of complex values; returns (mean, count) list."""
+    """Single-linkage clustering of complex values; returns (mean, count) list,
+    each value its own group when all pairs lie more than tol apart (NaN never does)."""
+    if all(abs(u - w) > tol for u, w in itertools.combinations(values, 2)):
+        return [(sum([v]) / 1, 1) for v in values]  # the mean below, bit for bit
     groups: list[list[complex]] = []
     for v in values:
-        placed = False
-        for g in groups:
-            if any(abs(v - w) <= tol for w in g):
-                g.append(v)
-                placed = True
-                break
-        if not placed:
+        g = next((g for g in groups if any(abs(v - w) <= tol for w in g)), None)
+        if g is None:
             groups.append([v])
+        else:
+            g.append(v)
     # merge groups that became adjacent
     merged = True
     while merged:
@@ -459,7 +474,7 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
         for r in map(complex, _companion_roots(numeric_coeffs[::-1])):
             for _ in range(3):
                 d = ((4 * r + d3) * r + d2) * r + c1
-                if abs(d) < 1e-12 * q.scale or abs(step := q(r) / d) > 1.0:
+                if abs(d) < 1e-12 * q.scale or not abs(step := q(r) / d) <= 1.0:  # or NaN
                     break
                 r = r - step
             raw.append(r)
@@ -471,7 +486,7 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     for v, m in _cluster(raw, cluster_tol):
         v = v.real if abs(v.imag) <= cluster_tol / 2 else v
         res = abs(complex(q(v)))
-        if res > _residual_bound(v, q, tol):
+        if not res <= _residual_bound(v, q, tol):  # NaN included
             raise ConfigError(f"the float roots of the quartic do not resolve: "
                               f"residual {res} at {v}")
         entries.append((v, m * k))

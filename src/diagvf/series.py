@@ -178,8 +178,9 @@ def _find_probe(atoms, weights, pivot):
     """
     wp = abs(float(weights[pivot]))
     px, py = float(atoms[pivot][0]), float(atoms[pivot][1])
-    # (log |alpha_i/alpha_p|, w_i) for the atoms the pivot must dominate
-    others = [(math.log(abs(float(w)) / wp), (float(a[0]) - px, float(a[1]) - py))
+    # (log |alpha_i/alpha_p|, w_i) for the atoms the pivot must dominate; a
+    # ratio that underflows to 0 counts as 5e-324, which only overstates it
+    others = [(math.log(abs(float(w)) / wp or 5e-324), (float(a[0]) - px, float(a[1]) - py))
               for i, (a, w) in enumerate(zip(atoms, weights)) if i != pivot and w]
     if not others:
         return (0.0, 0.0)
@@ -321,11 +322,11 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
             orders.append((j, lead * (ff / q ** j) / fact if floats
                            else Fraction(lead * ff, fact)))
             ff = ff * (p - j * q)
+        points, coefs, least = (floats and _array_terms(orders, betas, base, wdiffs, den)
+                                or zip(*merge_points(power_terms(orders, betas, base, wdiffs),
+                                                     exact, den)))
     except OverflowError:
-        raise ConfigError("the series coefficients are past the float range") from None
-    points, coefs, least = (floats and _array_terms(orders, betas, base, wdiffs, den)
-                            or zip(*merge_points(power_terms(orders, betas, base, wdiffs),
-                                                 exact, den)))
+        raise ConfigError("the series coefficients or points are past the float range") from None
     # of the least order, the first in point order
     neg = min((i for i, c in enumerate(coefs) if c < -1e-12),
               key=least.__getitem__, default=None)
@@ -342,7 +343,8 @@ def first_negative_coefficient(a1, a2, r, depth: int = 8,
 
     The coefficient is a1^r * [r(r-1)...(r-k+1)/k!] * (a2/a1)^k.  For an
     all-nonpositive pair summing to -1 the signs are flipped first (even
-    exponent), matching the mirrored branch of the two-atom argument.
+    exponent), matching the mirrored branch of the two-atom argument.  An
+    exact lead past MAX_LEAD_BITS raises ConfigError, as in expand_series.
     """
     total = float(a1) + float(a2)
     if abs(total - 1.0) <= tol:
@@ -357,6 +359,8 @@ def first_negative_coefficient(a1, a2, r, depth: int = 8,
     lead = None
     n_int = near_integer(r, 1e-12)
     if exact and n_int is not None:
+        if abs(n_int) * max(a1.numerator, a1.denominator).bit_length() > MAX_LEAD_BITS:
+            raise ConfigError(f"the exact series lead w^N has more than {MAX_LEAD_BITS} bits")
         lead = a1 ** n_int
     else:
         lead = float(a1) ** float(r)

@@ -1,6 +1,7 @@
 """Test-side oracles: independent computations the tests compare diagvf
 against, and helpers only the tests use."""
 
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -42,3 +43,26 @@ def fd_hessian(m, theta, h: float = 1e-4):
     h12 = (k(t1 + h, t2 + h) + k(t1 - h, t2 - h)
            - k(t1 + h, t2 - h) - k(t1 - h, t2 + h)) / (4 * h ** 2)
     return np.array([[h11, h12], [h12, h22]])
+
+
+def cluster_linkage(values, tol: float):
+    """Single-linkage clustering of complex values, (mean, count) per group:
+    each value joins the first group with a member within tol, then groups
+    with members within tol merge; roots._cluster without its shortcut."""
+    groups = []
+    for v in values:
+        for g in groups:
+            if any(abs(v - w) <= tol for w in g):
+                g.append(v)
+                break
+        else:
+            groups.append([v])
+    merged = True
+    while merged:
+        merged = False
+        for i, j in itertools.combinations(range(len(groups)), 2):
+            if any(abs(u - w) <= tol for u in groups[i] for w in groups[j]):
+                groups[i].extend(groups.pop(j))
+                merged = True
+                break
+    return [(sum(g) / len(g), len(g)) for g in groups]

@@ -134,6 +134,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps(bad))
 
+    @pytest.mark.parametrize("name", sorted(p.name.split(".")[0] for p in
+                                            GOLDEN_DIR.glob("*.characterize.json")))
+    def test_parsed_config_is_not_parsed_again(self, name):
+        # a raw dict of strings and decimals gives the report its parsed
+        # config gives, and only the raw dict goes through parse_config
+        raw = json.loads((GOLDEN_DIR / f"{name}.config.json").read_text())
+        cfg = parse_config(raw)
+        with mock.patch("diagvf.pipeline.parse_config", wraps=parse_config) as parse:
+            from_parsed = emit_report(run_characterize(cfg))
+            assert parse.call_count == 0
+            from_raw = emit_report(run_characterize(raw))
+            assert parse.call_count == 1
+        assert from_raw == from_parsed
+
+    @pytest.mark.parametrize("cfg", [
+        dict(E1_CONFIG, weights="121"), dict(E1_CONFIG, weights=["1/0"]),
+        {"params": E1_CONFIG["params"], "weight_search": {"denominator": 0}}])
+    def test_raw_dict_is_still_validated(self, cfg):
+        with pytest.raises(ConfigError):
+            run_characterize(cfg)
+
 
 class TestRunCharacterize:
     def test_e1_admissible(self):
@@ -997,30 +1018,38 @@ def test_human_form_is_the_json_object(tmp_path, capsys, command, cfg):
 # that runs get past the input checks too (one_of would not weight them:
 # it drops repeated strategies).
 FUZZ_LEAF = st.sampled_from([-2, -1, 0, 1, 2, "1/2"] * 4 + ["x", "1/0", None, True])
-FUZZ_VALUE = st.recursive(FUZZ_LEAF, lambda inner: st.lists(inner, max_size=4),
-                          max_leaves=12)
 
 
 def fuzz_lists(item, size=None):
     return st.lists(item, min_size=size or 0, max_size=size or 4)
 
 
-FUZZ_SHAPES = {
-    "params": st.fixed_dictionaries({k: FUZZ_LEAF for k in pipeline.PARAM_KEYS}),
-    "quartic": st.tuples(*[FUZZ_LEAF] * 4, st.just(1)).map(list),
-    "weights": fuzz_lists(FUZZ_LEAF),
-    "weight_search": st.fixed_dictionaries({"denominator": FUZZ_LEAF}),
-    "atoms": fuzz_lists(fuzz_lists(FUZZ_LEAF, 2)),
-    "r": FUZZ_LEAF,
-    "theta": fuzz_lists(FUZZ_LEAF, 2),
-    "matrix": fuzz_lists(fuzz_lists(FUZZ_LEAF, 3), 3),
-    "poly": fuzz_lists(FUZZ_LEAF),
-    "exp_terms": fuzz_lists(fuzz_lists(FUZZ_LEAF, 2)),
-    "linexp": fuzz_lists(FUZZ_LEAF, 2),
-    "osc_blocks": fuzz_lists(fuzz_lists(FUZZ_LEAF, 6)),
-}
-FUZZ_KEYS = {key: st.sampled_from([shape] * 3 + [FUZZ_VALUE]).flatmap(lambda s: s)
-             for key, shape in FUZZ_SHAPES.items()}
+def fuzz_runs(leaf):
+    """(subcommand, config) pairs whose numbers are drawn from leaf."""
+    value = st.recursive(leaf, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+    shapes = {
+        "params": st.fixed_dictionaries({k: leaf for k in pipeline.PARAM_KEYS}),
+        "quartic": st.tuples(*[leaf] * 4, st.just(1)).map(list),
+        "weights": fuzz_lists(leaf),
+        "weight_search": st.fixed_dictionaries({"denominator": leaf}),
+        "atoms": fuzz_lists(fuzz_lists(leaf, 2)),
+        "r": leaf,
+        "theta": fuzz_lists(leaf, 2),
+        "matrix": fuzz_lists(fuzz_lists(leaf, 3), 3),
+        "poly": fuzz_lists(leaf),
+        "exp_terms": fuzz_lists(fuzz_lists(leaf, 2)),
+        "linexp": fuzz_lists(leaf, 2),
+        "osc_blocks": fuzz_lists(fuzz_lists(leaf, 6)),
+    }
+    keys = {key: st.sampled_from([shape] * 3 + [value]).flatmap(lambda s: s)
+            for key, shape in shapes.items()}
+    return st.one_of(*[
+        st.tuples(st.just(command), st.fixed_dictionaries(
+            {k: keys[k] for k in read},
+            optional={k: keys[k] for ks in sets for k in ks if k not in read}))
+        for command, sets in FUZZ_READS.items() for read in sets])
+
+
 # per subcommand, the key sets it reads; any other key it reads may join
 MODEL_KEYS = [("atoms", "weights", "r", "theta"), ("params", "weights", "theta")]
 FUZZ_READS = {
@@ -1030,11 +1059,22 @@ FUZZ_READS = {
     "expand": MODEL_KEYS, "eval": MODEL_KEYS, "tilt": MODEL_KEYS,
     "scan": [("r",), ("poly", "exp_terms", "linexp", "osc_blocks")],
 }
-FUZZ_RUNS = st.one_of(*[
-    st.tuples(st.just(command), st.fixed_dictionaries(
-        {k: FUZZ_KEYS[k] for k in keys},
-        optional={k: FUZZ_KEYS[k] for ks in sets for k in ks if k not in keys}))
-    for command, sets in FUZZ_READS.items() for keys in sets])
+FUZZ_RUNS = fuzz_runs(FUZZ_LEAF)
+
+
+def run_cli(command, cfg):
+    """main([command, "-"]) on cfg as stdin: (exit code, stderr lines)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(cfg))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "-"])
+    return code, err.getvalue().splitlines()
+
+
+def assert_clean_exit(code, lines):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
 
 
 @settings(max_examples=400, deadline=None)
@@ -1042,15 +1082,54 @@ FUZZ_RUNS = st.one_of(*[
 def test_fuzzed_configs_exit_cleanly(run):
     """Any config exits 0, 1 or 2, never with an exception, and 2 comes
     with exactly one `input error:` line."""
-    command, cfg = run
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(cfg))), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "-"])
-    assert code in (0, 1, 2)
-    if code == 2:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("input error: ")
+    assert_clean_exit(*run_cli(*run))
+
+
+# Extreme leaves: the float range's ends, the smallest subnormal, -0.0,
+# "p/q" strings of 250 to 300 digits a side, and the normal leaves above so
+# that runs get past the input checks; r and theta take them too.
+BIG_DIGITS = st.integers(250, 300).flatmap(
+    lambda n: st.integers(10 ** (n - 1), 10 ** n - 1))
+EXTREME_LEAF = st.one_of(
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, -0.0,
+                     1e-300, 1e300, -1, 1, 0.5, "1/2", "1e308", "-1e-308"]),
+    st.builds(lambda sign, p, q: f"{sign}{p}/{q}", st.sampled_from(["", "-"]),
+              BIG_DIGITS, BIG_DIGITS),
+    BIG_DIGITS.map(str))
+# far above the 2-6 s of the slowest exact quartics seen at the digit cap
+# (the fixed-point Newton steps of the exact root search), and far below a hang
+EXTREME_SECONDS = 30
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_runs(EXTREME_LEAF))
+def test_extreme_leaves_exit_cleanly_and_in_time(run):
+    """Numbers at the ends of the float range and of the digit cap exit 0,
+    1 or 2, with one `input error:` line on 2, within EXTREME_SECONDS."""
+    start = time.perf_counter()
+    assert_clean_exit(*run_cli(*run))
+    assert time.perf_counter() - start < EXTREME_SECONDS
+
+
+@pytest.mark.parametrize("command, cfg, want", [
+    # a float beside an exact term past the float range in the quartic
+    ("characterize", {"params": {"A": "-1", "a": "1" + "0" * 249, "b": 1e308, "c": 0,
+                                 "d": 0, "e": 0, "f": 0}, "weights": [0.5, 0.5]}, 2),
+    # q overflows at the float range's end, so a Newton step was NaN, and
+    # so were the roots; the polish stops there now, and the residual check
+    # refuses the eigenvalues
+    ("roots", {"quartic": [1e308] * 4 + [1]}, 2),
+    # series points past the float range
+    ("expand", {"atoms": [[1e308, 0], [0, 0]], "weights": [0.5, 0.5], "r": 10}, 2),
+    # the probe's weight ratio 5e-324 / 2 underflows to 0
+    ("expand", {"atoms": [[0, 0], [1, 0], [2, 1]], "weights": [2.0, -1.0, 5e-324],
+                "r": 0.5}, 1),
+])
+def test_extreme_leaf_findings(command, cfg, want):
+    """What the extreme-leaf fuzz found: each raised a traceback before."""
+    code, lines = run_cli(command, cfg)
+    assert_clean_exit(code, lines)
+    assert code == want
 
 
 json_values = st.recursive(

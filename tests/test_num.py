@@ -1,12 +1,15 @@
+import enum
 import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagvf._num import MAX_DIGITS, compositions, merge_points, parse_number
+from diagvf._num import (MAX_DIGITS, compositions, format_number, is_exact, merge_points,
+                         parse_number)
 
 
 @pytest.mark.parametrize("total", range(6))
@@ -97,3 +100,39 @@ def test_digit_cap_admits_its_own_size(text):
 def test_digit_cap_refuses_one_digit_past(value):
     with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
         parse_number(value)
+
+
+class Three(enum.IntEnum):
+    THREE = 3
+
+
+class FloatSub(float):
+    pass
+
+
+# (x, is_exact(x), format_number(x), parse_number(x)), as the isinstance
+# checks alone give them; an exception class stands for a raise
+TYPE_CASES = [
+    (True, False, ValueError, ValueError),
+    (Three.THREE, True, str(Three.THREE), Three.THREE),
+    (np.float64(0.5), False, 0.5, np.float64(0.5)),
+    (np.float64(math.inf), False, math.inf, ValueError),
+    (np.int64(3), False, 3.0, ValueError),
+    (FloatSub(0.5), False, 0.5, FloatSub(0.5)),
+    (FloatSub(math.inf), False, math.inf, ValueError),
+    (2, True, "2", 2), (0.25, False, 0.25, 0.25), (-0.0, False, -0.0, -0.0),
+    (F(1, 3), True, "1/3", F(1, 3)), (F(4), True, "4", F(4)),
+]
+
+
+@pytest.mark.parametrize("x, exact, formatted, parsed", TYPE_CASES, ids=repr)
+def test_type_first_checks_keep_values_and_types(x, exact, formatted, parsed):
+    # the exact-type shortcuts must not catch bool, IntEnum, numpy scalars
+    # or a float subclass
+    for f, want in ((is_exact, exact), (format_number, formatted), (parse_number, parsed)):
+        if isinstance(want, type) and issubclass(want, Exception):
+            with pytest.raises(want):
+                f(x)
+        else:
+            got = f(x)
+            assert type(got) is type(want) and repr(got) == repr(want)

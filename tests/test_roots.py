@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from diagvf import (DiagonalVFParams, NotARoot, Quartic, RootPattern,
                     build_characteristic_quartic, classify_root_pattern, dual_ordinate, run_characterize,
                     solve_quartic)
-from diagvf.roots import (_companion_roots, _nearest_fraction, _ordinate, _rational_roots,
-                          _square_free)
-from oracles import build_dual_quartic
+from diagvf.roots import (_cluster, _companion_roots, _nearest_fraction, _ordinate,
+                          _rational_roots, _square_free)
+from oracles import build_dual_quartic, cluster_linkage
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -655,6 +655,9 @@ class TestOpenClusteringFounds:
 
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
+cluster_parts = st.one_of(st.integers(-4, 4).map(lambda k: k / 2),
+                          st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-8, 3e-9]),
+                          st.floats(-2, 2))
 
 
 class TestFloatRootsKeepTheirBits:
@@ -673,6 +676,31 @@ class TestFloatRootsKeepTheirBits:
                                       [1.0, 0.0, 1.0], [1.0, -3.0, 3.0, -1.0]])
     def test_companion_roots_edges(self, poly):
         assert repr(_companion_roots(poly)) == repr(np.roots(poly).tolist())
+
+    @pytest.mark.parametrize("poly", [[1.0, math.inf, 0.0], [1e-300, 1e300, 1.0],
+                                      [1.0, math.nan, 2.0, 3.0], [2.0, -math.inf, 0.0, 0.0]])
+    def test_companion_roots_refuse_a_non_finite_entry(self, poly):
+        # 1e300 / 1e-300 overflows to inf in the companion matrix
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(over="ignore"):
+            np.roots(poly)
+        with pytest.raises(np.linalg.LinAlgError):
+            _companion_roots(poly)
+
+    def test_companion_roots_raise_on_no_convergence(self):
+        # the LAPACK gufunc reports no convergence by the invalid flag
+        def not_converging(mat, signature):
+            return np.sqrt(np.full(len(mat), -1.0)).astype(complex)
+        with mock.patch("diagvf.roots._eigvals", not_converging):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                _companion_roots([1.0, 2.0, 3.0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.builds(complex, cluster_parts, cluster_parts), max_size=6),
+           st.sampled_from([0.5, 1.0, 1e-8]))
+    def test_cluster_is_the_linkage(self, values, tol):
+        # parts on the grid of 0.5 put pairs at exactly tol; NaN and inf
+        # parts never lie within tol
+        assert repr(_cluster(values, tol)) == repr(cluster_linkage(values, tol))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(exact_values, min_size=4, max_size=4),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from diagvf import series
 from diagvf._num import near_integer, power_terms
-from diagvf import (DiagonalVFParams, EliminationForm, NoDominantAtom,
+from diagvf import (ConfigError, DiagonalVFParams, EliminationForm, NoDominantAtom,
                     NotNormalized, admissibility_verdict, candidate_model,
                     expand_series, first_negative_coefficient, make_model,
                     magnitude_scan, realize_measure)
@@ -470,6 +470,14 @@ class TestFirstNegativeCoefficient:
 
     def test_float_inputs(self):
         assert first_negative_coefficient(0.75, 0.25, 0.5) == 2
+
+    @pytest.mark.parametrize("r", [10 ** 9, -10 ** 9, 20000])
+    def test_exact_lead_past_the_bit_cap_is_refused_at_once(self, r):
+        # (1/2)^r would take minutes to form for r = 10^9
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="bits"):
+            first_negative_coefficient(F(1, 2), F(1, 2), r)
+        assert time.perf_counter() - start < 1.0
 
     def test_ceiling_bound(self):
         # for fractional r the sign flip happens no later than ceil(r)+1
