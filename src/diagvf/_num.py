@@ -20,8 +20,7 @@ Number = int | float | Fraction
 
 def is_exact(x) -> bool:
     t = type(x)  # types first: isinstance(x, Fraction) goes through ABCMeta
-    return (t is int or t is Fraction
-            or t is not float and isinstance(x, (int, Fraction)) and not isinstance(x, bool))
+    return t is int or t is Fraction or t not in (float, bool) and isinstance(x, (int, Fraction))
 
 
 def all_exact(*xs) -> bool:
@@ -69,17 +68,15 @@ def parse_number(v) -> Number:
             raise ValueError(f"zero denominator: {v!r}") from None
         except ValueError:
             v = float(s)
-    if type(v) is float and math.isfinite(v):
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"not a finite number: {v!r}")
         return v
     if isinstance(v, bool):
         raise ValueError(f"not a number: {v!r}")
     if isinstance(v, (int, Fraction)):
         if abs(v.numerator) >= _DIGITS_BOUND or v.denominator >= _DIGITS_BOUND:
             raise ValueError(f"more than {MAX_DIGITS} digits in a number")
-        return v
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"not a finite number: {v!r}")
         return v
     raise ValueError(f"not a number: {v!r}")
 

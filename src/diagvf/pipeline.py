@@ -81,7 +81,12 @@ def parse_params(obj) -> DiagonalVFParams:
 
 
 class _Config(dict):
-    """A config parse_config returned, which run_characterize takes as it is."""
+    """A parse_config result, which run_characterize takes as it is: it refuses edits."""
+    def _edit(self, *args, **kwargs):
+        raise ConfigError("a parsed config cannot be edited: edit the document and parse it again")
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _edit
+    def __reduce__(self):  # copy and pickle without __setitem__
+        return _Config, (dict(self),)
 
 
 def parse_config(doc):
@@ -93,7 +98,7 @@ def parse_config(doc):
             raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    out = _Config(doc)
+    out = dict(doc)
     if "params" in doc:
         out["params"] = parse_params(doc["params"])
     if "weights" in doc:
@@ -111,8 +116,8 @@ def parse_config(doc):
         if isinstance(den, bool) or not isinstance(den, int) or den < 1:
             raise ConfigError("weight_search denominator must be an integer "
                               f">= 1, got {den!r}")
-        out["weight_search"] = dict(ws, denominator=den)
-    return out
+        out["weight_search"] = _Config(ws, denominator=den)
+    return _Config(out)
 
 
 def _roots_json(rs):
@@ -149,8 +154,7 @@ def _search_weights(p, n_r, denominator, tol, roots, bound):
 
 def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineReport:
     """Run the whole pipeline: quartic -> roots -> model -> verdict -> checks,
-    both checks by `check_model`, on decimal input too.  A config from
-    `parse_config` is not parsed again."""
+    both checks by `check_model`; a `parse_config` result is not parsed again."""
     cfg = config if type(config) is _Config else parse_config(config)
     p = cfg.get("params")
     if p is None and "quartic" not in cfg:

@@ -10,7 +10,6 @@ at exact roots (the residual times b^2 is the quartic itself).
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,7 +298,7 @@ def _companion_roots(coeffs) -> list:
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     mat = np.eye(len(row), k=-1)
     mat[:1] = row
-    with np.errstate(call=_no_convergence, invalid="call"):
+    with np.errstate(call=_no_convergence, all="ignore", invalid="call"):
         roots = _eigvals(mat, signature="d->D").tolist() if row else []
     real = all(not z.imag for z in roots)
     return (([z.real for z in roots] if real else roots)
@@ -394,17 +393,19 @@ def _rational_roots(q: Quartic):
 
 
 def _cluster(values, tol: float):
-    """Single-linkage clustering of complex values; returns (mean, count) list,
-    each value its own group when all pairs lie more than tol apart (NaN never does)."""
-    if all(abs(u - w) > tol for u, w in itertools.combinations(values, 2)):
-        return [(sum([v]) / 1, 1) for v in values]  # the mean below, bit for bit
+    """Single-linkage clustering of complex values; returns (mean, count) list."""
+    if all(abs(u - w) > tol for i, u in enumerate(values) for w in values[:i]):  # not NaN
+        return [(sum([v]) / 1, 1) for v in values]  # all singletons: the mean below
     groups: list[list[complex]] = []
     for v in values:
-        g = next((g for g in groups if any(abs(v - w) <= tol for w in g)), None)
-        if g is None:
+        placed = False
+        for g in groups:
+            if any(abs(v - w) <= tol for w in g):
+                g.append(v)
+                placed = True
+                break
+        if not placed:
             groups.append([v])
-        else:
-            g.append(v)
     # merge groups that became adjacent
     merged = True
     while merged:

@@ -178,8 +178,7 @@ def _find_probe(atoms, weights, pivot):
     """
     wp = abs(float(weights[pivot]))
     px, py = float(atoms[pivot][0]), float(atoms[pivot][1])
-    # (log |alpha_i/alpha_p|, w_i) for the atoms the pivot must dominate; a
-    # ratio that underflows to 0 counts as 5e-324, which only overstates it
+    # (log |alpha_i/alpha_p|, w_i) for the atoms the pivot must dominate; 0 is overstated as 5e-324
     others = [(math.log(abs(float(w)) / wp or 5e-324), (float(a[0]) - px, float(a[1]) - py))
               for i, (a, w) in enumerate(zip(atoms, weights)) if i != pivot and w]
     if not others:
@@ -343,9 +342,8 @@ def first_negative_coefficient(a1, a2, r, depth: int = 8,
 
     The coefficient is a1^r * [r(r-1)...(r-k+1)/k!] * (a2/a1)^k.  For an
     all-nonpositive pair summing to -1 the signs are flipped first (even
-    exponent), matching the mirrored branch of the two-atom argument.  An
-    exact lead past MAX_LEAD_BITS raises ConfigError, as in expand_series.
-    """
+    exponent), matching the mirrored branch of the two-atom argument.
+    An exact lead past MAX_LEAD_BITS raises ConfigError, as in expand_series."""
     total = float(a1) + float(a2)
     if abs(total - 1.0) <= tol:
         pass

@@ -155,6 +155,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             run_characterize(cfg)
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.__setitem__("weights", "121"), lambda c: c.update(weights="121"),
+        lambda c: c.setdefault("quartic", [1, 0, 0, 0, 1]), lambda c: c.pop("weights"),
+        lambda c: c.__delitem__("params"), lambda c: c.popitem(), lambda c: c.clear(),
+        lambda c: c.__ior__({"weights": "121"}),
+        lambda c: c["weight_search"].__setitem__("denominator", "3")])
+    def test_parsed_config_refuses_edits(self, edit):
+        # run_characterize takes a parsed config as it is, so one edited
+        # after parse_config would skip the checks
+        cfg = parse_config(dict(E1_CONFIG, weight_search={"denominator": 4}))
+        before = dict(cfg)
+        with pytest.raises(ConfigError, match="cannot be edited"):
+            edit(cfg)
+        assert cfg == before
+
+    def test_edited_copy_of_a_parsed_config_is_validated(self):
+        import copy
+        import pickle
+        cfg = parse_config(E1_CONFIG)
+        for same in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert same == cfg and type(same) is type(cfg)
+        for edited in (dict(cfg, weights="121"), cfg | {"weights": "121"},
+                       dict(cfg, weights="1/2")):
+            assert type(edited) is dict
+            with pytest.raises(ConfigError):
+                run_characterize(edited)
+
 
 class TestRunCharacterize:
     def test_e1_admissible(self):

@@ -694,6 +694,15 @@ class TestFloatRootsKeepTheirBits:
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
                 _companion_roots([1.0, 2.0, 3.0])
 
+    def test_companion_roots_ignore_the_other_kernel_flags(self):
+        # as in np.linalg.eigvals, overflow, divide and underflow flags of
+        # the kernel do not reach the caller's error settings
+        def flagging(mat, signature):
+            np.array([1e308]) * 10, np.array([1.0]) / 0, np.array([1e-308]) * 1e-308
+            return np.linalg.eigvals(mat).astype(complex)
+        with mock.patch("diagvf.roots._eigvals", flagging), np.errstate(all="raise"):
+            assert _companion_roots([1.0, -3.0, 2.0]) == [2.0, 1.0]
+
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.builds(complex, cluster_parts, cluster_parts), max_size=6),
            st.sampled_from([0.5, 1.0, 1e-8]))
