@@ -34,8 +34,13 @@ EXIT_INPUT = 2
 
 
 def _read_config(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_config(text)
+    try:
+        if path == "-":
+            return parse_config(sys.stdin.read())
+        with open(path, encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _emit(obj, as_json: bool):
@@ -209,7 +214,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout's reader has gone: keep the exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports it
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DiagVFError as exc:

@@ -14,9 +14,8 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from functools import cached_property
 import numpy as np
 
 from ._num import all_exact, cleared, point_key, power_terms, widest_gap
@@ -60,72 +59,35 @@ def _collinear(points) -> bool:
     return True
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FiniteMeasure:
     """Finitely supported probability measure in the plane.
 
-    An exact measure is held in its cleared form `_cleared` =
-    (D, points, S, weights), all ints: each point (X, Y) = D x with its
-    mass W = S m, every W positive and their sum S.  `support` and `masses`
-    are the tuples the constructor was given, which it clears once when
-    they are exact.  A measure built on a cleared form (`_from_cleared`)
-    forms them as Fractions on first read, sorted stably by the float key
-    (X / D, Y / D).  Float and mixed input has no cleared form, and its
-    masses sum to 1 within tol, by default the verdict's 1e-9.
+    `support` and `masses` are the tuples it is given, every mass positive:
+    exact masses sum to 1, float and mixed ones within tol (the verdict's 1e-9).
     """
 
-    support: tuple = cached_property(lambda self: self._view[0])  # of (x1, x2)
-    # positive, summing to 1: exactly when all are exact
-    masses: tuple = cached_property(lambda self: self._view[1])
+    support: tuple  # of (x1, x2)
+    masses: tuple
+    tol: InitVar[float] = 1e-9
 
-    def __init__(self, support, masses, tol: float = 1e-9):
-        if len(support) != len(masses):
+    def __post_init__(self, tol):
+        if len(self.support) != len(self.masses):
             raise ValueError("support/mass length mismatch")
-        if all_exact(*masses) and all(all_exact(*x) for x in support):
-            D, coords = cleared(v for x in support for v in x)
-            self._hold(D, tuple(zip(coords[::2], coords[1::2])), *cleared(masses))
-        else:
-            if any(not m > 0 for m in masses):
-                raise ValueError("masses must be positive")
-            total = sum(masses)
-            if (total != 1 if all_exact(*masses)
-                    else abs(float(total) - 1.0) > tol):
-                raise ValueError("masses must sum to 1")
-            object.__setattr__(self, "_cleared", None)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "masses", masses)
-
-    @classmethod
-    def _from_cleared(cls, D, points, scale, weights) -> "FiniteMeasure":
-        """The exact measure with the points (X, Y) / D and masses W / scale,
-        kept as these tuples of ints."""
-        mu = cls.__new__(cls)
-        mu._hold(D, points, scale, weights)
-        return mu
-
-    def _hold(self, D, points, scale, weights):
-        if any(w <= 0 for w in weights):
+        if any(not m > 0 for m in self.masses):
             raise ValueError("masses must be positive")
-        if sum(weights) != scale:
+        total = sum(self.masses)
+        if (total != 1 if all_exact(*self.masses) else abs(float(total) - 1.0) > tol):
             raise ValueError("masses must sum to 1")
-        object.__setattr__(self, "_cleared", (D, points, scale, weights))
-
-    @cached_property
-    def _view(self):
-        # (support, masses) of a measure built on its cleared form
-        D, points, scale, weights = self._cleared
-        pairs = sorted(zip(points, weights), key=lambda pw: (pw[0][0] / D, pw[0][1] / D))
-        return (tuple((Fraction(X, D), Fraction(Y, D)) for (X, Y), _ in pairs),
-                tuple(Fraction(W, scale) for _, W in pairs))
 
     @property
     def degenerate(self) -> bool:
         """True when the support lies on a single affine line."""
-        return _collinear(self.support if self._cleared is None else self._cleared[1])
+        return _collinear(self.support)
 
     @property
     def is_exact(self) -> bool:
-        return self._cleared is not None
+        return all_exact(*self.masses) and all(all_exact(*x) for x in self.support)
 
     def laplace(self, theta) -> float:
         t1, t2 = float(theta[0]), float(theta[1])
@@ -200,10 +162,10 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
 
     Zero-weight atoms are dropped first, as the verdict drops them, and the
     caps of `_check_caps` run before any term is built.  The power is summed
-    over `power_terms` on the model's cleared form.  An exact measure holds
-    its integer points and masses and forms no Fraction until they are
-    read; a float one takes the power's points, merged only where they are
-    equal floats, sorted stably by `point_key`.
+    over `power_terms` on the model's cleared form.  An exact measure takes
+    its integer points (X, Y) as (X/D, Y/D) and masses W as W/M^N, sorted
+    stably by the float key (X/D, Y/D); a float one takes the power's
+    points, merged only where they are equal floats, sorted by `point_key`.
     """
     N = _check_caps(m, verdict)
     D, atoms, M, weights = m._cleared
@@ -211,7 +173,10 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     for _, coef, pt in power_terms([(N, 1)], weights, (0, 0), atoms):
         power[pt] = power.get(pt, 0) + coef
     if m.is_exact:
-        return FiniteMeasure._from_cleared(D, tuple(power), M ** N, tuple(power.values()))
+        scale = M ** N
+        points = sorted(power, key=lambda pt: (pt[0] / D, pt[1] / D))
+        return FiniteMeasure(tuple((Fraction(X, D), Fraction(Y, D)) for X, Y in points),
+                             tuple(Fraction(power[pt], scale) for pt in points))
     points = sorted(power, key=lambda pt: point_key(pt, False))
     # the verdict holds the weights' sum within 1e-9 of 1, and the masses
     # sum to its N-th power, up to rounding
@@ -438,7 +403,7 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
                      tol: float = 1e-10) -> RegressionReport:
     """Conditional-expectation identities for an i.i.d. pair, by a walk over
     mu's ordered pairs.  On exact measure and params a passing check has
-    deviation exactly zero, and the walk runs on mu's cleared form:
+    deviation exactly zero, and the walk runs on mu cleared to integers:
     coordinates X / D, masses W / S and A = An / Ad make
     Ad D^2 g_k = Ad (X_k - Y_k)^2 - 2 An X_k Y_k, with
     g_k = (x_k - y_k)^2 - 2 A x_k y_k, and one Fraction per sum point.
@@ -448,8 +413,8 @@ def regression_check(mu: FiniteMeasure, p: DiagonalVFParams,
     exact = mu.is_exact and p.is_exact
     if exact:
         A, a, b, c, d, e, f = p.as_tuple()
-        D, points, _, masses = mu._cleared
-        pts = list(zip(points, masses))
+        D, coords = cleared(v for x in mu.support for v in x)
+        pts = list(zip(zip(coords[::2], coords[1::2]), cleared(mu.masses)[1]))
         An, Ad = Fraction(A).numerator, Fraction(A).denominator
         ratio = Fraction
     else:

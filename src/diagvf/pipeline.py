@@ -17,7 +17,7 @@ from typing import Optional
 from ._num import format_number, parse_number
 from .errors import ConfigError, NRootDeficit, WeightCountMismatch
 from .model import CandidateModel, _exponent, admissibility_verdict, candidate_model
-from .measure import _collinear, check_model
+from .measure import check_model
 from .roots import (DiagonalVFParams, Quartic, classify_root_pattern,
                     solve_quartic)
 
@@ -214,9 +214,9 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
         return report
 
     diag, reg = check_model(m, p, verdict, tol)
-    # an N-fold power's support is collinear exactly when its atoms are,
-    # and so when their cleared form D x is
-    report.degenerate = _collinear(m._cleared[1])
+    # mu's support is collinear exactly when the kept atoms are, which lie on
+    # the parabola nu = (lam^2 - a lam + e A) / b: three are never collinear
+    report.degenerate = len(m._cleared[1]) == 2
     report.diag_check = {"max_dev": float(diag.max_dev), "pass": bool(diag.passed)}
     report.regression = {"max_dev": float(reg.max_dev), "pass": bool(reg.passed),
                          "exact": bool(reg.exact)}

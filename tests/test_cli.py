@@ -608,6 +608,8 @@ class TestCliMalformedInput:
                                "r": "2001/2"}), []),
         ("expand", json.dumps({"atoms": [[0, 0], [1, 1]], "weights": ["1/2", "1/2"],
                                "r": f"{10 ** 298 + 1}/2"}), []),
+        ("characterize", None, []),
+        ("characterize", b'{"params": "\xff"}', []),
     ], ids=["tol-zero", "tol-negative", "zero-denominator", "inf-string",
             "nan", "overflowing-literal", "params-list", "weight-search-number",
             "search-denominator-string", "search-denominator-zero",
@@ -627,10 +629,16 @@ class TestCliMalformedInput:
             "quartic-past-float-range-within-digit-cap", "float-roots-unresolved",
             "json-int-past-str-limit", "params-of-1000-digits", "expand-r-of-2001-digits",
             "expand-atom-of-3001-digits", "expand-float-lead-overflow",
-            "expand-falling-factorial-overflow"])
+            "expand-falling-factorial-overflow", "config-is-a-directory",
+            "config-not-utf-8"])
     def test_exit_2_one_line(self, tmp_path, capsys, command, text, flags):
         path = tmp_path / "cfg.json"
-        path.write_text(text)
+        if text is None:  # the config path names a directory
+            path.mkdir()
+        elif isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         assert main([command, str(path), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1007,11 +1015,12 @@ class TestCliTilt:
         assert len(lines) == 1 and lines[0].startswith("input error: ")
         assert f"theta ({float(theta[0])}, 0.0)" in lines[0]
 
-    @pytest.mark.parametrize("name", ["e1_n8", "q6", "q4"])
+    @pytest.mark.parametrize("name", ["e1_n8", "q6", "q4", "e1_n8_decimal"])
     def test_golden(self, capsys, name):
         # the realized measure's support order and exact masses at theta 0;
         # q6 has three atoms with denominators up to 88 and 28 points, q4
-        # four atoms and 10 points
+        # four atoms and 10 points; e1_n8_decimal is e1_n8 in floats,
+        # tilted to theta (0.25, -0.5)
         assert main(["tilt", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.tilt.json").read_text()
 

@@ -229,9 +229,9 @@ class TestFiniteMeasure:
         assert mu.degenerate
 
     def test_mass_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to 1"):
             FiniteMeasure(((0, 0), (1, 1)), (F(1, 2), F(1, 4)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             FiniteMeasure(((0, 0), (1, 1)), (F(3, 2), F(-1, 2)))
 
     def test_exact_masses_sum_exactly(self):
@@ -286,8 +286,8 @@ def fraction_power(m):
 
 
 class TestClearedMeasure:
-    """A realized exact measure keeps the model's power on integers and
-    forms its Fractions only when they are read."""
+    """A realized exact measure is the model's power in Fractions, and its
+    checks run on integers."""
 
     @settings(max_examples=150, deadline=None)
     @given(accepted_powers())
@@ -299,8 +299,7 @@ class TestClearedMeasure:
         twin = FiniteMeasure(mu.support, mu.masses)
         assert mu == twin and twin == mu and hash(mu) == hash(twin)
         assert twin.is_exact and twin.degenerate == mu.degenerate
-        # the twin is cleared over its own denominators, and its walk is
-        # mu's; the model's certificate reads exactly 0
+        # the twin's walk is mu's; the model's certificate reads exactly 0
         rep = certified(m, p)
         assert rep.exact and rep.max_dev == 0
         assert regression_check(twin, p) == regression_check(mu, p)
@@ -310,10 +309,6 @@ class TestClearedMeasure:
         assert certified(m, E1).max_dev == 0
         assert regression_check(mu, E1).max_dev == 0
         assert not mu.degenerate and mu.is_exact
-        assert "support" not in vars(mu) and "masses" not in vars(mu)
-        D, points, scale, weights = mu._cleared
-        assert all(type(v) is int
-                   for v in (D, scale, *weights, *(c for pt in points for c in pt)))
         assert mu.support == ((-1, 1), (0, 0), (1, 1))
         assert mu.masses == W3
 
@@ -321,13 +316,13 @@ class TestClearedMeasure:
         pts, masses = ((0, 0), (1, 2)), (F(1, 2), F(1, 2))
         mu = FiniteMeasure(pts, masses)
         assert mu.support is pts and mu.masses is masses
-        assert mu._cleared == (1, ((0, 0), (1, 2)), 2, (1, 1))
 
     def test_cleared_form_is_validated(self):
+        # integer weights W over a scale S, as realize_measure forms them
         with pytest.raises(ValueError, match="positive"):
-            FiniteMeasure._from_cleared(1, ((0, 0), (1, 1)), 2, (3, -1))
+            FiniteMeasure(((0, 0), (1, 1)), (F(3, 2), F(-1, 2)))
         with pytest.raises(ValueError, match="sum to 1"):
-            FiniteMeasure._from_cleared(1, ((0, 0), (1, 1)), 4, (1, 2))
+            FiniteMeasure(((0, 0), (1, 1)), (F(1, 4), F(2, 4)))
 
 
 class TestCumulantEval:
@@ -1058,17 +1053,26 @@ class TestRegressionCheck:
         assert rep.regression["max_dev"] == certified(m, p).max_dev == float(bound)
         assert regression_oracle(mu, p)[0] <= bound
 
-    @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: measure._collinear "
-                       "counts the decimal atoms as collinear, since their "
-                       "cross product 2e-12 is not above 1e-12 |d1| |d2|")
-    def test_decimal_twin_with_tiny_ordinates_passes(self):
-        # the exact twin is Admissible with max_dev 0; the decimal run is
-        # Degenerate-Admissible
+    WIDE_ORDINATES = {"params": {"A": -0.16666666666666666, "a": -1390.9738705042373,
+                                 "b": 3.028791426723095e-12, "c": -2.931709653666534e+32,
+                                 "d": 6.383683894306459e+17, "e": 1.1579794130625674,
+                                 "f": 2.4405504397589357e+29},
+                      "weights": [0.12885053707826283, 0.39261788906599776,
+                                  0.23387063664342403, 0.2446609372123155]}
+
+    @pytest.mark.parametrize("name", ["TINY_ORDINATES", "WIDE_ORDINATES"])
+    def test_decimal_twin_with_tiny_ordinates_passes(self, name):
+        # three or more atoms on the parabola of p are never collinear; a
+        # relative 1e-12 rule on their floats read these decimal chains
+        # (ordinates 1e-12 apart; ordinates from -3.6e14 to 1.3e18) as
+        # Degenerate-Admissible.  The exact twin of the first is Admissible
+        # with max_dev 0
         exact = {"params": {"A": "-1", "a": "0", "b": "1000000000000", "c": "0",
                             "d": "1/1000000000000", "e": "0", "f": "0"},
                  "weights": ["1/4", "1/2", "1/4"]}
         assert run_characterize(exact).status == "Admissible"
-        assert run_characterize(self.TINY_ORDINATES).status == "Admissible"
+        rep = run_characterize(getattr(self, name))
+        assert (rep.status, rep.degenerate) == ("Admissible", False)
 
     def test_float_deviation_still_fails(self):
         _, mu = model_and_measure(E1, W3)
