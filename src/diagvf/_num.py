@@ -132,6 +132,13 @@ def cleared(values):
     return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
+def primitive(v, lead: int = -1) -> tuple:
+    """The int vector v over the gcd of its entries, signed so that its
+    entry at index lead (by default the last) is positive."""
+    g = math.gcd(*v)
+    return tuple(x // (g if v[lead] > 0 else -g) for x in v)
+
+
 def point_key(pt, exact: bool, tol: float = 1e-9):
     """Merge key of a plane point.  Exact points are their own key (equal
     ints and Fractions hash alike); float ones round to multiples of tol."""

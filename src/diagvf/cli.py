@@ -23,7 +23,7 @@ from .errors import ConfigError, DiagVFError
 from .model import (LatticeMatrix, admissibility_verdict, candidate_model,
                     make_model, star_condition)
 from .measure import cumulant_eval, realize_measure, tilt_member
-from .pipeline import (_built, _items, _number, _roots_json, parse_config,
+from .pipeline import (_built, _degenerate, _items, _number, _roots_json, parse_config,
                        report_to_dict, run_characterize, to_json)
 from .roots import classify_root_pattern, solve_quartic, build_characteristic_quartic
 from .series import EliminationForm, expand_series, magnitude_scan
@@ -155,7 +155,7 @@ def cmd_tilt(args) -> int:
            "measure": [{"point": [format_number(x) for x in pt],
                         "mass": format_number(ms)}
                        for pt, ms in zip(tilted.support, tilted.masses)],
-           "degenerate": tilted.degenerate}, args.json)
+           "degenerate": tilted.degenerate if "atoms" in cfg else _degenerate(m)}, args.json)
     return EXIT_OK
 
 

@@ -25,20 +25,8 @@ class DomainViolation(DiagVFError):
     """The mixture transform is nonpositive at the requested parameter."""
 
 
-class OutOfMeanDomain(DiagVFError):
-    """Target mean lies outside the interior of the domain of means."""
-
-
-class Degenerate(DiagVFError):
-    """Operation needs non-collinear support (nonsingular covariance)."""
-
-
 class NoDominantAtom(DiagVFError):
     """No probe point makes the non-pivot mixture strictly dominated."""
-
-
-class NotNormalized(DiagVFError):
-    """Two-atom weights must sum to +1 or -1."""
 
 
 class ConfigError(DiagVFError):

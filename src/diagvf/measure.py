@@ -18,16 +18,14 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 import numpy as np
 
-from ._num import all_exact, cleared, point_key, power_terms, widest_gap
-from .errors import (ConfigError, Degenerate, DomainViolation, NotAdmissible,
-                     OutOfMeanDomain)
+from ._num import all_exact, cleared, point_key, power_terms
+from .errors import ConfigError, DomainViolation, NotAdmissible
 from .model import AdmissibilityVerdict, CandidateModel, _kept_atoms
 from .roots import DiagonalVFParams
 
 __all__ = ["FiniteMeasure", "DiagCheckReport", "RegressionReport",
-           "realize_measure", "check_model", "cumulant_eval", "mean_to_theta",
-           "diag_variance_check", "regression_check", "tilt_member",
-           "MAX_SUPPORT"]
+           "realize_measure", "check_model", "cumulant_eval", "diag_variance_check",
+           "regression_check", "tilt_member", "MAX_SUPPORT"]
 
 # Most support points a realized measure may have (a certified check builds
 # none); its pair walk grows with the square of this, a few seconds at the cap.
@@ -89,11 +87,6 @@ class FiniteMeasure:
     def is_exact(self) -> bool:
         return all_exact(*self.masses) and all(all_exact(*x) for x in self.support)
 
-    def laplace(self, theta) -> float:
-        t1, t2 = float(theta[0]), float(theta[1])
-        return float(sum(float(m) * math.exp(t1 * float(x[0]) + t2 * float(x[1]))
-                         for x, m in zip(self.support, self.masses)))
-
 
 @dataclass(frozen=True)
 class DiagCheckReport:
@@ -128,28 +121,14 @@ def _float(x, den: int = 1) -> float:
 
 
 def _check_caps(m: CandidateModel, verdict: AdmissibilityVerdict) -> int:
-    """verdict.N, once the caps on the N-fold power of the kept atoms pass.
-
-    ConfigError is raised before any work when its support, C(N + n - 1,
-    n - 1) points for n atoms, passes MAX_SUPPORT; when a float model's
-    least pair mass (min w)^(2N) in the regression walk falls below the
-    least normal float (min w <= 1/n, so a model that passes keeps every
-    multinomial coefficient, at most n^N <= (min w)^-N, in range); and when
-    (2N max |coordinate|)^2, the size the theta grid and the float walk
-    square, passes the largest float.  All of it reads the model's cleared
-    form.
-    """
+    """verdict.N of an accepted verdict, once (2N max |coordinate|)^2, the
+    size the theta grid, the float walk and a float certificate's scale
+    square, is within the largest float (else ConfigError, before any work),
+    read off the model's cleared form."""
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
     N = verdict.N
-    D, atoms, _, weights = m._cleared
-    if math.comb(N + len(atoms) - 1, len(atoms) - 1) > MAX_SUPPORT:
-        raise ConfigError(f"the realized measure would have more than "
-                          f"{MAX_SUPPORT} support points (the N-fold power "
-                          f"of {len(atoms)} atoms)")
-    if not m.is_exact and 2 * N * math.log(min(weights)) < math.log(sys.float_info.min):
-        raise ConfigError(f"the masses of the float N-fold power (N = {N}) "
-                          f"underflow in the regression check")
+    D, atoms, _, _ = m._cleared
     wide = 2 * N * _float(max(abs(c) for a in atoms for c in a), D)
     if wide > math.sqrt(sys.float_info.max):
         raise ConfigError(f"the float checks of the N-fold power (N = {N}) "
@@ -160,8 +139,13 @@ def _check_caps(m: CandidateModel, verdict: AdmissibilityVerdict) -> int:
 def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteMeasure:
     """N-fold convolution of the atomic mixture with weights |alpha_i|.
 
-    Zero-weight atoms are dropped first, as the verdict drops them, and the
-    caps of `_check_caps` run before any term is built.  The power is summed
+    Zero-weight atoms are dropped first, as the verdict drops them.  Before
+    any term is built, the caps of `_check_caps` run, and ConfigError is
+    raised when mu's support, C(N + n - 1, n - 1) points for n atoms,
+    passes MAX_SUPPORT, or a float model's least pair mass (min w)^(2N) in
+    the regression walk falls below the least normal float (min w <= 1/n,
+    so one that passes keeps every multinomial, at most n^N <= (min w)^-N,
+    in range).  The power is summed
     over `power_terms` on the model's cleared form.  An exact measure takes
     its integer points (X, Y) as (X/D, Y/D) and masses W as W/M^N, sorted
     stably by the float key (X/D, Y/D); a float one takes the power's
@@ -169,6 +153,13 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     """
     N = _check_caps(m, verdict)
     D, atoms, M, weights = m._cleared
+    if math.comb(N + len(atoms) - 1, len(atoms) - 1) > MAX_SUPPORT:
+        raise ConfigError(f"the realized measure would have more than "
+                          f"{MAX_SUPPORT} support points (the N-fold power "
+                          f"of {len(atoms)} atoms)")
+    if not m.is_exact and 2 * N * math.log(min(weights)) < math.log(sys.float_info.min):
+        raise ConfigError(f"the masses of the float N-fold power (N = {N}) "
+                          f"underflow in the regression check")
     power: dict = {}
     for _, coef, pt in power_terms([(N, 1)], weights, (0, 0), atoms):
         power[pt] = power.get(pt, 0) + coef
@@ -190,19 +181,19 @@ def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVe
     accepted model, whose measure mu is its N-fold power.
 
     The caps of `_check_caps` run first.  Where `_conic_certificate`
-    applies, no measure is built: the diag bound is the certificate at
-    s = r, and the regression bound twice that at s = N (the same one when
-    r = N), as a pair sum's composition m of 2N deviates by
+    applies, no measure is built (nor capped): the diag bound is the
+    certificate at s = r, and the regression bound twice that at s = N (the
+    same one when r = N), as a pair sum's composition m of 2N deviates by
     sum m_i rho_i(N) - 2 (A + 1/N) E[x_1 y_1 | m] (the second likewise); a
     float one passes at tol times the largest right-hand side, at a chain
-    vertex 2N a_i.  Elsewhere mu is realized, the diag check takes the
-    11 x 11 theta grid and the regression check walks mu.
+    vertex 2N a_i.  Elsewhere mu is realized first, under its caps, then
+    the 11 x 11 theta grid and the walk over mu check it.
     """
     N = _check_caps(m, verdict)
     reg_tol = max(tol, 1e-10)
     if (cert := _conic_certificate(m, p, m.r)) is None:
-        return (diag_variance_check(m, p, _THETA_GRID, tol),
-                regression_check(realize_measure(m, verdict), p, reg_tol))
+        mu = realize_measure(m, verdict)
+        return diag_variance_check(m, p, _THETA_GRID, tol), regression_check(mu, p, reg_tol)
     exact, top = p.is_exact and m.is_exact, 0
     if not exact:
         atoms, weights = _kept_atoms(m)
@@ -252,54 +243,6 @@ def cumulant_eval(m: CandidateModel, theta):
     T = np.array([[float(theta[0]), float(theta[1])]])
     zmax, total, mean, cov = _cumulants(m, T, [theta])
     return float(m.r) * (zmax[0] + math.log(total[0])), mean[0], cov[0]
-
-
-def mean_to_theta(m: CandidateModel, target, tol: float = 1e-10,
-                  max_iter: int = 100):
-    """Invert the mean map by damped Newton iteration from the origin.
-
-    target/N is interior to the atoms' convex hull exactly when the vectors
-    from it to the atoms leave no angular gap of pi or more; vectors of
-    length at most 1e-9 (an atom at the target) and gaps within 1e-9 of pi
-    (a target on an edge) count as on the boundary.
-    """
-    if _collinear(m.atoms):
-        raise Degenerate("atoms are collinear; mean map is singular")
-    N = float(m.r)
-    t0, t1 = float(target[0]) / N, float(target[1]) / N
-    diffs = [(float(a[0]) - t0, float(a[1]) - t1) for a in m.atoms]
-    gap, _ = widest_gap([d for d in diffs if math.hypot(*d) > 1e-9])
-    if gap >= math.pi - 1e-9:
-        raise OutOfMeanDomain(
-            f"target {tuple(target)} not interior to the domain of means")
-
-    theta = np.zeros(2)
-    goal = np.asarray([float(target[0]), float(target[1])])
-    _, mean, _ = cumulant_eval(m, theta)
-    res = np.linalg.norm(mean - goal)
-    for _ in range(max_iter):
-        if res <= tol:
-            return tuple(theta)
-        _, mean, cov = cumulant_eval(m, theta)
-        try:
-            step = np.linalg.solve(cov, goal - mean)
-        except np.linalg.LinAlgError:
-            raise Degenerate("singular covariance during Newton iteration")
-        s = 1.0
-        for _ in range(60):
-            cand = theta + s * step
-            _, mc, _ = cumulant_eval(m, cand)
-            rc = np.linalg.norm(mc - goal)
-            if rc < res:
-                theta, res = cand, rc
-                break
-            s /= 2
-        else:
-            break
-    if res <= tol:
-        return tuple(theta)
-    raise OutOfMeanDomain(
-        f"Newton iteration stalled at residual {res:.3e} for target {tuple(target)}")
 
 
 def diag_variance_check(m: CandidateModel, p: DiagonalVFParams,

@@ -12,13 +12,12 @@ matrix's columns cleared to integers: no row reduction is done.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from ._num import all_exact, cleared, is_exact, near_integer
+from ._num import all_exact, cleared, is_exact, near_integer, primitive
 from .errors import NRootDeficit, WeightCountMismatch
 from .roots import DiagonalVFParams, RootSet, _ordinate, solve_quartic
 
@@ -146,13 +145,6 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def _primitive(v, lead: int) -> tuple:
-    """The int vector v over the gcd of its entries, signed so that its
-    entry at index lead is positive."""
-    g = math.gcd(*v)
-    return tuple(x // (g if v[lead] > 0 else -g) for x in v)
-
-
 def _abscissa_star(lams, bound: int) -> StarReport:
     """The star condition of the lattice matrix of three or four ascending
     abscissas, read from its structure: up to a column operation its rows
@@ -188,7 +180,7 @@ def _kernel_star(cols, bound: int) -> StarReport:
     else:
         g = _cross(c0 if any(c0) else c1, c2)
     if any(g):
-        return _generator_star(_primitive(g, max(i for i in range(3) if g[i])), bound)
+        return _generator_star(primitive(g, max(i for i in range(3) if g[i])), bound)
     rows = list(zip(c0, c1, c2))
     p = next((i for i in range(3) if any(rows[i])), None)
     f1, f2 = [i for i in range(3) if i != p][:2]
@@ -198,7 +190,7 @@ def _kernel_star(cols, bound: int) -> StarReport:
         k = next(k for k in range(3) if rows[p][k])
         w = [rows[p][k] * x for x in w]
         w[p] = rows[f2][k] - rows[f1][k]
-    return StarReport(holds=False, witness=_primitive(w, f1), method="exact-kernel")
+    return StarReport(holds=False, witness=primitive(w, f1), method="exact-kernel")
 
 
 def _generator_star(g, bound: int) -> StarReport:

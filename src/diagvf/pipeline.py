@@ -152,6 +152,12 @@ def _search_weights(p, n_r, denominator, tol, roots, bound):
     return m, verdict
 
 
+def _degenerate(m: CandidateModel) -> bool:
+    """Whether mu of an accepted params model is collinear: its atoms lie on
+    the parabola nu = (lam^2 - a lam + e A) / b, so when it keeps two."""
+    return len(m._cleared[1]) == 2
+
+
 def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineReport:
     """Run the whole pipeline: quartic -> roots -> model -> verdict -> checks,
     both checks by `check_model`; a `parse_config` result is not parsed again."""
@@ -214,9 +220,7 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
         return report
 
     diag, reg = check_model(m, p, verdict, tol)
-    # mu's support is collinear exactly when the kept atoms are, which lie on
-    # the parabola nu = (lam^2 - a lam + e A) / b: three are never collinear
-    report.degenerate = len(m._cleared[1]) == 2
+    report.degenerate = _degenerate(m)
     report.diag_check = {"max_dev": float(diag.max_dev), "pass": bool(diag.passed)}
     report.regression = {"max_dev": float(reg.max_dev), "pass": bool(reg.passed),
                          "exact": bool(reg.exact)}

@@ -18,12 +18,12 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _eigvals
 
-from ._num import Number, all_exact, cleared, is_exact
+from ._num import Number, all_exact, cleared, is_exact, primitive
 from .errors import ConfigError, NotARoot
 
 __all__ = ["DiagonalVFParams", "Quartic", "RootSet", "RootPattern",
            "build_characteristic_quartic", "solve_quartic",
-           "classify_root_pattern", "dual_ordinate"]
+           "classify_root_pattern"]
 
 
 @dataclass(frozen=True)
@@ -188,15 +188,6 @@ def build_characteristic_quartic(p: DiagonalVFParams) -> Quartic:
 _IMAG_TOL = 1e-6
 
 
-def _primitive(poly):
-    """Integer polynomial over its content, leading coefficient positive.
-
-    Polynomials here are lists of integer coefficients, ascending.
-    """
-    g = math.gcd(*poly)
-    return [c // g for c in poly] if poly[-1] > 0 else [-c // g for c in poly]
-
-
 def _pseudo_remainder(a, b):
     """Remainder of lead(b)^k * a divided by b, without leaving the integers."""
     a = list(a)
@@ -213,11 +204,11 @@ def _pseudo_remainder(a, b):
 def _square_free(poly):
     """(poly / g, g), g = gcd(poly, poly') of a primitive poly ([1] when it is
     square-free), by the primitive remainder sequence and one exact division."""
-    a, b = poly, _primitive([i * c for i, c in enumerate(poly)][1:])
+    a, b = poly, primitive([i * c for i, c in enumerate(poly)][1:])
     while any(b):
         a, b = b, _pseudo_remainder(a, b)
         if any(b):
-            b = _primitive(b)
+            b = primitive(b)
     if len(a) == 1:
         return poly, a
     # Gauss: both are primitive, so the quotient has integer coefficients
@@ -257,29 +248,6 @@ def _refine(poly, x: float, bits: int) -> int:
         if abs(step) <= 1:
             break
     return X
-
-
-def _nearest_fraction(X: int, bits: int, limit: int):
-    """(numerator, denominator) of Fraction(X, 2**bits).limit_denominator(limit),
-    by its continued fraction and tie rule on ints."""
-    n, d = X, 1 << bits
-    g = math.gcd(n, d)
-    if d // g <= limit:
-        return n // g, d // g
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > limit:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (limit - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - x| <= |p2/q2 - x| for x = X / 2**bits, cross-multiplied
-    if abs((p1 << bits) - X * q1) * q2 <= abs((p2 << bits) - X * q2) * q1:
-        return p1, q1
-    return p2, q2
 
 
 def _no_convergence(err, flag):
@@ -340,7 +308,7 @@ def _rational_roots(q: Quartic):
     above 2 only when q is square-free.  Every rational root h/k of sf has
     k | L, its leading coefficient.  Each real float root of sf is refined by
     fixed-point Newton steps to 2**-(2 bits(L) + 4) < 1 / (2 L^2), so the
-    closest fraction with denominator at most L (`_nearest_fraction`) is
+    closest fraction with denominator at most L (`limit_denominator`) is
     the only candidate it can stand for; exact deflation confirms it and takes
     it out, so the next float root near it converges to a neighbour.  The
     float roots of what is left are taken again until a pass finds nothing,
@@ -358,7 +326,7 @@ def _rational_roots(q: Quartic):
     primitive, with a positive leading coefficient and the same roots).
     Only called when all coefficients are exact.
     """
-    ints = _primitive(q._cleared[1])
+    ints = primitive(q._cleared[1])
     sf, g = _square_free(ints)
     roots = _low_degree_roots(_square_free(g)[0]) if len(g) > 1 else []
     for r in roots:
@@ -372,11 +340,11 @@ def _rational_roots(q: Quartic):
                 break
             if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z)):
                 continue
-            h, k = _nearest_fraction(_refine(sf, float(z.real), bits), bits, lead)
-            deflated = _deflate(sf, h, k)
+            r = Fraction(_refine(sf, float(z.real), bits), 1 << bits).limit_denominator(lead)
+            deflated = _deflate(sf, r.numerator, r.denominator)
             if deflated is not None:
                 sf = deflated
-                roots.append(Fraction(h, k))
+                roots.append(r)
         if len(roots) == before:
             break
     if 1 < len(sf) <= 3 and (low := _low_degree_roots(sf)):
@@ -522,10 +490,11 @@ def classify_root_pattern(r: RootSet) -> RootPattern:
 
 
 def _ordinate(lam, p: DiagonalVFParams, q: Quartic, tol: float):
-    """dual_ordinate's nu at a root lam of q, p's characteristic quartic.
-    A Fraction lam = h/k of exact p with a zero cleared sum is a root, and
-    nu = (Q^2 h^2 - Q a h k + e A k^2) / (Q k^2 b) on p's cleared form;
-    other lam, or a nonzero sum, is checked by its residual."""
+    """The ordinate nu = (lam^2 - a lam + e A) / b paired with a root lam of
+    q, p's characteristic quartic.  A Fraction lam = h/k of exact p with a
+    zero cleared sum is a root, and nu = (Q^2 h^2 - Q a h k + e A k^2) /
+    (Q k^2 b) on p's cleared form; other lam, or a nonzero sum, is checked
+    by its residual."""
     if isinstance(lam, Fraction) and p._cleared is not None:
         if not _cleared_sum(q._cleared[1], lam):
             Q, (A, a, b, _, _, e, _) = p._cleared
@@ -535,13 +504,3 @@ def _ordinate(lam, p: DiagonalVFParams, q: Quartic, tol: float):
     if qres > _residual_bound(float(lam), q, tol):
         raise NotARoot(f"{lam} is not a root of the characteristic quartic (residual {qres})")
     return (lam * lam - p.a * lam + p.e * p.A) / p.b
-
-
-def dual_ordinate(lam, p: DiagonalVFParams, tol: float = 1e-8):
-    """Ordinate paired with a real abscissa, plus the second-relation residual.
-
-    nu = (lam^2 - a*lam + e*A) / b; residual = nu^2 - c*lam - d*nu + f*A.
-    The residual equals q(lam)/b^2 identically, so it vanishes at exact roots.
-    """
-    nu = _ordinate(lam, p, p.quartic, tol)
-    return nu, nu * nu - p.c * lam - p.d * nu + p.f * p.A

@@ -1,5 +1,5 @@
 """Series-coefficient arguments: generalized binomial expansion around a
-dominant atom, first-negative-coefficient detection for non-integer
+dominant atom, with its first negative coefficient for non-integer
 exponents, and characteristic-function magnitude scans that certify
 unboundedness of inadmissible transform shapes.
 """
@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import (MAX_LEAD_BITS, cleared, compositions, float_powers, is_exact,
-                   merge_points, multinomials, near_integer, power_terms, widest_gap)
-from .errors import ConfigError, NoDominantAtom, NotNormalized
+from ._num import (MAX_LEAD_BITS, cleared, compositions, float_powers, merge_points,
+                   multinomials, near_integer, power_terms, widest_gap)
+from .errors import ConfigError, NoDominantAtom
 from .measure import MAX_SUPPORT
 from .model import CandidateModel
 
@@ -27,7 +27,6 @@ __all__ = [
     "SeriesTerms",
     "EliminationForm",
     "expand_series",
-    "first_negative_coefficient",
     "magnitude_scan",
 ]
 
@@ -334,43 +333,6 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
                         first_negative=None if neg is None
                         else (terms._point(points[neg]), coefs[neg]),
                         pivot=pivot, probe=probe)
-
-
-def first_negative_coefficient(a1, a2, r, depth: int = 8,
-                               tol: float = 1e-9) -> Optional[int]:
-    """Least k <= depth whose expansion coefficient of e^(k theta) is negative.
-
-    The coefficient is a1^r * [r(r-1)...(r-k+1)/k!] * (a2/a1)^k.  For an
-    all-nonpositive pair summing to -1 the signs are flipped first (even
-    exponent), matching the mirrored branch of the two-atom argument.
-    An exact lead past MAX_LEAD_BITS raises ConfigError, as in expand_series."""
-    total = float(a1) + float(a2)
-    if abs(total - 1.0) <= tol:
-        pass
-    elif abs(total + 1.0) <= tol:
-        a1, a2 = -a1, -a2
-    else:
-        raise NotNormalized(f"weights sum to {total}, expected +1 or -1")
-    if not a1 > 0:
-        raise NotNormalized("dominant weight must be positive after sign flip")
-    exact = is_exact(a1) and is_exact(a2) and is_exact(r)
-    lead = None
-    n_int = near_integer(r, 1e-12)
-    if exact and n_int is not None:
-        if abs(n_int) * max(a1.numerator, a1.denominator).bit_length() > MAX_LEAD_BITS:
-            raise ConfigError(f"the exact series lead w^N has more than {MAX_LEAD_BITS} bits")
-        lead = a1 ** n_int
-    else:
-        lead = float(a1) ** float(r)
-    ratio = a2 / a1 if exact else float(a2) / float(a1)
-    ff = 1  # r(r-1)...(r-k+1)
-    for k in range(1, depth + 1):
-        ff = ff * (r - k + 1)
-        coef = lead * ff * ratio ** k
-        coef = coef / math.factorial(k)
-        if (exact and coef < 0) or (not exact and coef < -1e-15):
-            return k
-    return None
 
 
 def _mass_bounded(f: EliminationForm, rf: float, ts) -> bool:

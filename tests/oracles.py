@@ -2,12 +2,24 @@
 against, and helpers only the tests use."""
 
 import itertools
+import math
 from dataclasses import fields
 
 import numpy as np
 
-from diagvf import Quartic, cumulant_eval
+from diagvf import DiagVFError, Quartic, cumulant_eval, expand_series, make_model
+from diagvf._num import widest_gap
+from diagvf.measure import _collinear
 from diagvf.pipeline import PipelineReport
+from diagvf.roots import _ordinate
+
+
+class OutOfMeanDomain(DiagVFError):
+    """Target mean lies outside the interior of the domain of means."""
+
+
+class Degenerate(DiagVFError):
+    """Operation needs non-collinear support (nonsingular covariance)."""
 
 
 def report_from_dict(d: dict) -> PipelineReport:
@@ -66,3 +78,77 @@ def cluster_linkage(values, tol: float):
                 merged = True
                 break
     return [(sum(g) / len(g), len(g)) for g in groups]
+
+
+def dual_ordinate(lam, p, tol: float = 1e-8):
+    """Ordinate paired with a real abscissa, plus the second-relation residual.
+
+    nu = (lam^2 - a*lam + e*A) / b; residual = nu^2 - c*lam - d*nu + f*A.
+    The residual equals q(lam)/b^2 identically, so it vanishes at exact roots.
+    """
+    nu = _ordinate(lam, p, p.quartic, tol)
+    return nu, nu * nu - p.c * lam - p.d * nu + p.f * p.A
+
+
+def laplace(mu, theta) -> float:
+    """The Laplace transform of the finite measure mu at theta, in floats."""
+    t1, t2 = float(theta[0]), float(theta[1])
+    return float(sum(float(m) * math.exp(t1 * float(x[0]) + t2 * float(x[1]))
+                     for x, m in zip(mu.support, mu.masses)))
+
+
+def first_negative_order(a1, a2, r, depth: int = 8):
+    """The order k = |x - r x_pivot| of the point x of expand_series' first
+    negative coefficient on atoms (0, 0), (1, 1) with weights a1, a2 (so
+    x_pivot is the pivot's index), or None; its sign is that of C(r, k),
+    whichever atom is the pivot."""
+    rep = expand_series(make_model([(0, 0), (1, 1)], [a1, a2], r), depth)
+    return rep.first_negative and abs(rep.first_negative[0][0] - r * rep.pivot)
+
+
+def mean_to_theta(m, target, tol: float = 1e-10, max_iter: int = 100):
+    """Invert the mean map of the model m by damped Newton iteration from
+    the origin.
+
+    target/N is interior to the atoms' convex hull exactly when the vectors
+    from it to the atoms leave no angular gap of pi or more; vectors of
+    length at most 1e-9 (an atom at the target) and gaps within 1e-9 of pi
+    (a target on an edge) count as on the boundary.
+    """
+    if _collinear(m.atoms):
+        raise Degenerate("atoms are collinear; mean map is singular")
+    N = float(m.r)
+    t0, t1 = float(target[0]) / N, float(target[1]) / N
+    diffs = [(float(a[0]) - t0, float(a[1]) - t1) for a in m.atoms]
+    gap, _ = widest_gap([d for d in diffs if math.hypot(*d) > 1e-9])
+    if gap >= math.pi - 1e-9:
+        raise OutOfMeanDomain(
+            f"target {tuple(target)} not interior to the domain of means")
+
+    theta = np.zeros(2)
+    goal = np.asarray([float(target[0]), float(target[1])])
+    _, mean, _ = cumulant_eval(m, theta)
+    res = np.linalg.norm(mean - goal)
+    for _ in range(max_iter):
+        if res <= tol:
+            return tuple(theta)
+        _, mean, cov = cumulant_eval(m, theta)
+        try:
+            step = np.linalg.solve(cov, goal - mean)
+        except np.linalg.LinAlgError:
+            raise Degenerate("singular covariance during Newton iteration")
+        s = 1.0
+        for _ in range(60):
+            cand = theta + s * step
+            _, mc, _ = cumulant_eval(m, cand)
+            rc = np.linalg.norm(mc - goal)
+            if rc < res:
+                theta, res = cand, rc
+                break
+            s /= 2
+        else:
+            break
+    if res <= tol:
+        return tuple(theta)
+    raise OutOfMeanDomain(
+        f"Newton iteration stalled at residual {res:.3e} for target {tuple(target)}")

@@ -18,12 +18,11 @@ import numpy as np
 from diagvf import (DiagonalVFParams, EliminationForm, admissibility_verdict,
                     build_characteristic_quartic,
                     candidate_model, cumulant_eval, diag_variance_check,
-                    dual_ordinate, first_negative_coefficient,
-                    magnitude_scan, make_model, mean_to_theta, realize_measure,
+                    magnitude_scan, make_model, realize_measure,
                     regression_check, run_characterize, solve_quartic,
                     star_condition, LatticeMatrix)
 from diagvf.cli import main
-from oracles import fd_hessian
+from oracles import dual_ordinate, fd_hessian, first_negative_order, laplace, mean_to_theta
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -221,7 +220,7 @@ def test_criterion_04_necessity_probes():
         v = admissibility_verdict(make_model(atoms, tuple(w), r))
         assert v.outcome == "Rejected" and "positive integer" in v.reason
         a1 = float(rng.uniform(0.55, 0.95))
-        k = first_negative_coefficient(a1, 1.0 - a1, r, depth=math.ceil(r) + 1)
+        k = first_negative_order(a1, 1.0 - a1, r, depth=math.ceil(r) + 1)
         assert k is not None and k <= math.ceil(r) + 1
     for _ in range(50):
         # odd exponent under the all-negative sign pattern
@@ -333,7 +332,7 @@ def test_criterion_07_convolution_consistency():
                                            + theta[1] * float(a[1]))
                        for a, w in zip(atoms, weights))
             want = base ** N
-            assert abs(mu.laplace(theta) - want) <= 1e-10 * max(1.0, want)
+            assert abs(laplace(mu, theta) - want) <= 1e-10 * max(1.0, want)
 
 
 @reported("criterion 8: magnitude witnesses for eliminated forms only")

@@ -323,7 +323,7 @@ class TestRunCharacterize:
         assert rep.regression["exact"] and len(calls) == count
 
     @pytest.mark.parametrize("name, realized", [
-        *((name, 0) for name in ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2",
+        *((name, 0) for name in ("e1", "p2", "e1_n8", "e1_n60", "q4", "q4_wide", "c2",
                                  "q4_tight", "q4_decimal", "float_chain", "irrational4")),
         ("mixed_within_tol", 1),
     ])
@@ -535,6 +535,32 @@ class TestCliCharacterize:
             os.close(write_end)
         assert done.returncode == 141 and done.stderr == b""
 
+    @pytest.mark.parametrize("params, weights, code", [
+        (dict(E1_CONFIG["params"], A="-1/60"), E1_CONFIG["weights"], 0),
+        (dict(E1_CONFIG["params"], A="-1/100000"), E1_CONFIG["weights"], 0),
+        (dict(E1_CONFIG["params"], A="-1/1000000"), E1_CONFIG["weights"], 0),
+        (dict(E1_CONFIG["params"], A=-0.001), [0.5, 0, 0.5], 0),
+        (dict(E1_CONFIG["params"], A=-0.0009090909090909091), [0.5, 0, 0.5], 0),
+        (dict(E1_CONFIG["params"], A=-1e-300), E1_CONFIG["weights"], 2),
+        (dict(E1_CONFIG["params"], A="-1/1" + "0" * 250), E1_CONFIG["weights"], 2),
+    ], ids=["N=60", "N=1e5", "N=1e6", "float-N=1000", "float-N=1100", "N=1e300",
+            "N=1e250"])
+    def test_characterize_builds_no_measure_to_cap(self, tmp_path, capsys, params,
+                                                   weights, code):
+        # the certificate checks these models with no measure, so only the
+        # float range of 2N max |coordinate| can refuse them
+        path = write_config(tmp_path, {"params": params, "weights": weights})
+        start = time.perf_counter()
+        assert main(["characterize", path, "--json"]) == code
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == "" and "overflow" in captured.err
+        else:
+            out = json.loads(captured.out)
+            assert out["status"] in ("Admissible", "Degenerate-Admissible")
+            assert out["diag_check"]["pass"] and out["regression"]["pass"]
+
 
 def _search_text(weight_search):
     return json.dumps({"params": E1_CONFIG["params"],
@@ -647,11 +673,12 @@ class TestCliMalformedInput:
 
     @pytest.mark.parametrize("A", [-1e-300, "-1/100000"])
     def test_support_cap_exits_fast(self, tmp_path, capsys, A):
-        # N = 1e300 and N = 100000: C(N + 2, 2) support points
+        # N = 1e300 and N = 100000: tilt realizes mu, C(N + 2, 2) support
+        # points (at 1e300 its coordinates also pass the float range)
         path = write_config(tmp_path, dict(E1_CONFIG,
                                            params=dict(E1_CONFIG["params"], A=A)))
         start = time.perf_counter()
-        assert main(["characterize", path, "--json"]) == 2
+        assert main(["tilt", path, "--json"]) == 2
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -662,11 +689,12 @@ class TestCliMalformedInput:
     @pytest.mark.parametrize("A", [-0.001, -0.0009090909090909091])
     def test_float_power_out_of_range_exits_fast(self, tmp_path, capsys, A):
         # N = 1000 and 1100 with float weights 1/2: the least pair mass
-        # 2^-2N underflows (at 1100 a multinomial would also overflow)
+        # 2^-2N of the measure tilt realizes underflows (at 1100 a
+        # multinomial would also overflow)
         cfg = {"params": {"A": A, "a": 0, "b": 1, "c": 0, "d": 1, "e": 0, "f": 0},
                "weights": [0.5, 0, 0.5]}
         start = time.perf_counter()
-        assert main(["characterize", write_config(tmp_path, cfg)]) == 2
+        assert main(["tilt", write_config(tmp_path, cfg)]) == 2
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -961,6 +989,31 @@ class TestCliTilt:
         assert main(["tilt", write_config(tmp_path, cfg), "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["measure"]) == 3 and out["degenerate"] is False
+
+    @pytest.mark.parametrize("weights", [[0.25, 0.5, 0.25], ["1/4", "1/2", "1/4"]],
+                             ids=["decimal", "exact"])
+    def test_wide_conic_degeneracy_reads_the_kept_atoms(self, tmp_path, capsys,
+                                                        weights):
+        # b = 1e12, d = 1e-12: three atoms on a flat parabola, which a float
+        # cross product would call collinear; characterize says Admissible
+        cfg = {"params": {"A": -1, "a": 0, "b": 1e12, "c": 0, "d": 1e-12, "e": 0,
+                          "f": 0}, "weights": weights}
+        path = write_config(tmp_path, cfg)
+        assert main(["tilt", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["degenerate"] is False
+        assert main(["characterize", path, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "Admissible" and out["degenerate"] is False
+
+    # the characterize goldens but e1_n60, whose mu passes MAX_SUPPORT, and
+    # q4_tight, whose verdict is not accepted
+    @pytest.mark.parametrize("name", ["e1", "p2", "e1_n8", "q4", "q4_wide", "c2",
+                                      "q4_decimal", "float_chain", "mixed_within_tol",
+                                      "irrational4"])
+    def test_tilt_and_characterize_agree_on_degeneracy(self, capsys, name):
+        want = json.loads((GOLDEN_DIR / f"{name}.characterize.json").read_text())
+        assert main(["tilt", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["degenerate"] is want["degenerate"]
 
     def test_small_decimal_atoms_are_not_degenerate(self, tmp_path, capsys):
         assert main(["tilt", write_config(tmp_path, SMALL_ATOMS), "--json"]) == 0

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagvf import (DiagonalVFParams, NotARoot, Quartic, RootPattern,
-                    build_characteristic_quartic, classify_root_pattern, dual_ordinate, run_characterize,
+                    build_characteristic_quartic, classify_root_pattern, run_characterize,
                     solve_quartic)
-from diagvf.roots import (_cluster, _companion_roots, _nearest_fraction, _ordinate,
-                          _rational_roots, _square_free)
-from oracles import build_dual_quartic, cluster_linkage
+from diagvf.roots import _cluster, _companion_roots, _ordinate, _rational_roots, _square_free
+from oracles import build_dual_quartic, cluster_linkage, dual_ordinate
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -726,17 +725,22 @@ class TestFloatRootsKeepTheirBits:
     @pytest.mark.parametrize("bits", range(1, 7))
     @pytest.mark.parametrize("limit", [1, 2, 3, 5, 8, 13])
     def test_nearest_fraction_every_small_point(self, bits, limit):
-        # every X / 2**bits in [-4, 4]: reduced denominators at most the
-        # limit, and the ties of a midpoint between two candidates
-        for X in range(-4 << bits, (4 << bits) + 1):
-            want = F(X, 1 << bits).limit_denominator(limit)
-            assert _nearest_fraction(X, bits, limit) == (want.numerator, want.denominator)
+        # the nearest fraction with denominator at most the limit of every
+        # X / 2**bits in [-4, 4] is a root r of (x - r)(x^3 + 2), which the
+        # root search rounds from its refined float and confirms; no
+        # candidate of the irrational real root -2^(1/3) deflates
+        for r in {F(X, 1 << bits).limit_denominator(limit)
+                  for X in range(-4 << bits, (4 << bits) + 1)}:
+            found, _, _ = _rational_roots(Quartic((-2 * r, F(2), F(0), -r, F(1))))
+            assert found == [(r, 1)]
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(-2 ** 200, 2 ** 200), st.integers(1, 300), st.integers(1, 2 ** 80))
     def test_nearest_fraction_is_limit_denominator(self, X, bits, limit):
-        want = F(X, 1 << bits).limit_denominator(limit)
-        assert _nearest_fraction(X, bits, limit) == (want.numerator, want.denominator)
+        # large numerators and denominators, as above
+        r = F(X, 1 << bits).limit_denominator(limit)
+        found, _, _ = _rational_roots(Quartic((-2 * r, F(2), F(0), -r, F(1))))
+        assert found == [(r, 1)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(exact_values, min_size=6, max_size=6), exact_values,
