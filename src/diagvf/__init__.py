@@ -11,8 +11,7 @@ from .model import (AdmissibilityVerdict, CandidateModel, LatticeMatrix,
                     StarReport, admissibility_verdict, candidate_model,
                     make_model, star_condition)
 from .measure import (DiagCheckReport, FiniteMeasure, RegressionReport,
-                      check_model, cumulant_eval, diag_variance_check,
-                      realize_measure, regression_check, tilt_member)
+                      check_model, cumulant_eval, realize_measure, tilt_member)
 from .series import EliminationForm, SeriesReport, expand_series, magnitude_scan
 from .pipeline import (PipelineReport, emit_report, parse_config,
                        report_to_dict, run_characterize)

@@ -220,15 +220,19 @@ def star_condition(mat: LatticeMatrix, bound: int = 50) -> StarReport:
     return _kernel_star([cleared(col)[1] for col in zip(*mat.rows)], bound)
 
 
-def admissibility_verdict(m: CandidateModel, tol: float = 1e-9,
-                          bound: int = 50) -> AdmissibilityVerdict:
+# how far float weights may pass their sign, sum and integer exponent
+VERDICT_TOL = 1e-9
+
+
+def admissibility_verdict(m: CandidateModel, bound: int = 50) -> AdmissibilityVerdict:
     """CaseA / CaseB / Rejected per the sign, sum, and exponent clauses.
 
     Zero-weight atoms are dropped first.  For three or four kept atoms the
     lattice condition of their abscissas is checked as well (it holds for
     three; for four the bound decides); when it fails, the verdict is
     Rejected with an inconclusive flag since the characterization is silent
-    in that regime.  tol applies to float weights; exact ones are exact.
+    in that regime.  Float weights and exponents are read within VERDICT_TOL;
+    exact ones are exact.
     """
     kept = [(a, w) for a, w in zip(m.atoms, m.weights) if w != 0]
     if len(kept) < 2:
@@ -252,7 +256,7 @@ def admissibility_verdict(m: CandidateModel, tol: float = 1e-9,
     # N.  Exact weights are read as the ints M w_i, M their common denominator
     exact = all_exact(*weights)
     M, ws = cleared(weights) if exact else (1, weights)
-    t = 0 if exact else tol
+    t = 0 if exact else VERDICT_TOL
     s = all(w >= -t for w in ws) - all(w <= t for w in ws)
     if not s:
         return AdmissibilityVerdict(
@@ -261,7 +265,7 @@ def admissibility_verdict(m: CandidateModel, tol: float = 1e-9,
         sign = "nonnegative" if s > 0 else "nonpositive"
         return AdmissibilityVerdict(
             "Rejected", reason=f"{sign} weights do not sum to {s}", star=star)
-    n = near_integer(m.r, tol)
+    n = near_integer(m.r, VERDICT_TOL)
     if n is None or n < 1:
         return AdmissibilityVerdict(
             "Rejected", reason="exponent not a positive integer", star=star)

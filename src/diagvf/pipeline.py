@@ -147,7 +147,7 @@ def _search_weights(p, n_r, denominator, tol, roots, bound):
                + (Fraction(denominator - n_r + 1, denominator),))
     verdict = admissibility_verdict(
         CandidateModel(tuple((lam, 0) for lam in roots.real_roots), weights, _exponent(p)),
-        tol=1e-9, bound=bound)
+        bound=bound)
     m = candidate_model(p, weights, tol, roots=roots) if verdict.accepted else None
     return m, verdict
 
@@ -193,7 +193,7 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
             m = candidate_model(p, weights, tol, roots=rs)
         except (NRootDeficit, WeightCountMismatch) as exc:
             return rejected(f"{type(exc).__name__}: {exc}")
-        verdict = admissibility_verdict(m, tol=1e-9, bound=bound)
+        verdict = admissibility_verdict(m, bound=bound)
     elif "weight_search" in cfg:
         den = cfg["weight_search"]["denominator"]
         found = _search_weights(p, rs.n_r, den, tol, rs, bound)

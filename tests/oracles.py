@@ -4,6 +4,7 @@ against, and helpers only the tests use."""
 import itertools
 import math
 from dataclasses import fields
+from fractions import Fraction as F
 
 import numpy as np
 
@@ -12,6 +13,11 @@ from diagvf._num import widest_gap
 from diagvf.measure import _collinear
 from diagvf.pipeline import PipelineReport
 from diagvf.roots import _ordinate
+
+
+# an 11 x 11 theta grid over [-1, 1]^2
+GRID_121 = [(t1, t2) for t1 in np.linspace(-1.0, 1.0, 11)
+            for t2 in np.linspace(-1.0, 1.0, 11)]
 
 
 class OutOfMeanDomain(DiagVFError):
@@ -37,6 +43,46 @@ def build_dual_quartic(p) -> Quartic:
         -2 * d,
         1,
     ))
+
+
+def diag_oracle(m, p, theta_grid):
+    """The diag deviation of m from p, cumulant_eval at each theta in turn,
+    and the first theta of the largest, a NaN one counting as the largest;
+    an empty grid gives an infinite one.  DomainViolation comes from the
+    first bad theta."""
+    A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
+    best = None
+    for theta in theta_grid:
+        _, mean, cov = cumulant_eval(m, theta)
+        m1, m2 = mean
+        d1 = abs(cov[0, 0] - (A * m1 * m1 + a * m1 + b * m2 + e))
+        d2 = abs(cov[1, 1] - (A * m2 * m2 + c * m1 + d * m2 + f))
+        dev = math.nan if math.isnan(d1) or math.isnan(d2) else float(max(d1, d2))
+        if best is None or not math.isnan(best[0]) and (math.isnan(dev)
+                                                        or dev > best[0]):
+            best = dev, (float(theta[0]), float(theta[1]))
+    return best or (math.inf, (0.0, 0.0))
+
+
+def regression_oracle(mu, p):
+    """The regression identities of an i.i.d. pair of mu, walked over every
+    ordered pair and grouped by exact sum point, floats as the exact values
+    they hold: the exact largest deviation and the number of sum points."""
+    A, a, b, c, d, e, f = (F(x) for x in p.as_tuple())
+    pts = [((F(x[0]), F(x[1])), F(w)) for x, w in zip(mu.support, mu.masses)]
+    groups = {}
+    for (x, wx), (y, wy) in itertools.product(pts, repeat=2):
+        s = (x[0] + y[0], x[1] + y[1])
+        w = wx * wy
+        g1 = (x[0] - y[0]) ** 2 - 2 * A * x[0] * y[0]
+        g2 = (x[1] - y[1]) ** 2 - 2 * A * x[1] * y[1]
+        den, n1, n2 = groups.get(s, (F(0), F(0), F(0)))
+        groups[s] = (den + w, n1 + w * g1, n2 + w * g2)
+    dev = F(0)
+    for s, (den, n1, n2) in groups.items():
+        dev = max(dev, abs(n1 / den - (a * s[0] + b * s[1] + 2 * e)),
+                  abs(n2 / den - (c * s[0] + d * s[1] + 2 * f)))
+    return dev, len(groups)
 
 
 def fd_hessian(m, theta, h: float = 1e-4):

@@ -15,14 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from diagvf import (DiagonalVFParams, EliminationForm, admissibility_verdict,
-                    build_characteristic_quartic,
-                    candidate_model, cumulant_eval, diag_variance_check,
+from diagvf import (AdmissibilityVerdict, DiagonalVFParams, EliminationForm,
+                    admissibility_verdict, build_characteristic_quartic,
+                    candidate_model, check_model, cumulant_eval,
                     magnitude_scan, make_model, realize_measure,
-                    regression_check, run_characterize, solve_quartic,
+                    run_characterize, solve_quartic,
                     star_condition, LatticeMatrix)
 from diagvf.cli import main
-from oracles import dual_ordinate, fd_hessian, first_negative_order, laplace, mean_to_theta
+from oracles import (GRID_121, diag_oracle, dual_ordinate, fd_hessian, first_negative_order,
+                     laplace, mean_to_theta, regression_oracle)
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -35,18 +36,19 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
                         "e": "1", "f": "0"},
              "weights": ["1/4", "1/2", "1/4"]}
 
-# E1, P2 and E1 at N = 8 (45 support points, 153 sum points in the
-# regression check), four-atom runs on roots 0, 1, 5, 60 and 0, 1, 5, 200,
-# c2, two atoms beside a complex pair that the float polish solves, and
+# E1, P2 and E1 at N = 8 (45 support points), four-atom runs on roots
+# 0, 1, 5, 60 and 0, 1, 5, 200, c2, two atoms beside a complex pair that
+# the float polish solves, and
 # q4_tight, roots 0, 1, 2, 3, Inconclusive on the lattice witness (3, -3, 1),
 # q4_decimal, the decimal twin of roots 0, 1, 5, 60 at N = 12, whose
-# float checks read the conic residuals, and irrational4, exact params
-# with four irrational atoms, roots of x^4 - 5 x^2 - x + 4:
+# float checks read the conic residuals, irrational4, exact params with
+# four irrational atoms, roots of x^4 - 5 x^2 - x + 4, mixed_within_tol and
+# signed_tail, decimal weights of one sign only within the verdict's tol:
 # <name>.config.json holds each config, and <name>.characterize.json its
 # characterize --json output, committed as produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2", "q4_tight", "q4_decimal",
-                "float_chain", "mixed_within_tol", "irrational4")
+                "float_chain", "mixed_within_tol", "irrational4", "signed_tail")
 
 
 def reported(label):
@@ -180,26 +182,23 @@ def test_criterion_03_worked_examples():
         assert v.outcome == "CaseA" and v.N == 1
         _, mean, cov = cumulant_eval(m, (0.0, 0.0))
         assert np.allclose(cov, [[0.5, 0.0], [0.0, 0.25]], atol=1e-15)
-        # exact and float twin alike: the conic residuals, no theta; the
-        # twin's 121-point grid agrees
-        diag = diag_variance_check(m, p)
-        assert (diag.max_dev, diag.n_points) == (0.0, 0)
+        # exact and float twin alike: the conic residuals, no theta, no
+        # measure; the twin's 121-point grid and the walk over mu agree
+        diag, reg = check_model(m, p, v)
+        assert diag.max_dev == 0.0 and reg.exact and reg.max_dev == 0.0
         fp = DiagonalVFParams(*(float(x) for x in p.as_tuple()))
         fm = candidate_model(fp, [float(w) for w in W3])
-        diag = diag_variance_check(fm, fp)
-        assert diag.n_points == 0 and diag.max_dev <= 1e-10
-        axis = np.linspace(-1.0, 1.0, 11)
-        diag = diag_variance_check(fm, fp, [(t1, t2) for t1 in axis for t2 in axis])
-        assert diag.n_points == 121 and diag.max_dev <= 1e-10
-        reg = regression_check(realize_measure(m, v), p)
-        assert reg.exact and reg.max_dev == 0.0
+        diag, _ = check_model(fm, fp, admissibility_verdict(fm))
+        assert diag.max_dev <= 1e-10
+        assert diag_oracle(fm, fp, GRID_121)[0] <= 1e-10
+        assert regression_oracle(realize_measure(m, v), p)[0] == 0
         rep = run_characterize(cfg)
         assert rep.status == "Admissible"
         assert rep.pattern == "DoublePlusTwoSingleReal"
 
     # wrong-sign ordinates for P2 break the diagonal identity decisively
     wrong = make_model([(-1, 2), (0, 1), (1, 2)], W3, 1)
-    assert diag_variance_check(wrong, P2).max_dev >= 0.5
+    assert check_model(wrong, P2, AdmissibilityVerdict("CaseA", N=1))[0].max_dev >= 0.5
 
 
 @reported("criterion 4: necessity probes for each rejection clause")

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from diagvf import (AdmissibilityVerdict, ConfigError, DiagonalVFParams, DomainViolation,
                     FiniteMeasure, NotAdmissible, admissibility_verdict, candidate_model,
-                    cumulant_eval, diag_variance_check, expand_series, make_model,
-                    realize_measure, regression_check, run_characterize, tilt_member)
+                    cumulant_eval, expand_series, make_model, realize_measure,
+                    run_characterize, tilt_member)
 from diagvf import measure
 from diagvf._num import merge_points, near_integer, power_terms
-from oracles import Degenerate, OutOfMeanDomain, fd_hessian, laplace, mean_to_theta
+from oracles import (GRID_121, Degenerate, OutOfMeanDomain, diag_oracle, fd_hessian, laplace,
+                     mean_to_theta, regression_oracle)
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -32,22 +33,30 @@ def model_and_measure(p, weights):
 
 def certified(m, p, tol=1e-10):
     """check_model's regression report of m at N the integer nearest r (the
-    only field of the verdict it reads besides acceptance), which its
-    certificate gives: no pair group is counted."""
+    only field of the verdict it reads besides acceptance)."""
     _, rep = measure.check_model(m, p, AdmissibilityVerdict("CaseA", N=near_integer(m.r)), tol)
-    assert rep.n_groups == 0
     return rep
+
+
+def diag_report(m, p, tol=1e-8):
+    """check_model's diag report of m, which reads r and no N: N is the
+    integer nearest r, or 1."""
+    N = near_integer(m.r) or 1
+    return measure.check_model(m, p, AdmissibilityVerdict("CaseA", N=N), tol)[0]
+
+
+def strict_chain(atoms) -> bool:
+    """True when the atoms, in ascending lambda, turn the same strict way at
+    every consecutive triple, so each is a vertex of their convex hull."""
+    turns = [(x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+             for (x0, y0), (x1, y1), (x2, y2) in zip(atoms, atoms[1:], atoms[2:])]
+    return all(t > 0 for t in turns) or all(t < 0 for t in turns)
 
 
 def float_twin(m):
     """The model with every number a float."""
     return make_model([(float(x), float(y)) for x, y in m.atoms],
                       [float(w) for w in m.weights], float(m.r))
-
-
-# the diag check's default theta grid, which it runs off the conic rule
-GRID_121 = [(t1, t2) for t1 in np.linspace(-1.0, 1.0, 11)
-            for t2 in np.linspace(-1.0, 1.0, 11)]
 
 
 def convolve_oracle(atoms, weights, N):
@@ -297,15 +306,14 @@ class TestClearedMeasure:
         twin = FiniteMeasure(mu.support, mu.masses)
         assert mu == twin and twin == mu and hash(mu) == hash(twin)
         assert twin.is_exact and twin.degenerate == mu.degenerate
-        # the twin's walk is mu's; the model's certificate reads exactly 0
+        # the model's certificate reads exactly 0
         rep = certified(m, p)
         assert rep.exact and rep.max_dev == 0
-        assert regression_check(twin, p) == regression_check(mu, p)
 
     def test_checks_form_no_fractions(self):
         m, mu = model_and_measure(E1, W3)
         assert certified(m, E1).max_dev == 0
-        assert regression_check(mu, E1).max_dev == 0
+        assert regression_oracle(mu, E1)[0] == 0
         assert not mu.degenerate and mu.is_exact
         assert mu.support == ((-1, 1), (0, 0), (1, 1))
         assert mu.masses == W3
@@ -434,29 +442,26 @@ class TestDiagVarianceCheck:
         # exact and float twin alike: the conic residuals decide, on no
         # theta; the twin's 121-point grid agrees
         m = candidate_model(E1, W3)
-        rep = diag_variance_check(m, E1)
-        assert (rep.max_dev, rep.n_points) == (0.0, 0) and rep.passed
-        rep = diag_variance_check(float_twin(m), E1)
-        assert (rep.max_dev, rep.n_points) == (0.0, 0) and rep.passed
-        rep = diag_variance_check(float_twin(m), E1, GRID_121)
-        assert rep.passed and rep.max_dev <= 1e-10
-        assert rep.n_points == 121
+        for model in (m, float_twin(m)):
+            rep = diag_report(model, E1)
+            assert rep.max_dev == 0.0 and rep.passed
+        assert diag_oracle(float_twin(m), E1, GRID_121)[0] <= 1e-10
 
     def test_p2_passes(self):
         m = candidate_model(P2, W3)
-        rep = diag_variance_check(m, P2)
+        rep = diag_report(m, P2)
         assert rep.passed and rep.max_dev <= 1e-10
 
     def test_wrong_sign_ordinates_fail(self):
         # P2 atoms with the ordinate sign flipped: (lam^2 - e*A)/b
         m = make_model([(-1, 2), (0, 1), (1, 2)], W3, 1)
-        rep = diag_variance_check(m, P2)
+        rep = diag_report(m, P2)
         assert not rep.passed and rep.max_dev >= 0.5
 
     def test_perturbed_params_fail(self):
         m = candidate_model(E1, W3)
         bad = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(1, 10), F(0))
-        rep = diag_variance_check(m, bad)
+        rep = diag_report(m, bad)
         assert not rep.passed and rep.max_dev >= 0.05
 
     def test_decimal_tolerance_scales_with_the_right_hand_sides(self):
@@ -478,49 +483,18 @@ class TestDiagVarianceCheck:
         # exact input keeps the absolute tol; a decimal model off its
         # params by far more than rounding still fails at the scaled tol
         m = candidate_model(E1, W3)
-        assert diag_variance_check(m, E1).tol == 1e-8
+        assert diag_report(m, E1).tol == 1e-8
         twin = float_twin(m)
-        rep = diag_variance_check(twin, E1)
+        rep = diag_report(twin, E1)
         # E1's atoms (-1, 1), (0, 0), (1, 1) at r = 1: the largest size is
         # |A| + |b| = 2
         assert rep.tol == 2e-8 and rep.passed
         bad = DiagonalVFParams(-1.0, 0.0, 1.0, 0.0, 1.0, 0.1, 0.0)
-        rep = diag_variance_check(twin, bad)
+        rep = diag_report(twin, bad)
         assert not rep.passed and rep.max_dev >= 0.05
 
 
-def regression_oracle(mu, p):
-    """Independent oracle: every ordered pair, grouped by exact sum point.
-
-    Returns the exact maximum deviation of the two conditional-expectation
-    identities and the number of sum points.
-    """
-    A, a, b, c, d, e, f = (F(x) for x in p.as_tuple())
-    groups = {}
-    for (x, wx), (y, wy) in itertools.product(zip(mu.support, mu.masses), repeat=2):
-        s = (F(x[0]) + y[0], F(x[1]) + y[1])
-        w = F(wx) * wy
-        g1 = (x[0] - y[0]) ** 2 - 2 * A * x[0] * y[0]
-        g2 = (x[1] - y[1]) ** 2 - 2 * A * x[1] * y[1]
-        den, n1, n2 = groups.get(s, (F(0), F(0), F(0)))
-        groups[s] = (den + w, n1 + w * g1, n2 + w * g2)
-    dev = F(0)
-    for s, (den, n1, n2) in groups.items():
-        dev = max(dev, abs(n1 / den - (a * s[0] + b * s[1] + 2 * e)),
-                  abs(n2 / den - (c * s[0] + d * s[1] + 2 * f)))
-    return dev, len(groups)
-
-
 small_fraction = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
-
-
-@st.composite
-def exact_measures(draw):
-    """Small exact measures; coordinates on a coarse grid so sums collide."""
-    pts = draw(st.lists(st.tuples(small_fraction, small_fraction),
-                        min_size=1, max_size=6, unique=True))
-    ns = draw(st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)))
-    return FiniteMeasure(tuple(pts), tuple(F(n, sum(ns)) for n in ns))
 
 
 @st.composite
@@ -529,31 +503,6 @@ def exact_params(draw):
     b = draw(small_fraction.filter(bool))
     return DiagonalVFParams(A, draw(small_fraction), b,
                             *(draw(small_fraction) for _ in range(4)))
-
-
-def diag_oracle(m, p, theta_grid):
-    """Oracle: cumulant_eval at each theta in turn, and the first largest
-    deviation, a NaN one counting as the largest; an empty grid gives an
-    infinite one.  DomainViolation comes from the first bad theta."""
-    A, a, b, c, d, e, f = (float(x) for x in p.as_tuple())
-    best = None
-    for theta in theta_grid:
-        _, mean, cov = cumulant_eval(m, theta)
-        m1, m2 = mean
-        d1 = abs(cov[0, 0] - (A * m1 * m1 + a * m1 + b * m2 + e))
-        d2 = abs(cov[1, 1] - (A * m2 * m2 + c * m1 + d * m2 + f))
-        dev = math.nan if math.isnan(d1) or math.isnan(d2) else float(max(d1, d2))
-        if best is None or not math.isnan(best[0]) and (math.isnan(dev)
-                                                        or dev > best[0]):
-            best = dev, (float(theta[0]), float(theta[1]))
-    return best or (math.inf, (0.0, 0.0))
-
-
-def diag_outcome(check, *args):
-    try:
-        return check(*args)
-    except DomainViolation as exc:
-        return str(exc)
 
 
 @st.composite
@@ -584,92 +533,74 @@ theta_grids = st.one_of(
 
 
 class TestDiagDifferential:
+    """The diag report, the certificate at s = r, against the per-theta
+    oracle on mu's mixture, whose weights are |alpha_i|."""
+
     @settings(max_examples=200, deadline=None)
     @given(diag_models(), exact_params(), theta_grids)
     def test_matches_per_theta_oracle(self, m, p, grid):
-        # named theta points always take the grid; with none, a model on
-        # the conic rule gets the certificate, which bounds the oracle on
-        # the default grid, and any other takes that grid
-        rep = diag_variance_check(m, p, grid)
-        cert = measure._conic_certificate(m, p, m.r)
-        if grid is None and cert is not None:
-            assert (rep.max_dev, rep.n_points) == (float(cert), 0)
-            dev, _ = diag_oracle(m, p, GRID_121)
-            assert dev <= float(cert) * (1 + 1e-9) + 1e-12
-            return
-        grid = GRID_121 if grid is None else grid
-        assert (rep.max_dev, rep.worst_theta) == diag_oracle(m, p, grid)
-        assert rep.n_points == len(grid)
+        # the certificate bounds the oracle at any theta points, the
+        # default grid among them
+        rep = diag_report(m, p)
+        assert rep.max_dev == float(measure._conic_certificate(m, p, m.r))
+        dev, _ = diag_oracle(m, p, grid or GRID_121)
+        assert dev <= rep.max_dev * (1 + 1e-9) + 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(diag_models(signs=("mixed",)), exact_params(), theta_grids)
     def test_mixed_signs_match_oracle(self, m, p, grid):
-        # the draw can give weights of one sign, such as (1/4, 1/4): on a
-        # chain that gets the certificate, so name the grid then
-        if grid is None and measure._conic_certificate(m, p, m.r) is not None:
-            grid = GRID_121
-        got = diag_outcome(diag_variance_check, m, p, grid)
-        want = diag_outcome(diag_oracle, m, p, GRID_121 if grid is None else grid)
-        if isinstance(got, str):
-            assert got == want
-        else:
-            assert (got.max_dev, got.worst_theta) == want
+        # the certificate reads no weight: a model with weights of both
+        # signs gets the report of its |w| twin, which bounds that twin's
+        # oracle
+        twin = make_model(m.atoms, [abs(w) for w in m.weights], m.r)
+        rep = diag_report(m, p)
+        assert rep == diag_report(twin, p)
+        dev, _ = diag_oracle(twin, p, grid or GRID_121)
+        assert dev <= rep.max_dev * (1 + 1e-9) + 1e-12
 
     def test_nonpositive_transform_names_first_bad_theta(self):
-        # 2 e^0 - e^(t1 + t2) <= 0 once t1 + t2 >= log 2
+        # 2 e^0 - e^(t1 + t2) <= 0 once t1 + t2 >= log 2: the oracle stops
+        # at the first bad theta, which cumulant_eval names as a config
+        # writes it
         m = make_model([(0, 0), (1, 1)], (F(2), F(-1)), 1)
         grid = [(0.0, 0.0), (0.5, 0.1), (0.4, 0.4), (1.0, 1.0)]
-        with pytest.raises(DomainViolation) as exc:
-            diag_variance_check(m, E1, grid)
-        assert str(exc.value) == diag_outcome(diag_oracle, m, E1, grid)
-        assert "theta=(0.4, 0.4)" in str(exc.value)
+        with pytest.raises(DomainViolation, match=r"theta=\(0\.4, 0\.4\)$"):
+            diag_oracle(m, E1, grid)
+        with pytest.raises(DomainViolation, match=r"theta=\(2/5, 1/2\)$"):
+            cumulant_eval(m, (F(2, 5), F(1, 2)))
 
     def test_nan_deviation_fails(self):
-        # ordinates 10^155: on the named grid some second-coordinate
-        # covariances overflow; the certificate, from the exact values of
-        # the floats, fails too
+        # ordinates 10^155: on the grid some second-coordinate covariances
+        # overflow; the certificate, from the exact values of the floats,
+        # fails too, and check_model stops before it, as 2N times the
+        # largest coordinate squared passes the float range
         p = DiagonalVFParams(F(-1), F(0), F(1, 10 ** 155), F(0), F(10 ** 155),
                              F(0), F(0))
         m = make_model([(-1.0, 1e155), (0.0, 0.0), (1.0, 1e155)],
                        (0.25, 0.5, 0.25), 1.0)
         with np.errstate(all="ignore"):
-            rep = diag_variance_check(m, p, GRID_121)
             assert math.isnan(diag_oracle(m, p, GRID_121)[0])
-        assert math.isnan(rep.max_dev) and not rep.passed
-        rep = diag_variance_check(m, p)
-        assert rep.n_points == 0 and not rep.passed
-
-    def test_empty_grid_fails(self):
-        m = make_model([(0.0, 0.0), (1.0, 1.0)], (0.5, 0.5), 1.0)
-        rep = diag_variance_check(m, E1, [])
-        assert rep.n_points == 0 and not rep.passed
+        assert measure._conic_certificate(m, p, m.r) > 1e290
+        with pytest.raises(ConfigError, match="overflow"):
+            diag_report(m, p)
 
 
 class TestRegressionDifferential:
-    def assert_matches_oracle(self, mu, p):
-        rep = regression_check(mu, p)
-        dev, n_groups = regression_oracle(mu, p)
-        assert rep.exact
-        assert rep.max_dev == float(dev)
-        assert rep.n_groups == n_groups
-
-    @settings(max_examples=150, deadline=None)
-    @given(exact_measures(), exact_params())
-    def test_random_measures(self, mu, p):
-        self.assert_matches_oracle(mu, p)
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.lists(st.integers(1, 5), min_size=3, max_size=3),
            st.sampled_from(("e", "f", "a", "d")), small_fraction)
     def test_realized_models_perturbed(self, N, ns, field, delta):
-        # E1 at A = -1/N: zero deviation unperturbed, nonzero otherwise
+        # E1 at A = -1/N: zero deviation unperturbed, nonzero otherwise;
+        # its three atoms form a strict chain, so the certificate is the
+        # oracle's deviation
         base = dict(A=F(-1, N), a=F(0), b=F(1), c=F(0), d=F(1), e=F(0), f=F(0))
-        _, mu = model_and_measure(DiagonalVFParams(**base),
+        m, mu = model_and_measure(DiagonalVFParams(**base),
                                   tuple(F(n, sum(ns)) for n in ns))
         base[field] += delta
         p = DiagonalVFParams(**base)
-        self.assert_matches_oracle(mu, p)
-        assert (regression_check(mu, p).max_dev == 0) == (delta == 0)
+        rep = certified(m, p)
+        assert rep.exact and rep.max_dev == float(regression_oracle(mu, p)[0])
+        assert (rep.max_dev == 0) == (delta == 0)
 
 
 def _solve3(rows, rhs):
@@ -727,7 +658,7 @@ def chain_models(draw):
         atoms = [(lam, (lam * lam - a * lam + e * A) / b) for lam in lams]
     else:
         atoms = [(lam, draw(small_fraction)) for lam in lams]
-        assume(measure._convex_chain(atoms))
+        assume(strict_chain(atoms))
     ns = draw(st.lists(st.integers(1, 9), min_size=4, max_size=4))
     m = make_model(atoms, tuple(F(n, sum(ns)) for n in ns), -1 / A)
     mu = realize_measure(m, AdmissibilityVerdict("CaseA", N=N))
@@ -743,13 +674,12 @@ def _perturbed(p, field, delta):
 class TestRegressionClosedForm:
     """The conic-residual certificate against the pair-enumeration oracle."""
 
-    def assert_matches_oracle(self, mu, p, m=None):
-        """The walk over mu, or given its model the certificate, against the
-        oracle; returns the oracle's deviation."""
-        rep = regression_check(mu, p) if m is None else certified(m, p)
-        dev, n_groups = regression_oracle(mu, p)
+    def assert_matches_oracle(self, mu, p, m):
+        """The certificate of m against the oracle's walk over mu, its
+        power; returns the oracle's deviation."""
+        rep = certified(m, p)
+        dev, _ = regression_oracle(mu, p)
         assert rep.exact and rep.max_dev == float(dev)
-        assert m is not None or rep.n_groups == n_groups
         return dev
 
     @settings(max_examples=80, deadline=None)
@@ -760,21 +690,6 @@ class TestRegressionClosedForm:
         assert self.assert_matches_oracle(mu, p, m) == 0
         q = _perturbed(p, field, delta)
         self.assert_matches_oracle(mu, q, m)
-
-    @settings(max_examples=60, deadline=None)
-    @given(parabola_models(), st.booleans())
-    def test_other_measures_take_the_walk(self, model, extra_point):
-        # one mass moved, or one extra point: the walk, which takes no
-        # model, agrees with the oracle
-        p, m, mu = model
-        pts, ws = list(mu.support), list(mu.masses)
-        if extra_point:
-            pts.append((max(x for x, _ in pts) + 1, F(0)))
-            ws = [w * F(6, 7) for w in ws] + [F(1, 7)]
-        else:
-            ws[0], ws[1] = ws[0] / 2, ws[1] + ws[0] / 2
-        other = FiniteMeasure(tuple(pts), tuple(ws))
-        self.assert_matches_oracle(other, p)
 
     @pytest.mark.parametrize("atoms, weights, r", [
         (((-1, 1), (0, 0), (1, 1)), W3, 1),
@@ -792,8 +707,7 @@ class TestRegressionClosedForm:
         mu = realize_measure(twin, AdmissibilityVerdict("CaseA", N=1))
         m = make_model(atoms, weights, r)
         _, rep = measure.check_model(m, E1, AdmissibilityVerdict("CaseA", N=1))
-        assert rep.n_groups == 0 and rep.max_dev == float(regression_oracle(mu, E1)[0])
-        self.assert_matches_oracle(mu, E1)
+        assert rep.max_dev == float(regression_oracle(mu, E1)[0])
 
     @settings(max_examples=80, deadline=None)
     @given(chain_models())
@@ -808,39 +722,33 @@ class TestRegressionClosedForm:
         m = make_model([(k, k * k) for k in range(4)], (F(1, 4),) * 4, 2)
         mu = realize_measure(m, AdmissibilityVerdict("CaseA", N=2))
         p = DiagonalVFParams(F(-1, 2), F(0), F(1), F(1), F(2), F(3), F(4))
-        assert regression_check(mu, p).n_groups < math.comb(4 + 3, 3)
-        assert self.assert_matches_oracle(mu, p) > 0
+        assert regression_oracle(mu, p)[1] < math.comb(4 + 3, 3)
         assert self.assert_matches_oracle(mu, p, m) > 0
 
-    @pytest.mark.parametrize("atoms, N, p, on_rule", [
+    @pytest.mark.parametrize("atoms, N, p", [
         # turns left, then right: (0, 0) is not a hull vertex
-        (((-1, 1), (0, 0), (1, 1), (2, 0)), 1, E1, False),
-        # a chain at A N = -2: the certificate with its gap term bounds the
-        # walk, which regression_check, given no model, still takes
-        (((-1, 1), (0, 0), (1, 1), (2, 4)), 2, E1, True),
+        (((-1, 1), (0, 0), (1, 1), (2, 0)), 1, E1),
+        # a chain at A N = -2, where the gap term counts
+        (((-1, 1), (0, 0), (1, 1), (2, 4)), 2, E1),
     ], ids=["not-a-chain", "a-n-not-minus-one"])
-    def test_other_four_atom_models_take_the_walk(self, atoms, N, p, on_rule):
+    def test_other_four_atom_models_take_the_walk(self, atoms, N, p):
+        # off a strict chain at A N = -1, the certificate bounds the walk
+        # over mu rather than equals it
         m = make_model(atoms, (F(1, 4),) * 4, N)
         mu = realize_measure(m, AdmissibilityVerdict("CaseA", N=N))
-        if not on_rule:
-            _, rep = measure.check_model(m, p, AdmissibilityVerdict("CaseA", N=N))
-            assert rep == regression_check(mu, p, 1e-8)
-            self.assert_matches_oracle(mu, p)
-            return
         bound = 2 * measure._conic_certificate(m, p, m.r)
-        dev, oracle_groups = regression_oracle(mu, p)
+        dev, _ = regression_oracle(mu, p)
         assert 0 < dev <= bound and certified(m, p).max_dev == float(bound)
-        walk = regression_check(mu, p)
-        assert (walk.max_dev, walk.n_groups) == (float(dev), oracle_groups)
 
     def test_collinear_atoms_take_the_walk(self):
-        # the atoms are no strict chain, so check_model realizes mu and
-        # walks it; at 2N the sums (-1, 1) + (1, -1) and 2 (0, 0) coincide
+        # at 2N the sums (-1, 1) + (1, -1) and 2 (0, 0) coincide; the atoms
+        # are no strict chain, and the certificate bounds the walk over mu
         m = make_model([(-1, 1), (0, 0), (1, -1)], W3, 1)
-        mu = realize_measure(m, admissibility_verdict(m))
-        _, rep = measure.check_model(m, E1, admissibility_verdict(m))
-        assert rep == regression_check(mu, E1, 1e-8)
-        self.assert_matches_oracle(mu, E1)
+        v = admissibility_verdict(m)
+        mu = realize_measure(m, v)
+        _, rep = measure.check_model(m, E1, v)
+        assert rep.max_dev == float(2 * measure._conic_certificate(m, E1, 1)) == 4
+        assert 0 < regression_oracle(mu, E1)[0] <= 4
 
     def test_e1_at_n_40_is_fast(self):
         p = DiagonalVFParams(F(-1, 40), F(0), F(1), F(0), F(1), F(0), F(0))
@@ -885,8 +793,7 @@ class TestConicResidual:
                     + abs(1 + A * r) * max(v * v for v in lam + nu))
         assert measure._conic_certificate(m, p, r) == cert
         assert max(abs(dev1), abs(dev2)) <= cert
-        rep = diag_variance_check(m, p)
-        assert (rep.max_dev, rep.n_points) == (float(cert), 0)
+        assert diag_report(m, p).max_dev == float(cert)
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(parabola_models(), chain_models()), st.sampled_from("Aacdef"),
@@ -902,38 +809,90 @@ class TestConicResidual:
         assume(cert != 0)
         for model in (m, float_twin(m)):
             bound = measure._conic_certificate(model, q, model.r)
-            rep = diag_variance_check(model, q, GRID_121)
-            assert rep.n_points == 121
-            assert rep.max_dev <= float(bound) * (1 + 1e-9)
+            assert diag_oracle(model, q, GRID_121)[0] <= float(bound) * (1 + 1e-9)
         assert float(bound) == pytest.approx(float(cert), rel=1e-9)
         dev, _ = regression_oracle(mu, q)
         assert dev <= 2 * cert and certified(m, q).max_dev == float(2 * cert)
 
-    @pytest.mark.parametrize("atoms, weights, r, p, on_rule", [
-        (((-1, 1), (0, 0), (1, 1)), (F(1, 8), F(1), F(-1, 8)), 1, E1, False),
-        (((-1, 1), (0, 0), (1, 1)), W3, 2, E1, True),
-        (((-1, 1), (0, 0), (1, 1), (2, 0)), (F(1, 4),) * 4, 1, E1, False),
-        (((-1, 1), (0, 0), (1, -1)), W3, 1, E1, False),
-        (((-1, 1), (0, 0), (1, 1)), (0.25, 0.5, 0.25), 1.0, E1, True),
+    @pytest.mark.parametrize("atoms, weights, r, p", [
+        (((-1, 1), (0, 0), (1, 1)), (F(1, 8), F(1), F(-1, 8)), 1, E1),
+        (((-1, 1), (0, 0), (1, 1)), W3, 2, E1),
+        (((-1, 1), (0, 0), (1, 1), (2, 0)), (F(1, 4),) * 4, 1, E1),
+        (((-1, 1), (0, 0), (1, -1)), W3, 1, E1),
+        (((-1, 1), (0, 0), (1, 1)), (0.25, 0.5, 0.25), 1.0, E1),
         (((-1, 1), (0, 0), (1, 1)), W3, 1,
-         DiagonalVFParams(*(float(v) for v in E1.as_tuple())), True),
+         DiagonalVFParams(*(float(v) for v in E1.as_tuple()))),
     ], ids=["mixed-signs", "a-r-not-minus-one", "not-a-chain", "collinear",
             "float-model", "float-params"])
-    def test_other_inputs_take_the_grid(self, atoms, weights, r, p, on_rule):
-        # off the rule the check takes the grid; on it (A r != -1 with its
-        # gap term, and floats read as their exact values) it takes the
-        # certificate, and the grid only when the theta points are named
+    def test_other_inputs_take_the_grid(self, atoms, weights, r, p):
+        # weights of both signs, A r != -1 (with its gap term), atoms off a
+        # strict chain and floats (read as their exact values) all get the
+        # certificate, and the grid over the |w| mixture stays below it
         m = make_model(atoms, weights, r)
         cert = measure._conic_certificate(m, p, m.r)
-        assert (cert is not None) == on_rule
-        want = diag_oracle(m, p, GRID_121)
-        rep = diag_variance_check(m, p, GRID_121 if on_rule else None)
-        assert rep.n_points == 121
-        assert (rep.max_dev, rep.worst_theta) == want
-        if on_rule:
-            rep = diag_variance_check(m, p)
-            assert (rep.max_dev, rep.n_points) == (float(cert), 0)
-            assert want[0] <= float(cert) + 1e-12
+        assert diag_report(m, p).max_dev == float(cert)
+        twin = make_model(atoms, [abs(w) for w in weights], r)
+        assert diag_oracle(twin, p, GRID_121)[0] <= float(cert) + 1e-12
+
+
+@st.composite
+def off_rule_models(draw):
+    """(params, model, N): an exact model of 2 to 4 atoms with positive
+    weights at r = N from 1 to 3, and params whose A N is -1 or not.  The
+    atoms lie anywhere, on one line, or at four consecutive integers of
+    nu = lam^2, whose lattice relation (1, -3, 3, -1) merges sums of mu."""
+    N = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(("any", "collinear", "lattice")))
+    if shape == "lattice":
+        start = draw(st.integers(-2, 1))
+        atoms = [(F(x), F(x * x)) for x in range(start, start + 4)]
+    else:
+        k = draw(st.integers(2, 4))
+        lams = draw(st.lists(small_fraction, min_size=k, max_size=k, unique=True))
+        if shape == "collinear":
+            slope, icpt = draw(small_fraction), draw(small_fraction)
+            atoms = [(lam, slope * lam + icpt) for lam in lams]
+        else:
+            atoms = [(lam, draw(small_fraction)) for lam in lams]
+    ns = draw(st.lists(st.integers(1, 9), min_size=len(atoms), max_size=len(atoms)))
+    m = make_model(atoms, [F(n, sum(ns)) for n in ns], N)
+    p = draw(exact_params())
+    A = draw(st.sampled_from((F(-1, N), F(-1, N + 1), F(-2, N), F(-1, 2 * N))))
+    return _perturbed(p, "A", A - p.A), m, N
+
+
+class TestCertificateSoundness:
+    """check_model's reports bound mu's deviations for any atoms, exact or
+    float: collinear ones, non-chains, four atoms with a lattice relation,
+    and A N != -1.  On a strict chain at A N = -1 the regression report is
+    the walk's largest deviation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(off_rule_models(), st.booleans())
+    def test_reports_bound_the_oracles(self, model, signed_tail):
+        p, m, N = model
+        v = AdmissibilityVerdict("CaseA", N=N)
+        twin = float_twin(m)
+        if signed_tail:
+            # one more atom, past the others, whose weight -1e-13 shares
+            # their sign only within the verdict's tol: mu reads it as |w|
+            x, y = twin.atoms[-1]
+            twin = make_model(twin.atoms + ((x + 1, y),), twin.weights + (-1e-13,), twin.r)
+        for model_ in (m, twin):
+            diag, reg = measure.check_model(model_, p, v)
+            absolute = make_model(model_.atoms, [abs(w) for w in model_.weights], model_.r)
+            assert diag_oracle(absolute, p, GRID_121)[0] <= diag.max_dev * (1 + 1e-9) + 1e-12
+            # mu of the exact values of the floats: a float power's rounded
+            # points would split the walk's sum points.  Scaling the weights
+            # to sum 1 scales every pair's mass alike.
+            total = sum(abs(F(w)) for w in absolute.weights)
+            exact = make_model([(F(x), F(y)) for x, y in model_.atoms],
+                               [abs(F(w)) / total for w in model_.weights], N)
+            dev, _ = regression_oracle(realize_measure(exact, v), p)
+            if model_ is m and p.A * N == -1 and strict_chain(m.atoms):
+                assert reg.max_dev == float(dev)
+            else:
+                assert float(dev) <= reg.max_dev
 
 
 class TestCachedForms:
@@ -947,27 +906,26 @@ class TestCachedForms:
         m, mu = model_and_measure(self.P, W3)
         v = admissibility_verdict(m)
         first = measure.check_model(m, self.P, v)
-        assert first[1].exact and first[1].max_dev == 0 and first[1].n_groups == 0
+        assert first[1].exact and first[1].max_dev == 0
         assert measure.check_model(m, self.P, v) == first
         assert realize_measure(m, v) == mu
-        walk = regression_check(mu, self.P)
-        assert walk.exact and walk.max_dev == 0 and walk.n_groups == 15
+        assert regression_oracle(mu, self.P) == (0, 15)
 
     def test_swapped_masses_get_no_certificate(self):
-        # the walk takes the measure alone, so it reads the swap
+        # the certificate reads the model, whose power is mu; a measure
+        # with two masses swapped is no power of it, and its walk reads
+        # the swap
         m, mu = model_and_measure(self.P, W3)
         masses = list(mu.masses)
         assert masses[0] != masses[1]
         masses[0], masses[1] = masses[1], masses[0]
         swapped = FiniteMeasure(mu.support, tuple(masses))
-        rep = regression_check(swapped, self.P)
-        dev, n_groups = regression_oracle(swapped, self.P)
-        assert rep.exact and (rep.max_dev, rep.n_groups) == (float(dev), n_groups)
-        assert rep.max_dev > 0
+        assert certified(m, self.P).max_dev == 0
+        assert regression_oracle(swapped, self.P)[0] > 0
 
     def test_equal_float_twins_stay_float(self):
         # the twins' certificates read the same exact values, but their
-        # measures and regression reports stay float, and the walk agrees
+        # measures and regression reports stay float
         m, mu = model_and_measure(E1, W3)
         assert measure._conic_certificate(m, E1, m.r) == 0
         twin = float_twin(m)
@@ -979,43 +937,35 @@ class TestCachedForms:
         assert floats == E1 and E1.quartic.is_exact
         assert not floats.quartic.is_exact
         assert measure._conic_certificate(m, floats, m.r) == 0
-        for measure_, params, model in ((mu_f, E1, twin), (mu, floats, m)):
+        for params, model in ((E1, twin), (floats, m)):
             rep = certified(model, params)
             assert not rep.exact and rep.passed and rep.max_dev == 0.0
-            walk = regression_check(measure_, params)
-            assert not walk.exact and walk.max_dev == 0.0
-            assert walk.n_groups == regression_oracle(mu, E1)[1]
 
 
 class TestRegressionCheck:
     def test_e1_exact_zero(self):
-        _, mu = model_and_measure(E1, W3)
-        rep = regression_check(mu, E1)
+        rep = certified(candidate_model(E1, W3), E1)
         assert rep.exact and rep.max_dev == 0.0 and rep.passed
 
     def test_p2_exact_zero(self):
-        _, mu = model_and_measure(P2, W3)
-        rep = regression_check(mu, P2)
+        rep = certified(candidate_model(P2, W3), P2)
         assert rep.exact and rep.max_dev == 0.0
 
     def test_perturbed_e_fails(self):
-        _, mu = model_and_measure(E1, W3)
+        m = candidate_model(E1, W3)
         bad = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(1, 10), F(0))
-        rep = regression_check(mu, bad)
+        rep = certified(m, bad)
         assert not rep.passed and abs(rep.max_dev - 0.2) <= 1e-12
 
     def test_float_inputs_not_exact(self):
-        _, mu = model_and_measure(E1, W3)
-        mu_f = FiniteMeasure(tuple((float(x), float(y)) for x, y in mu.support),
-                             tuple(float(w) for w in mu.masses))
-        rep = regression_check(mu_f, E1)
+        rep = certified(float_twin(candidate_model(E1, W3)), E1)
         assert not rep.exact and rep.max_dev <= 1e-12
 
     def test_decimal_twin_passes_at_the_scale_of_its_sums(self):
-        # the right-hand sides reach about 6e7: the float walk's max_dev is
-        # 3.35e-8, past the absolute tol 1e-8 but far within tol * 6e7; the
-        # report's certificate, from the exact values of the floats, is
-        # 3.5e-9, and its scale, read at the chain vertices, is the walk's
+        # the right-hand sides reach about 6e7, and the certificate, from
+        # the exact values of the floats, is 3.5e-9; a decimal report
+        # passes at tol times the largest right-hand side, read at the
+        # chain vertices, which is the largest over mu's pair sums
         params = {"A": "-1/12", "a": "33", "b": "1", "c": "24192", "d": "724",
                   "e": "0", "f": "0"}
         exact = {"params": params, "weights": ["1/4"] * 4}
@@ -1026,11 +976,12 @@ class TestRegressionCheck:
         p = DiagonalVFParams(*(decimal["params"][k] for k in "Aabcdef"))
         m = candidate_model(p, decimal["weights"])
         mu = realize_measure(m, admissibility_verdict(m))
-        walk = regression_check(mu, p, tol=1e-8)
         _, cert = measure.check_model(m, p, admissibility_verdict(m), tol=1e-8)
-        assert walk.passed and cert.passed and not cert.exact
-        assert walk.max_dev > 1e-8 > cert.max_dev
-        assert cert.tol == pytest.approx(walk.tol, rel=1e-12) and cert.tol > 0.1
+        assert cert.passed and not cert.exact and cert.max_dev < 1e-8
+        sums = {(x1 + y1, x2 + y2) for x1, x2 in mu.support for y1, y2 in mu.support}
+        top = max(max(abs(p.a * s1 + p.b * s2 + 2 * p.e), abs(p.c * s1 + p.d * s2 + 2 * p.f))
+                  for s1, s2 in sums)
+        assert cert.tol == pytest.approx(1e-8 * top, rel=1e-12) and cert.tol > 0.1
         assert run_characterize(decimal).regression["max_dev"] == cert.max_dev
 
     TINY_ORDINATES = {"params": {"A": -1, "a": 0, "b": 1e12, "c": 0, "d": 1e-12,
@@ -1073,11 +1024,9 @@ class TestRegressionCheck:
         assert (rep.status, rep.degenerate) == ("Admissible", False)
 
     def test_float_deviation_still_fails(self):
-        _, mu = model_and_measure(E1, W3)
-        mu_f = FiniteMeasure(tuple((float(x), float(y)) for x, y in mu.support),
-                             tuple(float(w) for w in mu.masses))
+        twin = float_twin(candidate_model(E1, W3))
         bad = DiagonalVFParams(-1.0, 0.0, 1.0, 0.0, 1.0, 0.1, 0.0)
-        rep = regression_check(mu_f, bad)
+        rep = certified(twin, bad)
         assert not rep.passed and abs(rep.max_dev - 0.2) <= 1e-12
 
 
