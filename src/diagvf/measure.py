@@ -135,10 +135,10 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     Zero-weight atoms are dropped first, as the verdict drops them.  Before
     any term is built, the caps of `_check_caps` run, and ConfigError is
     raised when mu's support, C(N + n - 1, n - 1) points for n atoms,
-    passes MAX_SUPPORT, or a float model's least pair mass (min w)^(2N)
-    falls below the least normal float (min w <= 1/n,
-    so one that passes keeps every multinomial, at most n^N <= (min w)^-N,
-    in range).  The power is summed
+    passes MAX_SUPPORT, or a float model's least mass (min w)^N falls
+    below the least normal float (min w <= 1/n, so one that passes keeps
+    every multinomial, at most n^N <= (min w)^-N, in range, and every
+    partial product of a mass is at least the mass).  The power is summed
     over `power_terms` on the model's cleared form.  An exact measure takes
     its integer points (X, Y) as (X/D, Y/D) and masses W as W/M^N, sorted
     stably by the float key (X/D, Y/D); a float one takes the power's
@@ -150,8 +150,8 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
         raise ConfigError(f"the realized measure would have more than "
                           f"{MAX_SUPPORT} support points (the N-fold power "
                           f"of {len(atoms)} atoms)")
-    if not m.is_exact and 2 * N * math.log(min(weights)) < math.log(sys.float_info.min):
-        raise ConfigError(f"the pair masses of the float N-fold power (N = {N}) "
+    if not m.is_exact and N * math.log(min(weights)) < math.log(sys.float_info.min):
+        raise ConfigError(f"the masses of the float N-fold power (N = {N}) "
                           f"underflow")
     power: dict = {}
     for _, coef, pt in power_terms([(N, 1)], weights, (0, 0), atoms):

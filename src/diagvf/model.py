@@ -152,11 +152,15 @@ def _abscissa_star(lams, bound: int) -> StarReport:
     abscissas' own arithmetic (float subtraction for floats).  At rank 2 the
     kernel is the line through the cross product g of (d_2, d_3, d_4) and
     their squares (d_4 = 0 for three atoms): e_3 for three distinct
-    positive d_i, and for four, (+, -, +), so the bound decides.  Float
-    differences that round alike (or to 0) can leave rank <= 1."""
-    d = [Fraction(lam - lams[0]) for lam in lams[1:]]
-    _, ints = cleared(d + [Fraction(0)] * (3 - len(d)))
-    return _kernel_star((ints, tuple(x * x for x in ints), (0, 0, 0)), bound)
+    positive d_i, and for four, (+, -, +), so the bound decides.  Int
+    differences are taken as they are; others are cleared to ints, each
+    read as its exact Fraction (which scales the columns and keeps the
+    generator).  Float differences that round alike (or to 0) can leave
+    rank <= 1."""
+    d = [lam - lams[0] for lam in lams[1:]] + [0] * (4 - len(lams))
+    if not all(type(x) is int for x in d):
+        d = cleared(map(Fraction, d))[1]
+    return _kernel_star((d, tuple(x * x for x in d), (0, 0, 0)), bound)
 
 
 def _kernel_star(cols, bound: int) -> StarReport:
@@ -227,24 +231,35 @@ VERDICT_TOL = 1e-9
 def admissibility_verdict(m: CandidateModel, bound: int = 50) -> AdmissibilityVerdict:
     """CaseA / CaseB / Rejected per the sign, sum, and exponent clauses.
 
-    Zero-weight atoms are dropped first.  For three or four kept atoms the
-    lattice condition of their abscissas is checked as well (it holds for
-    three; for four the bound decides); when it fails, the verdict is
-    Rejected with an inconclusive flag since the characterization is silent
-    in that regime.  Float weights and exponents are read within VERDICT_TOL;
-    exact ones are exact.
+    Zero-weight atoms are dropped first, and `_verdict` judges the kept
+    abscissas and weights with m.r: an exact model's abscissas are the ints
+    D lambda_i of its cleared form (scaling the columns (d_i) and (d_i^2)
+    by D and D^2 keeps the generator).
     """
-    kept = [(a, w) for a, w in zip(m.atoms, m.weights) if w != 0]
-    if len(kept) < 2:
+    weights = [w for w in m.weights if w != 0]
+    lams = ([X for X, _ in m._cleared[1]] if m.is_exact
+            else [a[0] for a, w in zip(m.atoms, m.weights) if w != 0])
+    return _verdict(lams, weights, m.r, bound)
+
+
+def _verdict(lams, weights, r, bound: int) -> AdmissibilityVerdict:
+    """The verdict on ascending abscissas lams with nonzero weights and
+    exponent r.
+
+    For three or four atoms the lattice condition of the abscissas is
+    checked first (it holds for three; for four the bound decides); when it
+    fails, the verdict is Rejected with an inconclusive flag since the
+    characterization is silent in that regime.  Then the weights must share
+    a sign s and sum to it, and r must be a positive integer N, even when
+    s = -1.  Float weights and exponents are read within VERDICT_TOL; exact
+    ones are exact.
+    """
+    if len(weights) < 2:
         return AdmissibilityVerdict(
             "Rejected", reason="fewer than two atoms with nonzero weight")
-    weights = [w for _, w in kept]
 
     star = None
-    if len(kept) in (3, 4):
-        # an exact model's kept abscissas as the ints D lambda_i: scaling
-        # the columns (d_i) and (d_i^2) by D and D^2 keeps the generator
-        lams = [X for X, _ in m._cleared[1]] if m.is_exact else [a[0] for a, _ in kept]
+    if len(lams) in (3, 4):
         star = _abscissa_star(lams, bound)
         if not star.holds:
             return AdmissibilityVerdict(
@@ -252,8 +267,7 @@ def admissibility_verdict(m: CandidateModel, bound: int = 50) -> AdmissibilityVe
                 "atom masses cannot be identified",
                 star=star, inconclusive=True)
 
-    # the weights share a sign s and sum to it; CaseB (s = -1) needs an even
-    # N.  Exact weights are read as the ints M w_i, M their common denominator
+    # exact weights are read as the ints M w_i, M their common denominator
     exact = all_exact(*weights)
     M, ws = cleared(weights) if exact else (1, weights)
     t = 0 if exact else VERDICT_TOL
@@ -265,7 +279,7 @@ def admissibility_verdict(m: CandidateModel, bound: int = 50) -> AdmissibilityVe
         sign = "nonnegative" if s > 0 else "nonpositive"
         return AdmissibilityVerdict(
             "Rejected", reason=f"{sign} weights do not sum to {s}", star=star)
-    n = near_integer(m.r, VERDICT_TOL)
+    n = near_integer(r, VERDICT_TOL)
     if n is None or n < 1:
         return AdmissibilityVerdict(
             "Rejected", reason="exponent not a positive integer", star=star)

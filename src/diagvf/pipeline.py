@@ -14,9 +14,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
-from ._num import format_number, parse_number
+from ._num import cleared, format_number, parse_number
 from .errors import ConfigError, NRootDeficit, WeightCountMismatch
-from .model import CandidateModel, _exponent, admissibility_verdict, candidate_model
+from .model import (CandidateModel, _exponent, _verdict, admissibility_verdict,
+                    candidate_model)
 from .measure import check_model
 from .roots import (DiagonalVFParams, Quartic, classify_root_pattern,
                     solve_quartic)
@@ -134,20 +135,23 @@ def _search_weights(p, n_r, denominator, tol, roots, bound):
     """Model and verdict of the first point of the weight simplex's
     1/denominator grid, or None when the grid has no point.
 
-    Every grid point has positive weights with exact sum 1, and the verdict
-    sees weights only through their signs and sum, and else only the
-    abscissas and r.  So all grid points share the verdict of the first,
-    (1, ..., 1, D - n_r + 1) / D, on the abscissas of `roots` (p's solved
-    quartic) with ordinates 0; the model is built only when it accepts,
-    and is None otherwise.
+    Every grid point has positive weights with exact sum 1, so the sign and
+    sum clauses of the verdict pass at each, and only the lattice clause on
+    the abscissas (three or four atoms) and the exponent clause on r can
+    reject.  All grid points thus share the verdict of the first,
+    (1, ..., 1, D - n_r + 1) / D, which `_verdict` gives from the abscissas
+    of `roots` (p's solved quartic), cleared to ints when all are
+    Fractions, and r; the model is built only when it accepts, and is None
+    otherwise.
     """
     if denominator < n_r:
         return None
     weights = ((Fraction(1, denominator),) * (n_r - 1)
                + (Fraction(denominator - n_r + 1, denominator),))
-    verdict = admissibility_verdict(
-        CandidateModel(tuple((lam, 0) for lam in roots.real_roots), weights, _exponent(p)),
-        bound=bound)
+    lams = roots.real_roots
+    if all(type(lam) is Fraction for lam in lams):
+        lams = cleared(lams)[1]
+    verdict = _verdict(lams, weights, _exponent(p), bound)
     m = candidate_model(p, weights, tol, roots=roots) if verdict.accepted else None
     return m, verdict
 

@@ -22,6 +22,17 @@ for name in e1 p2 e1_n8 e1_n60 q4 q4_wide c2 q4_tight q4_decimal float_chain \
   count=$((count + 1))
 done
 
+# name:exit code; a weight search with no admissible grid point exits 1
+for case in search_e1:0 search_mixed_kernel:1 search_r3_2:1 search_decimal:0; do
+  IFS=: read -r name want <<< "$case"
+  code=0
+  "${diagvf[@]}" characterize - --json < "$golden/$name.config.json" \
+    > "$out/$name.characterize.json" || code=$?
+  test "$code" -eq "$want"
+  diff "$out/$name.characterize.json" "$golden/$name.characterize.json"
+  count=$((count + 1))
+done
+
 for name in cubic_rest triple double_irrational; do
   "${diagvf[@]}" roots - --json < "$golden/$name.config.json" \
     | diff - "$golden/$name.roots.json"

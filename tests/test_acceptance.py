@@ -48,7 +48,10 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
 # characterize --json output, committed as produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2", "q4_tight", "q4_decimal",
-                "float_chain", "mixed_within_tol", "irrational4", "signed_tail")
+                "float_chain", "mixed_within_tol", "irrational4", "signed_tail",
+                "search_e1", "search_mixed_kernel", "search_r3_2", "search_decimal")
+# the goldens whose report is a rejection, which exits 1
+GOLDEN_REJECTED = ("search_mixed_kernel", "search_r3_2")
 
 
 def reported(label):
@@ -378,9 +381,10 @@ def test_criterion_09_parabola_support():
 def test_criterion_10_cli_determinism(tmp_path, capsys):
     for name in GOLDEN_NAMES:
         path = GOLDEN_DIR / f"{name}.config.json"
-        assert main(["characterize", str(path), "--json"]) == 0
+        code = int(name in GOLDEN_REJECTED)
+        assert main(["characterize", str(path), "--json"]) == code
         first = capsys.readouterr().out
-        assert main(["characterize", str(path), "--json"]) == 0
+        assert main(["characterize", str(path), "--json"]) == code
         assert capsys.readouterr().out == first
         golden = GOLDEN_DIR / f"{name}.characterize.json"
         assert first == golden.read_text()

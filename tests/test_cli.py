@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diagvf import ConfigError, parse_config, report_to_dict, \
@@ -21,9 +21,10 @@ from diagvf import admissibility_verdict, build_characteristic_quartic
 from diagvf import _num, measure, model, pipeline, roots, series
 from diagvf._num import compositions
 from diagvf.pipeline import parse_params, to_json
-from diagvf.roots import _ordinate
+from diagvf.roots import DiagonalVFParams, _ordinate
 from diagvf.cli import build_parser, main
 from oracles import report_from_dict
+from test_roots import complex_disc, quartic_from, small_root
 
 E1_CONFIG = {
     "params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "1",
@@ -423,6 +424,33 @@ def _params(A, c, d, Af):
     return parse_params(dict(A=A, a="0", b="1", c=c, d=d, e="0", f=str(F(Af) / F(A))))
 
 
+# small integer roots give four atoms a mixed lattice generator within
+# the bound (-2, -1, 1, 2 has (2, -2, 1)) often enough to be drawn
+search_root = st.one_of(small_root, st.integers(-4, 4).map(F))
+
+
+@st.composite
+def search_params(draw):
+    """Exact params (b = 1, e = 0) whose characteristic quartic, built by
+    `quartic_from`, has 2 to 4 distinct rational roots: four simple ones,
+    three with one doubled, or two beside an irreducible quadratic with
+    complex roots.  The coefficients q_k of the quartic then give a = -q_3/2,
+    d = a^2 - q_2, c = a d - q_1 and f = q_0 / A."""
+    k = draw(st.integers(2, 4))
+    lams = draw(st.lists(search_root, min_size=k, max_size=k, unique=True))
+    quads = []
+    if k == 3:
+        lams.append(lams[0])
+    elif k == 2:
+        u = draw(small_root)
+        quads.append((u, (u * u - draw(complex_disc)) / 4))
+    q0, q1, q2, q3, _ = quartic_from(lams, quads).coeffs
+    A = draw(st.sampled_from([F(-1), F(-1, 2), F(-1, 3), F(-2, 3), F(-2, 5)]))
+    a = -q3 / 2
+    d = a * a - q2
+    return DiagonalVFParams(A, a, F(1), a * d - q1, d, F(0), q0 / A)
+
+
 class TestWeightSearch:
     @pytest.mark.parametrize("p", [
         _params("-1", "0", "1", "0"),       # E1: three atoms, N = 1
@@ -445,6 +473,42 @@ class TestWeightSearch:
                 m = candidate_model(p, first, roots=rs)
                 assert found[1] == admissibility_verdict(m)
                 assert found[0] == (m if found[1].accepted else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(search_params(), st.booleans(), st.integers(1, 16), st.sampled_from([1, 50]))
+    @example(_params("-1/3", "0", "5", "4"), False, 4, 50)   # mixed kernel
+    @example(_params("-1/3", "0", "5", "4"), True, 16, 50)
+    @example(_params("-1/3", "0", "5", "4"), False, 4, 1)    # past bound 1
+    def test_verdict_matches_model_verdict(self, p, decimal, den, bound):
+        # the search judges the roots' abscissas with no model; the model on
+        # the grid's first point, with its ordinates, gets the same verdict
+        if decimal:
+            p = DiagonalVFParams(*map(float, p.as_tuple()))
+        rs = solve_quartic(p.quartic)
+        assume(rs.n_r >= 2)
+        found = pipeline._search_weights(p, rs.n_r, den, 1e-8, rs, bound)
+        if den < rs.n_r:
+            assert found is None
+            return
+        first = (F(1, den),) * (rs.n_r - 1) + (F(den - rs.n_r + 1, den),)
+        m = candidate_model(p, first, roots=rs)
+        assert found[1] == admissibility_verdict(m, bound=bound)
+        assert found[0] == (m if found[1].accepted else None)
+
+    @pytest.mark.parametrize("p, built", [
+        (_params("-1", "0", "1", "0"), 1),       # E1: accepted
+        (_params("-2/3", "0", "1", "0"), 0),     # r = 3/2
+        (_params("-1/3", "0", "5", "4"), 0),     # mixed kernel
+    ], ids=["e1", "r-3/2", "mixed-kernel"])
+    def test_builds_a_model_only_on_acceptance(self, monkeypatch, p, built):
+        count = []
+        post_init = model.CandidateModel.__post_init__
+        monkeypatch.setattr(model.CandidateModel, "__post_init__",
+                            lambda m: count.append(m) or post_init(m))
+        rs = solve_quartic(p.quartic)
+        found = pipeline._search_weights(p, rs.n_r, 4, 1e-8, rs, 50)
+        assert found[1].accepted == bool(built) and len(count) == built
+        assert found[0] is (count[0] if built else None)
 
     def test_bound_reaches_the_verdict(self):
         # roots -2, -1, 1, 2: the lattice generator (2, -2, 1) is mixed,
@@ -704,11 +768,11 @@ class TestCliMalformedInput:
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
 
-    @pytest.mark.parametrize("A", [-0.001, -0.0009090909090909091])
+    @pytest.mark.parametrize("A", [-0.0009090909090909091])
     def test_float_power_out_of_range_exits_fast(self, tmp_path, capsys, A):
-        # N = 1000 and 1100 with float weights 1/2: the least pair mass
-        # 2^-2N of the measure tilt realizes underflows (at 1100 a
-        # multinomial would also overflow)
+        # N = 1100 with float weights 1/2: the least mass 2^-1100 of the
+        # measure tilt realizes underflows (and a multinomial would
+        # overflow)
         cfg = {"params": {"A": A, "a": 0, "b": 1, "c": 0, "d": 1, "e": 0, "f": 0},
                "weights": [0.5, 0, 0.5]}
         start = time.perf_counter()
@@ -718,6 +782,17 @@ class TestCliMalformedInput:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: ")
+        assert "masses of the float N-fold power (N = 1100) underflow" in lines[0]
+
+    def test_float_power_with_normal_masses_realizes(self, tmp_path, capsys):
+        # N = 1000 with float weights 1/2: the least mass 2^-1000 is a
+        # normal float and C(1000, 500) ~ 2.7e299 is in range
+        cfg = {"params": {"A": -0.001, "a": 0, "b": 1, "c": 0, "d": 1, "e": 0, "f": 0},
+               "weights": [0.5, 0, 0.5]}
+        assert main(["tilt", write_config(tmp_path, cfg), "--json"]) == 0
+        masses = [pt["mass"] for pt in json.loads(capsys.readouterr().out)["measure"]]
+        assert len(masses) == 1001 and min(masses) == 0.5 ** 1000
+        assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCliHugeRoots:

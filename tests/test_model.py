@@ -11,7 +11,7 @@ from diagvf import (DiagonalVFParams, LatticeMatrix, NotARoot,
                     NRootDeficit, RootSet, WeightCountMismatch,
                     admissibility_verdict, candidate_model, make_model,
                     star_condition)
-from diagvf.model import StarReport, _abscissa_star
+from diagvf.model import StarReport, _abscissa_star, _verdict
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -414,6 +414,19 @@ def _abscissas(exact):
         .map(sum))
 
 
+# distinct abscissas whose float differences d_i = lambda_i - lambda_1 round
+# alike (or to 0), with the witness of bound 1
+COLLIDING = [
+    ([-1e17, 2.0, 6.0], (-1, 1, -1)),           # d_2 = d_3: rank 1
+    ([-1e16, 2.0, 3.0, 5.0], (0, -1, 1)),       # d_3 = d_4
+    ([-1e16, 2.0, 2.5, 6.0], (-1, 1, 0)),       # d_2 = d_3
+    ([-1e17, 1.0, 3.0, 5.0], (0, 1, -1)),       # d_2 = d_3 = d_4: rank 1
+    ([0.1, F(0.1) + F(1, 10**30), 1.0], (1, 0, -1)),  # d_2 = 0.0
+]
+COLLIDING_IDS = ["three-equal", "four-last-equal", "four-first-equal",
+                 "four-all-equal", "zero-difference"]
+
+
 class TestVerdictStarDifferential:
     """The verdict's closed-form star condition against the row reduction
     (`rref_star`) of the lattice matrix built here from the kept abscissas,
@@ -447,20 +460,23 @@ class TestVerdictStarDifferential:
         assert v.outcome == "Rejected" and v.inconclusive
         assert v.star == StarReport(holds=False, witness=(3, -3, 1))
 
-    @pytest.mark.parametrize("lams, witness", [
-        ([-1e17, 2.0, 6.0], (-1, 1, -1)),           # d_2 = d_3: rank 1
-        ([-1e16, 2.0, 3.0, 5.0], (0, -1, 1)),       # d_3 = d_4
-        ([-1e16, 2.0, 2.5, 6.0], (-1, 1, 0)),       # d_2 = d_3
-        ([-1e17, 1.0, 3.0, 5.0], (0, 1, -1)),       # d_2 = d_3 = d_4: rank 1
-        ([0.1, F(0.1) + F(1, 10**30), 1.0], (1, 0, -1)),  # d_2 = 0.0
-    ], ids=["three-equal", "four-last-equal", "four-first-equal",
-            "four-all-equal", "zero-difference"])
+    @pytest.mark.parametrize("lams, witness", COLLIDING, ids=COLLIDING_IDS)
     def test_colliding_float_differences(self, lams, witness):
         # float subtraction can round distinct abscissas to equal (or zero)
         # differences; the rows then have rank <= 2 with a short witness
         m = make_model([(x, x * x) for x in lams], (1 / len(lams),) * len(lams), 1)
         v = admissibility_verdict(m, bound=1)
         assert v.star == rref_star(lambda_matrix(lams).rows, bound=1)
+        assert v.star.witness == witness and v.inconclusive
+
+    @pytest.mark.parametrize("lams, witness", COLLIDING, ids=COLLIDING_IDS)
+    def test_verdict_core_on_colliding_differences(self, lams, witness):
+        # the core, given the abscissas with no model (as a weight search
+        # gives them), reads their float differences as the model wrapper does
+        w = (1 / len(lams),) * len(lams)
+        m = make_model([(x, 0.0) for x in lams], w, 1)
+        v = _verdict(lams, w, 1, bound=1)
+        assert v == admissibility_verdict(m, bound=1)
         assert v.star.witness == witness and v.inconclusive
 
     def test_zero_weight_atoms_leave_the_lattice(self):
