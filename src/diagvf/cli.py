@@ -155,7 +155,7 @@ def cmd_tilt(args) -> int:
            "measure": [{"point": [format_number(x) for x in pt],
                         "mass": format_number(ms)}
                        for pt, ms in zip(tilted.support, tilted.masses)],
-           "degenerate": tilted.degenerate if "atoms" in cfg else _degenerate(m)}, args.json)
+           "degenerate": _degenerate(m, "atoms" in cfg)}, args.json)
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ the supremum.  `realize_measure` builds mu for the tilted family members.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import InitVar, dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from ._num import all_exact, cleared, format_number, point_key, power_terms
 from .errors import ConfigError, DomainViolation, NotAdmissible
-from .model import VERDICT_TOL, AdmissibilityVerdict, CandidateModel, _kept_atoms
+from .model import VERDICT_TOL, AdmissibilityVerdict, CandidateModel, _sign
 from .roots import DiagonalVFParams
 
 __all__ = ["FiniteMeasure", "DiagCheckReport", "RegressionReport",
@@ -32,24 +31,18 @@ MAX_SUPPORT = 1500
 
 
 def _collinear(points) -> bool:
-    """True when the points lie on one line.
-
-    Exact points are decided exactly: collinearity is then transitive, so
-    the first point that differs from points[0] fixes the line.  Float
-    points count as collinear when every cross product of two differences
-    d1, d2 from points[0] is within 1e-12 |d1| |d2|, whatever their scale.
-    """
-    if len(points) <= 2:
-        return True
-    x0, y0 = points[0]
-    if all(all_exact(*pt) for pt in points):
-        d = next(((x - x0, y - y0) for x, y in points if (x, y) != (x0, y0)), None)
-        return d is None or all((x - x0) * d[1] == (y - y0) * d[0]
-                                for x, y in points)
-    for (x1, y1), (x2, y2) in itertools.combinations(points[1:], 2):
-        u, v = (float(x1 - x0), float(y1 - y0)), (float(x2 - x0), float(y2 - y0))
-        if abs(u[0] * v[1] - u[1] * v[0]) > 1e-12 * math.hypot(*u) * math.hypot(*v):
+    """True when every point's difference u from points[0] crosses d, the
+    first nonzero one, within 0 when all are exact and 1e-12 |u| |d| when
+    any is a float.  The callers pass kept atoms: an N-fold power's support
+    is collinear exactly when they are."""
+    (x0, y0), d = points[0], None
+    exact = all(all_exact(*pt) for pt in points)
+    for x, y in points:
+        u = (x - x0, y - y0) if exact else (float(x - x0), float(y - y0))
+        cross = d and u[0] * d[1] - u[1] * d[0]
+        if cross and (exact or abs(cross) > 1e-12 * math.hypot(*u) * math.hypot(*d)):
             return False
+        d = d or (u if any(u) else None)
     return True
 
 
@@ -73,15 +66,6 @@ class FiniteMeasure:
         total = sum(self.masses)
         if (total != 1 if all_exact(*self.masses) else abs(float(total) - 1.0) > tol):
             raise ValueError("masses must sum to 1")
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the support lies on a single affine line."""
-        return _collinear(self.support)
-
-    @property
-    def is_exact(self) -> bool:
-        return all_exact(*self.masses) and all(all_exact(*x) for x in self.support)
 
 
 @dataclass(frozen=True)
@@ -114,14 +98,13 @@ def _float(x, den: int = 1) -> float:
 
 
 def _check_caps(m: CandidateModel, verdict: AdmissibilityVerdict) -> int:
-    """verdict.N of an accepted verdict, once (2N max |coordinate|)^2, the
-    size a decimal certificate's float scale squares, is within the largest
-    float (else ConfigError, before any work), read off the model's
-    cleared form."""
+    """verdict.N of an accepted verdict, once (2N max |coordinate|)^2 of the
+    kept form, the size a decimal certificate's float scale squares, is
+    within the largest float (else ConfigError, before any work)."""
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
     N = verdict.N
-    D, atoms, _, _ = m._cleared
+    _, D, atoms, _, _ = m._cleared
     wide = 2 * N * _float(max(abs(c) for a in atoms for c in a), D)
     if wide > math.sqrt(sys.float_info.max):
         raise ConfigError(f"the float checks of the N-fold power (N = {N}) "
@@ -130,33 +113,32 @@ def _check_caps(m: CandidateModel, verdict: AdmissibilityVerdict) -> int:
 
 
 def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteMeasure:
-    """N-fold convolution of the atomic mixture with weights |alpha_i|.
+    """N-fold convolution of the kept form's atoms with weights |alpha_i|.
 
-    Zero-weight atoms are dropped first, as the verdict drops them.  Before
-    any term is built, the caps of `_check_caps` run, and ConfigError is
-    raised when mu's support, C(N + n - 1, n - 1) points for n atoms,
-    passes MAX_SUPPORT, or a float model's least mass (min w)^N falls
-    below the least normal float (min w <= 1/n, so one that passes keeps
-    every multinomial, at most n^N <= (min w)^-N, in range, and every
-    partial product of a mass is at least the mass).  The power is summed
-    over `power_terms` on the model's cleared form.  An exact measure takes
-    its integer points (X, Y) as (X/D, Y/D) and masses W as W/M^N, sorted
-    stably by the float key (X/D, Y/D); a float one takes the power's
-    points, merged only where they are equal floats, sorted by `point_key`.
+    Before any term is built, the caps of `_check_caps` run, and ConfigError
+    is raised when mu's support, C(N + n - 1, n - 1) points for n atoms,
+    passes MAX_SUPPORT, or a float form's least mass (min w)^N falls below
+    the least normal float (min w <= 1/n, so one that passes keeps every
+    multinomial, at most n^N <= (min w)^-N, in range, and every partial
+    product of a mass is at least the mass).  The power is summed over
+    `power_terms`.  An exact measure takes its integer points (X, Y) as
+    (X/D, Y/D) and masses W as W/M^N, sorted stably by the float key
+    (X/D, Y/D); a float one takes the power's points, merged only where
+    they are equal floats, sorted by `point_key`.
     """
     N = _check_caps(m, verdict)
-    D, atoms, M, weights = m._cleared
+    exact, D, atoms, M, weights = m._cleared
     if math.comb(N + len(atoms) - 1, len(atoms) - 1) > MAX_SUPPORT:
         raise ConfigError(f"the realized measure would have more than "
                           f"{MAX_SUPPORT} support points (the N-fold power "
                           f"of {len(atoms)} atoms)")
-    if not m.is_exact and N * math.log(min(weights)) < math.log(sys.float_info.min):
+    if not exact and N * math.log(min(weights)) < math.log(sys.float_info.min):
         raise ConfigError(f"the masses of the float N-fold power (N = {N}) "
                           f"underflow")
     power: dict = {}
     for _, coef, pt in power_terms([(N, 1)], weights, (0, 0), atoms):
         power[pt] = power.get(pt, 0) + coef
-    if m.is_exact:
+    if exact:
         scale = M ** N
         points = sorted(power, key=lambda pt: (pt[0] / D, pt[1] / D))
         return FiniteMeasure(tuple((Fraction(X, D), Fraction(Y, D)) for X, Y in points),
@@ -180,23 +162,27 @@ def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVe
     deviates by sum m_i rho_i(N) - 2 (A + 1/N) E[x_1 y_1 | m] (the second
     likewise).  Both bound mu's deviations for any atoms, and each is the
     supremum on a strict convex chain at A r = A N = -1, as every pipeline
-    model's atoms form.  A float diag bound passes at tol times
-    `_vertex_scale`, and a float regression bound at tol times the largest
+    model's atoms form.  A float diag bound passes at tol times the largest
+    size, term by term, of the right-hand sides at the chain vertices
+    r (lam_i, nu_i), where their values vanish on a fitting model (0 past
+    the float range), and a float regression bound at tol times the largest
     right-hand side, at a chain vertex 2N a_i.
     """
     N = _check_caps(m, verdict)
     cert = _conic_certificate(m, p, m.r)
-    exact, top = p.is_exact and m.is_exact, 0
+    exact, D, atoms, _, _ = m._cleared   # mu is exact when these are, whatever r is
+    exact, top, scale = exact and p.is_exact, 0, 0
     if not exact:
-        atoms, weights = _kept_atoms(m)
-        # mu is exact when the kept atoms and weights are, whatever r is
-        exact = p.is_exact and all_exact(*weights, *(c for a in atoms for c in a))
-    if not exact:
-        _, a, b, c, d, e, f = map(float, p.as_tuple())
-        top = max(abs(2 * N * (u * float(x) + v * float(y)) + 2 * w)
-                  for x, y in atoms for u, v, w in ((a, b, e), (c, d, f)))
+        pts = [(_float(x, D), _float(y, D)) for x, y in atoms]
+        A, a, b, c, d, e, f = map(float, p.as_tuple())
+        top = max(abs(2 * N * (u * x + v * y) + 2 * w)
+                  for x, y in pts for u, v, w in ((a, b, e), (c, d, f)))
+        scale = max(abs(A) * q * q + abs(u) * abs(x) + abs(v) * abs(y) + abs(w)
+                    for x, y in ((float(m.r) * x, float(m.r) * y) for x, y in pts)
+                    for q, u, v, w in ((x, a, b, e), (y, c, d, f)))
+        scale = scale if scale < math.inf else 0
     bound = 2 * (cert if m.r == N else _conic_certificate(m, p, N))
-    return (DiagCheckReport(max_dev=_float(cert), tol=tol * max(1, _vertex_scale(m, p))),
+    return (DiagCheckReport(max_dev=_float(cert), tol=tol * max(1, scale)),
             RegressionReport(max_dev=_float(bound), tol=max(tol, 1e-10) * max(1, top),
                              exact=exact))
 
@@ -204,11 +190,11 @@ def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVe
 def cumulant_eval(m: CandidateModel, theta):
     """Cumulant value, mean vector, and covariance matrix at theta, from the
     exponentially tilted mixture, its weights |alpha_i| when they share one
-    sign.  DomainViolation names theta where the mixture transform is
-    nonpositive."""
+    sign by the verdict's rule (`model._sign`).  DomainViolation names
+    theta where the mixture transform is nonpositive."""
     V = np.array([[float(a[0]), float(a[1])] for a in m.atoms])
     w = np.array([float(x) for x in m.weights])
-    if np.all(w >= 0) or np.all(w <= 0):
+    if _sign(m.weights):
         w = np.abs(w)
     z = V @ np.array([float(theta[0]), float(theta[1])])
     zmax = z.max()
@@ -223,20 +209,6 @@ def cumulant_eval(m: CandidateModel, theta):
     C = V - PV
     cov = N * (C.T * P) @ C
     return N * (zmax + math.log(total)), N * PV, (cov + cov.T) / 2
-
-
-def _vertex_scale(m: CandidateModel, p: DiagonalVFParams) -> float:
-    """0 for exact m and p; else the largest size, term by term, of the
-    right-hand sides at the chain vertices r (lam_i, nu_i) of the kept
-    atoms, where their values vanish on a fitting model (0 past the float
-    range)."""
-    if m.is_exact and p.is_exact:
-        return 0
-    A, a, b, c, d, e, f = (abs(float(x)) for x in p.as_tuple())
-    top = max(max(A * x * x + a * abs(x) + b * abs(y) + e, A * y * y + c * abs(x) + d * abs(y) + f)
-              for x, y in ((float(m.r) * float(u), float(m.r) * float(v))
-                           for u, v in _kept_atoms(m)[0]))
-    return top if top < math.inf else 0
 
 
 def _conic_certificate(m: CandidateModel, p: DiagonalVFParams, s):
@@ -254,10 +226,9 @@ def _conic_certificate(m: CandidateModel, p: DiagonalVFParams, s):
     and s = sn / sd.
     """
     Q, (A, a, b, c, d, e, f) = p._cleared or cleared(map(Fraction, p.as_tuple()))
-    if m.is_exact:
-        D, atoms, _, _ = m._cleared
-    else:
-        D, coords = cleared(Fraction(v) for pt in m._cleared[1] for v in pt)
+    exact, D, atoms, _, _ = m._cleared
+    if not exact:
+        D, coords = cleared(Fraction(v) for pt in atoms for v in pt)
         atoms = tuple(zip(coords[::2], coords[1::2]))
     sn, sd = s.as_integer_ratio()
     gap = Q * sd + A * sn  # Q sd (1 + A s)

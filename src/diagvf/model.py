@@ -53,23 +53,20 @@ class CandidateModel:
 
     @cached_property
     def _cleared(self):
-        """(D, [(X, Y)], M, [W]), in tuples: the atoms of nonzero weight,
-        which the verdict keeps, and their weights |alpha_i|, on integers.
-        D and M are the common denominators of those atoms' coordinates and
-        of the weights, (X, Y) = D (lambda_i, nu_i) and W = M |alpha_i|.  A
-        float model is its own cleared form, with D = M = 1."""
-        atoms, weights = _kept_atoms(self)
-        if not self.is_exact:
-            return 1, tuple(atoms), 1, tuple(weights)
+        """(exact, D, [(X, Y)], M, [W]), in tuples: the kept form that the
+        verdict, the measure, its checks and degeneracy read, of the atoms
+        of nonzero weight and their weights |alpha_i|.  When those (not the
+        dropped atoms, nor r) are all exact, (X, Y) = D (lambda_i, nu_i) and
+        W = M |alpha_i| are ints over the common denominators D and M;
+        otherwise they are held as they are, with D = M = 1."""
+        atoms, weights = self.atoms, tuple(map(abs, self.weights))
+        if 0 in weights:
+            atoms = tuple(a for a, w in zip(atoms, weights) if w != 0)
+            weights = tuple(w for w in weights if w != 0)
+        if not (all_exact(*weights) and all(all_exact(*a) for a in atoms)):
+            return False, 1, atoms, 1, weights
         D, coords = cleared(c for a in atoms for c in a)
-        return (D, tuple(zip(coords[::2], coords[1::2])), *cleared(weights))
-
-
-def _kept_atoms(m: CandidateModel):
-    """The atoms of nonzero weight, which the verdict keeps, and their
-    weights |alpha_i|."""
-    return ([a for a, w in zip(m.atoms, m.weights) if w != 0],
-            [abs(w) for w in m.weights if w != 0])
+        return (True, D, tuple(zip(coords[::2], coords[1::2])), *cleared(weights))
 
 
 def make_model(atoms, weights, r) -> CandidateModel:
@@ -229,17 +226,19 @@ VERDICT_TOL = 1e-9
 
 
 def admissibility_verdict(m: CandidateModel, bound: int = 50) -> AdmissibilityVerdict:
-    """CaseA / CaseB / Rejected per the sign, sum, and exponent clauses.
+    """CaseA / CaseB / Rejected per the sign, sum, and exponent clauses, by
+    `_verdict` on the kept form's abscissas (an exact form's ints D lambda_i
+    keep the lattice generator), the nonzero weights and m.r."""
+    return _verdict([a[0] for a in m._cleared[2]], [w for w in m.weights if w != 0],
+                    m.r, bound)
 
-    Zero-weight atoms are dropped first, and `_verdict` judges the kept
-    abscissas and weights with m.r: an exact model's abscissas are the ints
-    D lambda_i of its cleared form (scaling the columns (d_i) and (d_i^2)
-    by D and D^2 keeps the generator).
-    """
-    weights = [w for w in m.weights if w != 0]
-    lams = ([X for X, _ in m._cleared[1]] if m.is_exact
-            else [a[0] for a, w in zip(m.atoms, m.weights) if w != 0])
-    return _verdict(lams, weights, m.r, bound)
+
+def _sign(weights) -> int:
+    """1 or -1 when the nonzero weights share that sign, else 0: exact ones
+    are judged exactly, and when any is a float, each within VERDICT_TOL."""
+    ws = [w for w in weights if w != 0]
+    t = 0 if all_exact(*ws) else VERDICT_TOL
+    return all(w >= -t for w in ws) - all(w <= t for w in ws)
 
 
 def _verdict(lams, weights, r, bound: int) -> AdmissibilityVerdict:
@@ -251,8 +250,9 @@ def _verdict(lams, weights, r, bound: int) -> AdmissibilityVerdict:
     fails, the verdict is Rejected with an inconclusive flag since the
     characterization is silent in that regime.  Then the weights must share
     a sign s and sum to it, and r must be a positive integer N, even when
-    s = -1.  Float weights and exponents are read within VERDICT_TOL; exact
-    ones are exact.
+    s = -1.  Exact weights and exponents are read exactly, floats within
+    VERDICT_TOL: the sign by `_sign` and the exponent by `near_integer`,
+    the rules `expand_series` and `cumulant_eval` read a model by too.
     """
     if len(weights) < 2:
         return AdmissibilityVerdict(
@@ -270,12 +270,11 @@ def _verdict(lams, weights, r, bound: int) -> AdmissibilityVerdict:
     # exact weights are read as the ints M w_i, M their common denominator
     exact = all_exact(*weights)
     M, ws = cleared(weights) if exact else (1, weights)
-    t = 0 if exact else VERDICT_TOL
-    s = all(w >= -t for w in ws) - all(w <= t for w in ws)
+    s = _sign(ws)
     if not s:
         return AdmissibilityVerdict(
             "Rejected", reason="weights have mixed signs", star=star)
-    if abs(sum(ws) - s * M) > t:
+    if abs(sum(ws) - s * M) > (0 if exact else VERDICT_TOL):
         sign = "nonnegative" if s > 0 else "nonpositive"
         return AdmissibilityVerdict(
             "Rejected", reason=f"{sign} weights do not sum to {s}", star=star)

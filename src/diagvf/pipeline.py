@@ -18,7 +18,7 @@ from ._num import cleared, format_number, parse_number
 from .errors import ConfigError, NRootDeficit, WeightCountMismatch
 from .model import (CandidateModel, _exponent, _verdict, admissibility_verdict,
                     candidate_model)
-from .measure import check_model
+from .measure import _collinear, check_model
 from .roots import (DiagonalVFParams, Quartic, classify_root_pattern,
                     solve_quartic)
 
@@ -156,10 +156,10 @@ def _search_weights(p, n_r, denominator, tol, roots, bound):
     return m, verdict
 
 
-def _degenerate(m: CandidateModel) -> bool:
-    """Whether mu of an accepted params model is collinear: its atoms lie on
-    the parabola nu = (lam^2 - a lam + e A) / b, so when it keeps two."""
-    return len(m._cleared[1]) == 2
+def _degenerate(m: CandidateModel, from_atoms: bool = False) -> bool:
+    """Whether an accepted model's mu is collinear: of explicit atoms, when
+    its kept atoms are; of params (on a parabola in nu), when it keeps two."""
+    return _collinear(m._cleared[2]) if from_atoms else len(m._cleared[2]) == 2
 
 
 def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineReport:

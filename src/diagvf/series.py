@@ -20,7 +20,7 @@ from ._num import (MAX_LEAD_BITS, cleared, compositions, float_powers, merge_poi
                    multinomials, near_integer, power_terms, widest_gap)
 from .errors import ConfigError, NoDominantAtom
 from .measure import MAX_SUPPORT
-from .model import CandidateModel
+from .model import VERDICT_TOL, CandidateModel, _sign
 
 __all__ = [
     "SeriesReport",
@@ -258,25 +258,28 @@ def _array_terms(orders, bases, origin, steps, den):
 def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     """Coefficients of the mixture power, aggregated by support point.
 
+    The model is read by the verdict's rules, exact values exactly and
+    floats within VERDICT_TOL: weights of the sign -1 (`model._sign`) are
+    negated, and an integer r = N (`near_integer`) is expanded as N itself.
+    The pivot, the atom of largest |weight|, must then be positive.  An
+    exact coefficient is negative by its sign, a float one below -1e-12.
     Terms are keyed by the absolute support point r*v_pivot + sum n_i w_i,
     so for an integer exponent they coincide with the convolution masses.
-    Exact rational arithmetic is used when the model is exact; its points
-    are cleared to integers over one denominator (`_num.cleared`), merged
-    on those and kept there: `terms` is a SeriesTerms over the integer
-    points, which forms a point's Fractions only when it is iterated, and
-    the first negative coefficient's point is formed once.  Float
-    coefficients (a non-integer r, or float atoms) are built in one numpy
-    pass over a cached composition table (`_array_terms`), with the bits of
-    the scalar terms; other points, or cleared ones past 2^53, take the
-    Python loop of `power_terms` and `merge_points`, as exact coefficients
-    do.  Orders up to max_j = min(depth, N) of n atoms make
-    C(max_j + n - 1, n - 1) terms; past MAX_SUPPORT terms or orders, order 170
-    with float coefficients (171! > the largest float) or MAX_LEAD_BITS in an
-    exact lead, it raises ConfigError before any work, and on a float overflow.
+    An exact model's points are cleared to integers over one denominator
+    and kept there: `terms` is a SeriesTerms over them, and the first
+    negative coefficient's point is formed once.  Float coefficients (a
+    non-integer r, or float atoms) are built in one numpy pass over a
+    cached composition table (`_array_terms`), with the bits of the scalar
+    terms; other points, or cleared ones past 2^53, take the Python loop
+    of `power_terms` and `merge_points`, as exact coefficients do.  Orders
+    up to max_j = min(depth, N) of n atoms make C(max_j + n - 1, n - 1)
+    terms; past MAX_SUPPORT terms or orders, order 170 with float
+    coefficients (171! > the largest float) or MAX_LEAD_BITS in an exact
+    lead, it raises ConfigError before any work, and on a float overflow.
     """
     exact = m.is_exact
-    r = m.r
-    n_int = near_integer(r, 1e-12)
+    n_int = near_integer(m.r, VERDICT_TOL)
+    r = m.r if n_int is None or n_int == m.r else float(n_int)
     max_j = depth if (n_int is None or n_int > depth) else n_int
     floats = not (exact and n_int is not None)
     if floats and max_j > 170:
@@ -286,8 +289,7 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     if max(math.comb(max_j + n - 1, n - 1), max_j + 1) > MAX_SUPPORT:
         raise ConfigError(f"more than {MAX_SUPPORT} series terms (order {max_j}, {n} atoms)")
     weights = m.weights
-    flip = all(w <= 0 for w in weights) and any(w < 0 for w in weights)
-    if flip:
+    if _sign(weights) < 0:
         weights = tuple(-w for w in weights)
     pivot = max(range(len(weights)), key=lambda i: abs(float(weights[i])))
     if not float(weights[pivot]) > 0:
@@ -326,7 +328,8 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     except OverflowError:
         raise ConfigError("the series coefficients or points are past the float range") from None
     # of the least order, the first in point order
-    neg = min((i for i, c in enumerate(coefs) if c < -1e-12),
+    cut = -1e-12 if floats else 0
+    neg = min((i for i, c in enumerate(coefs) if c < cut),
               key=least.__getitem__, default=None)
     terms = SeriesTerms(dict(zip(points, coefs)), den)
     return SeriesReport(depth=depth, terms=terms,
@@ -335,50 +338,57 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
                         pivot=pivot, probe=probe)
 
 
-def _mass_bounded(f: EliminationForm, rf: float, ts) -> bool:
-    """Whether f, a form of exp_terms only, is bounded by its mass so that
-    no grid t can be a witness of magnitude_scan.
+def _mass_bound(f: EliminationForm, rf: float, ts):
+    """(bounded, margin, limit): for a form of exp_terms only, whether its
+    mass bounds it so that no grid t is a witness of magnitude_scan, the
+    bound delta S on the rounding of |f(it)| a witness must beat, and the
+    threshold 1 + 1e-6 + 2^-49 it must pass; (False, 0.0, 1 + 1e-6) for
+    other forms and when a coefficient or S is past the float range.
 
-    Every |exp(i lambda t)| is 1, so |f(it)| <= S = sum |A_i| for every t,
-    and f has no witness when S^r <= 1 + 1e-6.  The scan rounds, so the
-    test is (S (1 + delta))^r <= 1 + 1e-6 - 2^-49, with S summed by
-    math.fsum and delta = 4 (n + 6) u for n terms, u = 2^-53.  The
-    derivation takes cos, sin, hypot and pow within 4 ulp (relative error
-    8u on a normal result; cos and sin of a float are never subnormal).
-    It holds only when r > 0 and the grid is finite and non-empty, and
-    when every |lambda_i| max|t| is finite: then no lambda_i t overflows
-    (an overflow gives the scan a nan witness), exp's argument is
-    (+-0, fl(lambda_i t)), and eval_imag computes, for each t:
-      - each exp(i y) with modulus at most 1 + 8u;
-      - each term A_i exp(i y) with one rounding per part: modulus at most
-        |A_i| (1 + 8u)(1 + u), plus 2^-1074 if a part underflows;
-      - their sum from 0 in n - 1 additions, exact when they underflow:
-        each part within (1 + u)^(n - 1) of the sum of the parts' moduli,
-        so the modulus within it of the sum of the terms' moduli;
-      - abs within 1 + 8u.
-    So |f(it)| as computed is at most (1 + u)^n (1 + 8u)^2 (S' + n 2^-1074)
-    for the exact sum S' of the |A_i|.  If S' < 2^-1022, that is below 1,
-    and its r-th power as computed is at most 1 + 8u.  Otherwise n 2^-1074 <= 2nu S', fsum's S
+    |f(it)| <= S = sum |A_i| for every t, so f has no witness when
+    S^r <= 1 + 1e-6; with rounding, the test is (S (1 + delta))^r <=
+    1 + 1e-6 - 2^-49, S summed by math.fsum and delta = 4 (n + 6) u for n
+    terms, u = 2^-53.  The derivation takes cos, sin, hypot and pow within
+    4 ulp (8u relative on a normal result; cos and sin of a float are never
+    subnormal), r > 0, a finite non-empty grid and every |lambda_i| max|t|
+    finite: then no lambda_i t overflows (which gives the scan a nan
+    witness), exp's argument is (+-0, fl(lambda_i t)), and for each t
+    eval_imag computes each exp(i y) within 8u of its value, so of modulus
+    at most 1 + 8u; each term A_i exp(i y) with one rounding per part, of
+    modulus at most |A_i| (1 + 8u)(1 + u), plus 2^-1074 if a part
+    underflows; their sum from 0 in n - 1 additions, exact when they
+    underflow, each part within (1 + u)^(n - 1) of the sum of the parts'
+    moduli, so the modulus within it of the sum of the terms' moduli; and
+    abs within 1 + 8u.  So |f(it)| as computed is at most
+    (1 + u)^n (1 + 8u)^2 (S' + n 2^-1074) for the exact sum S' of the
+    |A_i|.  If S' < 2^-1022, that is below 1, and its r-th power as
+    computed is at most 1 + 8u.  Otherwise n 2^-1074 <= 2nu S', fsum's S
     has S' <= S (1 + 2u), and the computed S (1 + delta) is at least
-    S (1 + delta)(1 - u)^2, so |f(it)| is at most S (1 + delta) as
-    computed times a factor whose log is below (3n + 20)u - delta +
-    O((nu)^2) < 0 for n < 10^14.  Below 2, the two powers are within 4
-    ulp = 8u each of their exact values, which x^r orders: so every
-    |f(it)|^r of the scan is at most the bound's power plus 16u = 2^-49,
-    which is at most 1 + 1e-6.  A nan or inf S fails the comparison.
+    S (1 + delta)(1 - u)^2, so |f(it)| is at most S (1 + delta) as computed
+    times a factor whose log is below (3n + 20)u - delta + O((nu)^2) < 0
+    for n < 10^14.  Below 2, the two powers are within 8u of their exact
+    values, which x^r orders: so every |f(it)|^r of the scan is at most the
+    bound's power plus 16u = 2^-49, which is at most 1 + 1e-6.  A nan or
+    inf S fails the comparison.  By the same steps, |f(it)| as computed is
+    within (3n + 16)u S' + O(u^2) of the exact modulus at the same
+    fl(lambda_i t), so |f(it)| - delta S, rounded, is at most that modulus,
+    and a power of it past 1 + 1e-6 + 2^-49 (within 8u) leaves the
+    modulus's past 1 + 1e-6.
     """
-    if f.poly or f.linexp is not None or f.osc_blocks or not rf > 0 or not len(ts):
-        return False
-    tmax = float(np.abs(ts).max())   # nan or inf if any t is
+    if f.poly or f.linexp is not None or f.osc_blocks:
+        return False, 0.0, _SCAN_LIMIT
     try:
         terms = [(float(amp), float(lam)) for amp, lam in f.exp_terms]
-        if not all(math.isfinite(abs(lam) * tmax) for _, lam in terms):
-            return False
-        delta = 4 * (len(terms) + 6) * _U
-        bound = (math.fsum(abs(amp) for amp, _ in terms) * (1 + delta)) ** rf
-    except OverflowError:   # a coefficient or the power past the float range
-        return False
-    return bound <= _SCAN_LIMIT - 2.0 ** -49
+        S, delta = math.fsum(abs(amp) for amp, _ in terms), 4 * (len(terms) + 6) * _U
+    except OverflowError:   # a coefficient or S past the float range
+        return False, 0.0, _SCAN_LIMIT
+    tmax = float(np.abs(ts).max()) if len(ts) else math.nan   # nan or inf if any t is
+    try:
+        bounded = (rf > 0 and all(math.isfinite(abs(lam) * tmax) for _, lam in terms)
+                   and (S * (1 + delta)) ** rf <= _SCAN_LIMIT - 2.0 ** -49)
+    except OverflowError:   # the power past the float range
+        bounded = False
+    return bounded, delta * S, _SCAN_LIMIT + 2.0 ** -49
 
 
 def magnitude_scan(f: EliminationForm, r, t_grid) -> Optional[float]:
@@ -387,28 +397,31 @@ def magnitude_scan(f: EliminationForm, r, t_grid) -> Optional[float]:
     A finite witness certifies that f^r cannot be a Laplace transform of a
     probability measure: the characteristic-function magnitude would exceed
     its value at zero.  Only the magnitude is used, so no branch of the
-    complex power is ever chosen.  A form of exp_terms only whose mass
-    sum |A_i| bounds |f(it)|^r below the threshold, rounding included
-    (`_mass_bounded`), has no witness and evaluates no point.  Any other
-    form is evaluated on the grid in its own order, in numpy blocks of 32
-    points that double in size, so a witness early in the grid ends the
-    scan early.  With r > 0, as the CLI requires, a magnitude that is not
-    finite (f overflowed) is a witness, and so is the first t when a
-    coefficient is past the float range.
+    complex power is ever chosen.  A form of exp_terms only that its mass
+    bounds (`_mass_bound`) evaluates no point, and any other such form has
+    a witness only where |f(it)| less the bound on its rounding passes
+    1 + 1e-6 + 2^-49.  Forms are evaluated on the grid in its own order,
+    in numpy blocks of 32 points that double in size, so a witness early in
+    the grid ends the scan early.  With r > 0, as the CLI requires, a
+    magnitude that is not finite (f overflowed) is a witness, and so is the
+    first t when a coefficient is past the float range.
     """
     rf = float(r)
     ts = np.asarray(t_grid, dtype=float)
-    if _mass_bounded(f, rf, ts):
+    bounded, margin, limit = _mass_bound(f, rf, ts)
+    if bounded:
         return None
     start, size = 0, 32
     with np.errstate(all="ignore"):
         while start < len(ts):
             block = ts[start:start + size]
             try:
-                # inf and nan are not <= 1 + 1e-6, and a power r > 0 keeps them
-                bad = ~(np.abs(f.eval_imag(block)) ** rf <= _SCAN_LIMIT)
+                mags = np.abs(f.eval_imag(block))
             except OverflowError:
                 return float(block[0])
+            mags = np.maximum(mags - margin, 0.0)   # keeps nan
+            # inf and nan are not <= the limit, and a power r > 0 keeps them
+            bad = ~(mags ** rf <= limit)
             i = bad.argmax()
             if bad[i]:
                 return float(block[i])

@@ -65,13 +65,14 @@ for case in readme:1:8 exact3:0:8 frac24:1:24 decimal16:1:16 merge4:1:8; do
 done
 
 # name:exit code; a mixed-sign kernel vector exits 1
-for case in dim0:0 dim1:1 dim2:1 dim3:1 onesign:0 beyond:0; do
+for case in lattice_dim0:0 lattice_dim1:1 lattice_dim2:1 lattice_dim3:1 \
+    lattice_onesign:0 lattice_beyond:0; do
   IFS=: read -r name want <<< "$case"
   code=0
-  "${diagvf[@]}" lattice - --json < "$golden/lattice_$name.config.json" \
-    > "$out/lattice_$name.json" || code=$?
+  "${diagvf[@]}" lattice - --json < "$golden/$name.config.json" \
+    > "$out/$name.lattice.json" || code=$?
   test "$code" -eq "$want"
-  diff "$out/lattice_$name.json" "$golden/lattice_$name.lattice.json"
+  diff "$out/$name.lattice.json" "$golden/$name.lattice.json"
   count=$((count + 1))
 done
 

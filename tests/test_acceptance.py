@@ -22,6 +22,7 @@ from diagvf import (AdmissibilityVerdict, DiagonalVFParams, EliminationForm,
                     run_characterize, solve_quartic,
                     star_condition, LatticeMatrix)
 from diagvf.cli import main
+from diagvf.measure import _collinear
 from oracles import (GRID_121, diag_oracle, dual_ordinate, fd_hessian, first_negative_order,
                      laplace, mean_to_theta, regression_oracle)
 
@@ -43,13 +44,11 @@ P2_CONFIG = {"params": {"A": "-1", "a": "0", "b": "1", "c": "0", "d": "-1",
 # q4_decimal, the decimal twin of roots 0, 1, 5, 60 at N = 12, whose
 # float checks read the conic residuals, irrational4, exact params with
 # four irrational atoms, roots of x^4 - 5 x^2 - x + 4, mixed_within_tol and
-# signed_tail, decimal weights of one sign only within the verdict's tol:
-# <name>.config.json holds each config, and <name>.characterize.json its
-# characterize --json output, committed as produced by the CLI
+# signed_tail, decimal weights of one sign only within the verdict's tol,
+# among others: <name>.config.json holds each config, and
+# <name>.characterize.json its characterize --json output, committed as
+# produced by the CLI
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_NAMES = ("e1", "p2", "e1_n8", "q4", "q4_wide", "c2", "q4_tight", "q4_decimal",
-                "float_chain", "mixed_within_tol", "irrational4", "signed_tail",
-                "search_e1", "search_mixed_kernel", "search_r3_2", "search_decimal")
 # the goldens whose report is a rejection, which exits 1
 GOLDEN_REJECTED = ("search_mixed_kernel", "search_r3_2")
 
@@ -298,7 +297,7 @@ def test_criterion_06_cumulant_calculus():
     models = []
     while len(models) < 20:
         m, _ = random_admissible_model(rng)
-        if not realize_measure(m, admissibility_verdict(m)).degenerate:
+        if not _collinear(m._cleared[2]):
             models.append(m)
     for m in models:
         for _ in range(20):
@@ -379,14 +378,16 @@ def test_criterion_09_parabola_support():
 
 @reported("criterion 10: CLI golden-file determinism and exit codes")
 def test_criterion_10_cli_determinism(tmp_path, capsys):
-    for name in GOLDEN_NAMES:
+    goldens = sorted(GOLDEN_DIR.glob("*.characterize.json"))
+    assert len(goldens) >= 17
+    for golden in goldens:
+        name = golden.name.removesuffix(".characterize.json")
         path = GOLDEN_DIR / f"{name}.config.json"
         code = int(name in GOLDEN_REJECTED)
         assert main(["characterize", str(path), "--json"]) == code
         first = capsys.readouterr().out
         assert main(["characterize", str(path), "--json"]) == code
         assert capsys.readouterr().out == first
-        golden = GOLDEN_DIR / f"{name}.characterize.json"
         assert first == golden.read_text()
 
     rejected = tmp_path / "rejected.json"

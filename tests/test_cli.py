@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from diagvf import ConfigError, parse_config, report_to_dict, \
     run_characterize, emit_report, solve_quartic, candidate_model
 from diagvf import admissibility_verdict, build_characteristic_quartic
-from diagvf import _num, measure, model, pipeline, roots, series
+from diagvf import _num, cli, measure, model, pipeline, roots, series
 from diagvf._num import compositions
 from diagvf.pipeline import parse_params, to_json
 from diagvf.roots import DiagonalVFParams, _ordinate
@@ -985,6 +986,27 @@ class TestCliExpand:
                      f"--depth={depth}"]) == code
         assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.expand.json").read_text()
 
+    # the verdict's rules: a decimal exponent within VERDICT_TOL of 2 is N = 2
+    # (Admissible, CaseA); decimal weights of sign -1 within VERDICT_TOL are
+    # negated (CaseB); an exact coefficient is negative by its sign, however
+    # small (mixed signs, Rejected)
+    @pytest.mark.parametrize("cfg, first_negative", [
+        ({"params": {"A": -0.499999999875, "a": 0, "b": 1, "c": 0, "d": 1, "e": 0,
+                     "f": 0}, "weights": [0.25, 0.5, 0.25]}, None),
+        ({"params": {"A": "-1/2", "a": "0", "b": "1", "c": "0", "d": "1", "e": "0",
+                     "f": "0"}, "weights": [-0.5, -0.5000000000001, 1e-13]}, None),
+        ({"atoms": [["0", "0"], ["1", "1"]],
+          "weights": ["10000000000001/10000000000000", "-1/10000000000000"], "r": "2"},
+         {"point": ["1", "1"], "coefficient": "-10000000000001/50000000000000000000000000"}),
+    ], ids=["near-integer-exponent", "signed-tail", "exact-negative"])
+    def test_expand_agrees_with_the_verdict(self, tmp_path, capsys, cfg, first_negative):
+        path = write_config(tmp_path, cfg)
+        code = main(["expand", path, "--json"])
+        assert code == (first_negative is not None)
+        assert json.loads(capsys.readouterr().out)["first_negative"] == first_negative
+        m = cli._model_from_config(parse_config(cfg), 1e-8)
+        assert admissibility_verdict(m).accepted is (code == 0)
+
     @pytest.mark.parametrize("r", ["1/2", 0.5])
     def test_order_170_works(self, tmp_path, capsys, r):
         cfg = {"atoms": [["0", "0"], ["1", "1"]], "weights": ["3/4", "1/4"], "r": r}
@@ -1005,6 +1027,12 @@ class TestCliScan:
         assert main(["scan", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["witness"] is None
 
+    def test_mass_past_the_float_range_is_walked(self, tmp_path, capsys):
+        # fsum of the amplitudes overflows: no mass bound, and f(0) is inf
+        path = write_config(tmp_path, {"exp_terms": [[1e308, 0], [1e308, 1]], "r": 1})
+        assert main(["scan", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"] == 0.0
+
     @pytest.mark.parametrize("name", ["scan_mixture", "scan_osc", "scan_poly", "scan_signed"])
     def test_golden(self, capsys, name):
         # scan_mixture: no witness, decided by its mass; scan_osc: cosh(20 t)
@@ -1022,6 +1050,15 @@ class TestCliEval:
         assert main(["eval", write_config(tmp_path, cfg)]) == 1
         assert capsys.readouterr().err == ("error: mixture transform nonpositive "
                                            "at theta=(4/5, 1/5)\n")
+
+    def test_weights_of_one_sign_by_the_verdicts_rule(self, tmp_path, capsys):
+        # CaseB within VERDICT_TOL: the mixture of |alpha_i| is tilted, as
+        # the measure is built from it, not the signed one, whose transform
+        # is negative
+        cfg = {"params": {"A": "-1/2", "a": "0", "b": "1", "c": "0", "d": "1", "e": "0",
+                          "f": "0"}, "weights": [-0.5, -0.5000000000001, 1e-13]}
+        assert main(["eval", write_config(tmp_path, cfg), "--json"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["k"]) < 1e-12
 
     def test_e1_origin(self, tmp_path, capsys):
         cfg = dict(E1_CONFIG, theta=["0", "0"])
@@ -1115,6 +1152,22 @@ class TestCliTilt:
         assert main(["tilt", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["degenerate"] is want["degenerate"]
 
+    def test_degeneracy_of_explicit_atoms_reads_the_kept_atoms(self, tmp_path, capsys):
+        # three collinear float atoms at N = 53: mu has 1485 support points,
+        # and degeneracy reads the three atoms, not the support
+        cfg = {"atoms": [[0.0, 0.0], [1.0, 1.0], [1.4142135623730951, 1.4142135623730951]],
+               "weights": [0.25, 0.5, 0.25], "r": 53}
+        assert main(["tilt", write_config(tmp_path, cfg), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["measure"]) == 1485 and out["degenerate"] is True
+        kept = cli._model_from_config(parse_config(cfg), 1e-8)._cleared[2]
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            assert measure._collinear(kept)
+            best = min(best, time.perf_counter() - start)
+        assert best < 1e-4
+
     def test_small_decimal_atoms_are_not_degenerate(self, tmp_path, capsys):
         assert main(["tilt", write_config(tmp_path, SMALL_ATOMS), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["degenerate"] is False
@@ -1176,6 +1229,26 @@ class TestCliTilt:
         # tilted to theta (0.25, -0.5)
         assert main(["tilt", str(GOLDEN_DIR / f"{name}.config.json"), "--json"]) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.tilt.json").read_text()
+
+
+def replayed_goldens():
+    """The (name, kind) pairs of the goldens tests/replay_goldens.sh diffs:
+    each name of a loop whose body reads "$golden/$name.<kind>.json", and
+    each golden it names by a literal path."""
+    script = (Path(__file__).parent / "replay_goldens.sh").read_text()
+    pairs = set(re.findall(r"\$golden/(\w+)\.(\w+)\.json", script))
+    for names, body in re.findall(r"^for \w+ in (.*?); do\n(.*?)^done", script, re.M | re.S):
+        kinds = re.findall(r"\$golden/\$name\.(\w+)\.json", body)
+        pairs |= {(name.split(":")[0], kind)
+                  for name in names.replace("\\", " ").split() for kind in kinds}
+    return pairs
+
+
+def test_replay_script_names_every_golden():
+    replayed = replayed_goldens()
+    for path in GOLDEN_DIR.iterdir():
+        name, kind, ext = path.name.split(".")
+        assert ext == "json" and (name, kind) in replayed, path.name
 
 
 @pytest.mark.parametrize("command, cfg", [

@@ -73,15 +73,15 @@ def convolve_oracle(atoms, weights, N):
 
 class TestRealizeMeasure:
     def test_e1(self):
-        _, mu = model_and_measure(E1, W3)
+        m, mu = model_and_measure(E1, W3)
         assert mu.support == ((-1, 1), (0, 0), (1, 1))
         assert mu.masses == (F(1, 4), F(1, 2), F(1, 4))
-        assert mu.is_exact and not mu.degenerate
+        assert m._cleared[0] and not measure._collinear(m._cleared[2])
 
     def test_p2_degenerate_flag(self):
-        _, mu = model_and_measure(P2, W3)
+        m, mu = model_and_measure(P2, W3)
         assert mu.support == ((-1, 0), (0, -1), (1, 0))
-        assert not mu.degenerate
+        assert not measure._collinear(m._cleared[2])
 
     def test_float_power_merges_equal_points_only(self):
         # at N = 2 the sums (0, 2e-12) and (0, 0) are two support points,
@@ -90,7 +90,7 @@ class TestRealizeMeasure:
         atoms, weights = [(-1.0, 1e-12), (0.0, 0.0), (1.0, 1e-12)], (0.25, 0.5, 0.25)
         m = make_model(atoms, weights, 2.0)
         mu = realize_measure(m, admissibility_verdict(m))
-        assert not mu.is_exact and len(mu.support) == 6
+        assert not m._cleared[0] and len(mu.support) == 6
         want = convolve_oracle(atoms, weights, 2)
         assert dict(zip(mu.support, mu.masses)) == pytest.approx(want, rel=1e-15)
         p = DiagonalVFParams(-0.5, 0.0, 1e12, 0.0, 1e-12, 0.0, 0.0)
@@ -233,7 +233,7 @@ class TestFiniteMeasure:
 
     def test_degenerate_collinear(self):
         mu = FiniteMeasure(((0, 0), (1, 1), (2, 2)), (F(1, 3),) * 3)
-        assert mu.degenerate
+        assert measure._collinear(mu.support)
 
     def test_mass_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -305,7 +305,8 @@ class TestClearedMeasure:
         assert all(type(w) is F for w in mu.masses)
         twin = FiniteMeasure(mu.support, mu.masses)
         assert mu == twin and twin == mu and hash(mu) == hash(twin)
-        assert twin.is_exact and twin.degenerate == mu.degenerate
+        assert m._cleared[0]
+        assert measure._collinear(twin.support) == measure._collinear(m._cleared[2])
         # the model's certificate reads exactly 0
         rep = certified(m, p)
         assert rep.exact and rep.max_dev == 0
@@ -314,7 +315,7 @@ class TestClearedMeasure:
         m, mu = model_and_measure(E1, W3)
         assert certified(m, E1).max_dev == 0
         assert regression_oracle(mu, E1)[0] == 0
-        assert not mu.degenerate and mu.is_exact
+        assert not measure._collinear(m._cleared[2]) and m._cleared[0]
         assert mu.support == ((-1, 1), (0, 0), (1, 1))
         assert mu.masses == W3
 
@@ -932,7 +933,7 @@ class TestCachedForms:
         assert twin == m and not twin.is_exact
         assert measure._conic_certificate(twin, E1, twin.r) == 0
         mu_f = realize_measure(twin, admissibility_verdict(twin))
-        assert not mu_f.is_exact
+        assert not twin._cleared[0] and all(type(w) is float for w in mu_f.masses)
         floats = DiagonalVFParams(*(float(v) for v in E1.as_tuple()))
         assert floats == E1 and E1.quartic.is_exact
         assert not floats.quartic.is_exact

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diagvf import series
@@ -251,19 +251,26 @@ def scalar_expansion(m, depth):
     multinomial times each power in turn (float(b ** n) when c_j is a
     float), each point the atoms' own sums from 0 (Fractions stay
     Fractions), merged by point_key's rule, summed from 0 in generation
-    order and sorted stably by their floats; the probe is series' own."""
+    order and sorted stably by their floats; the probe is series' own.
+    The verdict's rules read the model: the nonzero weights have the sign
+    -1 when each is at most 0 and one is below 0, exactly when all are
+    exact and within 1e-9 otherwise, r is an integer N within 1e-9 when a
+    float and is then expanded as N, and an exact coefficient is negative
+    below 0, a float one below -1e-12."""
     w = m.weights
-    if all(x <= 0 for x in w) and any(x < 0 for x in w):
+    t = 0 if all(isinstance(x, (int, F)) for x in w if x) else 1e-9
+    if all(x <= t for x in w if x) and not all(x >= -t for x in w if x):
         w = tuple(-x for x in w)
     pivot = max(range(len(w)), key=lambda i: abs(float(w[i])))
     probe = series._find_probe(m.atoms, w, pivot)
     others = [i for i in range(len(w)) if i != pivot]
-    n_int = near_integer(m.r, 1e-12)
+    n_int = near_integer(m.r, 1e-9)
+    r = m.r if n_int is None or n_int == m.r else float(n_int)
     max_j = depth if n_int is None or n_int > depth else n_int
     floats = not (m.is_exact and n_int is not None)
     ap = w[pivot]
     betas = [F(w[i], ap) if m.is_exact else w[i] / ap for i in others]
-    lead = float(ap) ** float(m.r) if floats else ap ** n_int
+    lead = float(ap) ** float(r) if floats else ap ** n_int
     merged, ff = {}, 1
     for j in range(max_j + 1):
         fact = math.factorial(j)
@@ -277,13 +284,14 @@ def scalar_expansion(m, depth):
                 total = 0
                 for n, i in zip(ns, others):
                     total = total + n * (m.atoms[i][axis] - m.atoms[pivot][axis])
-                pt.append(m.r * m.atoms[pivot][axis] + total)
+                pt.append(r * m.atoms[pivot][axis] + total)
             key = tuple(pt) if m.is_exact else tuple(round(float(x) / 1e-9) for x in pt)
             entry = merged.setdefault(key, [tuple(pt), 0, j])
             entry[1] = entry[1] + coef
-        ff = ff * (m.r - j)
+        ff = ff * (r - j)
     entries = [merged[k] for k in sorted(merged, key=lambda k: (float(k[0]), float(k[1])))]
-    neg = min((e for e in entries if e[1] < -1e-12), key=lambda e: e[2], default=None)
+    neg = min((e for e in entries if e[1] < (-1e-12 if floats else 0)), key=lambda e: e[2],
+              default=None)
     return ([(pt, _bits(c)) for pt, c, _ in entries],
             None if neg is None else (neg[0], _bits(neg[1])), pivot, probe)
 
@@ -524,15 +532,25 @@ def term_scale(f, t):
 def scan_oracle(f, r, t_grid):
     """magnitude_scan as a scalar loop: f(it) at one t at a time, and an
     OverflowError is a witness, as is the ValueError of cmath.exp at an
-    argument lambda t that overflowed to inf (numpy gives nan there)."""
+    argument lambda t that overflowed to inf (numpy gives nan there).  A
+    form of exp_terms only takes the scan's bound on its rounding: |f(it)|
+    less 4 (n + 6) 2^-53 fsum |A_i|, for n terms, must pass the threshold
+    by 2^-49, unless a coefficient or that sum is past the float range."""
     rf = float(r)
+    margin, limit = 0.0, 1.0 + 1e-6
+    if not (f.poly or f.linexp is not None or f.osc_blocks):
+        try:
+            mass = math.fsum(abs(float(amp)) for amp, _ in f.exp_terms)
+            margin, limit = 4 * (len(f.exp_terms) + 6) * 2.0 ** -53 * mass, limit + 2.0 ** -49
+        except OverflowError:
+            pass
     for t in t_grid:
         t = float(t)
         try:
-            mag = abs(f_imag_oracle(f, t)) ** rf
+            mag = max(abs(f_imag_oracle(f, t)) - margin, 0.0) ** rf
         except (OverflowError, ValueError):
             return t
-        if math.isinf(mag) or mag > 1.0 + 1e-6:
+        if math.isinf(mag) or mag > limit:
             return t
     return None
 
@@ -620,7 +638,7 @@ class TestMagnitudeScan:
         (EliminationForm(exp_terms=((0.5, -1.0), (0.5, 1.0))), []),
         # mass 1 + 1e-6 is within rounding of the limit, so the grid is
         # walked (at lambda = 0.5 the product with exp(0.5 i t) rounds to a
-        # modulus one ulp above the limit, a witness in the second block)
+        # modulus one ulp above the limit, within the witness's rounding bound)
         (EliminationForm(exp_terms=((1.0 + 1e-6, 0.0),)), [32, 64, 128, 256, 512, 1009]),
     ], ids=["mixture", "first-point", "index-100", "bounded-mixture", "mass-at-limit"])
     def test_blocks_double_from_32(self, monkeypatch, form, blocks):
@@ -716,6 +734,12 @@ class TestMagnitudeScanDifferential:
 
     @settings(max_examples=300, deadline=None)
     @given(massed_forms(), st.sampled_from((0.5, 1, F(3, 2), 2, 1000)))
+    # masses on the threshold, where numpy's rounding of |f(it)| passes it
+    # and cmath's does not
+    @example(EliminationForm(exp_terms=((0.5000005, 1.0), (0.5000005, 1.0), (0.0, 0.0))), 1)
+    @example(EliminationForm(exp_terms=((1.0 + 1e-6, 0.5),)), 1)
+    # a mass past the float range: no bound, the walk's witness is the first t
+    @example(EliminationForm(exp_terms=((1e308, 0.0), (1e308, 1.0))), 1)
     def test_mass_bound_matches_scalar_oracle(self, f, r):
         # a form the bound decides has no witness by the scalar oracle
         # either; every other one is scanned
@@ -753,6 +777,20 @@ def accepted_models(draw):
     return m
 
 
+@st.composite
+def verdict_accepted_models(draw):
+    """accepted_models, each decimal one with its exponent moved off N and
+    its weights scaled off a unit sum, both within the verdict's 1e-9:
+    models the verdict accepts, with weights of one sign."""
+    m = draw(accepted_models())
+    if not m.is_exact:
+        r = m.r + draw(st.floats(-9e-10, 9e-10))
+        scale = 1 + draw(st.floats(-5e-10, 5e-10))
+        m = make_model(m.atoms, [w * scale for w in m.weights], r)
+        assert admissibility_verdict(m).accepted
+    return m
+
+
 class TestProperties:
     @settings(max_examples=200, deadline=None)
     @given(accepted_models(), st.integers(0, 12))
@@ -761,6 +799,22 @@ class TestProperties:
         rep = expand_series(m, depth)
         assert rep.first_negative is None
         assert all(c > 0 for c in rep.terms.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(verdict_accepted_models())
+    def test_verdict_accepted_models_expand_without_negatives(self, m):
+        # expand reads the sign and the integer exponent by the verdict's rules
+        assert expand_series(m, 8).first_negative is None
+
+    @pytest.mark.parametrize("delta", [-9e-10, 9e-10])
+    def test_float_exponent_near_n_expands_as_n(self, delta):
+        # the verdict's N = 2: the terms are mu's masses at mu's points
+        atoms, weights = [(0.0, 0.0), (1.0, 1.0), (2.0, 4.0)], [0.25, 0.5, 0.25]
+        rep = expand_series(make_model(atoms, weights, 2 + delta), 8)
+        assert rep == expand_series(make_model(atoms, weights, 2.0), 8)
+        m = make_model(atoms, weights, 2.0)
+        mu = realize_measure(m, admissibility_verdict(m))
+        assert dict(rep.terms.items()) == pytest.approx(dict(zip(mu.support, mu.masses)))
 
     @given(st.integers(min_value=1, max_value=8),
            st.fractions(min_value=F(1, 10), max_value=F(9, 10)))
