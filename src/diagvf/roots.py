@@ -91,7 +91,12 @@ class Quartic:
     def _floats(self):
         """float(c0), ..., float(c3), float(2 c2), float(3 c3): what each
         converts to beside a float or complex, so that q and q' keep their
-        bits (c4 stays the int 1, and `1 * x` converts x as `c4 * x` does)."""
+        bits (c4 stays the int 1, and `1 * x` converts x as `c4 * x` does).
+        Exact coefficients take the int division C_k / L of their cleared
+        form, which rounds as float(c_k) does."""
+        if self._cleared is not None:
+            den, (C0, C1, C2, C3, _) = self._cleared
+            return C0 / den, C1 / den, C2 / den, C3 / den, 2 * C2 / den, 3 * C3 / den
         c0, c1, c2, c3, _ = self.coeffs
         return (*map(float, (c0, c1, c2, c3)), float(2 * c2), float(3 * c3))
 
@@ -111,6 +116,12 @@ class Quartic:
 
     @cached_property
     def scale(self) -> float:
+        """1 + the largest |float(c_k)|; on exact coefficients the int
+        division of the largest |C_k| by L, since rounding is monotone.
+        OverflowError past the float range."""
+        if self._cleared is not None:
+            den, ints = self._cleared
+            return 1.0 + max(map(abs, ints)) / den
         return 1.0 + max(abs(float(c)) for c in self.coeffs)
 
 
@@ -220,6 +231,16 @@ def _square_free(poly):
     return quot, a
 
 
+def _repeated(poly) -> bool:
+    """Whether the integer quartic poly = e + d x + c x^2 + b x^3 + a x^4,
+    a != 0, has a repeated root: whether 27 disc = 4 I^3 - J^2 is zero, with
+    I = 12ae - 3bd + c^2 and J = 72ace + 9bcd - 27ad^2 - 27b^2e - 2c^3."""
+    e, d, c, b, a = poly
+    i = 12 * a * e - 3 * b * d + c * c
+    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c * c * c
+    return 4 * i * i * i == j * j
+
+
 def _scaled_value(poly, X, bits):
     """2**(bits*deg) * poly(X / 2**bits), an integer."""
     deg = len(poly) - 1
@@ -298,37 +319,68 @@ def _low_degree_roots(poly):
     return [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
 
 
+def _nearest_fraction(X: int, bits: int, limit: int):
+    """(h, k), the fraction closest to X / 2**bits with 0 < k <= limit, as
+    `Fraction(X, 2**bits).limit_denominator(limit)` gives it, on ints: the
+    same continued-fraction walk to the convergent p1/q1 and the
+    semiconvergent beside it, and on a tie p1/q1."""
+    shift = min(bits, (X & -X).bit_length() - 1) if X else bits
+    n, den = X >> shift, 1 << (bits - shift)
+    if den <= limit:
+        return n, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    d = den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > limit:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (limit - q0) // q1
+    # X / 2**bits lies d / (q1 den) from p1/q1, and the two bounds lie
+    # 1 / (q1 (q0 + k q1)) apart
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _rational_roots(q: Quartic):
     """Extract exact rational roots with multiplicities: rationalize and verify.
 
-    The repeated roots of q, at most two, are those of g = gcd(q, q'), the
-    product of (x - r)^(m - 1) over q's roots r of multiplicity m:
-    `_low_degree_roots` solves g's square-free part exactly, and its rational
-    roots are deflated first from sf, q's square-free part, whose degree stays
-    above 2 only when q is square-free.  Every rational root h/k of sf has
-    k | L, its leading coefficient.  Each real float root of sf is refined by
+    Every fact is read off P, q cleared to a primitive integer polynomial.
+    P has a repeated root exactly when its discriminant is zero, which its
+    invariants I and J decide (`_repeated`); only then does the primitive
+    remainder sequence run (`_square_free`), for g = gcd(P, P') and sf = P /
+    g.  g is the product of (x - r)^(m - 1) over P's roots r of
+    multiplicity m, so its square-free part (g itself when it is linear)
+    has degree 1 or 2 and `_low_degree_roots` solves it exactly; its
+    rational roots are deflated first from sf, whose degree stays above 2
+    only when P is square-free.  Every rational root h/k of sf has k | L,
+    its leading coefficient.  Each real float root of sf is refined by
     fixed-point Newton steps to 2**-(2 bits(L) + 4) < 1 / (2 L^2), so the
-    closest fraction with denominator at most L (`limit_denominator`) is
-    the only candidate it can stand for; exact deflation confirms it and takes
-    it out, so the next float root near it converges to a neighbour.  The
-    float roots of what is left are taken again until a pass finds nothing,
-    and a remainder of degree 1 or 2 is solved exactly.  There is no size
-    guard: the work grows with the bit length of the coefficients, not
-    with their divisors.  A rational root is missed only when the
-    eigenvalues place it off the real axis in every pass; it is then left
-    in sf, which `solve_quartic` solves in floats.  The multiplicity of
-    each root is counted by deflating the whole polynomial.
+    closest fraction with denominator at most L (`_nearest_fraction`, the
+    rounding of `limit_denominator` on ints) is the only candidate it can
+    stand for; exact deflation confirms it and takes it out, so the next
+    float root near it converges to a neighbour.  The float roots of what is
+    left are taken again until a pass finds nothing, and a remainder of
+    degree 1 or 2 is solved exactly.  There is no size guard: the work
+    grows with the bit length of the coefficients, not with their divisors.
+    A rational root is missed only when the eigenvalues place it off the
+    real axis in every pass; it is then left in sf, which `solve_quartic`
+    solves in floats.  A root's multiplicity is 1 on a square-free P, and
+    otherwise 1 plus its multiplicity in g.
 
     Returns (list of (Fraction, mult), rest, sf), roots in ascending
     (|numerator|, denominator, sign) order.  rest is the cleared integer
-    polynomial with every rational root found deflated; sf, q's square-free
+    polynomial with every rational root found deflated; sf, P's square-free
     part deflated once by each, is rest's square-free part (both are
     primitive, with a positive leading coefficient and the same roots).
     Only called when all coefficients are exact.
     """
     ints = primitive(q._cleared[1])
-    sf, g = _square_free(ints)
-    roots = _low_degree_roots(_square_free(g)[0]) if len(g) > 1 else []
+    sf, g = _square_free(ints) if _repeated(ints) else (ints, (1,))
+    roots = _low_degree_roots(g if len(g) == 2 else _square_free(g)[0]) if len(g) > 1 else []
     for r in roots:
         sf = _deflate(sf, r.numerator, r.denominator)
     while len(sf) > 3:
@@ -340,24 +392,27 @@ def _rational_roots(q: Quartic):
                 break
             if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z)):
                 continue
-            r = Fraction(_refine(sf, float(z.real), bits), 1 << bits).limit_denominator(lead)
-            deflated = _deflate(sf, r.numerator, r.denominator)
+            h, k = _nearest_fraction(_refine(sf, float(z.real), bits), bits, lead)
+            deflated = _deflate(sf, h, k)
             if deflated is not None:
                 sf = deflated
-                roots.append(r)
+                roots.append(Fraction(h, k))
         if len(roots) == before:
             break
     if 1 < len(sf) <= 3 and (low := _low_degree_roots(sf)):
         # sf is primitive and the product of their factors (den x - num)
         roots, sf = roots + low, [1]
     found = []
-    for r in sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0)):
-        mult = 0
-        while (quotient := _deflate(ints, r.numerator, r.denominator)) is not None:
-            ints = quotient
-            mult += 1
+    for r in sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r.numerator < 0)):
+        h, k, mult = r.numerator, r.denominator, 1
+        while (quotient := _deflate(g, h, k)) is not None:
+            g, mult = quotient, mult + 1
         found.append((r, mult))
-    return found, ints, sf
+    # rest, P deflated by each root found to its multiplicity, is P when
+    # none is found, and otherwise square-free (a quartic with a rational
+    # root has only rational repeated roots, all found), so it is sf by
+    # the uniqueness of exact division
+    return found, sf if roots else ints, sf
 
 
 def _cluster(values, tol: float):
@@ -411,8 +466,10 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     if tol <= 0:
         raise ValueError("tol must be positive")
     try:
-        finite = all(map(math.isfinite, map(float, q.coeffs)))
-    except OverflowError:  # float() of a huge int or Fraction
+        # an exact q's scale is finite unless it raises
+        finite = (math.isfinite(q.scale) if q.is_exact
+                  else all(map(math.isfinite, map(float, q.coeffs))))
+    except OverflowError:  # float() of a huge int or Fraction, or C_k / L
         finite = False
     if not finite:
         raise ConfigError("the quartic has a coefficient past the float range")
@@ -459,8 +516,17 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
             raise ConfigError(f"the float roots of the quartic do not resolve: "
                               f"residual {res} at {v}")
         entries.append((v, m * k))
-    entries.sort(key=lambda em: (float(em[0].real), float(em[0].imag)))
+    entries.sort(key=_float_key)
     return RootSet(tuple(entries))
+
+
+def _float_key(entry):
+    """(real part, imaginary part) of a root entry as floats; an exact root
+    h/k as the int division h / k, which rounds as float(h/k) does."""
+    v = entry[0]
+    if type(v) is Fraction:
+        return v.numerator / v.denominator, 0.0
+    return v.real, v.imag
 
 
 # (real multiplicities, multiplicities of the complex roots in the upper

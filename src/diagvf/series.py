@@ -262,7 +262,10 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     floats within VERDICT_TOL: weights of the sign -1 (`model._sign`) are
     negated, and an integer r = N (`near_integer`) is expanded as N itself.
     The pivot, the atom of largest |weight|, must then be positive.  An
-    exact coefficient is negative by its sign, a float one below -1e-12.
+    exact coefficient is negative by its sign, a float one below -1e-12,
+    and, when the weights share a sign and r reads as an integer N, below
+    -(1e-12 + N S^(N-1) T), S the sum of |w| and T that of the weights that
+    pass their sign only within VERDICT_TOL.
     Terms are keyed by the absolute support point r*v_pivot + sum n_i w_i,
     so for an integer exponent they coincide with the convolution masses.
     An exact model's points are cleared to integers over one denominator
@@ -288,8 +291,8 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
     n = len(m.weights)
     if max(math.comb(max_j + n - 1, n - 1), max_j + 1) > MAX_SUPPORT:
         raise ConfigError(f"more than {MAX_SUPPORT} series terms (order {max_j}, {n} atoms)")
-    weights = m.weights
-    if _sign(weights) < 0:
+    weights, sign = m.weights, _sign(m.weights)
+    if sign < 0:
         weights = tuple(-w for w in weights)
     pivot = max(range(len(weights)), key=lambda i: abs(float(weights[i])))
     if not float(weights[pivot]) > 0:
@@ -327,8 +330,18 @@ def expand_series(m: CandidateModel, depth: int = 8) -> SeriesReport:
                                                      exact, den)))
     except OverflowError:
         raise ConfigError("the series coefficients or points are past the float range") from None
-    # of the least order, the first in point order
     cut = -1e-12 if floats else 0
+    if floats and sign and n_int is not None and n_int > 0:
+        # the weights below 0 pass their sign only within VERDICT_TOL: with
+        # S = sum |w| and T = sum of theirs, the terms that hold one have
+        # mass at most S^N - (S - T)^N <= N S^(N-1) T
+        tail = math.fsum(-w for w in weights if w < 0)
+        if tail:
+            try:
+                cut -= n_int * math.fsum(map(abs, weights)) ** (n_int - 1) * tail
+            except OverflowError:
+                cut = -math.inf
+    # of the least order, the first in point order
     neg = min((i for i, c in enumerate(coefs) if c < cut),
               key=least.__getitem__, default=None)
     terms = SeriesTerms(dict(zip(points, coefs)), den)

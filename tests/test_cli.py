@@ -988,17 +988,25 @@ class TestCliExpand:
 
     # the verdict's rules: a decimal exponent within VERDICT_TOL of 2 is N = 2
     # (Admissible, CaseA); decimal weights of sign -1 within VERDICT_TOL are
-    # negated (CaseB); an exact coefficient is negative by its sign, however
-    # small (mixed signs, Rejected)
+    # negated (CaseB); a decimal tail of the opposite sign within
+    # VERDICT_TOL leaves terms within N S^(N-1) T of 0 (CaseA), while one
+    # beyond it is negative (mixed signs, Rejected); an exact coefficient is
+    # negative by its sign, however small (mixed signs, Rejected)
     @pytest.mark.parametrize("cfg, first_negative", [
         ({"params": {"A": -0.499999999875, "a": 0, "b": 1, "c": 0, "d": 1, "e": 0,
                      "f": 0}, "weights": [0.25, 0.5, 0.25]}, None),
         ({"params": {"A": "-1/2", "a": "0", "b": "1", "c": "0", "d": "1", "e": "0",
                      "f": "0"}, "weights": [-0.5, -0.5000000000001, 1e-13]}, None),
+        ({"params": {"A": "-1/2", "a": "0", "b": "1", "c": "0", "d": "1", "e": "0",
+                     "f": "0"}, "weights": [0.5, 0.5000000001, -1e-10]}, None),
+        ({"params": {"A": "-1/2", "a": "0", "b": "1", "c": "0", "d": "1", "e": "0",
+                     "f": "0"}, "weights": [0.6, 0.6, -0.2]},
+         {"point": ["0", "2"], "coefficient": -0.24000000000000002}),
         ({"atoms": [["0", "0"], ["1", "1"]],
           "weights": ["10000000000001/10000000000000", "-1/10000000000000"], "r": "2"},
          {"point": ["1", "1"], "coefficient": "-10000000000001/50000000000000000000000000"}),
-    ], ids=["near-integer-exponent", "signed-tail", "exact-negative"])
+    ], ids=["near-integer-exponent", "signed-tail", "tail-within-tol", "mixed-beyond-tol",
+            "exact-negative"])
     def test_expand_agrees_with_the_verdict(self, tmp_path, capsys, cfg, first_negative):
         path = write_config(tmp_path, cfg)
         code = main(["expand", path, "--json"])

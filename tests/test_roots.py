@@ -5,13 +5,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagvf import (DiagonalVFParams, NotARoot, Quartic, RootPattern,
                     build_characteristic_quartic, classify_root_pattern, run_characterize,
                     solve_quartic)
-from diagvf.roots import _cluster, _companion_roots, _ordinate, _rational_roots, _square_free
+from diagvf._num import MAX_DIGITS, primitive
+from diagvf.roots import (_cluster, _companion_roots, _nearest_fraction, _ordinate,
+                          _rational_roots, _repeated, _square_free)
 from oracles import build_dual_quartic, cluster_linkage, dual_ordinate
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
@@ -417,15 +419,20 @@ def within_old_guard(q: Quartic) -> bool:
     return all(abs(int(F(c) * den)) <= 10**12 for c in (q.coeffs[0], q.coeffs[4]))
 
 
+def polymul(p, q):
+    """The product of two ascending coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def quartic_from(roots, quadratics=()):
     """Monic quartic prod (x - r) * prod (x^2 + u x + v), ascending."""
     poly = [F(1)]
     for factor in [[-r, F(1)] for r in roots] + [[v, u, F(1)] for u, v in quadratics]:
-        out = [F(0)] * (len(poly) + len(factor) - 1)
-        for i, a in enumerate(poly):
-            for j, b in enumerate(factor):
-                out[i + j] += a * b
-        poly = out
+        poly = polymul(poly, factor)
     return Quartic(tuple(poly))
 
 
@@ -483,6 +490,54 @@ def shaped_quartics(draw):
     return shape, quartic_from([r for r, m in zip(distinct, shape) for _ in range(m)])
 
 
+@st.composite
+def square_free_quartics(draw):
+    """("square-free", quartic): zero to four distinct rational roots times
+    irreducible quadratics with real or complex roots."""
+    n_quad = draw(st.integers(0, 2))
+    roots = draw(st.lists(root_or_zero, min_size=4 - 2 * n_quad,
+                          max_size=4 - 2 * n_quad, unique=True))
+    quads = set()
+    while len(quads) < n_quad:
+        u = draw(small_root)
+        quads.add((u, (u * u - draw(st.one_of(real_non_square, complex_disc))) / 4))
+    return "square-free", quartic_from(roots, sorted(quads))
+
+
+# integers of up to MAX_DIGITS digits, the input cap, and small ones
+capped_int = st.one_of(st.integers(-30, 30),
+                       st.integers(-10 ** MAX_DIGITS + 1, 10 ** MAX_DIGITS - 1))
+# D with no rational square root: (k x - h)^2 - D m^2 is irreducible
+non_square_int = st.sampled_from([-3, -1, 2, 3, 5, 7])
+
+
+@st.composite
+def factored_integer_quartics(draw):
+    """Integer quartics, primitive with a positive leading coefficient, from
+    linear factors k x - h (zero roots and leading coefficients above 1
+    included) and irreducible quadratics (k x - h)^2 - D m^2, each to a
+    multiplicity: double, triple and quadruple roots, squared quadratics,
+    and their square-free products; entries up to the input cap."""
+    def linear():
+        return [draw(capped_int), draw(capped_int.filter(bool))]
+
+    def quadratic():
+        h, k, m = draw(capped_int), draw(capped_int.filter(bool)), draw(capped_int.filter(bool))
+        return [h * h - draw(non_square_int) * m * m, -2 * h * k, k * k]
+
+    shape = draw(st.sampled_from(["1111", "211", "22", "31", "4", "q11", "q2", "qq", "q^2"]))
+    factors = {"1111": "llll", "211": "LLll", "22": "LLMM", "31": "LLLl", "4": "LLLL",
+               "q11": "qll", "q2": "qLL", "qq": "qr", "q^2": "qq"}[shape]
+    made = {}
+    poly = [1]
+    for f in factors:
+        # a capital or repeated letter is one factor, drawn once
+        if f in "lr" or f not in made:
+            made[f] = quadratic() if f in "qr" else linear()
+        poly = polymul(poly, made[f])
+    return primitive(poly)
+
+
 class TestRationalRoots:
     @settings(max_examples=200, deadline=None)
     @given(prescribed_quartics())
@@ -503,6 +558,17 @@ class TestRationalRoots:
         assert got == trial_division_roots(q)
         if shape != (1, 1, 1, 1):
             assert companion.call_count == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(shaped_quartics(), square_free_quartics()))
+    def test_square_free_quartics_need_no_remainder_sequence(self, shaped):
+        # the invariants I and J decide square-freeness, so the primitive
+        # remainder sequence runs only on a quartic with a repeated root
+        shape, q = shaped
+        with mock.patch("diagvf.roots._square_free", wraps=_square_free) as prs:
+            found, rest, sf = _rational_roots(q)
+        assert (prs.call_count == 0) is (shape in ((1, 1, 1, 1), "square-free"))
+        assert (found, [F(c, rest[-1]) for c in rest]) == trial_division_roots(q)
 
     @pytest.mark.parametrize("roots", [
         (F(123456789, 1000000007), F(1), F(-2), F(3)),
@@ -587,6 +653,20 @@ class TestRationalRoots:
         assert rep.regression["exact"] and rep.regression["max_dev"] == 0
 
 
+class TestSquareFreeByInvariants:
+    @settings(max_examples=400, deadline=None)
+    @given(factored_integer_quartics())
+    @example((0, 0, -1, 0, 1))   # x^2 (x - 1)(x + 1)
+    @example((1, 4, 6, 4, 1))    # (x + 1)^4
+    @example((4, 0, -4, 0, 1))   # (x^2 - 2)^2
+    @example((1, 0, 2, 0, 1))    # (x^2 + 1)^2
+    @example((2, -3, 0, 0, 3))   # 3 x^4 - 3 x + 2
+    @example((0, -2, 1, -2, 1))  # x (x - 2)(x^2 + 1)
+    def test_invariants_decide_square_freeness(self, P):
+        # 27 disc(P) = 4 I^3 - J^2 is nonzero exactly when gcd(P, P') = 1
+        assert _repeated(P) is (tuple(_square_free(P)[1]) != (1,))
+
+
 class TestRootStructure:
     """Multiplicity and realness are facts of the quartic, not of --tol."""
 
@@ -657,6 +737,17 @@ finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
 cluster_parts = st.one_of(st.integers(-4, 4).map(lambda k: k / 2),
                           st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-8, 3e-9]),
                           st.floats(-2, 2))
+
+
+@st.composite
+def rounding_ties(draw):
+    """(X, bits, 2^j) with X / 2^bits = p + 1/2^(j+1), midway between p and
+    p + 1/2^j, or p + 1 - 1/2^(j+1), midway between p + 1 - 1/2^j and
+    p + 1: the two closest fractions with denominators at most 2^j."""
+    p, j = draw(st.integers(-2 ** 40, 2 ** 40)), draw(st.integers(0, 80))
+    extra = draw(st.integers(0, 200))
+    X = ((2 * p + 2 << j) - 1) if draw(st.booleans()) else ((2 * p << j) + 1)
+    return X << extra, j + 1 + extra, 1 << j
 
 
 class TestFloatRootsKeepTheirBits:
@@ -733,6 +824,22 @@ class TestFloatRootsKeepTheirBits:
                   for X in range(-4 << bits, (4 << bits) + 1)}:
             found, _, _ = _rational_roots(Quartic((-2 * r, F(2), F(0), -r, F(1))))
             assert found == [(r, 1)]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.integers(-2 ** 310, 2 ** 310), st.integers(1, 300),
+                  st.integers(1, 2 ** 80)),
+        rounding_ties()))
+    @example((1, 1, 1))    # 1/2 at L = 1: a tie, to 0
+    @example((-1, 1, 1))   # -1/2 at L = 1: a tie, to -1
+    @example((3, 2, 2))    # 3/4 at L = 2: a tie, to 1
+    @example((-7, 3, 4))   # -7/8 at L = 4: a tie, to -1
+    @example((0, 5, 1))
+    @example((-12, 3, 2))  # -3/2, its own nearest fraction
+    def test_nearest_fraction_on_ints(self, case):
+        X, bits, limit = case
+        r = F(X, 1 << bits).limit_denominator(limit)
+        assert _nearest_fraction(X, bits, limit) == (r.numerator, r.denominator)
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(-2 ** 200, 2 ** 200), st.integers(1, 300), st.integers(1, 2 ** 80))

@@ -779,14 +779,24 @@ def accepted_models(draw):
 
 @st.composite
 def verdict_accepted_models(draw):
-    """accepted_models, each decimal one with its exponent moved off N and
-    its weights scaled off a unit sum, both within the verdict's 1e-9:
-    models the verdict accepts, with weights of one sign."""
+    """accepted_models, each decimal one with its exponent moved off N, its
+    weights scaled off a unit sum and, in half the draws, one weight of the
+    opposite sign, all within the verdict's 1e-9: models the verdict
+    accepts, with weights of one sign by its rule."""
     m = draw(accepted_models())
     if not m.is_exact:
         r = m.r + draw(st.floats(-9e-10, 9e-10))
         scale = 1 + draw(st.floats(-5e-10, 5e-10))
-        m = make_model(m.atoms, [w * scale for w in m.weights], r)
+        weights = list(m.weights)
+        if draw(st.booleans()):
+            # atom i's weight moves to its neighbour, but for a tail of the
+            # opposite sign, so the sum stays
+            i = draw(st.integers(0, len(weights) - 1))
+            tail = math.copysign(draw(st.floats(1e-13, 4e-10)), -weights[i])
+            j = (i + 1) % len(weights)
+            weights[j] += weights[i] - tail
+            weights[i] = tail
+        m = make_model(m.atoms, [w * scale for w in weights], r)
         assert admissibility_verdict(m).accepted
     return m
 
@@ -803,7 +813,14 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     @given(verdict_accepted_models())
     def test_verdict_accepted_models_expand_without_negatives(self, m):
-        # expand reads the sign and the integer exponent by the verdict's rules
+        # expand reads the sign and the integer exponent by the verdict's
+        # rules, and bounds the terms that hold an opposite-sign tail
+        assert expand_series(m, 8).first_negative is None
+
+    def test_tail_bound_past_the_float_range(self):
+        # S^(N-1) = 4^599 overflows: the bound leaves no coefficient negative
+        atoms = [(float(x), float(x * x)) for x in range(5)]
+        m = make_model(atoms, [1.0, 1.0, 1.0, 1.0, -1e-10], 600)
         assert expand_series(m, 8).first_negative is None
 
     @pytest.mark.parametrize("delta", [-9e-10, 9e-10])
