@@ -23,9 +23,9 @@ from .errors import ConfigError, DiagVFError
 from .model import (LatticeMatrix, admissibility_verdict, candidate_model,
                     make_model, star_condition)
 from .measure import cumulant_eval, realize_measure, tilt_member
-from .pipeline import (_built, _degenerate, _items, _number, _roots_json, parse_config,
-                       report_to_dict, run_characterize, to_json)
-from .roots import classify_root_pattern, solve_quartic, build_characteristic_quartic
+from .pipeline import (_built, _degenerate, _items, _number, _roots_json, _star_json,
+                       parse_config, report_to_dict, run_characterize, to_json)
+from .roots import solve_quartic, build_characteristic_quartic
 from .series import EliminationForm, expand_series, magnitude_scan
 
 EXIT_OK = 0
@@ -77,9 +77,7 @@ def cmd_roots(args) -> int:
         if "params" not in cfg:
             raise ConfigError("roots needs 'params' or 'quartic'")
         q = build_characteristic_quartic(cfg["params"])
-    rs = solve_quartic(q, args.tol)
-    _emit({"quartic": [format_number(c) for c in q.coeffs], "roots": _roots_json(rs),
-           "pattern": classify_root_pattern(rs).value, "n_r": rs.n_r}, args.json)
+    _emit(_roots_json(q, solve_quartic(q, args.tol)), args.json)
     return EXIT_OK
 
 
@@ -89,9 +87,7 @@ def cmd_lattice(args) -> int:
         raise ConfigError("lattice needs 'matrix': 3x3 rational rows")
     rows = _items(cfg["matrix"], 3, lambda row: tuple(map(Fraction, _items(row, 3))))
     rep = star_condition(LatticeMatrix(rows), bound=args.bound)
-    _emit({"holds": rep.holds,
-           "witness": list(rep.witness) if rep.witness else None,
-           "method": rep.method}, args.json)
+    _emit(_star_json(rep), args.json)
     return EXIT_OK if rep.holds else EXIT_REJECTED
 
 

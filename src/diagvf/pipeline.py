@@ -121,14 +121,19 @@ def parse_config(doc):
     return _Config(out)
 
 
-def _roots_json(rs):
-    out = []
-    for v, mlt in rs.entries:
-        if isinstance(v, complex):
-            out.append({"re": float(v.real), "im": float(v.imag), "mult": mlt})
-        else:
-            out.append({"re": format_number(v), "im": 0, "mult": mlt})
-    return out
+def _roots_json(q, rs) -> dict:
+    """The roots stage as `characterize` and `roots` print it."""
+    roots = [{"re": float(v.real), "im": float(v.imag), "mult": mlt}
+             if isinstance(v, complex) else {"re": format_number(v), "im": 0, "mult": mlt}
+             for v, mlt in rs.entries]
+    return {"quartic": [format_number(c) for c in q.coeffs], "roots": roots,
+            "pattern": classify_root_pattern(rs).value, "n_r": rs.n_r}
+
+
+def _star_json(star) -> dict:
+    """A star condition report as `characterize` and `lattice` print it."""
+    return {"holds": star.holds, "witness": list(star.witness) if star.witness else None,
+            "method": star.method}
 
 
 def _search_weights(p, n_r, denominator, tol, roots, bound):
@@ -174,10 +179,7 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
     report = PipelineReport(
         params={k: format_number(v) for k, v in
                 zip(PARAM_KEYS, p.as_tuple())} if p else None,
-        quartic=[format_number(c) for c in q.coeffs],
-        roots=_roots_json(rs),
-        pattern=classify_root_pattern(rs).value,
-        n_r=rs.n_r,
+        **_roots_json(q, rs),
     )
 
     def rejected(reason, case="Rejected"):
@@ -214,10 +216,7 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
     report.verdict = {"case": verdict.outcome, "N": verdict.N,
                       "reason": verdict.reason}
     if verdict.star is not None:
-        report.star = {"holds": verdict.star.holds,
-                       "witness": list(verdict.star.witness)
-                       if verdict.star.witness else None,
-                       "method": verdict.star.method}
+        report.star = _star_json(verdict.star)
     if not verdict.accepted:
         if verdict.inconclusive:
             report.status = "Inconclusive"

@@ -254,9 +254,11 @@ def _refine(poly, x: float, bits: int) -> int:
     """Newton's method in fixed point: an integer X such that X / 2**bits
     approximates a simple root of poly near x to about 2**-bits.
 
-    Next to a cluster of roots each step only halves the error until the
-    cluster resolves, so the step count is capped by the bits asked for,
-    not by quadratic convergence."""
+    `_rational_roots` asks for 2**-bits below a sixteenth of 1/L, the
+    spacing of the lattice its rational roots lie on, which is all that
+    rounding to that lattice needs.  Next to a cluster of roots each step
+    only halves the error until the cluster resolves, so the step count is
+    capped by the bits asked for, not by quadratic convergence."""
     num, den = x.as_integer_ratio()
     X = (num << bits) // den
     deriv = [i * c for i, c in enumerate(poly)][1:]
@@ -319,32 +321,6 @@ def _low_degree_roots(poly):
     return [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
 
 
-def _nearest_fraction(X: int, bits: int, limit: int):
-    """(h, k), the fraction closest to X / 2**bits with 0 < k <= limit, as
-    `Fraction(X, 2**bits).limit_denominator(limit)` gives it, on ints: the
-    same continued-fraction walk to the convergent p1/q1 and the
-    semiconvergent beside it, and on a tie p1/q1."""
-    shift = min(bits, (X & -X).bit_length() - 1) if X else bits
-    n, den = X >> shift, 1 << (bits - shift)
-    if den <= limit:
-        return n, den
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    d = den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > limit:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (limit - q0) // q1
-    # X / 2**bits lies d / (q1 den) from p1/q1, and the two bounds lie
-    # 1 / (q1 (q0 + k q1)) apart
-    if 2 * d * (q0 + k * q1) <= den:
-        return p1, q1
-    return p0 + k * p1, q0 + k * q1
-
-
 def _rational_roots(q: Quartic):
     """Extract exact rational roots with multiplicities: rationalize and verify.
 
@@ -356,27 +332,27 @@ def _rational_roots(q: Quartic):
     multiplicity m, so its square-free part (g itself when it is linear)
     has degree 1 or 2 and `_low_degree_roots` solves it exactly; its
     rational roots are deflated first from sf, whose degree stays above 2
-    only when P is square-free.  Every rational root h/k of sf has k | L,
-    its leading coefficient.  Each real float root of sf is refined by
-    fixed-point Newton steps to 2**-(2 bits(L) + 4) < 1 / (2 L^2), so the
-    closest fraction with denominator at most L (`_nearest_fraction`, the
-    rounding of `limit_denominator` on ints) is the only candidate it can
-    stand for; exact deflation confirms it and takes it out, so the next
-    float root near it converges to a neighbour.  The float roots of what is
-    left are taken again until a pass finds nothing, and a remainder of
-    degree 1 or 2 is solved exactly.  There is no size guard: the work
-    grows with the bit length of the coefficients, not with their divisors.
-    A rational root is missed only when the eigenvalues place it off the
-    real axis in every pass; it is then left in sf, which `solve_quartic`
-    solves in floats.  A root's multiplicity is 1 on a square-free P, and
-    otherwise 1 plus its multiplicity in g.
+    only when P is square-free.  By the rational root theorem every
+    rational root h/k of sf has k | L, its leading coefficient, so the
+    rational roots lie on the lattice (1/L)Z and are at least 1/L apart.
+    Each real float root of sf is refined by fixed-point Newton steps to
+    2**-bits < 1 / (16 L), bits = bits(L) + 4, and rounded to the nearest
+    multiple of 1/L: a root within 1 / (2 L) of the refined value is that
+    lattice point, the only candidate it can stand for.  Exact deflation
+    confirms it and takes it out, so the next float root near it converges
+    to a neighbour; a candidate that does not divide is skipped.  The float
+    roots of what is left are taken again until a pass finds nothing, and
+    a remainder of degree 1 or 2 is solved exactly.  There is no size
+    guard: the work grows with the bit length of the coefficients, not
+    with their divisors.  A rational root is missed only when the
+    eigenvalues place it off the real axis in every pass; it is then left
+    in sf, which `solve_quartic` solves in floats.  A root's multiplicity
+    is 1 on a square-free P, and otherwise 1 plus its multiplicity in g.
 
-    Returns (list of (Fraction, mult), rest, sf), roots in ascending
-    (|numerator|, denominator, sign) order.  rest is the cleared integer
-    polynomial with every rational root found deflated; sf, P's square-free
-    part deflated once by each, is rest's square-free part (both are
-    primitive, with a positive leading coefficient and the same roots).
-    Only called when all coefficients are exact.
+    Returns (list of (Fraction, mult), sf), roots in ascending
+    (|numerator|, denominator, sign) order.  sf, P's square-free part
+    deflated once by each root found, is primitive with a positive leading
+    coefficient.  Only called when all coefficients are exact.
     """
     ints = primitive(q._cleared[1])
     sf, g = _square_free(ints) if _repeated(ints) else (ints, (1,))
@@ -384,15 +360,18 @@ def _rational_roots(q: Quartic):
     for r in roots:
         sf = _deflate(sf, r.numerator, r.denominator)
     while len(sf) > 3:
-        lead, before = sf[-1], len(roots)
-        bits = 2 * lead.bit_length() + 4
+        before = len(roots)
         top = max(abs(c) for c in sf)
         for z in _companion_roots([c / top for c in reversed(sf)]):
             if len(sf) <= 3:
                 break
             if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z)):
                 continue
-            h, k = _nearest_fraction(_refine(sf, float(z.real), bits), bits, lead)
+            lead = sf[-1]
+            bits = lead.bit_length() + 4
+            H = (lead * _refine(sf, z.real, bits) + (1 << (bits - 1))) >> bits
+            d = math.gcd(H, lead)
+            h, k = H // d, lead // d
             deflated = _deflate(sf, h, k)
             if deflated is not None:
                 sf = deflated
@@ -408,11 +387,7 @@ def _rational_roots(q: Quartic):
         while (quotient := _deflate(g, h, k)) is not None:
             g, mult = quotient, mult + 1
         found.append((r, mult))
-    # rest, P deflated by each root found to its multiplicity, is P when
-    # none is found, and otherwise square-free (a quartic with a rational
-    # root has only rational repeated roots, all found), so it is sf by
-    # the uniqueness of exact division
-    return found, sf if roots else ints, sf
+    return found, sf
 
 
 def _cluster(values, tol: float):
@@ -474,16 +449,17 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     if not finite:
         raise ConfigError("the quartic has a coefficient past the float range")
     if q.is_exact:
-        entries, rest, sf = _rational_roots(q)
-        # With every rational root deflated, the rest is a product of
-        # irreducible factors over Q, none linear: a quartic's rest is
-        # square-free or the square of one quadratic.  So each of its roots
-        # has the multiplicity k = deg(rest) / deg(sf) of its square-free
-        # part sf, and only sf is solved in floats; a degree that deg(sf)
-        # does not divide means a rational root was missed.
-        k, missed = divmod(len(rest) - 1, max(len(sf) - 1, 1))
+        entries, sf = _rational_roots(q)
+        # With every rational root deflated to its multiplicity, the rest of
+        # q, of degree 4 less their sum, is a product of irreducible factors
+        # over Q, none linear: square-free or the square of one quadratic.
+        # So each of its roots has the multiplicity k = deg(rest) / deg(sf)
+        # of its square-free part sf, and only sf is solved in floats; a
+        # degree that deg(sf) does not divide means a rational root was
+        # missed.
+        k, missed = divmod(4 - sum(m for _, m in entries), max(len(sf) - 1, 1))
         if missed:
-            raise ArithmeticError(f"a rational root of {rest} was missed")
+            raise ArithmeticError(f"a rational root beside {sf} was missed")
         numeric_coeffs = [c / sf[-1] for c in sf]
     else:
         entries, k = [], 1

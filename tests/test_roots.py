@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from diagvf import (DiagonalVFParams, NotARoot, Quartic, RootPattern,
                     build_characteristic_quartic, classify_root_pattern, run_characterize,
                     solve_quartic)
-from diagvf._num import MAX_DIGITS, primitive
-from diagvf.roots import (_cluster, _companion_roots, _nearest_fraction, _ordinate,
-                          _rational_roots, _repeated, _square_free)
+from diagvf._num import MAX_DIGITS, cleared, primitive
+from diagvf.roots import (_cluster, _companion_roots, _ordinate, _rational_roots, _refine,
+                          _repeated, _square_free)
 from oracles import build_dual_quartic, cluster_linkage, dual_ordinate
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
@@ -406,12 +406,27 @@ def trial_division_roots(q: Quartic):
     return found, poly
 
 
+def divide_out(poly, r):
+    """poly / (x - r) for ascending coefficients, r a root of poly."""
+    out = [poly[-1]]
+    for c in reversed(poly[1:-1]):
+        out.append(c + r * out[-1])
+    assert poly[0] + r * out[-1] == 0
+    return out[::-1]
+
+
 def rational_roots(q: Quartic):
-    """_rational_roots as the oracle gives it: the found roots and the rest
-    made monic.  Its third value must be the rest's square-free part."""
-    found, rest, sf = _rational_roots(q)
-    assert sf == (_square_free(rest)[0] if len(rest) > 1 else [1])
-    return found, [F(c, rest[-1]) for c in rest]
+    """_rational_roots as the oracle gives it: the found roots and the monic
+    rest, q divided exactly by each found root to its multiplicity.  Its
+    second value must be the rest's square-free part."""
+    found, sf = _rational_roots(q)
+    rest = [F(c) for c in q.coeffs]
+    for r, m in found:
+        for _ in range(m):
+            rest = divide_out(rest, r)
+    ints = primitive(cleared(rest)[1])
+    assert list(sf) == list(_square_free(ints)[0] if len(ints) > 1 else [1])
+    return found, rest
 
 
 def within_old_guard(q: Quartic) -> bool:
@@ -566,17 +581,16 @@ class TestRationalRoots:
         # remainder sequence runs only on a quartic with a repeated root
         shape, q = shaped
         with mock.patch("diagvf.roots._square_free", wraps=_square_free) as prs:
-            found, rest, sf = _rational_roots(q)
+            _rational_roots(q)
         assert (prs.call_count == 0) is (shape in ((1, 1, 1, 1), "square-free"))
-        assert (found, [F(c, rest[-1]) for c in rest]) == trial_division_roots(q)
+        assert rational_roots(q) == trial_division_roots(q)
 
     @pytest.mark.parametrize("roots", [
         (F(123456789, 1000000007), F(1), F(-2), F(3)),
         (F(-987654321, 999999937), F(1, 2), F(1, 2), F(0)),
     ])
     def test_denominators_past_float_precision(self, roots):
-        # |r - float(r)| is far above 1 / (2 k^2) here, so only the
-        # Newton-sharpened root rounds to r under limit_denominator
+        # float(r) is not r here: r comes out as the exact lattice point
         q = quartic_from(roots)
         assert within_old_guard(q)
         assert rational_roots(q) == trial_division_roots(q)
@@ -600,10 +614,34 @@ class TestRationalRoots:
         ((F(1, 999999), F(1, 1000000), F(1, 1000001), F(3)), ()),
         ((F(1, 999999), F(1, 1000000)), [(F(0), F(1))]),
         ((F(7, 1000000), F(7, 1000001)), [(F(-2), F(-1))]),
+    ] + [
+        # 1/n and 1/(n + 1) are one step of the lattice (1/L)Z apart, L =
+        # n (n + 1), beside a complex and beside an irrational pair
+        ((F(1, n), F(1, n + 1)), [quadratic])
+        for n in (2 ** 61 - 1, 2 ** 64, 10 ** 40, 10 ** 90)
+        for quadratic in ((F(0), F(1)), (F(0), F(-2)))
     ])
     def test_close_roots_recovered_exactly(self, roots, quadratics):
         found, _ = rational_roots(quartic_from(roots, quadratics))
         assert sorted(found) == sorted((r, 1) for r in roots)
+
+    @pytest.mark.parametrize("roots, quadratics", [
+        ((F(1, 3), F(2), F(-5, 7), F(0)), ()),
+        ((F(1, 999999), F(1, 1000000), F(1, 1000001), F(3)), ()),
+        ((F(123456789, 1000000007), F(-7, 2)), [(F(0), F(-2))]),
+        ((F(1, 10 ** 40), F(1, 10 ** 40 + 1)), [(F(0), F(1))]),
+    ])
+    def test_refine_asks_for_a_sixteenth_of_the_lattice_step(self, roots, quadratics):
+        # the rational roots of sf lie on (1/L)Z, L its leading coefficient,
+        # so rounding needs 2**-bits < 1/(16 L) and no more
+        q = quartic_from(roots, quadratics)
+        with mock.patch("diagvf.roots._refine", wraps=_refine) as refine:
+            found, _ = _rational_roots(q)
+        assert sorted(found) == sorted((r, 1) for r in roots)
+        assert refine.call_count >= 1
+        for call in refine.call_args_list:
+            sf, _, bits = call.args
+            assert bits == sf[-1].bit_length() + 4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_beyond_old_guard_recovered_exactly(self, seed):
@@ -617,9 +655,9 @@ class TestRationalRoots:
         roots.append(roots[seed % 3])
         q = quartic_from(roots)
         assert not within_old_guard(q)
-        found, rest, sf = _rational_roots(q)
+        found, sf = _rational_roots(q)
         assert sorted(found) == sorted((r, roots.count(r)) for r in set(roots))
-        assert rest == sf == [1]
+        assert sf == [1]
         assert all(isinstance(v, F) for v, _ in solve_quartic(q).entries)
 
     def test_huge_abscissa_does_not_hang(self):
@@ -686,9 +724,8 @@ class TestRootStructure:
     def test_missed_rational_root_is_an_error(self, monkeypatch):
         # a rest (x - 1)^2 (x^2 - 2) has a square-free part of degree 3
         q = quartic_from((F(1), F(1)), [(F(0), F(-2))])
-        rest = [int(c) for c in q.coeffs]
-        monkeypatch.setattr("diagvf.roots._rational_roots",
-                            lambda q: ([], rest, _square_free(rest)[0]))
+        sf = _square_free([int(c) for c in q.coeffs])[0]
+        monkeypatch.setattr("diagvf.roots._rational_roots", lambda q: ([], sf))
         with pytest.raises(ArithmeticError):
             solve_quartic(q)
 
@@ -737,17 +774,6 @@ finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
 cluster_parts = st.one_of(st.integers(-4, 4).map(lambda k: k / 2),
                           st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-8, 3e-9]),
                           st.floats(-2, 2))
-
-
-@st.composite
-def rounding_ties(draw):
-    """(X, bits, 2^j) with X / 2^bits = p + 1/2^(j+1), midway between p and
-    p + 1/2^j, or p + 1 - 1/2^(j+1), midway between p + 1 - 1/2^j and
-    p + 1: the two closest fractions with denominators at most 2^j."""
-    p, j = draw(st.integers(-2 ** 40, 2 ** 40)), draw(st.integers(0, 80))
-    extra = draw(st.integers(0, 200))
-    X = ((2 * p + 2 << j) - 1) if draw(st.booleans()) else ((2 * p << j) + 1)
-    return X << extra, j + 1 + extra, 1 << j
 
 
 class TestFloatRootsKeepTheirBits:
@@ -822,31 +848,15 @@ class TestFloatRootsKeepTheirBits:
         # candidate of the irrational real root -2^(1/3) deflates
         for r in {F(X, 1 << bits).limit_denominator(limit)
                   for X in range(-4 << bits, (4 << bits) + 1)}:
-            found, _, _ = _rational_roots(Quartic((-2 * r, F(2), F(0), -r, F(1))))
+            found, _ = _rational_roots(Quartic((-2 * r, F(2), F(0), -r, F(1))))
             assert found == [(r, 1)]
-
-    @settings(max_examples=1000, deadline=None)
-    @given(st.one_of(
-        st.tuples(st.integers(-2 ** 310, 2 ** 310), st.integers(1, 300),
-                  st.integers(1, 2 ** 80)),
-        rounding_ties()))
-    @example((1, 1, 1))    # 1/2 at L = 1: a tie, to 0
-    @example((-1, 1, 1))   # -1/2 at L = 1: a tie, to -1
-    @example((3, 2, 2))    # 3/4 at L = 2: a tie, to 1
-    @example((-7, 3, 4))   # -7/8 at L = 4: a tie, to -1
-    @example((0, 5, 1))
-    @example((-12, 3, 2))  # -3/2, its own nearest fraction
-    def test_nearest_fraction_on_ints(self, case):
-        X, bits, limit = case
-        r = F(X, 1 << bits).limit_denominator(limit)
-        assert _nearest_fraction(X, bits, limit) == (r.numerator, r.denominator)
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(-2 ** 200, 2 ** 200), st.integers(1, 300), st.integers(1, 2 ** 80))
     def test_nearest_fraction_is_limit_denominator(self, X, bits, limit):
         # large numerators and denominators, as above
         r = F(X, 1 << bits).limit_denominator(limit)
-        found, _, _ = _rational_roots(Quartic((-2 * r, F(2), F(0), -r, F(1))))
+        found, _ = _rational_roots(Quartic((-2 * r, F(2), F(0), -r, F(1))))
         assert found == [(r, 1)]
 
     @settings(max_examples=200, deadline=None)
