@@ -25,7 +25,7 @@ from .model import (LatticeMatrix, admissibility_verdict, candidate_model,
 from .measure import cumulant_eval, realize_measure, tilt_member
 from .pipeline import (_built, _degenerate, _items, _number, _roots_json, _star_json,
                        parse_config, report_to_dict, run_characterize, to_json)
-from .roots import solve_quartic, build_characteristic_quartic
+from .roots import solve_quartic
 from .series import EliminationForm, expand_series, magnitude_scan
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def cmd_roots(args) -> int:
     if q is None:
         if "params" not in cfg:
             raise ConfigError("roots needs 'params' or 'quartic'")
-        q = build_characteristic_quartic(cfg["params"])
+        q = cfg["params"].quartic
     _emit(_roots_json(q, solve_quartic(q, args.tol)), args.json)
     return EXIT_OK
 

@@ -118,9 +118,8 @@ def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
     callers building several models for one p pass it to solve only once.
     Every root is checked against the quartic, which p builds once.
     """
-    q = p.quartic
     if roots is None:
-        roots = solve_quartic(q, tol)
+        roots = solve_quartic(p.quartic, tol)
     lams = roots.real_roots
     if len(lams) < 2:
         raise NRootDeficit(
@@ -128,7 +127,7 @@ def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
     if len(weights) != len(lams):
         raise WeightCountMismatch(
             f"{len(weights)} weights for {len(lams)} distinct real roots")
-    atoms = tuple((lam, _ordinate(lam, p, q, tol)) for lam in lams)
+    atoms = tuple((lam, _ordinate(lam, p, roots.rest, tol)) for lam in lams)
     return CandidateModel(atoms, tuple(weights), _exponent(p))
 
 

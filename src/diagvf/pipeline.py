@@ -136,31 +136,6 @@ def _star_json(star) -> dict:
             "method": star.method}
 
 
-def _search_weights(p, n_r, denominator, tol, roots, bound):
-    """Model and verdict of the first point of the weight simplex's
-    1/denominator grid, or None when the grid has no point.
-
-    Every grid point has positive weights with exact sum 1, so the sign and
-    sum clauses of the verdict pass at each, and only the lattice clause on
-    the abscissas (three or four atoms) and the exponent clause on r can
-    reject.  All grid points thus share the verdict of the first,
-    (1, ..., 1, D - n_r + 1) / D, which `_verdict` gives from the abscissas
-    of `roots` (p's solved quartic), cleared to ints when all are
-    Fractions, and r; the model is built only when it accepts, and is None
-    otherwise.
-    """
-    if denominator < n_r:
-        return None
-    weights = ((Fraction(1, denominator),) * (n_r - 1)
-               + (Fraction(denominator - n_r + 1, denominator),))
-    lams = roots.real_roots
-    if all(type(lam) is Fraction for lam in lams):
-        lams = cleared(lams)[1]
-    verdict = _verdict(lams, weights, _exponent(p), bound)
-    m = candidate_model(p, weights, tol, roots=roots) if verdict.accepted else None
-    return m, verdict
-
-
 def _degenerate(m: CandidateModel, from_atoms: bool = False) -> bool:
     """Whether an accepted model's mu is collinear: of explicit atoms, when
     its kept atoms are; of params (on a parabola in nu), when it keeps two."""
@@ -169,7 +144,16 @@ def _degenerate(m: CandidateModel, from_atoms: bool = False) -> bool:
 
 def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineReport:
     """Run the whole pipeline: quartic -> roots -> model -> verdict -> checks,
-    both checks by `check_model`; a `parse_config` result is not parsed again."""
+    both checks by `check_model`; a `parse_config` result is not parsed again.
+
+    A `weight_search` with denominator D and no `weights` picks the first
+    point (1, ..., 1, D - n_r + 1) / D of the weight simplex's 1/D grid.
+    Every grid point has positive weights with exact sum 1, so only the
+    lattice clause on the abscissas and the exponent clause on r can reject,
+    and all points share the verdict of the first.  `_verdict` gives it from
+    the roots' abscissas (cleared to ints when all are exact) and r before
+    any model is built; a grid with no point (D < n_r) or a rejected point
+    ends the run, and an accepted point runs as explicit weights."""
     cfg = config if type(config) is _Config else parse_config(config)
     p = cfg.get("params")
     if p is None and "quartic" not in cfg:
@@ -194,20 +178,22 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
                         "can be derived", "Inconclusive")
 
     weights = cfg.get("weights")
-    if weights is not None:
-        try:
-            m = candidate_model(p, weights, tol, roots=rs)
-        except (NRootDeficit, WeightCountMismatch) as exc:
-            return rejected(f"{type(exc).__name__}: {exc}")
-        verdict = admissibility_verdict(m, bound=bound)
-    elif "weight_search" in cfg:
+    if weights is None and "weight_search" in cfg:
         den = cfg["weight_search"]["denominator"]
-        found = _search_weights(p, rs.n_r, den, tol, rs, bound)
-        if found is None or not found[1].accepted:
+        weights = ((Fraction(1, den),) * (rs.n_r - 1)
+                   + (Fraction(den - rs.n_r + 1, den),))
+        lams = rs.real_roots
+        if all(type(lam) is Fraction for lam in lams):
+            lams = cleared(lams)[1]
+        if den < rs.n_r or not _verdict(lams, weights, _exponent(p), bound).accepted:
             return rejected(f"no admissible weights on the 1/{den} grid")
-        m, verdict = found
-    else:
+    if weights is None:
         raise ConfigError("config needs 'weights' or 'weight_search'")
+    try:
+        m = candidate_model(p, weights, tol, roots=rs)
+    except (NRootDeficit, WeightCountMismatch) as exc:
+        return rejected(f"{type(exc).__name__}: {exc}")
+    verdict = admissibility_verdict(m, bound=bound)
 
     report.atoms = [{"lambda": format_number(a[0]), "nu": format_number(a[1])}
                     for a in m.atoms]

@@ -127,9 +127,14 @@ class Quartic:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Quartic roots with multiplicities; complex entries come in conjugate pairs."""
+    """Quartic roots with multiplicities; complex entries come in conjugate pairs.
+
+    `rest`, filled by `solve_quartic` on an exact quartic, is the primitive
+    integer polynomial (constant term first) of the square-free rest whose
+    roots it solved in floats: (1,) when every root is rational."""
 
     entries: tuple  # of (value, multiplicity)
+    rest: tuple | None = None
 
     def __post_init__(self):
         if sum(m for _, m in self.entries) != 4:
@@ -493,7 +498,7 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
                               f"residual {res} at {v}")
         entries.append((v, m * k))
     entries.sort(key=_float_key)
-    return RootSet(tuple(entries))
+    return RootSet(tuple(entries), tuple(sf) if q.is_exact else None)
 
 
 def _float_key(entry):
@@ -531,12 +536,16 @@ def classify_root_pattern(r: RootSet) -> RootPattern:
         raise ValueError(f"unclassifiable multiplicity pattern {key}")
 
 
-def _ordinate(lam, p: DiagonalVFParams, q: Quartic, tol: float):
+def _ordinate(lam, p: DiagonalVFParams, rest, tol: float):
     """The ordinate nu = (lam^2 - a lam + e A) / b paired with a root lam of
-    q, p's characteristic quartic.  A Fraction lam = h/k of exact p with a
+    p's characteristic quartic q.  A Fraction lam = h/k of exact p with a
     zero cleared sum is a root, and nu = (Q^2 h^2 - Q a h k + e A k^2) /
     (Q k^2 b) on p's cleared form; other lam, or a nonzero sum, is checked
-    by its residual."""
+    by its residual.  A float root of a quadratic rest x^2 - s x + t (the
+    `RootSet.rest` of q) has lam^2 = s lam - t, so nu = ((s - a) lam - t +
+    e A) / b, linear in lam, where the two terms of lam^2 - a lam would
+    cancel at a large lam."""
+    q = p.quartic
     if isinstance(lam, Fraction) and p._cleared is not None:
         if not _cleared_sum(q._cleared[1], lam):
             Q, (A, a, b, _, _, e, _) = p._cleared
@@ -545,4 +554,7 @@ def _ordinate(lam, p: DiagonalVFParams, q: Quartic, tol: float):
     qres = abs(float(q(lam)))
     if qres > _residual_bound(float(lam), q, tol):
         raise NotARoot(f"{lam} is not a root of the characteristic quartic (residual {qres})")
+    if rest is not None and len(rest) == 3:
+        t, s = Fraction(rest[0], rest[2]), Fraction(-rest[1], rest[2])
+        return ((s - p.a) * lam + (p.e * p.A - t)) / p.b
     return (lam * lam - p.a * lam + p.e * p.A) / p.b

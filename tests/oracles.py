@@ -132,7 +132,7 @@ def dual_ordinate(lam, p, tol: float = 1e-8):
     nu = (lam^2 - a*lam + e*A) / b; residual = nu^2 - c*lam - d*nu + f*A.
     The residual equals q(lam)/b^2 identically, so it vanishes at exact roots.
     """
-    nu = _ordinate(lam, p, p.quartic, tol)
+    nu = _ordinate(lam, p, None, tol)
     return nu, nu * nu - p.c * lam - p.d * nu + p.f * p.A
 
 

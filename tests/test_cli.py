@@ -272,9 +272,9 @@ class TestRunCharacterize:
             builds.append(args)
             return candidate_model(*args, **kwargs)
 
-        def counting_atom(lam, p, q, tol):
+        def counting_atom(lam, p, rest, tol):
             atoms.append(lam)
-            return _ordinate(lam, p, q, tol)
+            return _ordinate(lam, p, rest, tol)
 
         monkeypatch.setattr(pipeline, "solve_quartic", counting)
         monkeypatch.setattr(model, "solve_quartic", counting)
@@ -452,6 +452,21 @@ def search_params(draw):
     return DiagonalVFParams(A, a, F(1), a * d - q1, d, F(0), q0 / A)
 
 
+def _searched(p, den, bound=50):
+    """The characterize report of p with a weight search over the 1/den grid."""
+    return run_characterize({"params": p, "weight_search": {"denominator": den}},
+                            bound=bound)
+
+
+def _first_point(den, n_r):
+    """The first point (1, ..., 1, den - n_r + 1) / den of the 1/den grid."""
+    return (F(1, den),) * (n_r - 1) + (F(den - n_r + 1, den),)
+
+
+def _verdict_json(v):
+    return {"case": v.outcome, "N": v.N, "reason": v.reason}
+
+
 class TestWeightSearch:
     @pytest.mark.parametrize("p", [
         _params("-1", "0", "1", "0"),       # E1: three atoms, N = 1
@@ -464,16 +479,17 @@ class TestWeightSearch:
     def test_matches_grid_oracle(self, p):
         rs = solve_quartic(build_characteristic_quartic(p))
         for den in range(1, 13):
-            found = pipeline._search_weights(p, rs.n_r, den, 1e-8, rs, 50)
-            weights = found[0].weights if found and found[1].accepted else None
-            assert weights == grid_search_oracle(p, rs.n_r, den, rs)
-            if found:
+            rep = _searched(p, den)
+            found = grid_search_oracle(p, rs.n_r, den, rs)
+            assert rep.weights == [_num.format_number(w) for w in found or ()]
+            if den >= rs.n_r:
                 # the verdict of the model on the grid's first point, with
-                # its ordinates; an accepted search returns that model
-                first = (F(1, den),) * (rs.n_r - 1) + (F(den - rs.n_r + 1, den),)
-                m = candidate_model(p, first, roots=rs)
-                assert found[1] == admissibility_verdict(m)
-                assert found[0] == (m if found[1].accepted else None)
+                # its ordinates: an accepted search reports it
+                v = admissibility_verdict(candidate_model(p, _first_point(den, rs.n_r),
+                                                          roots=rs))
+                assert v.accepted == (found is not None)
+                if v.accepted:
+                    assert rep.verdict == _verdict_json(v)
 
     @settings(max_examples=200, deadline=None)
     @given(search_params(), st.booleans(), st.integers(1, 16), st.sampled_from([1, 50]))
@@ -487,14 +503,21 @@ class TestWeightSearch:
             p = DiagonalVFParams(*map(float, p.as_tuple()))
         rs = solve_quartic(p.quartic)
         assume(rs.n_r >= 2)
-        found = pipeline._search_weights(p, rs.n_r, den, 1e-8, rs, bound)
+        rep = _searched(p, den, bound)
+        rejected = {"case": "Rejected", "N": None,
+                    "reason": f"no admissible weights on the 1/{den} grid"}
         if den < rs.n_r:
-            assert found is None
+            assert rep.verdict == rejected and rep.atoms == []
             return
-        first = (F(1, den),) * (rs.n_r - 1) + (F(den - rs.n_r + 1, den),)
-        m = candidate_model(p, first, roots=rs)
-        assert found[1] == admissibility_verdict(m, bound=bound)
-        assert found[0] == (m if found[1].accepted else None)
+        m = candidate_model(p, _first_point(den, rs.n_r), roots=rs)
+        v = admissibility_verdict(m, bound=bound)
+        if v.accepted:
+            assert rep.verdict == _verdict_json(v)
+            assert rep.weights == [_num.format_number(w) for w in m.weights]
+            assert rep.atoms == [{"lambda": _num.format_number(lam),
+                                  "nu": _num.format_number(nu)} for lam, nu in m.atoms]
+        else:
+            assert rep.verdict == rejected and rep.atoms == []
 
     @pytest.mark.parametrize("p, built", [
         (_params("-1", "0", "1", "0"), 1),       # E1: accepted
@@ -506,10 +529,8 @@ class TestWeightSearch:
         post_init = model.CandidateModel.__post_init__
         monkeypatch.setattr(model.CandidateModel, "__post_init__",
                             lambda m: count.append(m) or post_init(m))
-        rs = solve_quartic(p.quartic)
-        found = pipeline._search_weights(p, rs.n_r, 4, 1e-8, rs, 50)
-        assert found[1].accepted == bool(built) and len(count) == built
-        assert found[0] is (count[0] if built else None)
+        rep = _searched(p, 4)
+        assert (rep.weights != []) == bool(built) and len(count) == built
 
     def test_bound_reaches_the_verdict(self):
         # roots -2, -1, 1, 2: the lattice generator (2, -2, 1) is mixed,
@@ -810,6 +831,19 @@ class TestCliHugeRoots:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["status"] == "Inconclusive"
         assert captured.err == ""
+
+    def test_irrational_ordinates_do_not_cancel(self, tmp_path, capsys):
+        # x (x - a) (x^2 - a x - 1): lambda^2 - a lambda = 1 at the irrational
+        # roots, so nu = 1 there, which the rest's linear form gives; in
+        # floats lambda^2 - a lambda cancelled to -3.8e22 at lambda = 1.76e19
+        cfg = {"params": {"A": "-1/2", "a": "123456789012345678901/7", "b": "1",
+                          "c": "0", "d": "1", "e": "0", "f": "0"},
+               "weights": ["1/4"] * 4}
+        assert main(["characterize", write_config(tmp_path, cfg), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "Admissible" and out["verdict"]["N"] == 2
+        assert [a["nu"] for a in out["atoms"]] == [1.0, "0", 1.0, "0"]
+        assert out["diag_check"]["pass"] and out["regression"]["pass"]
 
     def test_roots(self, tmp_path, capsys):
         path = write_config(tmp_path, huge_roots_config(100))

@@ -680,6 +680,13 @@ class TestRationalRoots:
         rs = solve_quartic(build_characteristic_quartic(p))
         assert classify_root_pattern(rs) == RootPattern.FOUR_SINGLE_REAL
         assert len(set(rs.real_roots)) == 4
+        # the rest 7 x^2 - 7 a x - 7 whose roots were solved in floats
+        assert rs.rest == (-7, -123456789012345678901, 7)
+
+    def test_rest_is_kept_on_exact_input_only(self):
+        assert solve_quartic(quartic_from([F(-1), F(0), F(0), F(1)])).rest == (1,)
+        assert solve_quartic(quartic_from([F(1), F(1)], [(F(0), F(-3))])).rest == (-3, 0, 1)
+        assert solve_quartic(Quartic((0.0, 0.0, -1.0, 0.0, 1))).rest is None
 
     def test_three_atoms_beyond_old_guard_stay_exact(self):
         lams = [F(-2713, 1009), F(1357, 2417), F(5011, 1999)]
@@ -869,5 +876,5 @@ class TestFloatRootsKeepTheirBits:
         lam = F(lam)
         nu = (lam * lam - a * lam + e * A) / b
         p = DiagonalVFParams(A, a, b, c, d, e, (c * lam + d * nu - nu * nu) / A)
-        got = _ordinate(lam, p, p.quartic, 1e-8)
+        got = _ordinate(lam, p, None, 1e-8)
         assert type(got) is F and got == nu

@@ -1,6 +1,8 @@
-"""The public surface holds what runs: every name that a module of diagvf
-lists in `__all__` is referenced outside its own definition, in the package
-(the CLI included) or in the benchmark's ops.  `__init__.py` re-exports
+"""The package holds what runs: every name that a module of diagvf lists
+in `__all__`, and every module-level function, class and constant, private
+ones included, is referenced outside its own definition, in the package
+(the CLI included) or in the benchmark's ops.  Tests do not count as
+callers, so a helper kept for them alone fails.  `__init__.py` re-exports
 names and does not count as a caller.  A reference is a Name, an Attribute
 or an imported name found by `ast`, not a string."""
 
@@ -47,7 +49,27 @@ def _references(tree, skip) -> set:
     return found
 
 
+def _defined(tree) -> list:
+    """The module-level functions, classes and assigned names of tree, but
+    not dunders such as `__all__`."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
+
+
 EXPORTS = [(path, name) for path in MODULES for name in _exported(TREES[path])]
+DEFINED = [(path, name) for path in MODULES for name in _defined(TREES[path])]
+
+
+def _callers(path, name) -> list:
+    own = [node for node in TREES[path].body if _defines(node, name)]
+    return [caller.relative_to(ROOT).as_posix() for caller, tree in TREES.items()
+            if name in _references(tree, own if caller == path else ())]
 
 
 def test_every_module_of_the_pipeline_lists_its_surface():
@@ -58,8 +80,14 @@ def test_every_module_of_the_pipeline_lists_its_surface():
 @pytest.mark.parametrize("path, name", EXPORTS,
                          ids=[f"{path.stem}.{name}" for path, name in EXPORTS])
 def test_every_public_name_has_a_caller(path, name):
-    own = [node for node in TREES[path].body if _defines(node, name)]
-    assert own, f"{path.name} lists {name} in __all__ but does not define it"
-    callers = [caller.relative_to(ROOT).as_posix() for caller, tree in TREES.items()
-               if name in _references(tree, own if caller == path else ())]
-    assert callers, f"{path.stem}.{name} is public, but nothing in src/diagvf or perfbench/ops.py uses it"
+    assert any(_defines(node, name) for node in TREES[path].body), \
+        f"{path.name} lists {name} in __all__ but does not define it"
+    assert _callers(path, name), \
+        f"{path.stem}.{name} is public, but nothing in src/diagvf or perfbench/ops.py uses it"
+
+
+@pytest.mark.parametrize("path, name", DEFINED,
+                         ids=[f"{path.stem}.{name}" for path, name in DEFINED])
+def test_every_module_level_name_has_a_caller(path, name):
+    assert _callers(path, name), \
+        f"{path.stem}.{name} is defined, but nothing in src/diagvf or perfbench/ops.py uses it"
