@@ -14,7 +14,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
-from ._num import cleared, format_number, parse_number
+from ._num import format_number, parse_number
 from .errors import ConfigError, NRootDeficit, WeightCountMismatch
 from .model import (CandidateModel, _exponent, _verdict, admissibility_verdict,
                     candidate_model)
@@ -113,6 +113,10 @@ def parse_config(doc):
         if not isinstance(ws, dict):
             raise ConfigError("weight_search must be an object, "
                               f"got {type(ws).__name__}")
+        # a misspelt key would otherwise leave the default denominator unseen
+        unread = sorted(map(str, set(ws) - {"denominator"}))
+        if unread:
+            raise ConfigError(f"weight_search does not read {', '.join(unread)}")
         den = ws.get("denominator", 4)
         if isinstance(den, bool) or not isinstance(den, int) or den < 1:
             raise ConfigError("weight_search denominator must be an integer "
@@ -151,9 +155,9 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
     Every grid point has positive weights with exact sum 1, so only the
     lattice clause on the abscissas and the exponent clause on r can reject,
     and all points share the verdict of the first.  `_verdict` gives it from
-    the roots' abscissas (cleared to ints when all are exact) and r before
-    any model is built; a grid with no point (D < n_r) or a rejected point
-    ends the run, and an accepted point runs as explicit weights."""
+    the roots' abscissas and r before any model is built; a grid with no
+    point (D < n_r) or a rejected point ends the run, and an accepted point
+    runs as explicit weights."""
     cfg = config if type(config) is _Config else parse_config(config)
     p = cfg.get("params")
     if p is None and "quartic" not in cfg:
@@ -182,10 +186,7 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
         den = cfg["weight_search"]["denominator"]
         weights = ((Fraction(1, den),) * (rs.n_r - 1)
                    + (Fraction(den - rs.n_r + 1, den),))
-        lams = rs.real_roots
-        if all(type(lam) is Fraction for lam in lams):
-            lams = cleared(lams)[1]
-        if den < rs.n_r or not _verdict(lams, weights, _exponent(p), bound).accepted:
+        if den < rs.n_r or not _verdict(rs.real_roots, weights, _exponent(p), bound).accepted:
             return rejected(f"no admissible weights on the 1/{den} grid")
     if weights is None:
         raise ConfigError("config needs 'weights' or 'weight_search'")

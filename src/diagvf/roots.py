@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _eigvals
 
-from ._num import Number, all_exact, cleared, is_exact, primitive
+from ._num import Number, all_exact, cleared, primitive
 from .errors import ConfigError, NotARoot
 
 __all__ = ["DiagonalVFParams", "Quartic", "RootSet", "RootPattern",
@@ -69,7 +69,8 @@ class DiagonalVFParams:
 
 @dataclass(frozen=True)
 class Quartic:
-    """Monic quartic; coeffs = (c0, c1, c2, c3, c4) with c4 == 1."""
+    """Monic quartic; coeffs = (c0, c1, c2, c3, c4) with c4 == 1.  Only the
+    rational root search, the ordinates and `scale` read the cleared form."""
 
     coeffs: tuple
 
@@ -91,26 +92,16 @@ class Quartic:
     def _floats(self):
         """float(c0), ..., float(c3), float(2 c2), float(3 c3): what each
         converts to beside a float or complex, so that q and q' keep their
-        bits (c4 stays the int 1, and `1 * x` converts x as `c4 * x` does).
-        Exact coefficients take the int division C_k / L of their cleared
-        form, which rounds as float(c_k) does."""
-        if self._cleared is not None:
-            den, (C0, C1, C2, C3, _) = self._cleared
-            return C0 / den, C1 / den, C2 / den, C3 / den, 2 * C2 / den, 3 * C3 / den
+        bits (c4 stays the int 1, and `1 * x` converts x as `c4 * x` does)."""
         c0, c1, c2, c3, _ = self.coeffs
         return (*map(float, (c0, c1, c2, c3)), float(2 * c2), float(3 * c3))
 
     def __call__(self, x):
-        """q(x).  An exact quartic at an exact x = h/k is the one Fraction
-        sum Ci h^i k^(4-i) / (L k^4) over the cleared coefficients; a float
-        or complex x runs Horner's rule on `_floats`, other input on the
-        coefficients."""
+        """q(x) by Horner's rule: on `_floats` at a float or complex x, on
+        the coefficients otherwise."""
         if isinstance(x, (float, complex)):
             c0, c1, c2, c3, _, _ = self._floats
             return (((1 * x + c3) * x + c2) * x + c1) * x + c0
-        if is_exact(x) and self._cleared is not None:
-            den, ints = self._cleared
-            return Fraction(_cleared_sum(ints, x), den * x.denominator ** 4)
         c0, c1, c2, c3, c4 = self.coeffs
         return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
 
@@ -155,15 +146,6 @@ class RootSet:
     @property
     def n_r(self) -> int:
         return len(self.real_entries)
-
-
-def _cleared_sum(ints, x) -> int:
-    """sum Ci h^i k^(4-i) over ints = (C0, ..., C4) at an exact x = h/k."""
-    h, k = x.numerator, x.denominator
-    acc, kp = 0, 1
-    for c in reversed(ints):
-        acc, kp = acc * h + c * kp, kp * k
-    return acc
 
 
 class RootPattern(enum.Enum):
@@ -246,18 +228,18 @@ def _repeated(poly) -> bool:
     return 4 * i * i * i == j * j
 
 
-def _scaled_value(poly, X, bits):
-    """2**(bits*deg) * poly(X / 2**bits), an integer."""
-    deg = len(poly) - 1
-    acc = poly[-1]
-    for i in range(deg - 1, -1, -1):
-        acc = acc * X + (poly[i] << (bits * (deg - i)))
+def _homogeneous(poly, h: int, k: int) -> int:
+    """k^deg poly(h / k) = sum c_i h^i k^(deg - i) of poly = (c_0, ..., c_deg)."""
+    acc, kp = 0, 1
+    for c in reversed(poly):
+        acc, kp = acc * h + c * kp, kp * k
     return acc
 
 
 def _refine(poly, x: float, bits: int) -> int:
     """Newton's method in fixed point: an integer X such that X / 2**bits
-    approximates a simple root of poly near x to about 2**-bits.
+    approximates a simple root of poly near x to about 2**-bits, by the
+    `_homogeneous` values of poly and poly' at X / 2**bits.
 
     `_rational_roots` asks for 2**-bits below a sixteenth of 1/L, the
     spacing of the lattice its rational roots lie on, which is all that
@@ -265,13 +247,13 @@ def _refine(poly, x: float, bits: int) -> int:
     only halves the error until the cluster resolves, so the step count is
     capped by the bits asked for, not by quadratic convergence."""
     num, den = x.as_integer_ratio()
-    X = (num << bits) // den
+    X, one = (num << bits) // den, 1 << bits
     deriv = [i * c for i, c in enumerate(poly)][1:]
     for _ in range(bits + 64):
-        slope = _scaled_value(deriv, X, bits)
+        slope = _homogeneous(deriv, X, one)
         if slope == 0:
             break
-        step = _scaled_value(poly, X, bits) // slope
+        step = _homogeneous(poly, X, one) // slope
         X -= step
         if abs(step) <= 1:
             break
@@ -340,7 +322,7 @@ def _rational_roots(q: Quartic):
     only when P is square-free.  By the rational root theorem every
     rational root h/k of sf has k | L, its leading coefficient, so the
     rational roots lie on the lattice (1/L)Z and are at least 1/L apart.
-    Each real float root of sf is refined by fixed-point Newton steps to
+    Each real float root of sf is refined by `_refine`'s Newton steps to
     2**-bits < 1 / (16 L), bits = bits(L) + 4, and rounded to the nearest
     multiple of 1/L: a root within 1 / (2 L) of the refined value is that
     lattice point, the only candidate it can stand for.  Exact deflation
@@ -401,27 +383,22 @@ def _cluster(values, tol: float):
         return [(sum([v]) / 1, 1) for v in values]  # all singletons: the mean below
     groups: list[list[complex]] = []
     for v in values:
-        placed = False
         for g in groups:
             if any(abs(v - w) <= tol for w in g):
                 g.append(v)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([v])
-    # merge groups that became adjacent
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if any(abs(u - w) <= tol for u in groups[i] for w in groups[j]):
-                    groups[i].extend(groups[j])
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
+    # merge adjacent groups in one pass: an earlier group is apart from both
+    # parts of a merge, so group i takes later ones until none is within tol
+    i = 0
+    while i < len(groups):
+        for j in range(i + 1, len(groups)):
+            if any(abs(u - w) <= tol for u in groups[i] for w in groups[j]):
+                groups[i].extend(groups.pop(j))
                 break
+        else:
+            i += 1
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
@@ -502,11 +479,8 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
 
 
 def _float_key(entry):
-    """(real part, imaginary part) of a root entry as floats; an exact root
-    h/k as the int division h / k, which rounds as float(h/k) does."""
-    v = entry[0]
-    if type(v) is Fraction:
-        return v.numerator / v.denominator, 0.0
+    """(real part, imaginary part) of a root entry as floats."""
+    v = complex(entry[0])
     return v.real, v.imag
 
 
@@ -539,17 +513,17 @@ def classify_root_pattern(r: RootSet) -> RootPattern:
 def _ordinate(lam, p: DiagonalVFParams, rest, tol: float):
     """The ordinate nu = (lam^2 - a lam + e A) / b paired with a root lam of
     p's characteristic quartic q.  A Fraction lam = h/k of exact p with a
-    zero cleared sum is a root, and nu = (Q^2 h^2 - Q a h k + e A k^2) /
-    (Q k^2 b) on p's cleared form; other lam, or a nonzero sum, is checked
-    by its residual.  A float root of a quadratic rest x^2 - s x + t (the
-    `RootSet.rest` of q) has lam^2 = s lam - t, so nu = ((s - a) lam - t +
+    zero `_homogeneous` sum on q's cleared form is a root, and nu = (Q^2 h^2
+    - Q a h k + e A k^2) / (Q k^2 b) on p's cleared form; other lam, or a
+    nonzero sum, is checked by its residual.  A float root of a quadratic
+    rest x^2 - s x + t (the `RootSet.rest` of q) has lam^2 = s lam - t, so nu = ((s - a) lam - t +
     e A) / b, linear in lam, where the two terms of lam^2 - a lam would
     cancel at a large lam."""
     q = p.quartic
     if isinstance(lam, Fraction) and p._cleared is not None:
-        if not _cleared_sum(q._cleared[1], lam):
+        h, k = lam.numerator, lam.denominator
+        if not _homogeneous(q._cleared[1], h, k):
             Q, (A, a, b, _, _, e, _) = p._cleared
-            h, k = lam.numerator, lam.denominator
             return Fraction(Q * Q * h * h - Q * a * h * k + e * A * k * k, Q * k * k * b)
     qres = abs(float(q(lam)))
     if qres > _residual_bound(float(lam), q, tol):

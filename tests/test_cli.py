@@ -775,6 +775,16 @@ class TestCliMalformedInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
+    def test_misspelt_weight_search_key(self, tmp_path, capsys):
+        # without the refusal, the default denominator 4 would run unseen
+        path = tmp_path / "cfg.json"
+        path.write_text(_search_text({"denominatr": 8}))
+        assert main(["characterize", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "input error: weight_search does not read denominatr"]
+
     @pytest.mark.parametrize("A", [-1e-300, "-1/100000"])
     def test_support_cap_exits_fast(self, tmp_path, capsys, A):
         # N = 1e300 and N = 100000: tilt realizes mu, C(N + 2, 2) support

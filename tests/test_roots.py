@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diagvf import (DiagonalVFParams, NotARoot, Quartic, RootPattern,
+from diagvf import (ConfigError, DiagonalVFParams, NotARoot, Quartic, RootPattern,
                     build_characteristic_quartic, classify_root_pattern, run_characterize,
                     solve_quartic)
 from diagvf._num import MAX_DIGITS, cleared, primitive
-from diagvf.roots import (_cluster, _companion_roots, _ordinate, _rational_roots, _refine,
-                          _repeated, _square_free)
+from diagvf.pipeline import parse_params
+from diagvf.roots import (_cluster, _companion_roots, _homogeneous, _ordinate, _rational_roots,
+                          _refine, _repeated, _square_free)
 from oracles import build_dual_quartic, cluster_linkage, dual_ordinate
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
@@ -106,13 +107,24 @@ class TestQuarticEvaluation:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(exact_values, min_size=4, max_size=4), exact_values,
            st.floats(-1e3, 1e3), st.complex_numbers(max_magnitude=1e3))
-    def test_cleared_sum_is_horner(self, coeffs, x, xf, xc):
-        # an exact x takes the cleared integer sum, of the same value as
-        # Horner's rule on Fractions; float and complex x keep its bits
+    def test_exact_and_float_points_take_horner(self, coeffs, x, xf, xc):
+        # an exact x takes Horner's rule on the Fraction coefficients; float
+        # and complex x keep its bits on the cached floats
         q = Quartic(tuple(coeffs) + (1,))
         assert q(x) == horner(q.coeffs, F(x))
         for v in (xf, xc):
             assert repr(q(v)) == repr(horner(q.coeffs, v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=5),
+           st.integers(-10 ** 30, 10 ** 30),
+           st.one_of(st.integers(1, 10 ** 30), st.integers(0, 200).map(lambda b: 1 << b)))
+    def test_homogeneous_is_the_cleared_value(self, poly, h, k):
+        # degrees 0 to 4, h of either sign, and k = 2**bits as `_refine`
+        # passes it: k^deg poly(h/k), an int
+        value = _homogeneous(poly, h, k)
+        assert type(value) is int
+        assert value == k ** (len(poly) - 1) * sum(c * F(h, k) ** i for i, c in enumerate(poly))
 
     def test_float_coefficients_take_horner(self):
         q = Quartic((0.5, -1.0, F(1, 3), 2, 1))
@@ -775,6 +787,50 @@ class TestOpenClusteringFounds:
         rep = run_characterize(cfg)
         assert rep.pattern == "FourSingleReal"
         assert [r["mult"] for r in rep.roots] == [1, 1, 1, 1]
+
+
+class TestOpenExactRootFounds:
+    """Defects of an exact quartic's float-solved rest named in CHANGES.md;
+    each test passes once its defect is mended."""
+
+    @pytest.mark.xfail(strict=True, raises=ConfigError, reason="FOUND in CHANGES.md: "
+                       "valid exact params can end in 'the float roots of the quartic "
+                       "do not resolve'")
+    def test_close_simple_roots_resolve(self):
+        # simple real roots near -5.7e-4 and 1.2e-4 beside a complex pair
+        # near 8465.9 merge within the clustering tolerance 0.72
+        p = parse_params({"A": "-1", "a": "423294/50", "b": "27/10", "c": "-20",
+                          "d": "-5/6", "e": "3", "f": "1"})
+        rs = solve_quartic(p.quartic)
+        assert classify_root_pattern(rs) is RootPattern.TWO_REAL_TWO_COMPLEX
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND in CHANGES.md: "
+                       "an exact quartic whose square-free rest is two irreducible "
+                       "quadratics can come out as one quadruple real root")
+    def test_swapped_coordinates_keep_two_quadratics(self):
+        # the coordinate swap of a TwoRealTwoComplex config: its rest's four
+        # simple roots lie near -199, within the clustering tolerance
+        p = parse_params({"A": "-1", "a": "-398", "b": "-4", "c": "1/2", "d": "-20",
+                          "e": "-39639", "f": "0"})
+        rs = solve_quartic(p.quartic)
+        assert classify_root_pattern(rs) is RootPattern.TWO_REAL_TWO_COMPLEX
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND in CHANGES.md: "
+                       "the float roots of an exact quartic's rest lose about 6 digits "
+                       "next to a rational double root")
+    def test_rest_roots_beside_a_double_root_are_accurate(self):
+        # roots -207/4 doubled and the pair of 1296 x^2 + 133632 x + 3444673
+        p = parse_params({"A": "-1/4", "a": "-3719/36", "b": "-7/72", "c": "1",
+                          "d": "-29/2", "e": "-192145/18", "f": "-3"})
+        rs = solve_quartic(p.quartic)
+        assert rs.entries[1] == (F(-207, 4), 2)
+        a, b, c = 1296, 133632, 3444673
+        sqrt_disc = F(math.isqrt((b * b - 4 * a * c) * 10 ** 60), 10 ** 30)
+        want = [(-b - sqrt_disc) / (2 * a), (-b + sqrt_disc) / (2 * a)]
+        got = [v for v, _ in rs.entries if isinstance(v, float)]
+        assert len(got) == 2
+        for v, w in zip(got, want):
+            assert abs(F(v) - w) <= F(1, 10 ** 9) * abs(w)
 
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
