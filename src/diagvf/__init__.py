@@ -10,8 +10,8 @@ from .roots import (DiagonalVFParams, Quartic, RootPattern, RootSet,
 from .model import (AdmissibilityVerdict, CandidateModel, LatticeMatrix,
                     StarReport, admissibility_verdict, candidate_model,
                     make_model, star_condition)
-from .measure import (DiagCheckReport, FiniteMeasure, RegressionReport,
-                      check_model, cumulant_eval, realize_measure, tilt_member)
+from .measure import (CheckReport, FiniteMeasure, check_model, cumulant_eval,
+                      realize_measure, tilt_member)
 from .series import EliminationForm, SeriesReport, expand_series, magnitude_scan
 from .pipeline import (PipelineReport, emit_report, parse_config,
                        report_to_dict, run_characterize)

@@ -22,9 +22,8 @@ from .errors import ConfigError, DomainViolation, NotAdmissible
 from .model import VERDICT_TOL, AdmissibilityVerdict, CandidateModel, _sign
 from .roots import DiagonalVFParams
 
-__all__ = ["FiniteMeasure", "DiagCheckReport", "RegressionReport",
-           "realize_measure", "check_model", "cumulant_eval", "tilt_member",
-           "MAX_SUPPORT"]
+__all__ = ["FiniteMeasure", "CheckReport", "realize_measure", "check_model",
+           "cumulant_eval", "tilt_member", "MAX_SUPPORT"]
 
 # Most support points a realized measure may have (the checks build none)
 MAX_SUPPORT = 1500
@@ -69,17 +68,9 @@ class FiniteMeasure:
 
 
 @dataclass(frozen=True)
-class DiagCheckReport:
-    max_dev: float
-    tol: float
+class CheckReport:
+    """One identity check of `check_model`; exact when mu and p are."""
 
-    @property
-    def passed(self) -> bool:
-        return self.max_dev <= self.tol
-
-
-@dataclass(frozen=True)
-class RegressionReport:
     max_dev: float
     tol: float
     exact: bool
@@ -151,7 +142,7 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
 
 
 def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVerdict,
-                tol: float = 1e-8) -> tuple[DiagCheckReport, RegressionReport]:
+                tol: float = 1e-8) -> tuple[CheckReport, CheckReport]:
     """Diag report at tol and regression report at max(tol, 1e-10) of an
     accepted model, whose measure mu is the N-fold power of its kept atoms
     with weights |alpha_i|; no measure is built.
@@ -182,9 +173,8 @@ def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVe
                     for q, u, v, w in ((x, a, b, e), (y, c, d, f)))
         scale = scale if scale < math.inf else 0
     bound = 2 * (cert if m.r == N else _conic_certificate(m, p, N))
-    return (DiagCheckReport(max_dev=_float(cert), tol=tol * max(1, scale)),
-            RegressionReport(max_dev=_float(bound), tol=max(tol, 1e-10) * max(1, top),
-                             exact=exact))
+    return (CheckReport(_float(cert), tol * max(1, scale), exact),
+            CheckReport(_float(bound), max(tol, 1e-10) * max(1, top), exact))
 
 
 def cumulant_eval(m: CandidateModel, theta):

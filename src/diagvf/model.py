@@ -70,8 +70,9 @@ class CandidateModel:
 
 
 def make_model(atoms, weights, r) -> CandidateModel:
-    """Build a model, sorting atom/weight pairs by abscissa."""
-    pairs = sorted(zip(atoms, weights), key=lambda aw: float(aw[0][0]))
+    """Build a model, sorting atom/weight pairs by abscissa, exactly: ints,
+    Fractions and floats compare by the values they hold."""
+    pairs = sorted(zip(atoms, weights), key=lambda aw: aw[0][0])
     return CandidateModel(tuple(tuple(a) for a, _ in pairs),
                           tuple(w for _, w in pairs), r)
 

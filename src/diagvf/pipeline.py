@@ -26,6 +26,9 @@ __all__ = ["PipelineReport", "parse_params", "parse_config", "run_characterize",
            "report_to_dict", "emit_report"]
 
 PARAM_KEYS = ("A", "a", "b", "c", "d", "e", "f")
+# the top-level config keys that some subcommand reads
+CONFIG_KEYS = frozenset({"params", "weights", "weight_search", "quartic", "atoms", "r",
+                         "theta", "matrix", "poly", "exp_terms", "linexp", "osc_blocks"})
 
 
 @dataclass
@@ -99,6 +102,10 @@ def parse_config(doc):
             raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    # a misspelt key would otherwise drop out unseen
+    unread = sorted(map(str, set(doc) - CONFIG_KEYS))
+    if unread:
+        raise ConfigError(f"config does not read {', '.join(unread)}")
     out = dict(doc)
     if "params" in doc:
         out["params"] = parse_params(doc["params"])
@@ -113,7 +120,6 @@ def parse_config(doc):
         if not isinstance(ws, dict):
             raise ConfigError("weight_search must be an object, "
                               f"got {type(ws).__name__}")
-        # a misspelt key would otherwise leave the default denominator unseen
         unread = sorted(map(str, set(ws) - {"denominator"}))
         if unread:
             raise ConfigError(f"weight_search does not read {', '.join(unread)}")

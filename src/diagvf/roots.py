@@ -415,10 +415,11 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
 
     Exact rational roots are extracted exactly when the coefficients are
     exact.  What is left is solved via companion-matrix eigenvalues
-    (`_companion_roots`), three Newton steps on q at q's `_floats` and
-    proximity clustering.  A coefficient past the float range, which the
-    eigenvalues cannot take, or a float root whose residual passes its
-    bound, raises ConfigError.
+    (`_companion_roots`) and three Newton steps on q at q's `_floats`, and
+    decimal roots are clustered within tol (1 + max |coefficient|).  A
+    coefficient past the float range, which the eigenvalues cannot take, a
+    float root whose residual passes its bound, or two roots of an exact
+    rest that land on one float (the rest is square-free) raise ConfigError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -447,10 +448,8 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
         entries, k = [], 1
         numeric_coeffs = [float(c) for c in q.coeffs]
 
-    # at the scale of the polynomial solved here: on exact input, the
-    # square-free part of what is left of q once its rational roots are
-    # deflated
-    cluster_tol = tol * (1.0 + max(abs(c) for c in numeric_coeffs))
+    # an exact sf is square-free: its roots are distinct and none is merged
+    cluster_tol = 0.0 if q.is_exact else tol * (1.0 + max(abs(c) for c in numeric_coeffs))
     # a square-free part of degree 0 ([1]: every root was rational) has none
     raw = []
     if len(numeric_coeffs) > 1:
@@ -465,10 +464,14 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     # The eigenvalues come in exact conjugate pairs, and the Newton steps
     # and _cluster keep them bit for bit (IEEE complex *, / and abs are
     # sign-symmetric).  So a cluster is real when it holds its own
-    # conjugate, that is, when it lies within cluster_tol / 2 of the axis.
+    # conjugate, that is, when it lies within cluster_tol / 2 of the axis
+    # (on the axis for an exact sf).
     # exact deflation proves the rational entries: only float roots are checked
     for v, m in _cluster(raw, cluster_tol):
         v = v.real if abs(v.imag) <= cluster_tol / 2 else v
+        if m > 1 and q.is_exact:
+            raise ConfigError(f"the float roots of the quartic do not resolve: "
+                              f"{m} distinct roots merge at {v}")
         res = abs(complex(q(v)))
         if not res <= _residual_bound(v, q, tol):  # NaN included
             raise ConfigError(f"the float roots of the quartic do not resolve: "

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,21 +39,6 @@ _U = 2.0 ** -53                  # the unit roundoff of a float
 _SCAN_LIMIT = 1.0 + 1e-6         # |f(it)|^r past this is a witness
 
 
-def _lattice_coordinate(c, den: int):
-    """c * den as an int, or None when c is not a number on the 1/den
-    lattice."""
-    if isinstance(c, float):
-        if not math.isfinite(c):
-            return None
-        num, d = c.as_integer_ratio()
-    elif isinstance(c, numbers.Rational):
-        num, d = c.numerator, c.denominator
-    else:
-        return None
-    q, rem = divmod(num * den, d)
-    return None if rem else q
-
-
 class _TermItems(ItemsView):
     def __iter__(self):
         return zip(self._mapping, self._mapping._coefs.values())
@@ -65,18 +49,18 @@ class SeriesTerms(Mapping):
     in point order.
 
     With den, the points are held cleared: int pairs (X, Y) standing for
-    (X / den, Y / den).  A lookup clears the point it is given, so points of
-    ints, Fractions or floats find their term and a point off the 1/den
-    lattice is missing; `len` forms no Fraction, and iteration forms each
+    (X / den, Y / den); `len` forms no Fraction, and iteration forms each
     point's pair of Fractions and hashes none.  Without den (a float
-    expansion) the points are held and yielded as they are.  A SeriesTerms
-    equals a dict of the same items, both ways.
+    expansion) the points are held and yielded as they are.  A lookup reads
+    a dict of the points as iteration yields them, built on the first one,
+    so a point of ints, Fractions or floats finds its term by numeric
+    equality.  A SeriesTerms equals a dict of the same items, both ways.
     """
 
-    __slots__ = ("_coefs", "_den")
+    __slots__ = ("_coefs", "_den", "_by_point")
 
     def __init__(self, coefs: dict, den: int | None = None):
-        self._coefs, self._den = coefs, den
+        self._coefs, self._den, self._by_point = coefs, den, None
 
     def _point(self, key):
         """The support point a stored key stands for."""
@@ -84,15 +68,12 @@ class SeriesTerms(Mapping):
         return key if den is None else (Fraction(key[0], den), Fraction(key[1], den))
 
     def __getitem__(self, point):
-        den = self._den
-        if den is None:
-            return self._coefs[point]
-        if not (isinstance(point, tuple) and len(point) == 2):
-            raise KeyError(point)
-        key = (_lattice_coordinate(point[0], den), _lattice_coordinate(point[1], den))
-        if None in key:
-            raise KeyError(point)
-        return self._coefs[key]
+        if self._by_point is None:
+            self._by_point = dict(zip(self, self._coefs.values()))
+        try:
+            return self._by_point[point]
+        except TypeError:  # an unhashable point
+            raise KeyError(point) from None
 
     def __iter__(self):
         return map(self._point, self._coefs)

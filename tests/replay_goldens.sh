@@ -16,7 +16,7 @@ trap 'rm -rf "$out"' EXIT
 count=0
 
 for name in e1 p2 e1_n8 e1_n60 q4 q4_wide c2 q4_tight q4_decimal float_chain \
-    mixed_within_tol irrational4 signed_tail; do
+    mixed_within_tol irrational4 signed_tail big_roots; do
   "${diagvf[@]}" characterize - --json < "$golden/$name.config.json" \
     | diff - "$golden/$name.characterize.json"
   count=$((count + 1))

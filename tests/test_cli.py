@@ -785,6 +785,19 @@ class TestCliMalformedInput:
         assert captured.err.splitlines() == [
             "input error: weight_search does not read denominatr"]
 
+    @pytest.mark.parametrize("command", ["characterize", "roots", "expand", "tilt"])
+    def test_misspelt_top_level_key(self, tmp_path, capsys, command):
+        # without the refusal, characterize would run the search with 1/8
+        # weights and exit 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": E1_CONFIG["params"],
+                                    "weigths": ["1/2", "1/4", "1/4"],
+                                    "weight_search": {"denominator": 8}, "Theta": [0, 0]}))
+        assert main([command, str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["input error: config does not read Theta, weigths"]
+
     @pytest.mark.parametrize("A", [-1e-300, "-1/100000"])
     def test_support_cap_exits_fast(self, tmp_path, capsys, A):
         # N = 1e300 and N = 100000: tilt realizes mu, C(N + 2, 2) support

@@ -328,6 +328,12 @@ class TestVerdict:
         v = admissibility_verdict(m)
         assert v.outcome == "CaseA" and v.N == 1
 
+    def test_one_weighted_atom_is_rejected(self):
+        m = candidate_model(E1, (F(1), F(0), F(0)))
+        v = admissibility_verdict(m)
+        assert v.outcome == "Rejected"
+        assert v.reason == "fewer than two atoms with nonzero weight"
+
     def test_two_atom_path(self):
         m = make_model([(0, 0), (1, 1)], (F(1, 2), F(1, 2)), 2)
         v = admissibility_verdict(m)
@@ -342,6 +348,15 @@ class TestVerdict:
             m = make_model([atoms[i] for i in perm],
                            [weights[i] for i in perm], 1)
             assert admissibility_verdict(m) == base
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2)])
+    def test_atoms_closer_than_an_ulp_sort_exactly(self, order):
+        # float() ties 1 + 10^-20 with 1; the exact order does not
+        atoms = [(F(10 ** 20 + 1, 10 ** 20), F(2)), (F(1), F(1)), (F(3), F(5))]
+        weights = [F(1, 4), F(1, 4), F(1, 2)]
+        m = make_model([atoms[i] for i in order], [weights[i] for i in order], F(3, 2))
+        assert m.atoms == (atoms[1], atoms[0], atoms[2])
+        assert m.weights == (weights[1], weights[0], weights[2])
 
     def test_totality(self):
         rng = np.random.default_rng(9)

@@ -341,6 +341,17 @@ def params_from_abscissas(lams, A=F(-1), a=F(0), b=F(1), e=F(0)):
     return DiagonalVFParams(A, a, b, c, d, e, f)
 
 
+def params_for(q, A=F(-1), b=F(1), e=F(0)) -> DiagonalVFParams:
+    """Exact params with characteristic quartic q, for the given A, b and e:
+    the quartic's coefficients q_k give a = -q_3/2, then d, c and f in turn."""
+    q0, q1, q2, q3, _ = q.coeffs
+    a = -q3 / 2
+    d = (2 * A * e + a * a - q2) / b
+    c = (a * d * b - 2 * A * a * e - q1) / (b * b)
+    f = (q0 - A * A * e * e + e * d * b * A) / (b * b * A)
+    return DiagonalVFParams(A, a, b, c, d, e, f)
+
+
 class TestForwardInverse:
     @pytest.mark.parametrize("lams", [
         (F(-1), F(0), F(1)),
@@ -762,12 +773,11 @@ class TestRootStructure:
         assert all((z.conjugate(), m) in cpx for z, m in cpx)
 
 
-class TestOpenClusteringFounds:
-    """Float root clustering defects named in CHANGES.md; each test passes
-    once its defect is mended."""
+class TestExactRestIsNotClustered:
+    """An exact quartic's square-free rest has distinct roots, so they are
+    not clustered: each is real when its imaginary part is 0, and two that
+    land on one float are refused."""
 
-    @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: exact input "
-                       "still merges distinct close irrational roots")
     def test_exact_close_roots_stay_apart(self):
         # quartic (x - 3)(x + 2)(x^2 - 2x + 1 - 2e-16): four simple real roots
         cfg = {"params": {"A": "-1", "a": "3/2", "b": "1",
@@ -776,6 +786,46 @@ class TestOpenClusteringFounds:
                           "f": "14999999999999997/2500000000000000"},
                "weights": ["1/4", "1/4", "1/4", "1/4"]}
         assert run_characterize(cfg).pattern == "FourSingleReal"
+
+    def test_close_simple_roots_resolve(self):
+        # simple real roots near -5.7e-4 and 1.2e-4 beside a complex pair
+        # near 8465.9 merged within the old clustering tolerance 0.72
+        p = parse_params({"A": "-1", "a": "423294/50", "b": "27/10", "c": "-20",
+                          "d": "-5/6", "e": "3", "f": "1"})
+        rs = solve_quartic(p.quartic)
+        assert classify_root_pattern(rs) is RootPattern.TWO_REAL_TWO_COMPLEX
+
+    def test_swapped_coordinates_keep_two_quadratics(self):
+        # the coordinate swap of a TwoRealTwoComplex config: its rest's four
+        # simple roots lie near -199, within the old clustering tolerance
+        p = parse_params({"A": "-1", "a": "-398", "b": "-4", "c": "1/2", "d": "-20",
+                          "e": "-39639", "f": "0"})
+        rs = solve_quartic(p.quartic)
+        assert classify_root_pattern(rs) is RootPattern.TWO_REAL_TWO_COMPLEX
+
+    def test_rest_roots_on_one_float_are_refused(self):
+        # (x - 3)(x + 2)(x^2 - 2x + 1 - 2e-20): the pair 1 +- 1.4e-10 rounds to 1.0
+        q = quartic_from((F(3), F(-2)), [(F(-2), 1 - F(2, 10 ** 20))])
+        with pytest.raises(ConfigError, match="2 distinct roots merge at 1.0"):
+            solve_quartic(q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.builds(F, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 999)),
+                    min_size=2, max_size=2, unique=True),
+           st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 999)),
+           st.sampled_from([F(-3), F(-1), F(2), F(5, 4), F(11)]))
+    def test_large_rational_roots_beside_a_quadratic(self, lams, u, disc):
+        # x^2 - u x + (u^2 - disc) / 4 has roots (u +- sqrt(disc)) / 2, which
+        # the old radius tol (1 + u^2 / 4) merged; at |u| <= 10^6 the float
+        # rounding of the rest's coefficients still leaves them apart
+        q = quartic_from(lams, [(-u, (u * u - disc) / 4)])
+        rep = run_characterize({"params": params_for(q), "weights": [F(1, 2)] * 2})
+        assert rep.pattern == ("FourSingleReal" if disc > 0 else "TwoRealTwoComplex")
+
+
+class TestOpenRootFounds:
+    """Root defects named in CHANGES.md; each test passes once its defect is
+    mended."""
 
     @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: decimal input "
                        "clusters float roots within an absolute tolerance")
@@ -787,33 +837,6 @@ class TestOpenClusteringFounds:
         rep = run_characterize(cfg)
         assert rep.pattern == "FourSingleReal"
         assert [r["mult"] for r in rep.roots] == [1, 1, 1, 1]
-
-
-class TestOpenExactRootFounds:
-    """Defects of an exact quartic's float-solved rest named in CHANGES.md;
-    each test passes once its defect is mended."""
-
-    @pytest.mark.xfail(strict=True, raises=ConfigError, reason="FOUND in CHANGES.md: "
-                       "valid exact params can end in 'the float roots of the quartic "
-                       "do not resolve'")
-    def test_close_simple_roots_resolve(self):
-        # simple real roots near -5.7e-4 and 1.2e-4 beside a complex pair
-        # near 8465.9 merge within the clustering tolerance 0.72
-        p = parse_params({"A": "-1", "a": "423294/50", "b": "27/10", "c": "-20",
-                          "d": "-5/6", "e": "3", "f": "1"})
-        rs = solve_quartic(p.quartic)
-        assert classify_root_pattern(rs) is RootPattern.TWO_REAL_TWO_COMPLEX
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND in CHANGES.md: "
-                       "an exact quartic whose square-free rest is two irreducible "
-                       "quadratics can come out as one quadruple real root")
-    def test_swapped_coordinates_keep_two_quadratics(self):
-        # the coordinate swap of a TwoRealTwoComplex config: its rest's four
-        # simple roots lie near -199, within the clustering tolerance
-        p = parse_params({"A": "-1", "a": "-398", "b": "-4", "c": "1/2", "d": "-20",
-                          "e": "-39639", "f": "0"})
-        rs = solve_quartic(p.quartic)
-        assert classify_root_pattern(rs) is RootPattern.TWO_REAL_TWO_COMPLEX
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND in CHANGES.md: "
                        "the float roots of an exact quartic's rest lose about 6 digits "
@@ -831,6 +854,17 @@ class TestOpenExactRootFounds:
         assert len(got) == 2
         for v, w in zip(got, want):
             assert abs(F(v) - w) <= F(1, 10 ** 9) * abs(w)
+
+    @pytest.mark.xfail(strict=True, raises=ConfigError, reason="FOUND in CHANGES.md: "
+                       "the float roots of an exact quartic with 30-digit coefficients "
+                       "do not resolve")
+    def test_thirty_digit_quartic_resolves(self):
+        # real roots near -0.4016 and 9.77e29 beside a complex pair
+        q = Quartic(tuple(map(F, (-190083744616196883849813729976,
+                                  -513274786251094439947335384601,
+                                  -491750475722835059553236312729,
+                                  -977061358475457901393380583996, 1))))
+        assert classify_root_pattern(solve_quartic(q)) is RootPattern.TWO_REAL_TWO_COMPLEX
 
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)

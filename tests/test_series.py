@@ -80,6 +80,12 @@ class TestExpandSeries:
         with pytest.raises(NoDominantAtom):
             expand_series(m)
 
+    def test_negative_pivot_weight_raises(self):
+        # the largest |weight| is negative beside a positive one
+        m = make_model([(0, 0), (1, 1)], (F(-3, 4), F(1, 4)), F(1, 2))
+        with pytest.raises(NoDominantAtom, match="pivot weight is not positive"):
+            expand_series(m)
+
     def test_probe_dominance(self):
         m = make_model([(0, 0), (1, 1)], (F(3, 4), F(1, 4)), 0.5)
         rep = expand_series(m)
@@ -175,7 +181,7 @@ class TestSeriesTerms:
         (F(-27, 8), F(81, 17)),      # off the lattice
         (-3.375, 5.0625 + 2 ** -40), (F(1, 3), 0.1),
         (math.nan, 0.0), (math.inf, 1), (-3.375,), (-3.375, 5.0625, 0), "ab", None,
-        ("-27/8", "81/16"),
+        ("-27/8", "81/16"), [F(-27, 8), F(81, 16)], (F(-27, 8), [5.0625]),
     ])
     def test_missing_points(self, point):
         terms = expand_series(FRAC24, 24).terms
