@@ -88,20 +88,9 @@ class Quartic:
         denominator and Ci = L ci; None for float coefficients."""
         return cleared(self.coeffs) if self.is_exact else None
 
-    @cached_property
-    def _floats(self):
-        """float(c0), ..., float(c3), float(2 c2), float(3 c3): what each
-        converts to beside a float or complex, so that q and q' keep their
-        bits (c4 stays the int 1, and `1 * x` converts x as `c4 * x` does)."""
-        c0, c1, c2, c3, _ = self.coeffs
-        return (*map(float, (c0, c1, c2, c3)), float(2 * c2), float(3 * c3))
-
     def __call__(self, x):
-        """q(x) by Horner's rule: on `_floats` at a float or complex x, on
-        the coefficients otherwise."""
-        if isinstance(x, (float, complex)):
-            c0, c1, c2, c3, _, _ = self._floats
-            return (((1 * x + c3) * x + c2) * x + c1) * x + c0
+        """q(x) by Horner's rule.  Beside a float or complex x an exact
+        coefficient converts to its float: the bits of Horner on the floats."""
         c0, c1, c2, c3, c4 = self.coeffs
         return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
 
@@ -121,8 +110,8 @@ class RootSet:
     """Quartic roots with multiplicities; complex entries come in conjugate pairs.
 
     `rest`, filled by `solve_quartic` on an exact quartic, is the primitive
-    integer polynomial (constant term first) of the square-free rest whose
-    roots it solved in floats: (1,) when every root is rational."""
+    integer polynomial (constant term first) of the square-free part of what
+    the rational roots leave: (1,) when every root is rational."""
 
     entries: tuple  # of (value, multiplicity)
     rest: tuple | None = None
@@ -296,16 +285,36 @@ def _deflate(poly, num: int, den: int):
     return out[::-1]
 
 
+def _nearest(u: int, D: int, w: int) -> float:
+    """The float nearest (u + sqrt(D)) / w, ints u, w != 0 and D > 0 not a
+    square: it lies strictly between the int quotients (u 2^n + S) / (w 2^n)
+    and (u 2^n + S + 1) / (w 2^n), S = isqrt(D 4^n), and rounds as they do
+    once they round alike (rounding is monotone and it is no tie).  n
+    doubles until then, which absorbs any cancellation of u and sqrt(D)."""
+    n = 64
+    while True:
+        s, den = math.isqrt(D << 2 * n), w << n
+        lo, hi = ((u << n) + s) / den, ((u << n) + s + 1) / den
+        if lo == hi:
+            return lo
+        n *= 2
+
+
 def _low_degree_roots(poly):
-    """Rational roots of a square-free integer polynomial of degree 1 or 2."""
+    """Every root of a square-free integer a x^2 + b x + c, a > 0, or linear
+    one: a Fraction when rational, else the reals (-b -+ sqrt(D)) / 2a or
+    -b/2a +- i sqrt(-D)/2a, D = b^2 - 4ac, each part correctly rounded."""
     if len(poly) == 2:
         return [Fraction(-poly[0], poly[1])]
     c, b, a = poly
     disc = b * b - 4 * a * c
-    s = math.isqrt(disc) if disc > 0 else 0
-    if s * s != disc:
-        return []
-    return [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+    s = math.isqrt(abs(disc))
+    if s * s == disc:
+        return [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+    if disc > 0:
+        return [_nearest(b, disc, -2 * a), _nearest(-b, disc, 2 * a)]
+    im = s / (2 * a) if s * s == -disc else _nearest(0, -disc, 2 * a)
+    return [complex(-b / (2 * a), -im), complex(-b / (2 * a), im)]
 
 
 def _rational_roots(q: Quartic):
@@ -316,12 +325,11 @@ def _rational_roots(q: Quartic):
     invariants I and J decide (`_repeated`); only then does the primitive
     remainder sequence run (`_square_free`), for g = gcd(P, P') and sf = P /
     g.  g is the product of (x - r)^(m - 1) over P's roots r of
-    multiplicity m, so its square-free part (g itself when it is linear)
-    has degree 1 or 2 and `_low_degree_roots` solves it exactly; its
-    rational roots are deflated first from sf, whose degree stays above 2
-    only when P is square-free.  By the rational root theorem every
-    rational root h/k of sf has k | L, its leading coefficient, so the
-    rational roots lie on the lattice (1/L)Z and are at least 1/L apart.
+    multiplicity m: a linear g is one double root, deflated first from the
+    cubic sf, and a longer g leaves sf of degree 2 or less, so sf's degree
+    stays above 2 only when P is square-free.  By the rational root
+    theorem every rational root h/k of sf has k | L, its leading
+    coefficient, so they lie on the lattice (1/L)Z, at least 1/L apart.
     Each real float root of sf is refined by `_refine`'s Newton steps to
     2**-bits < 1 / (16 L), bits = bits(L) + 4, and rounded to the nearest
     multiple of 1/L: a root within 1 / (2 L) of the refined value is that
@@ -329,12 +337,13 @@ def _rational_roots(q: Quartic):
     confirms it and takes it out, so the next float root near it converges
     to a neighbour; a candidate that does not divide is skipped.  The float
     roots of what is left are taken again until a pass finds nothing, and
-    a remainder of degree 1 or 2 is solved exactly.  There is no size
-    guard: the work grows with the bit length of the coefficients, not
-    with their divisors.  A rational root is missed only when the
-    eigenvalues place it off the real axis in every pass; it is then left
-    in sf, which `solve_quartic` solves in floats.  A root's multiplicity
-    is 1 on a square-free P, and otherwise 1 plus its multiplicity in g.
+    a linear remainder, or a quadratic one whose discriminant is a square,
+    gives its rational roots by its formula (`_low_degree_roots`).  There
+    is no size guard: the work grows with the bit length of the
+    coefficients, not with their divisors.  A rational root is missed only
+    when the eigenvalues place it off the real axis in every pass of an sf
+    of degree 3 or 4, which `solve_quartic` then solves in floats.  A root
+    is simple on a square-free P, else 1 plus its multiplicity in g.
 
     Returns (list of (Fraction, mult), sf), roots in ascending
     (|numerator|, denominator, sign) order.  sf, P's square-free part
@@ -343,9 +352,8 @@ def _rational_roots(q: Quartic):
     """
     ints = primitive(q._cleared[1])
     sf, g = _square_free(ints) if _repeated(ints) else (ints, (1,))
-    roots = _low_degree_roots(g if len(g) == 2 else _square_free(g)[0]) if len(g) > 1 else []
-    for r in roots:
-        sf = _deflate(sf, r.numerator, r.denominator)
+    roots = [Fraction(-g[0], g[1])] if len(g) == 2 else []  # a double root of the cubic sf
+    sf = _deflate(sf, roots[0].numerator, roots[0].denominator) if roots else sf
     while len(sf) > 3:
         before = len(roots)
         top = max(abs(c) for c in sf)
@@ -365,9 +373,9 @@ def _rational_roots(q: Quartic):
                 roots.append(Fraction(h, k))
         if len(roots) == before:
             break
-    if 1 < len(sf) <= 3 and (low := _low_degree_roots(sf)):
-        # sf is primitive and the product of their factors (den x - num)
-        roots, sf = roots + low, [1]
+    disc = sf[1] ** 2 - 4 * sf[0] * sf[2] if len(sf) == 3 else 0  # sf has no double root
+    if len(sf) == 2 or disc > 0 and math.isqrt(disc) ** 2 == disc:
+        roots, sf = roots + _low_degree_roots(sf), [1]  # sf = prod (den x - num), primitive
     found = []
     for r in sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r.numerator < 0)):
         h, k, mult = r.numerator, r.denominator, 1
@@ -413,9 +421,10 @@ def _residual_bound(v, q: Quartic, tol: float) -> float:
 def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     """All four roots with multiplicities.
 
-    Exact rational roots are extracted exactly when the coefficients are
-    exact.  What is left is solved via companion-matrix eigenvalues
-    (`_companion_roots`) and three Newton steps on q at q's `_floats`, and
+    Exact coefficients give their rational roots exactly, and a rest whose
+    square-free part has degree 1 or 2 by its formula, which tol does not
+    reach.  A rest of degree 3 or 4 and decimal input are solved by
+    eigenvalues (`_companion_roots`) and three Newton steps on q in floats;
     decimal roots are clustered within tol (1 + max |coefficient|).  A
     coefficient past the float range, which the eigenvalues cannot take, a
     float root whose residual passes its bound, or two roots of an exact
@@ -436,31 +445,35 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
         # With every rational root deflated to its multiplicity, the rest of
         # q, of degree 4 less their sum, is a product of irreducible factors
         # over Q, none linear: square-free or the square of one quadratic.
-        # So each of its roots has the multiplicity k = deg(rest) / deg(sf)
-        # of its square-free part sf, and only sf is solved in floats; a
-        # degree that deg(sf) does not divide means a rational root was
-        # missed.
+        # So its roots share k = deg(rest) / deg(sf), sf its square-free
+        # part; a degree that deg(sf) does not divide means a missed root.
         k, missed = divmod(4 - sum(m for _, m in entries), max(len(sf) - 1, 1))
         if missed:
             raise ArithmeticError(f"a rational root beside {sf} was missed")
+        if len(sf) <= 3:  # an irrational quadratic, or no rest
+            low = _low_degree_roots(sf) if len(sf) > 1 else []
+            if low and low[0] == low[1]:
+                raise ConfigError(f"the float roots of the quartic do not resolve: "
+                                  f"2 distinct roots merge at {low[0]}")
+            entries += [(v, k) for v in low]
+            return RootSet(tuple(sorted(entries, key=_float_key)), tuple(sf))
         numeric_coeffs = [c / sf[-1] for c in sf]
     else:
-        entries, k = [], 1
-        numeric_coeffs = [float(c) for c in q.coeffs]
+        entries, numeric_coeffs = [], [float(c) for c in q.coeffs]
 
     # an exact sf is square-free: its roots are distinct and none is merged
     cluster_tol = 0.0 if q.is_exact else tol * (1.0 + max(abs(c) for c in numeric_coeffs))
-    # a square-free part of degree 0 ([1]: every root was rational) has none
+    # q and q' on floats, which keep the bits of q(r) (`Quartic.__call__`)
+    fq = Quartic((*map(float, q.coeffs[:4]), 1))
+    c1, d2, d3 = fq.coeffs[1], float(2 * q.coeffs[2]), float(3 * q.coeffs[3])
     raw = []
-    if len(numeric_coeffs) > 1:
-        _, c1, _, _, d2, d3 = q._floats
-        for r in map(complex, _companion_roots(numeric_coeffs[::-1])):
-            for _ in range(3):
-                d = ((4 * r + d3) * r + d2) * r + c1
-                if abs(d) < 1e-12 * q.scale or not abs(step := q(r) / d) <= 1.0:  # or NaN
-                    break
-                r = r - step
-            raw.append(r)
+    for r in map(complex, _companion_roots(numeric_coeffs[::-1])):
+        for _ in range(3):
+            d = ((4 * r + d3) * r + d2) * r + c1
+            if abs(d) < 1e-12 * q.scale or not abs(step := fq(r) / d) <= 1.0:  # or NaN
+                break
+            r = r - step
+        raw.append(r)
     # The eigenvalues come in exact conjugate pairs, and the Newton steps
     # and _cluster keep them bit for bit (IEEE complex *, / and abs are
     # sign-symmetric).  So a cluster is real when it holds its own
@@ -472,11 +485,11 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
         if m > 1 and q.is_exact:
             raise ConfigError(f"the float roots of the quartic do not resolve: "
                               f"{m} distinct roots merge at {v}")
-        res = abs(complex(q(v)))
+        res = abs(complex(fq(v)))
         if not res <= _residual_bound(v, q, tol):  # NaN included
             raise ConfigError(f"the float roots of the quartic do not resolve: "
                               f"residual {res} at {v}")
-        entries.append((v, m * k))
+        entries.append((v, m))  # k = 1: the rest is its own square-free part
     entries.sort(key=_float_key)
     return RootSet(tuple(entries), tuple(sf) if q.is_exact else None)
 

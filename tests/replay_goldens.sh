@@ -33,7 +33,7 @@ for case in search_e1:0 search_mixed_kernel:1 search_r3_2:1 search_decimal:0; do
   count=$((count + 1))
 done
 
-for name in cubic_rest triple double_irrational cap300; do
+for name in cubic_rest triple double_irrational cap300 near_real_pair; do
   "${diagvf[@]}" roots - --json < "$golden/$name.config.json" \
     | diff - "$golden/$name.roots.json"
   count=$((count + 1))

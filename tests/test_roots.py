@@ -13,8 +13,8 @@ from diagvf import (ConfigError, DiagonalVFParams, NotARoot, Quartic, RootPatter
                     solve_quartic)
 from diagvf._num import MAX_DIGITS, cleared, primitive
 from diagvf.pipeline import parse_params
-from diagvf.roots import (_cluster, _companion_roots, _homogeneous, _ordinate, _rational_roots,
-                          _refine, _repeated, _square_free)
+from diagvf.roots import (_cluster, _companion_roots, _homogeneous, _low_degree_roots,
+                          _ordinate, _rational_roots, _refine, _repeated, _square_free)
 from oracles import build_dual_quartic, cluster_linkage, dual_ordinate
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
@@ -108,8 +108,7 @@ class TestQuarticEvaluation:
     @given(st.lists(exact_values, min_size=4, max_size=4), exact_values,
            st.floats(-1e3, 1e3), st.complex_numbers(max_magnitude=1e3))
     def test_exact_and_float_points_take_horner(self, coeffs, x, xf, xc):
-        # an exact x takes Horner's rule on the Fraction coefficients; float
-        # and complex x keep its bits on the cached floats
+        # Horner's rule on the coefficients, exact at an exact x
         q = Quartic(tuple(coeffs) + (1,))
         assert q(x) == horner(q.coeffs, F(x))
         for v in (xf, xc):
@@ -804,9 +803,25 @@ class TestExactRestIsNotClustered:
         assert classify_root_pattern(rs) is RootPattern.TWO_REAL_TWO_COMPLEX
 
     def test_rest_roots_on_one_float_are_refused(self):
-        # (x - 3)(x + 2)(x^2 - 2x + 1 - 2e-20): the pair 1 +- 1.4e-10 rounds to 1.0
+        # the rest ((x - 4)^2 - 2)((x - 4)^2 - 2 - 1e-20) of degree 4: two of
+        # its float roots land on one float near 4 + sqrt(2)
+        q = quartic_from((), [(F(-8), F(14)), (F(-8), F(14) - F(1, 10 ** 20))])
+        with pytest.raises(ConfigError, match="2 distinct roots merge at 5.414213562373095"):
+            solve_quartic(q)
+
+    def test_close_quadratic_rest_is_solved_by_its_formula(self):
+        # (x - 3)(x + 2)(x^2 - 2x + 1 - 2e-20): the pair 1 +- 1.4e-10, which
+        # the eigenvalues put on one float
         q = quartic_from((F(3), F(-2)), [(F(-2), 1 - F(2, 10 ** 20))])
-        with pytest.raises(ConfigError, match="2 distinct roots merge at 1.0"):
+        assert solve_quartic(q).entries == ((F(-2), 1), (0.9999999998585787, 1),
+                                            (1.0000000001414213, 1), (F(3), 1))
+
+    @pytest.mark.parametrize("k", [1, 2], ids=["simple", "squared"])
+    def test_quadratic_rest_roots_on_one_float_are_refused(self, k):
+        # (x - 3)(x + 2)(x^2 - 2x + 1 - 2e-40) and (x^2 - 2x + 1 - 2e-40)^2:
+        # the pair 1 +- 1.4e-20, each correctly rounded to 1.0
+        q = quartic_from((F(3), F(-2))[:4 - 2 * k], [(F(-2), 1 - F(2, 10 ** 40))] * k)
+        with pytest.raises(ConfigError, match="2 distinct roots merge at 1.0$"):
             solve_quartic(q)
 
     @settings(max_examples=150, deadline=None)
@@ -821,6 +836,112 @@ class TestExactRestIsNotClustered:
         q = quartic_from(lams, [(-u, (u * u - disc) / 4)])
         rep = run_characterize({"params": params_for(q), "weights": [F(1, 2)] * 2})
         assert rep.pattern == ("FourSingleReal" if disc > 0 else "TwoRealTwoComplex")
+
+
+def _below(m: F, u: int, D: int, w: int) -> bool:
+    """Whether m < (u + sqrt(D)) / w, for w != 0, by exact comparison of t =
+    m w - u with sqrt(D)."""
+    t = m * w - u
+    return (t < 0 or t * t < D) if w > 0 else (t > 0 and t * t > D)
+
+
+def correctly_rounded(f: float, u: int, D: int, w: int) -> bool:
+    """Whether f is the float nearest (u + sqrt(D)) / w, D not a square: the
+    value lies strictly between the midpoints from f to its neighbours."""
+    lo = (F(f) + F(math.nextafter(f, -math.inf))) / 2
+    hi = (F(f) + F(math.nextafter(f, math.inf))) / 2
+    return _below(lo, u, D, w) and not _below(hi, u, D, w)
+
+
+digits300 = st.integers(-10 ** 300, 10 ** 300)
+
+
+@st.composite
+def low_degree_polys(draw):
+    """Integer a x^2 + b x + c, a > 0, and linear k x - h, square-free, with
+    entries up to 300 digits: any draw, cancelling real pairs (b^2 far
+    above 4ac), rational roots, and pairs with a perfect-square imaginary
+    part, (k x - h)^2 + m^2."""
+    kind = draw(st.sampled_from(["any", "cancel", "rational", "square-im", "linear"]))
+    k, h, m = draw(st.integers(1, 10 ** 300)), draw(digits300), draw(digits300.filter(bool))
+    if kind == "linear":
+        return [-h, k]
+    if kind == "cancel":
+        return [draw(st.integers(-10 ** 6, 10 ** 6).filter(bool)), m, k % 10 ** 6 + 1]
+    if kind == "rational":
+        g = draw(st.integers(1, 10 ** 300))
+        return polymul([-h, k], [-draw(digits300.filter(lambda v: v * k != h * g)), g])
+    if kind == "square-im":
+        return [h * h + m * m, -2 * h * k, k * k]
+    return [draw(digits300), draw(digits300), k]
+
+
+class TestRestFormula:
+    """An exact quartic's square-free rest of degree 1 or 2 is solved by its
+    formula: every root is exact or the correctly rounded float."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(low_degree_polys())
+    @example([(2 ** 53 + 1) ** 2, 0, 1])  # imaginary part 2^53 + 1, a tie
+    @example([1, 10 ** 300, 1])           # roots -1e300 and -1e-300
+    @example([-3, 0, 1])
+    def test_roots_are_exact_or_correctly_rounded(self, poly):
+        if len(poly) == 3 and poly[1] ** 2 == 4 * poly[0] * poly[2]:
+            return  # a double root: not square-free
+        roots = _low_degree_roots(poly)
+        if len(poly) == 2:
+            assert roots == [F(-poly[0], poly[1])]
+            return
+        c, b, a = poly
+        D = b * b - 4 * a * c
+        s = math.isqrt(abs(D))
+        if s * s == D:
+            assert roots == sorted(F(-b + e * s, 2 * a) for e in (-1, 1))
+            assert all(type(r) is F for r in roots)
+        elif D > 0:
+            assert all(type(r) is float for r in roots)
+            assert correctly_rounded(roots[0], b, D, -2 * a)
+            assert correctly_rounded(roots[1], -b, D, 2 * a)
+        else:
+            assert all(type(r) is complex for r in roots)
+            assert roots[0] == roots[1].conjugate()
+            assert roots[1].real == float(F(-b, 2 * a))
+            im = roots[1].imag
+            assert (im == float(F(s, 2 * a)) if s * s == -D
+                    else correctly_rounded(im, 0, -D, 2 * a))
+
+    def test_near_real_pair_stays_complex(self):
+        # x (x - 1)(x^2 - 124999991 x + (124999991^2 + 1) / 4): the pair
+        # 62499995.5 +- 0.5i, which the float tail read as two real roots
+        p = parse_params({"A": "-1", "a": "62499996", "b": "1", "c": "-62499995/2",
+                          "d": "-124999991/2", "e": "0", "f": "0"})
+        rs = solve_quartic(p.quartic)
+        assert classify_root_pattern(rs) is RootPattern.TWO_REAL_TWO_COMPLEX
+        assert rs.entries == ((F(0), 1), (F(1), 1), (62499995.5 - 0.5j, 1),
+                              (62499995.5 + 0.5j, 1))
+
+    def test_rest_roots_beside_a_double_root_are_accurate(self):
+        # roots -207/4 doubled and the pair of 1296 x^2 + 133632 x + 3444673
+        p = parse_params({"A": "-1/4", "a": "-3719/36", "b": "-7/72", "c": "1",
+                          "d": "-29/2", "e": "-192145/18", "f": "-3"})
+        rs = solve_quartic(p.quartic)
+        assert rs.entries[1] == (F(-207, 4), 2)
+        a, b, c = 1296, 133632, 3444673
+        sqrt_disc = F(math.isqrt((b * b - 4 * a * c) * 10 ** 100), 10 ** 50)
+        want = [float((-b - sqrt_disc) / (2 * a)), float((-b + sqrt_disc) / (2 * a))]
+        assert [v for v, _ in rs.entries if isinstance(v, float)] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(root_or_zero, min_size=4, max_size=4), st.integers(0, 2), small_root,
+           st.one_of(real_non_square, complex_disc))
+    def test_no_clustering_below_degree_three(self, roots, n_quad, u, disc):
+        # rational roots, repeated or not, beside no rest, a quadratic rest
+        # or its square
+        quads = [(u, (u * u - disc) / 4)] * n_quad
+        with mock.patch("diagvf.roots._cluster", side_effect=AssertionError("clustered")):
+            rs = solve_quartic(quartic_from(roots[:4 - 2 * n_quad], quads))
+        rest = primitive(cleared(((u * u - disc) / 4, u, F(1)))[1]) if n_quad else (1,)
+        assert rs.rest == rest and sum(m for _, m in rs.entries) == 4
 
 
 class TestOpenRootFounds:
@@ -839,21 +960,14 @@ class TestOpenRootFounds:
         assert [r["mult"] for r in rep.roots] == [1, 1, 1, 1]
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND in CHANGES.md: "
-                       "the float roots of an exact quartic's rest lose about 6 digits "
-                       "next to a rational double root")
-    def test_rest_roots_beside_a_double_root_are_accurate(self):
-        # roots -207/4 doubled and the pair of 1296 x^2 + 133632 x + 3444673
-        p = parse_params({"A": "-1/4", "a": "-3719/36", "b": "-7/72", "c": "1",
-                          "d": "-29/2", "e": "-192145/18", "f": "-3"})
-        rs = solve_quartic(p.quartic)
-        assert rs.entries[1] == (F(-207, 4), 2)
-        a, b, c = 1296, 133632, 3444673
-        sqrt_disc = F(math.isqrt((b * b - 4 * a * c) * 10 ** 60), 10 ** 30)
-        want = [(-b - sqrt_disc) / (2 * a), (-b + sqrt_disc) / (2 * a)]
-        got = [v for v, _ in rs.entries if isinstance(v, float)]
-        assert len(got) == 2
-        for v, w in zip(got, want):
-            assert abs(F(v) - w) <= F(1, 10 ** 9) * abs(w)
+                       "close irrational roots of a degree-4 rest come out complex")
+    @pytest.mark.parametrize("u, t", [(F(-2), F(-1)), (F(0), F(-2))],
+                             ids=["x2-2x-1", "x2-2"])
+    def test_close_roots_of_a_quartic_rest_stay_real(self, u, t):
+        # (x^2 + u x + t)(x^2 + u x + t - 1e-20): four simple real roots in
+        # two pairs 1e-20 / sqrt(u^2 - 4t) apart
+        q = quartic_from((), [(u, t), (u, t - F(1, 10 ** 20))])
+        assert classify_root_pattern(solve_quartic(q)) is RootPattern.FOUR_SINGLE_REAL
 
     @pytest.mark.xfail(strict=True, raises=ConfigError, reason="FOUND in CHANGES.md: "
                        "the float roots of an exact quartic with 30-digit coefficients "
@@ -927,14 +1041,13 @@ class TestFloatRootsKeepTheirBits:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(exact_values, min_size=4, max_size=4),
            st.floats(-1e3, 1e3), st.complex_numbers(max_magnitude=1e3))
-    def test_derivative_on_cached_floats(self, coeffs, xf, xc):
-        # the Newton step's q' at q._floats, as the Fraction coefficients
-        # give it at a float or complex point
+    def test_exact_coefficients_evaluate_as_their_floats(self, coeffs, xf, xc):
+        # beside a float or complex x each exact coefficient converts to its
+        # float, so q(x) is Horner's rule on those floats, bit for bit
         q = Quartic(tuple(coeffs) + (1,))
-        c0, c1, c2, c3, d2, d3 = q._floats
+        floats = (*map(float, coeffs), 1)
         for x in (xf, xc, complex(xf)):
-            want = ((4 * q.coeffs[4] * x + 3 * q.coeffs[3]) * x + 2 * q.coeffs[2]) * x + q.coeffs[1]
-            assert repr(((4 * x + d3) * x + d2) * x + c1) == repr(want)
+            assert repr(q(x)) == repr(horner(floats, x))
 
     @pytest.mark.parametrize("bits", range(1, 7))
     @pytest.mark.parametrize("limit", [1, 2, 3, 5, 8, 13])
