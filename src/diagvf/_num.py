@@ -82,16 +82,16 @@ def parse_number(v) -> Number:
 
 
 def format_number(x):
-    """JSON-friendly encoding; Fractions become 'p/q' strings."""
-    if type(x) is float:
+    """JSON-friendly encoding; Fractions become 'p/q' strings (str of an
+    integral one is its numerator's)."""
+    t = type(x)
+    if t is float:
         return x
+    if t is Fraction or t is int:
+        return str(x)
     if isinstance(x, bool):
         raise ValueError("not a number")
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else str(x.numerator)
-    return float(x)
+    return str(x) if isinstance(x, (int, Fraction)) else float(x)
 
 
 def near_integer(r, tol: float = 1e-9):

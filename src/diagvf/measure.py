@@ -91,12 +91,13 @@ def _float(x, den: int = 1) -> float:
 def _check_caps(m: CandidateModel, verdict: AdmissibilityVerdict) -> int:
     """verdict.N of an accepted verdict, once (2N max |coordinate|)^2 of the
     kept form, the size a decimal certificate's float scale squares, is
-    within the largest float (else ConfigError, before any work)."""
+    within the largest float (else ConfigError, before any work); 2.0 N
+    overflows to inf where an N past half the float range would raise."""
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
     N = verdict.N
     _, D, atoms, _, _ = m._cleared
-    wide = 2 * N * _float(max(abs(c) for a in atoms for c in a), D)
+    wide = 2.0 * N * _float(max(abs(c) for a in atoms for c in a), D)
     if wide > math.sqrt(sys.float_info.max):
         raise ConfigError(f"the float checks of the N-fold power (N = {N}) "
                           f"overflow: its coordinates pass the float range")
@@ -119,6 +120,7 @@ def realize_measure(m: CandidateModel, verdict: AdmissibilityVerdict) -> FiniteM
     """
     N = _check_caps(m, verdict)
     exact, D, atoms, M, weights = m._cleared
+    weights = tuple(map(abs, weights))
     if math.comb(N + len(atoms) - 1, len(atoms) - 1) > MAX_SUPPORT:
         raise ConfigError(f"the realized measure would have more than "
                           f"{MAX_SUPPORT} support points (the N-fold power "
@@ -172,9 +174,9 @@ def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVe
                     for x, y in ((float(m.r) * x, float(m.r) * y) for x, y in pts)
                     for q, u, v, w in ((x, a, b, e), (y, c, d, f)))
         scale = scale if scale < math.inf else 0
-    bound = 2 * (cert if m.r == N else _conic_certificate(m, p, N))
-    return (CheckReport(_float(cert), tol * max(1, scale), exact),
-            CheckReport(_float(bound), max(tol, 1e-10) * max(1, top), exact))
+    half = cert if m.r == N else _conic_certificate(m, p, N)   # twice it, formed in ints
+    return (CheckReport(_float(cert), tol * max(1, scale), exact), CheckReport(
+        _float(2 * half.numerator, half.denominator), max(tol, 1e-10) * max(1, top), exact))
 
 
 def cumulant_eval(m: CandidateModel, theta):
@@ -222,12 +224,12 @@ def _conic_certificate(m: CandidateModel, p: DiagonalVFParams, s):
         atoms = tuple(zip(coords[::2], coords[1::2]))
     sn, sd = s.as_integer_ratio()
     gap = Q * sd + A * sn  # Q sd (1 + A s)
-    # (Q D)^2 u rho_i = u (Q X (Q X - a D) - Q b D Y) - v e D^2 with
+    # (Q D)^2 u rho_i = u (Q X (Q X - a D) - b D Q Y) - v e D^2 with
     # u / v = sn / (Q sd), and likewise sigma_i; at A s = -1, e/s = -e A
     u, v = (sn, Q * sd) if gap else (1, -A)
-    top = max(max(abs(u * (Q * X * (Q * X - a * D) - Q * b * D * Y) - v * e * D * D),
-                  abs(u * (Q * Y * (Q * Y - d * D) - Q * c * D * X) - v * f * D * D))
-              for X, Y in atoms)
+    a, b, c, d, e, f = a * D, b * D, c * D, d * D, v * e * D * D, v * f * D * D
+    top = max(max(abs(u * (X * (X - a) - b * Y) - e), abs(u * (Y * (Y - d) - c * X) - f))
+              for X, Y in ((Q * X, Q * Y) for X, Y in atoms))
     if not gap:
         return Fraction(top * sn, (Q * D) ** 2 * sd)
     big = max(max(X * X, Y * Y) for X, Y in atoms)

@@ -190,10 +190,10 @@ def run_characterize(config, tol: float = 1e-8, bound: int = 50) -> PipelineRepo
     weights = cfg.get("weights")
     if weights is None and "weight_search" in cfg:
         den = cfg["weight_search"]["denominator"]
-        weights = ((Fraction(1, den),) * (rs.n_r - 1)
-                   + (Fraction(den - rs.n_r + 1, den),))
-        if den < rs.n_r or not _verdict(rs.real_roots, weights, _exponent(p), bound).accepted:
+        grid = (1,) * (rs.n_r - 1) + (den - rs.n_r + 1,)
+        if den < rs.n_r or not _verdict(rs.real_roots, grid, _exponent(p), bound, den).accepted:
             return rejected(f"no admissible weights on the 1/{den} grid")
+        weights = tuple(Fraction(w, den) for w in grid)
     if weights is None:
         raise ConfigError("config needs 'weights' or 'weight_search'")
     try:

@@ -198,3 +198,22 @@ def mean_to_theta(m, target, tol: float = 1e-10, max_iter: int = 100):
         return tuple(theta)
     raise OutOfMeanDomain(
         f"Newton iteration stalled at residual {res:.3e} for target {tuple(target)}")
+
+
+def kept_fractions(m):
+    """The atoms of nonzero weight and their weights, as Fractions: what an
+    exact model's kept form (D, [(X, Y)], M, [W]) stands for."""
+    kept = [(a, w) for a, w in zip(m.atoms, m.weights) if w != 0]
+    return [(F(x), F(y)) for (x, y), _ in kept], [F(w) for _, w in kept]
+
+
+def weight_clauses(weights, r):
+    """(case, N) of the sign, sum and exponent clauses on exact nonzero
+    weights and exponent r, in Fractions: weights of one sign s summing to
+    s, and r a positive integer N (even when s = -1), or ("Rejected", None)."""
+    s = 1 if all(w > 0 for w in weights) else -1 if all(w < 0 for w in weights) else 0
+    if len(weights) < 2 or not s or sum(weights) != s:
+        return "Rejected", None
+    if F(r).denominator != 1 or r < 1 or s < 0 and r % 2:
+        return "Rejected", None
+    return ("CaseA" if s > 0 else "CaseB"), int(r)

@@ -887,16 +887,18 @@ class TestCliHugeRoots:
             1.0, "-15241578753238836750437433565526596567801/196", 1.0]
         assert out["diag_check"]["pass"] and out["regression"]["pass"]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND in CHANGES.md: "
-                       "the star check subtracts an exact atom and a float atom in floats")
     def test_exact_and_float_atoms_keep_the_star_condition(self, tmp_path, capsys):
         # x (x - a) (x^2 - a x - 1): the root a + 1/a rounds to float(a),
-        # and float(a) - a, taken in floats, is 0
+        # and float(a) - a, taken in floats, is 0; the exact values of the
+        # atoms keep the differences apart, and the huge generator of the
+        # float atom passes the bound
         cfg = {"params": {"A": "-1/2", "a": "123456789012345678901/7", "b": "1",
                           "c": "0", "d": "1", "e": "0", "f": "0"},
                "weights": ["1/4"] * 4}
         assert main(["characterize", write_config(tmp_path, cfg), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["status"] == "Admissible"
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "Admissible"
+        assert out["star"] == {"holds": True, "witness": None, "method": "bounded-search"}
 
     def test_roots(self, tmp_path, capsys):
         path = write_config(tmp_path, huge_roots_config(100))
@@ -1215,6 +1217,17 @@ class TestCliTilt:
         assert main(["tilt", path, "--json"]) == 0
         masses = [pt["mass"] for pt in json.loads(capsys.readouterr().out)["measure"]]
         assert abs(sum(masses) - 1) <= 2e-9
+
+    @pytest.mark.parametrize("r", [1.7976931348623157e+308, 9e307], ids=["largest-float", "9e307"])
+    def test_float_r_near_the_float_range_is_an_input_error(self, tmp_path, capsys, r):
+        # N = int(r) is an int past the float range once doubled: the
+        # coordinate cap refuses it with one line, not an OverflowError
+        cfg = {"atoms": [["0", "0"], ["1", "1"]], "weights": ["3/4", "1/4"], "r": r}
+        assert main(["tilt", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("input error: the float checks of the N-fold power")
 
     def test_tilt(self, tmp_path, capsys):
         cfg = dict(E1_CONFIG, theta=["1", "0"])

@@ -11,7 +11,11 @@ from diagvf import (DiagonalVFParams, LatticeMatrix, NotARoot,
                     NRootDeficit, RootSet, WeightCountMismatch,
                     admissibility_verdict, candidate_model, make_model,
                     star_condition)
+from diagvf.measure import check_model
 from diagvf.model import StarReport, _abscissa_star, _verdict
+
+from oracles import kept_fractions, weight_clauses
+from test_roots import complex_disc, params_for, quartic_from, small_root
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -436,10 +440,8 @@ COLLIDING = [
     ([-1e16, 2.0, 3.0, 5.0], (0, -1, 1)),       # d_3 = d_4
     ([-1e16, 2.0, 2.5, 6.0], (-1, 1, 0)),       # d_2 = d_3
     ([-1e17, 1.0, 3.0, 5.0], (0, 1, -1)),       # d_2 = d_3 = d_4: rank 1
-    ([0.1, F(0.1) + F(1, 10**30), 1.0], (1, 0, -1)),  # d_2 = 0.0
 ]
-COLLIDING_IDS = ["three-equal", "four-last-equal", "four-first-equal",
-                 "four-all-equal", "zero-difference"]
+COLLIDING_IDS = ["three-equal", "four-last-equal", "four-first-equal", "four-all-equal"]
 
 
 class TestVerdictStarDifferential:
@@ -494,6 +496,18 @@ class TestVerdictStarDifferential:
         assert v == admissibility_verdict(m, bound=1)
         assert v.star.witness == witness and v.inconclusive
 
+    def test_exact_abscissa_beside_floats_is_read_exactly(self):
+        # 0.1 and the exact 0.1 + 10^-30 differ by 0.0 in floats, but an
+        # exact abscissa makes every difference exact (d_2 = 10^-30), and
+        # three distinct atoms have a trivial kernel, with or without a model
+        lams = [0.1, F(0.1) + F(1, 10**30), 1.0]
+        w = (1 / 3,) * 3
+        m = make_model([(x, x * x) for x in lams], w, 1)
+        v = admissibility_verdict(m, bound=1)
+        assert v.star == rref_star(lambda_matrix(list(map(F, lams))).rows, bound=1)
+        assert v.star == StarReport(holds=True) and not v.inconclusive
+        assert v == _verdict(lams, w, 1, bound=1)
+
     def test_zero_weight_atoms_leave_the_lattice(self):
         # abscissas 0, 1, 2, 3 with the weight of 1 zero: the kept 0, 2, 3
         # have a trivial condition although all four collide
@@ -502,3 +516,61 @@ class TestVerdictStarDifferential:
         v = admissibility_verdict(m)
         assert v.star == rref_star(lambda_matrix([0, 2, 3]).rows)
         assert v.outcome == "CaseA"
+
+
+@st.composite
+def exact_models(draw):
+    """(params, weights, bound): exact params whose quartic has 2-4 distinct
+    rational real roots (completed by a double root or a complex pair), with
+    any exact r = -1/A, and exact weights for those roots: of one sign with
+    unit sum, or free, zeros among them either way."""
+    lams = sorted(draw(st.lists(small_root, min_size=2, max_size=4, unique=True)))
+    u = draw(small_root)
+    extra = {2: ((), [(u, (u * u - draw(complex_disc)) / 4)]),
+             3: ((draw(st.sampled_from(lams)),), []), 4: ((), [])}[len(lams)]
+    r = draw(st.integers(1, 6).map(F) if draw(st.integers(0, 3))
+             else st.fractions(F(1, 50), 50).filter(bool))
+    b = draw(st.fractions(-5, 5, max_denominator=9).filter(bool))
+    e = draw(st.fractions(-5, 5, max_denominator=9))
+    p = params_for(quartic_from(tuple(lams) + extra[0], extra[1]), -1 / r, b, e)
+    n = len(lams)
+    if draw(st.integers(0, 3)):
+        raw, sign = draw(st.lists(st.sampled_from([0, 1, 2, 3, 5]), min_size=n, max_size=n)), \
+            draw(st.sampled_from([1, -1]))
+        weights = [sign * F(x, sum(raw) or 1) for x in raw]
+    else:
+        weights = draw(st.lists(st.fractions(-3, 3, max_denominator=12), min_size=n, max_size=n))
+    return p, weights, draw(st.sampled_from([1, 50, 10 ** 9]))
+
+
+class TestKeptForm:
+    """An exact model's kept form, built by `candidate_model` from the
+    roots' ints, is the model cleared: Fractions of the nonzero-weight
+    atoms and weights are the oracle, and a `make_model` twin on the same
+    Fraction atoms clears to the same form, verdict and checks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_models())
+    def test_kept_form_is_the_model_cleared(self, model):
+        p, weights, bound = model
+        m = candidate_model(p, weights)
+        assert all(nu == (lam * lam - p.a * lam + p.e * p.A) / p.b for lam, nu in m.atoms)
+        exact, D, atoms, M, W = m._cleared
+        lams, ws = kept_fractions(m)
+        assert exact and all(type(x) is int for pt in atoms for x in pt) and D > 0
+        assert [(F(X, D), F(Y, D)) for X, Y in atoms] == lams
+        assert all(type(w) is int for w in W) and M > 0
+        assert [F(w, M) for w in W] == ws and [abs(F(w, M)) for w in W] == list(map(abs, ws))
+        twin = make_model(m.atoms, m.weights, m.r)
+        assert twin._cleared == m._cleared
+        v = admissibility_verdict(m, bound)
+        assert v == admissibility_verdict(twin, bound)
+        if v.star is None or v.star.holds:
+            assert (v.outcome, v.N) == weight_clauses(ws, m.r)
+        else:
+            assert v.inconclusive and len(lams) == 4
+            assert v.star == rref_star(lambda_matrix([x for x, _ in lams]).rows, bound)
+        if v.accepted:
+            reports = check_model(m, p, v)
+            assert reports == check_model(twin, p, v)
+            assert all(rep.exact and rep.max_dev == 0 for rep in reports)
