@@ -82,12 +82,11 @@ def parse_number(v) -> Number:
 
 
 def format_number(x):
-    """JSON-friendly encoding; Fractions become 'p/q' strings (str of an
-    integral one is its numerator's)."""
+    """JSON-friendly encoding; Fractions become 'p/q' strings."""
     t = type(x)
     if t is float:
         return x
-    if t is Fraction or t is int:
+    if t is Fraction or t is int:   # str of an integral Fraction is its numerator's
         return str(x)
     if isinstance(x, bool):
         raise ValueError("not a number")

@@ -89,10 +89,9 @@ def _float(x, den: int = 1) -> float:
 
 
 def _check_caps(m: CandidateModel, verdict: AdmissibilityVerdict) -> int:
-    """verdict.N of an accepted verdict, once (2N max |coordinate|)^2 of the
-    kept form, the size a decimal certificate's float scale squares, is
-    within the largest float (else ConfigError, before any work); 2.0 N
-    overflows to inf where an N past half the float range would raise."""
+    """verdict.N of an accepted verdict, once (2.0 N max |coordinate|)^2 of
+    the kept form, a float (inf past the range) that a decimal certificate's
+    scale squares, is within the largest float (else ConfigError, before any work)."""
     if not verdict.accepted:
         raise NotAdmissible(f"verdict is {verdict.outcome}: {verdict.reason}")
     N = verdict.N
@@ -174,7 +173,7 @@ def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVe
                     for x, y in ((float(m.r) * x, float(m.r) * y) for x, y in pts)
                     for q, u, v, w in ((x, a, b, e), (y, c, d, f)))
         scale = scale if scale < math.inf else 0
-    half = cert if m.r == N else _conic_certificate(m, p, N)   # twice it, formed in ints
+    half = cert if m.r == N else _conic_certificate(m, p, N)   # the bound 2 half, in ints
     return (CheckReport(_float(cert), tol * max(1, scale), exact), CheckReport(
         _float(2 * half.numerator, half.denominator), max(tol, 1e-10) * max(1, top), exact))
 
@@ -224,12 +223,12 @@ def _conic_certificate(m: CandidateModel, p: DiagonalVFParams, s):
         atoms = tuple(zip(coords[::2], coords[1::2]))
     sn, sd = s.as_integer_ratio()
     gap = Q * sd + A * sn  # Q sd (1 + A s)
-    # (Q D)^2 u rho_i = u (Q X (Q X - a D) - b D Q Y) - v e D^2 with
+    # (Q D)^2 u rho_i = u (Q X (Q X - a D) - Q b D Y) - v e D^2 with
     # u / v = sn / (Q sd), and likewise sigma_i; at A s = -1, e/s = -e A
     u, v = (sn, Q * sd) if gap else (1, -A)
-    a, b, c, d, e, f = a * D, b * D, c * D, d * D, v * e * D * D, v * f * D * D
-    top = max(max(abs(u * (X * (X - a) - b * Y) - e), abs(u * (Y * (Y - d) - c * X) - f))
-              for X, Y in ((Q * X, Q * Y) for X, Y in atoms))
+    top = max(max(abs(u * (Q * X * (Q * X - a * D) - Q * b * D * Y) - v * e * D * D),
+                  abs(u * (Q * Y * (Q * Y - d * D) - Q * c * D * X) - v * f * D * D))
+              for X, Y in atoms)
     if not gap:
         return Fraction(top * sn, (Q * D) ** 2 * sd)
     big = max(max(X * X, Y * Y) for X, Y in atoms)

@@ -12,7 +12,6 @@ matrix's columns cleared to integers: no row reduction is done.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,16 +53,19 @@ class CandidateModel:
 
     @cached_property
     def _cleared(self):
-        """(exact, D, [(X, Y)], M, [W]): the kept form, which the verdict, the
-        measure, its checks and degeneracy read, of the nonzero-weight atoms
-        and their signed weights.  All exact: ints (X, Y) = D (lambda, nu) and
-        W = M alpha over common denominators; else as they are, D = M = 1."""
-        kept = [(a, w) for a, w in zip(self.atoms, self.weights) if w]
-        atoms, weights = tuple(a for a, _ in kept), tuple(w for _, w in kept)
-        coords = [c for a in atoms for c in a]
-        if not all_exact(*weights, *coords):
+        """(exact, D, [(X, Y)], M, [W]), in tuples: the kept form that the
+        verdict, the measure, its checks and degeneracy read, of the atoms
+        of nonzero weight and their signed weights alpha_i.  When those (not
+        the dropped atoms, nor r) are all exact, (X, Y) = D (lambda_i, nu_i)
+        and W = M alpha_i are ints over the common denominators D and M;
+        otherwise they are held as they are, with D = M = 1."""
+        atoms, weights = self.atoms, self.weights
+        if 0 in weights:
+            atoms = tuple(a for a, w in zip(atoms, weights) if w != 0)
+            weights = tuple(w for w in weights if w != 0)
+        if not (all_exact(*weights) and all(all_exact(*a) for a in atoms)):
             return False, 1, atoms, 1, weights
-        D, coords = cleared(coords)
+        D, coords = cleared(c for a in atoms for c in a)
         return (True, D, tuple(zip(coords[::2], coords[1::2])), *cleared(weights))
 
 
@@ -96,9 +98,6 @@ class StarReport:
     bound: Optional[int] = None
 
 
-_HOLDS = StarReport(holds=True)   # frozen: one instance serves every hold
-
-
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
     outcome: str                    # "CaseA" | "CaseB" | "Rejected"
@@ -118,9 +117,8 @@ def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
 
     `roots`, when given, is that quartic's RootSet already solved at `tol`;
     callers building several models for one p pass it to solve only once.
-    Every root is checked against the quartic, which p builds once.  An
-    exact model's kept form is built here from the ints of each root h/k and
-    of its ordinate (`_ordinate`, on p's cleared form)."""
+    Every root is checked against the quartic, which p builds once.
+    """
     if roots is None:
         roots = solve_quartic(p.quartic, tol)
     lams = roots.real_roots
@@ -130,16 +128,8 @@ def candidate_model(p: DiagonalVFParams, weights, tol: float = 1e-8,
     if len(weights) != len(lams):
         raise WeightCountMismatch(
             f"{len(weights)} weights for {len(lams)} distinct real roots")
-    nus = [_ordinate(lam, p, roots.rest, tol) for lam in lams]
-    m = CandidateModel(tuple(zip(lams, nus)), tuple(weights), _exponent(p))
-    if p.is_exact and all_exact(*lams, *weights):
-        kept = [(*lam.as_integer_ratio(), *nu.as_integer_ratio(), *w.as_integer_ratio())
-                for lam, nu, w in zip(lams, nus, weights) if w]
-        D, M = math.lcm(*[x for t in kept for x in t[1:4:2]]), math.lcm(*[t[5] for t in kept])
-        m.__dict__["_cleared"] = (True, D, tuple((h * (D // k), g * (D // j))
-                                                 for h, k, g, j, _, _ in kept),
-                                  M, tuple(w * (M // n) for *_, w, n in kept))
-    return m
+    atoms = tuple((lam, _ordinate(lam, p, roots.rest, tol)) for lam in lams)
+    return CandidateModel(atoms, tuple(weights), _exponent(p))
 
 
 def _exponent(p: DiagonalVFParams):
@@ -155,16 +145,17 @@ def _cross(u, v):
 def _abscissa_star(lams, bound: int) -> StarReport:
     """The star condition of the lattice matrix of three or four ascending
     abscissas, read from its structure: up to a column operation its rows
-    are (d_i, d_i^2, 0), zero-padded, with d_i = lambda_i - lambda_1.  At
-    rank 2 the kernel is the line through the cross product g of (d_2, d_3,
-    d_4) and their squares (d_4 = 0 for three atoms): e_3 for three
-    distinct positive d_i, and for four, (+, -, +), so the bound decides.
-    When any abscissa is exact, all are cleared to ints as their exact
-    values (a float beside them too); float abscissas alone subtract in
-    floats, and their differences are cleared as their exact Fractions
-    (which keeps the generator): those that round alike leave rank <= 1."""
+    are (d_i, d_i^2, 0), zero-padded, with d_i = lambda_i - lambda_1: exact
+    when any abscissa is exact (a float beside it counts as its exact
+    value), else by float subtraction.  At rank 2 the kernel is the line
+    through the cross product g of (d_2, d_3, d_4) and their squares (d_4 =
+    0 for three atoms): e_3 for three distinct positive d_i, and for four,
+    (+, -, +), so the bound decides.  Int differences are taken as they
+    are; others are cleared to ints, each read as its exact Fraction (which
+    scales the columns and keeps the generator).  Float differences that
+    round alike can leave rank <= 1."""
     if not all(type(x) is int for x in lams) and any(map(is_exact, lams)):
-        lams = cleared(map(Fraction, lams))[1]   # exact values, also beside a float
+        lams = cleared(map(Fraction, lams))[1]
     d = [lam - lams[0] for lam in lams[1:]] + [0] * (4 - len(lams))
     if not all(type(x) is int for x in d):
         d = cleared(map(Fraction, d))[1]
@@ -173,22 +164,26 @@ def _abscissa_star(lams, bound: int) -> StarReport:
 
 def _kernel_star(cols, bound: int) -> StarReport:
     """The star condition of the 3x3 int matrix with columns cols, from its
-    left kernel {a : a . c = 0 for every column c} in closed form.  Rank 3,
-    c_0 . (c_1 x c_2) != 0: trivial, it holds.  Rank 2: the line through the
-    cross product of two independent columns, whose primitive form with its
-    last nonzero entry positive is RREF's generator; `_generator_star`
-    decides.  Rank 1 or 0: two free columns f_1 < f_2 have RREF's basis
-    vectors e_f - l_f e_p, p the first nonzero row and row f = l_f row p
-    (l_f = 0 at rank 0), and their difference, the witness, is mixed-sign."""
+    left kernel {a : a . c = 0 for every column c} in closed form.
+
+    Rank 3, c_0 . (c_1 x c_2) != 0: the kernel is trivial and the condition
+    holds.  Rank 2: the kernel is the line through the cross product of two
+    independent columns, and RREF's generator is its primitive form with
+    its last nonzero entry positive (the free column's entry 1, past every
+    pivot); `_generator_star` decides.  Rank 1 or 0: two free columns
+    f_1 < f_2 have RREF's basis vectors e_f - l_f e_p, p the first nonzero
+    row and row f = l_f row p (l_f = 0 at rank 0, with no p), and their
+    difference, the witness, is mixed-sign.
+    """
     c0, c1, c2 = cols
     g = _cross(c0, c1)
     if any(g):
         if g[0] * c2[0] + g[1] * c2[1] + g[2] * c2[2]:
-            return _HOLDS
+            return StarReport(holds=True, method="exact-kernel")
     else:
         g = _cross(c0 if any(c0) else c1, c2)
     if any(g):
-        return _generator_star(primitive(g, 2 if g[2] else 1 if g[1] else 0), bound)
+        return _generator_star(primitive(g, max(i for i in range(3) if g[i])), bound)
     rows = list(zip(c0, c1, c2))
     p = next((i for i in range(3) if any(rows[i])), None)
     f1, f2 = [i for i in range(3) if i != p][:2]
@@ -205,8 +200,8 @@ def _generator_star(g, bound: int) -> StarReport:
     """The condition on a one-dimensional kernel with primitive integer
     generator g: only a mixed-sign g within the bound is a witness."""
     if not min(g) < 0 < max(g):
-        return _HOLDS
-    if max(map(abs, g)) <= bound:
+        return StarReport(holds=True, method="exact-kernel")
+    if max(abs(x) for x in g) <= bound:
         return StarReport(holds=False, witness=g, method="exact-kernel")
     return StarReport(holds=True, method="bounded-search", bound=bound)
 
@@ -214,13 +209,16 @@ def _generator_star(g, bound: int) -> StarReport:
 def star_condition(mat: LatticeMatrix, bound: int = 50) -> StarReport:
     """Decide whether the left kernel contains a mixed-sign integer vector.
 
-    Any 3x3 rational matrix, with no row reduction: its columns, each
-    cleared to ints (which changes no integer solution), go to
-    `_kernel_star`, as the verdict's abscissas do.  Trivial kernel: holds.
-    One-dimensional kernel: the primitive generator's signs decide, but one
-    past the bound counts as no solution within reach (so large a witness
-    comes from reading irrational abscissas as rationals); the method says
-    when the bound decided.  Higher dimension: fails, on RREF's witness.
+    Any 3x3 rational matrix, in closed form with no row reduction: its
+    columns, each cleared to ints (which changes no integer solution), go
+    to `_kernel_star`, as the verdict's abscissas do.  Trivial kernel:
+    holds.  One-dimensional kernel: the sign pattern of the primitive
+    integer generator decides, but a generator with entries beyond the
+    bound is treated as no solution within reach (witnesses that large
+    arise from float-to-rational conversion of irrational abscissas, where
+    the underlying real matrix admits no integer relation at all); the
+    method field discloses when the bound was decisive.  Higher dimension:
+    always fails, with no bound, on the witness RREF would give.
     """
     return _kernel_star([cleared(col)[1] for col in zip(*mat.rows)], bound)
 
@@ -230,8 +228,9 @@ VERDICT_TOL = 1e-9
 
 
 def admissibility_verdict(m: CandidateModel, bound: int = 50) -> AdmissibilityVerdict:
-    """CaseA / CaseB / Rejected by `_verdict` on the kept form: its
-    abscissas and its weights over M (ints when exact), and m.r."""
+    """CaseA / CaseB / Rejected per the sign, sum, and exponent clauses, by
+    `_verdict` on the kept form's abscissas (an exact form's ints D lambda_i
+    keep the lattice generator), its weights over M and m.r."""
     _, _, atoms, M, weights = m._cleared
     return _verdict([a[0] for a in atoms], weights, m.r, bound, M)
 
@@ -246,14 +245,16 @@ def _sign(weights) -> int:
 
 def _verdict(lams, weights, r, bound: int, M: int = 1) -> AdmissibilityVerdict:
     """The verdict on ascending abscissas lams with nonzero weights w / M
-    (ints w over their common denominator M when exact) and exponent r.
-    For three or four atoms the lattice condition of the abscissas comes
-    first (it holds for three; for four the bound decides); when it fails,
-    the verdict is Rejected, inconclusive, as the characterization is silent
-    there.  Then the weights must share a sign s and sum to it, and r must
-    be a positive integer N, even when s = -1.  Exact weights and exponents
-    are read exactly, floats within VERDICT_TOL: the sign by `_sign` and the
-    exponent by `near_integer`, as `expand_series` and `cumulant_eval` do.
+    (exact ones as ints over their common denominator M) and exponent r.
+
+    For three or four atoms the lattice condition of the abscissas is
+    checked first (it holds for three; for four the bound decides); when it
+    fails, the verdict is Rejected with an inconclusive flag since the
+    characterization is silent in that regime.  Then the weights must share
+    a sign s and sum to it, and r must be a positive integer N, even when
+    s = -1.  Exact weights and exponents are read exactly, floats within
+    VERDICT_TOL: the sign by `_sign` and the exponent by `near_integer`,
+    the rules `expand_series` and `cumulant_eval` read a model by too.
     """
     if len(weights) < 2:
         return AdmissibilityVerdict(

@@ -540,10 +540,10 @@ def exact_models(draw):
 
 
 class TestKeptForm:
-    """An exact model's kept form, built by `candidate_model` from the
-    roots' ints, is the model cleared: Fractions of the nonzero-weight
-    atoms and weights are the oracle, and a `make_model` twin on the same
-    Fraction atoms clears to the same form, verdict and checks."""
+    """An exact `candidate_model` model's kept form is the model cleared:
+    Fractions of the nonzero-weight atoms and weights are the oracle, and a
+    `make_model` twin on the same Fraction atoms clears to the same form,
+    verdict and checks."""
 
     @settings(max_examples=300, deadline=None)
     @given(exact_models())
