@@ -173,7 +173,7 @@ def check_model(m: CandidateModel, p: DiagonalVFParams, verdict: AdmissibilityVe
                     for x, y in ((float(m.r) * x, float(m.r) * y) for x, y in pts)
                     for q, u, v, w in ((x, a, b, e), (y, c, d, f)))
         scale = scale if scale < math.inf else 0
-    half = cert if m.r == N else _conic_certificate(m, p, N)   # the bound 2 half, in ints
+    half = cert if m.r == N else _conic_certificate(m, p, N)   # the bound is 2 half, in ints
     return (CheckReport(_float(cert), tol * max(1, scale), exact), CheckReport(
         _float(2 * half.numerator, half.denominator), max(tol, 1e-10) * max(1, top), exact))
 

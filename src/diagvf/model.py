@@ -145,15 +145,15 @@ def _cross(u, v):
 def _abscissa_star(lams, bound: int) -> StarReport:
     """The star condition of the lattice matrix of three or four ascending
     abscissas, read from its structure: up to a column operation its rows
-    are (d_i, d_i^2, 0), zero-padded, with d_i = lambda_i - lambda_1: exact
-    when any abscissa is exact (a float beside it counts as its exact
-    value), else by float subtraction.  At rank 2 the kernel is the line
-    through the cross product g of (d_2, d_3, d_4) and their squares (d_4 =
-    0 for three atoms): e_3 for three distinct positive d_i, and for four,
-    (+, -, +), so the bound decides.  Int differences are taken as they
-    are; others are cleared to ints, each read as its exact Fraction (which
-    scales the columns and keeps the generator).  Float differences that
-    round alike can leave rank <= 1."""
+    are (d_i, d_i^2, 0), zero-padded, with d_i = lambda_i - lambda_1, exact
+    when any abscissa is exact, else by float subtraction.  At rank 2 the
+    kernel is the line through the cross product g of (d_2, d_3, d_4) and
+    their squares (d_4 = 0 for three atoms): e_3 for three distinct
+    positive d_i, and for four, (+, -, +), so the bound decides.  Int
+    differences are taken as they are; others are cleared to ints, each
+    read as its exact Fraction (which scales the columns and keeps the
+    generator).  A float beside an exact abscissa counts as its exact
+    value; float differences that round alike can leave rank <= 1."""
     if not all(type(x) is int for x in lams) and any(map(is_exact, lams)):
         lams = cleared(map(Fraction, lams))[1]
     d = [lam - lams[0] for lam in lams[1:]] + [0] * (4 - len(lams))
