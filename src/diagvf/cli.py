@@ -63,15 +63,13 @@ def _model_from_config(cfg, tol):
     raise ConfigError("config needs 'atoms'/'weights'/'r' or 'params'+'weights'")
 
 
-def cmd_characterize(args) -> int:
-    cfg = _read_config(args.config)
+def cmd_characterize(cfg, args) -> int:
     rep = run_characterize(cfg, tol=args.tol, bound=args.bound)
     _emit(report_to_dict(rep), args.json)
     return EXIT_REJECTED if rep.status == "Rejected" else EXIT_OK
 
 
-def cmd_roots(args) -> int:
-    cfg = _read_config(args.config)
+def cmd_roots(cfg, args) -> int:
     q = cfg.get("quartic")
     if q is None:
         if "params" not in cfg:
@@ -81,8 +79,7 @@ def cmd_roots(args) -> int:
     return EXIT_OK
 
 
-def cmd_lattice(args) -> int:
-    cfg = _read_config(args.config)
+def cmd_lattice(cfg, args) -> int:
     if "matrix" not in cfg:
         raise ConfigError("lattice needs 'matrix': 3x3 rational rows")
     rows = _items(cfg["matrix"], 3, lambda row: tuple(map(Fraction, _items(row, 3))))
@@ -91,8 +88,7 @@ def cmd_lattice(args) -> int:
     return EXIT_OK if rep.holds else EXIT_REJECTED
 
 
-def cmd_expand(args) -> int:
-    cfg = _read_config(args.config)
+def cmd_expand(cfg, args) -> int:
     m = _model_from_config(cfg, args.tol)
     rep = expand_series(m, args.depth)
     terms = {f"({format_number(k[0])},{format_number(k[1])})": format_number(v)
@@ -105,8 +101,7 @@ def cmd_expand(args) -> int:
     return EXIT_OK if fneg is None else EXIT_REJECTED
 
 
-def cmd_scan(args) -> int:
-    cfg = _read_config(args.config)
+def cmd_scan(cfg, args) -> int:
     # a misspelt block would otherwise drop out unseen
     unread = sorted(set(cfg) - {"poly", "exp_terms", "linexp", "osc_blocks", "r"})
     if unread:
@@ -126,8 +121,7 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _read_config(args.config)
+def cmd_eval(cfg, args) -> int:
     m = _model_from_config(cfg, args.tol)
     theta = _items(cfg.get("theta", [0, 0]), 2)
     k, mean, cov = cumulant_eval(m, theta)
@@ -137,8 +131,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_tilt(args) -> int:
-    cfg = _read_config(args.config)
+def cmd_tilt(cfg, args) -> int:
     m = _model_from_config(cfg, args.tol)
     verdict = admissibility_verdict(m, bound=args.bound)
     if not verdict.accepted:
@@ -204,7 +197,7 @@ def main(argv=None) -> int:
             print(f"input error: --{flag} must be {rule}, got {value}", file=sys.stderr)
             return EXIT_INPUT
     try:
-        code = args.func(args)
+        code = args.func(_read_config(args.config), args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # stdout's reader has gone: keep the exit flush quiet

@@ -224,14 +224,12 @@ def _conic_certificate(m: CandidateModel, p: DiagonalVFParams, s):
     sn, sd = s.as_integer_ratio()
     gap = Q * sd + A * sn  # Q sd (1 + A s)
     # (Q D)^2 u rho_i = u (Q X (Q X - a D) - Q b D Y) - v e D^2 with
-    # u / v = sn / (Q sd), and likewise sigma_i; at A s = -1, e/s = -e A
-    u, v = (sn, Q * sd) if gap else (1, -A)
+    # u / v = sn / (Q sd), and likewise sigma_i
+    u, v = sn, Q * sd
     top = max(max(abs(u * (Q * X * (Q * X - a * D) - Q * b * D * Y) - v * e * D * D),
                   abs(u * (Q * Y * (Q * Y - d * D) - Q * c * D * X) - v * f * D * D))
               for X, Y in atoms)
-    if not gap:
-        return Fraction(top * sn, (Q * D) ** 2 * sd)
-    big = max(max(X * X, Y * Y) for X, Y in atoms)
+    big = max(max(X * X, Y * Y) for X, Y in atoms) if gap else 0
     return Fraction(top * sd + abs(gap) * Q * sn * big, (Q * D * sd) ** 2)
 
 

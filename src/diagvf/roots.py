@@ -70,7 +70,7 @@ class DiagonalVFParams:
 @dataclass(frozen=True)
 class Quartic:
     """Monic quartic; coeffs = (c0, c1, c2, c3, c4) with c4 == 1.  Only the
-    rational root search, the ordinates and `scale` read the cleared form."""
+    rational root search and the ordinates read the cleared form."""
 
     coeffs: tuple
 
@@ -96,12 +96,7 @@ class Quartic:
 
     @cached_property
     def scale(self) -> float:
-        """1 + the largest |float(c_k)|; on exact coefficients the int
-        division of the largest |C_k| by L, since rounding is monotone.
-        OverflowError past the float range."""
-        if self._cleared is not None:
-            den, ints = self._cleared
-            return 1.0 + max(map(abs, ints)) / den
+        """1 + the largest |float(c_k)|.  OverflowError past the float range."""
         return 1.0 + max(abs(float(c)) for c in self.coeffs)
 
 
@@ -175,36 +170,35 @@ def build_characteristic_quartic(p: DiagonalVFParams) -> Quartic:
 _IMAG_TOL = 1e-6
 
 
-def _pseudo_remainder(a, b):
-    """Remainder of lead(b)^k * a divided by b, without leaving the integers."""
-    a = list(a)
-    while len(a) >= len(b) and any(a):
-        top, shift = a[-1], len(a) - len(b)
-        a = [b[-1] * c for c in a]
-        for i, c in enumerate(b):
-            a[i + shift] -= top * c
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return a
-
-
 def _square_free(poly):
-    """(poly / g, g), g = gcd(poly, poly') of a primitive poly ([1] when it is
-    square-free), by the primitive remainder sequence and one exact division."""
-    a, b = poly, primitive([i * c for i, c in enumerate(poly)][1:])
-    while any(b):
-        a, b = b, _pseudo_remainder(a, b)
-        if any(b):
-            b = primitive(b)
-    if len(a) == 1:
-        return poly, a
-    # Gauss: both are primitive, so the quotient has integer coefficients
-    rest, quot = list(poly), [0] * (len(poly) - len(a) + 1)
+    """(poly / g, g) for a primitive integer quartic poly = e + d x + c x^2 +
+    b x^3 + a x^4 with a repeated root, g = gcd(poly, poly') made primitive.
+
+    By the subresultant theorem (Collins 1967, J. ACM 14(1)) g is, up to a
+    constant, the first subresultant of poly and poly' whose leading
+    coefficient is nonzero: S1 = -2 X x + Y (times a) when poly has one
+    double root, S2 (times a) when it has two double roots or a triple one,
+    and poly' for a quadruple root.  Both are primitive, so by Gauss's lemma
+    the quotient is integral; a nonzero remainder raises ArithmeticError."""
+    e, d, c, b, a = poly
+    X = (16 * a * a * c * e - 18 * a * a * d * d - 6 * a * b * b * e + 14 * a * b * c * d
+         - 4 * a * c * c * c - 3 * b * b * b * d + b * b * c * c)
+    if X:
+        Y = (48 * a * a * d * e - 32 * a * b * c * e - 3 * a * b * d * d + 4 * a * c * c * d
+             + 9 * b * b * b * e - b * b * c * d)
+        g = primitive((Y, -2 * X))
+    elif 8 * a * c != 3 * b * b:
+        g = primitive((16 * a * e - b * d, 2 * (6 * a * d - b * c), 8 * a * c - 3 * b * b))
+    else:
+        g = primitive((d, 2 * c, 3 * b, 4 * a))
+    rest, quot = list(poly), [0] * (len(poly) - len(g) + 1)
     for k in range(len(quot) - 1, -1, -1):
-        quot[k] = rest[k + len(a) - 1] // a[-1]
-        for i, c in enumerate(a):
-            rest[i + k] -= quot[k] * c
-    return quot, a
+        quot[k] = rest[k + len(g) - 1] // g[-1]
+        for i, gi in enumerate(g):
+            rest[i + k] -= quot[k] * gi
+    if any(rest):
+        raise ArithmeticError(f"gcd {g} does not divide {poly}")
+    return quot, g
 
 
 def _repeated(poly) -> bool:
@@ -322,9 +316,9 @@ def _rational_roots(q: Quartic):
 
     Every fact is read off P, q cleared to a primitive integer polynomial.
     P has a repeated root exactly when its discriminant is zero, which its
-    invariants I and J decide (`_repeated`); only then does the primitive
-    remainder sequence run (`_square_free`), for g = gcd(P, P') and sf = P /
-    g.  g is the product of (x - r)^(m - 1) over P's roots r of
+    invariants I and J decide (`_repeated`); only then are g = gcd(P, P')
+    and sf = P / g read off the subresultants of P and P' (`_square_free`).
+    g is the product of (x - r)^(m - 1) over P's roots r of
     multiplicity m: a linear g is one double root, deflated first from the
     cubic sf, and a longer g leaves sf of degree 2 or less, so sf's degree
     stays above 2 only when P is square-free.  By the rational root
@@ -433,10 +427,8 @@ def solve_quartic(q: Quartic, tol: float = 1e-8) -> RootSet:
     if tol <= 0:
         raise ValueError("tol must be positive")
     try:
-        # an exact q's scale is finite unless it raises
-        finite = (math.isfinite(q.scale) if q.is_exact
-                  else all(map(math.isfinite, map(float, q.coeffs))))
-    except OverflowError:  # float() of a huge int or Fraction, or C_k / L
+        finite = all(map(math.isfinite, map(float, q.coeffs)))
+    except OverflowError:  # float() of a huge int or Fraction
         finite = False
     if not finite:
         raise ConfigError("the quartic has a coefficient past the float range")

@@ -126,6 +126,38 @@ def cluster_linkage(values, tol: float):
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
+def square_free_split(poly):
+    """(poly / g, g) for a polynomial poly of ints or Fractions (constant
+    term first), g = gcd(poly, poly'): Euclid's algorithm on Fractions, each
+    part returned as ints over their gcd with a positive leading entry."""
+    def divide(u, v):
+        """(remainder, quotient) of u by v, the remainder's zero top trimmed."""
+        u, quot = list(u), [F(0)] * (len(u) - len(v) + 1)
+        while len(u) >= len(v):
+            shift, t = len(u) - len(v), u[-1] / v[-1]
+            quot[shift] = t
+            for i, c in enumerate(v):
+                u[shift + i] -= t * c
+            u.pop()
+        while u and not u[-1]:
+            u.pop()
+        return u, quot
+
+    def integral(v):
+        den = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+        return [x // g for x in ints]
+
+    a = [F(c) for c in poly]
+    b = [i * c for i, c in enumerate(a)][1:]
+    while b:
+        a, b = b, divide(a, b)[0]
+    rem, sf = divide([F(c) for c in poly], a)
+    assert not rem
+    return integral(sf), integral(a)
+
+
 def dual_ordinate(lam, p, tol: float = 1e-8):
     """Ordinate paired with a real abscissa, plus the second-relation residual.
 

@@ -15,7 +15,7 @@ from diagvf._num import MAX_DIGITS, cleared, primitive
 from diagvf.pipeline import parse_params
 from diagvf.roots import (_cluster, _companion_roots, _homogeneous, _low_degree_roots,
                           _ordinate, _rational_roots, _refine, _repeated, _square_free)
-from oracles import build_dual_quartic, cluster_linkage, dual_ordinate
+from oracles import build_dual_quartic, cluster_linkage, dual_ordinate, square_free_split
 
 E1 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(1), F(0), F(0))
 P2 = DiagonalVFParams(F(-1), F(0), F(1), F(0), F(-1), F(1), F(0))
@@ -446,8 +446,7 @@ def rational_roots(q: Quartic):
     for r, m in found:
         for _ in range(m):
             rest = divide_out(rest, r)
-    ints = primitive(cleared(rest)[1])
-    assert list(sf) == list(_square_free(ints)[0] if len(ints) > 1 else [1])
+    assert list(sf) == square_free_split(rest)[0]
     return found, rest
 
 
@@ -548,13 +547,20 @@ capped_int = st.one_of(st.integers(-30, 30),
 non_square_int = st.sampled_from([-3, -1, 2, 3, 5, 7])
 
 
+# shapes of factored_integer_quartics: 1 a simple linear factor, 2, 3 and 4
+# a linear one to that power, q an irreducible quadratic
+INTEGER_SHAPES = ("1111", "211", "22", "31", "4", "q11", "q2", "qq", "q^2")
+REPEATED_SHAPES = ("211", "q2", "22", "q^2", "31", "4")
+
+
 @st.composite
-def factored_integer_quartics(draw):
-    """Integer quartics, primitive with a positive leading coefficient, from
-    linear factors k x - h (zero roots and leading coefficients above 1
-    included) and irreducible quadratics (k x - h)^2 - D m^2, each to a
-    multiplicity: double, triple and quadruple roots, squared quadratics,
-    and their square-free products; entries up to the input cap."""
+def factored_integer_quartics(draw, shapes=INTEGER_SHAPES):
+    """Integer quartics of the given shapes, primitive with a positive
+    leading coefficient, from linear factors k x - h (zero roots and leading
+    coefficients above 1 included) and irreducible quadratics (k x - h)^2 -
+    D m^2, each to a multiplicity: double, triple and quadruple roots,
+    squared quadratics, and their square-free products; entries up to the
+    input cap."""
     def linear():
         return [draw(capped_int), draw(capped_int.filter(bool))]
 
@@ -562,7 +568,7 @@ def factored_integer_quartics(draw):
         h, k, m = draw(capped_int), draw(capped_int.filter(bool)), draw(capped_int.filter(bool))
         return [h * h - draw(non_square_int) * m * m, -2 * h * k, k * k]
 
-    shape = draw(st.sampled_from(["1111", "211", "22", "31", "4", "q11", "q2", "qq", "q^2"]))
+    shape = draw(st.sampled_from(shapes))
     factors = {"1111": "llll", "211": "LLll", "22": "LLMM", "31": "LLLl", "4": "LLLL",
                "q11": "qll", "q2": "qLL", "qq": "qr", "q^2": "qq"}[shape]
     made = {}
@@ -598,9 +604,9 @@ class TestRationalRoots:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(shaped_quartics(), square_free_quartics()))
-    def test_square_free_quartics_need_no_remainder_sequence(self, shaped):
-        # the invariants I and J decide square-freeness, so the primitive
-        # remainder sequence runs only on a quartic with a repeated root
+    def test_square_free_quartics_need_no_gcd(self, shaped):
+        # the invariants I and J decide square-freeness, so gcd(P, P') is
+        # read off the subresultants only on a quartic with a repeated root
         shape, q = shaped
         with mock.patch("diagvf.roots._square_free", wraps=_square_free) as prs:
             _rational_roots(q)
@@ -731,7 +737,32 @@ class TestSquareFreeByInvariants:
     @example((0, -2, 1, -2, 1))  # x (x - 2)(x^2 + 1)
     def test_invariants_decide_square_freeness(self, P):
         # 27 disc(P) = 4 I^3 - J^2 is nonzero exactly when gcd(P, P') = 1
-        assert _repeated(P) is (tuple(_square_free(P)[1]) != (1,))
+        assert _repeated(P) is (square_free_split(P)[1] != [1])
+
+
+class TestSquareFreeBySubresultants:
+    @settings(max_examples=300, deadline=None)
+    @given(factored_integer_quartics(REPEATED_SHAPES))
+    @example((0, 0, -1, 0, 1))       # x^2 (x - 1)(x + 1): S1
+    @example((-2, 4, -1, -2, 1))     # (x - 1)^2 (x^2 - 2): S1
+    @example((0, 0, 1, -2, 1))       # x^2 (x - 1)^2: S2
+    @example((4, 0, -4, 0, 1))       # (x^2 - 2)^2: S2
+    @example((1, 0, 2, 0, 1))        # (x^2 + 1)^2: S2
+    @example((0, 0, 0, -1, 1))       # x^3 (x - 1): S2
+    @example((1, -8, 24, -32, 16))   # (2 x - 1)^4: P'
+    def test_gcd_matches_euclid(self, P):
+        # g is read off S1, S2 or P' by the first nonzero leading
+        # coefficient; Euclid's algorithm on Fractions gives the same g and
+        # sf = P / g for every repeated-root shape, up to the digit cap
+        assert _repeated(P)
+        sf, g = _square_free(P)
+        assert (list(sf), list(g)) == square_free_split(P)
+
+    def test_a_gcd_that_does_not_divide_is_an_error(self):
+        # 3 x^4 - 3 x + 2 is square-free, which `_repeated` keeps from here:
+        # its S1 does not divide it
+        with pytest.raises(ArithmeticError):
+            _square_free((2, -3, 0, 0, 3))
 
 
 class TestRootStructure:
