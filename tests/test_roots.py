@@ -547,14 +547,16 @@ capped_int = st.one_of(st.integers(-30, 30),
 non_square_int = st.sampled_from([-3, -1, 2, 3, 5, 7])
 
 
-# shapes of factored_integer_quartics: 1 a simple linear factor, 2, 3 and 4
-# a linear one to that power, q an irreducible quadratic
-INTEGER_SHAPES = ("1111", "211", "22", "31", "4", "q11", "q2", "qq", "q^2")
+# shape -> the factors factored_integer_quartics multiplies: l, L, M linear
+# and q, r irreducible quadratic; l and r are drawn anew at each use, every
+# other letter once
+SHAPE_FACTORS = {"1111": "llll", "211": "LLll", "22": "LLMM", "31": "LLLl", "4": "LLLL",
+                 "q11": "qll", "q2": "qLL", "qq": "qr", "q^2": "qq"}
 REPEATED_SHAPES = ("211", "q2", "22", "q^2", "31", "4")
 
 
 @st.composite
-def factored_integer_quartics(draw, shapes=INTEGER_SHAPES):
+def factored_integer_quartics(draw, shapes=tuple(SHAPE_FACTORS)):
     """Integer quartics of the given shapes, primitive with a positive
     leading coefficient, from linear factors k x - h (zero roots and leading
     coefficients above 1 included) and irreducible quadratics (k x - h)^2 -
@@ -568,13 +570,9 @@ def factored_integer_quartics(draw, shapes=INTEGER_SHAPES):
         h, k, m = draw(capped_int), draw(capped_int.filter(bool)), draw(capped_int.filter(bool))
         return [h * h - draw(non_square_int) * m * m, -2 * h * k, k * k]
 
-    shape = draw(st.sampled_from(shapes))
-    factors = {"1111": "llll", "211": "LLll", "22": "LLMM", "31": "LLLl", "4": "LLLL",
-               "q11": "qll", "q2": "qLL", "qq": "qr", "q^2": "qq"}[shape]
     made = {}
     poly = [1]
-    for f in factors:
-        # a capital or repeated letter is one factor, drawn once
+    for f in SHAPE_FACTORS[draw(st.sampled_from(shapes))]:
         if f in "lr" or f not in made:
             made[f] = quadratic() if f in "qr" else linear()
         poly = polymul(poly, made[f])
